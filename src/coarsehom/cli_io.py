@@ -775,15 +775,16 @@ def _cmd_snf(args, rep: Report):
         for v in r:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParseError(f"matrix entry {v!r} is not an integer", "matrix")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError("matrix rows have unequal lengths", "matrix")
     res = smith_normal_form(rows)
     m, n = res.shape
-    recon = [
-        [
-            sum(res.U[i][a] * res.S[a][b] * res.V[b][j] for a in range(m) for b in range(n))
-            for j in range(n)
-        ]
+    S = res.S
+    diagonal = all(not S[a][b] for a in range(m) for b in range(n) if a != b)
+    recon = diagonal and [
+        [sum(res.U[i][a] * S[a][a] * res.V[a][j] for a in range(min(m, n))) for j in range(n)]
         for i in range(m)
-    ] == [list(map(int, r)) for r in rows]
+    ] == rows
     rep.results = {
         "shape": [m, n],
         "rank": res.rank,

@@ -6,10 +6,20 @@ entries are normalized away.  Boundary matrices are sparse integer matrices,
 homology groups come out of Smith normal forms, and every identity the module
 claims (complex identity, prism identity, swindle identity) is verified as an
 exact matrix equation, never numerically.
+
+Groups are read off one sparse elimination kernel in two phases.  The unit
+phase takes ±1 pivots from a heap of rows keyed on length, each in its
+sparsest column, and clears that column with exact row operations; only the
+rows that never offer a unit reach the residual phase, a general elimination
+with gcd steps whose pivots are repaired into a divisibility chain.  Each
+boundary of a complex is reduced once: its rank serves H_{n-1} and H_n, and
+its invariant factors give the torsion of H_{n-1}.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from itertools import product
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -307,7 +317,10 @@ def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None, chun
 def _shape_of(A):
     if sp.issparse(A) or isinstance(A, np.ndarray):
         return A.shape
-    return (len(A), len(A[0]) if len(A) else 0)
+    n = len(A[0]) if len(A) else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix rows have unequal lengths")
+    return (len(A), n)
 
 
 def _as_int_rows(A):
@@ -475,8 +488,81 @@ def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
     return SNFResult(U, S, V, Ui, Vi, (m, n))
 
 
-def _sparse_invariants(rows: List[Dict[int, int]], want_factors=True):
-    """Rank and invariant factors of a sparse integer matrix, destructive on rows."""
+def _sparse_invariants(rows: List[Dict[int, int]]):
+    """Rank and invariant factors (with 1s) of a sparse integer matrix, destructive on rows.
+
+    Unit phase: rows wait in a heap keyed on (length, generation); a popped
+    row whose generation is current offers its ±1 entry in the sparsest
+    column.  That column is cleared by exact row operations and the pivot row
+    is dropped with factor 1 (column operations would clear the rest of the
+    row without touching any other).  Every row the operation changed gets a
+    new generation and goes back on the heap, so stale entries are skipped.
+    Residual phase: the rows that never offered a unit go to the general loop.
+    """
+    col_index: Dict[int, set] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_index.setdefault(j, set()).add(i)
+    gen = [0] * len(rows)
+    heap = [(len(row), 0, i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        length, g, r = heapq.heappop(heap)
+        if g != gen[r] or length == 0:
+            continue
+        prow = rows[r]
+        best = None
+        for j, v in prow.items():
+            if v == 1 or v == -1:
+                key = (len(col_index[j]), j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue
+        c = best[1]
+        v = prow.pop(c)
+        for i in col_index.pop(c):
+            if i == r:
+                continue
+            row = rows[i]
+            q = row.pop(c) * v
+            for j, x in prow.items():
+                w = row.get(j, 0) - q * x
+                if w:
+                    if j not in row:
+                        col_index[j].add(i)
+                    row[j] = w
+                else:
+                    del row[j]
+                    col_index[j].discard(i)
+            gen[i] += 1
+            heapq.heappush(heap, (len(row), gen[i], i))
+        for j in prow:
+            s = col_index[j]
+            s.discard(r)
+            if not s:
+                del col_index[j]
+        rows[r] = {}
+        units += 1
+    pivots = _residual_pivots([row for row in rows if row])
+    # repair the divisibility chain pairwise: diag(a,b) ~ diag(gcd, lcm)
+    facs = sorted(pivots)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(facs) - 1):
+            a, b = facs[i], facs[i + 1]
+            if b % a:
+                g = gcd(a, b)
+                facs[i], facs[i + 1] = g, a * b // g
+                changed = True
+        facs.sort()
+    return units + len(facs), [1] * units + facs
+
+
+def _residual_pivots(rows: List[Dict[int, int]]):
+    """Pivots of a general sparse elimination with gcd steps, destructive on rows."""
     live = {i for i, r in enumerate(rows) if r}
     col_index: Dict[int, set] = {}
     for i in live:
@@ -556,41 +642,15 @@ def _sparse_invariants(rows: List[Dict[int, int]], want_factors=True):
         set_entry(r, c, 0)
         live.discard(r)
         live = {i for i in live if rows[i]}
-    if not want_factors:
-        return len(pivots), None
-    # repair the divisibility chain pairwise: diag(a,b) ~ diag(gcd, lcm)
-    from math import gcd
-
-    facs = sorted(pivots)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(facs) - 1):
-            a, b = facs[i], facs[i + 1]
-            if b % a:
-                g = gcd(a, b)
-                facs[i], facs[i + 1] = g, a * b // g
-                changed = True
-        facs.sort()
-    return len(facs), facs
+    return pivots
 
 
 def _sparse_rows_from_csc(M: sp.csc_matrix):
     coo = M.tocoo()
     rows: List[Dict[int, int]] = [dict() for _ in range(M.shape[0])]
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        rows[r][int(c)] = int(v)
+    for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        rows[r][c] = v
     return rows
-
-
-def _rank(M: sp.csc_matrix):
-    r, _ = _sparse_invariants(_sparse_rows_from_csc(M), want_factors=False)
-    return r
-
-
-def _torsion(M: sp.csc_matrix):
-    _, facs = _sparse_invariants(_sparse_rows_from_csc(M))
-    return tuple(d for d in facs if d >= 2)
 
 
 # --------------------------------------------------------------- groups
@@ -628,22 +688,25 @@ class FGAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _group_from_boundaries(c_n, d_n: Optional[sp.csc_matrix], d_next: Optional[sp.csc_matrix]):
-    rank_n = _rank(d_n) if d_n is not None else 0
-    if d_next is None or d_next.shape[1] == 0:
-        return FGAbGroup(c_n - rank_n, ())
-    rank_next, facs = _sparse_invariants(_sparse_rows_from_csc(d_next))
-    return FGAbGroup(c_n - rank_n - rank_next, tuple(d for d in facs if d >= 2))
+def _homology_groups(dims, boundaries: Sequence[Optional[sp.csc_matrix]]):
+    """H_0..H_{len(dims)-1} of a complex, reducing each boundary exactly once.
+
+    dims[n] is the rank of C_n; boundaries[n] is d_n for n = 1..len(dims)
+    (None where the complex has no such map; boundaries[0] is ignored).
+    H_n = Z^(c_n - rank d_n - rank d_{n+1}) + the torsion of d_{n+1}.
+    """
+    ranks, torsion = [0], [()]
+    for d in boundaries[1:len(dims) + 1]:
+        r, facs = _sparse_invariants(_sparse_rows_from_csc(d)) if d is not None else (0, [])
+        ranks.append(r)
+        torsion.append(tuple(f for f in facs if f >= 2))
+    return [FGAbGroup(c - ranks[n] - ranks[n + 1], torsion[n + 1]) for n, c in enumerate(dims)]
 
 
 def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     """Homology groups of the controlled-tuple complex, degrees 0..d_max."""
     cc = chain_complex(X, k, d_max + 1, basis_cap)
-    out = []
-    for n in range(d_max + 1):
-        d_n = cc.boundaries[n] if n >= 1 else None
-        out.append(_group_from_boundaries(len(cc.bases[n]), d_n, cc.boundaries[n + 1]))
-    return out
+    return _homology_groups(cc.dims()[:d_max + 1], cc.boundaries)
 
 
 @dataclass
@@ -1043,9 +1106,7 @@ def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BA
     for n in range(1, d_max + 2):
         index_prev = {t: i for i, t in enumerate(bases[n - 1])}
         mats.append(_relative_boundary(bases[n], index_prev, inside, n))
-    groups = []
-    for n in range(d_max + 1):
-        groups.append(_group_from_boundaries(len(bases[n]), mats[n] if n else None, mats[n + 1]))
+    groups = _homology_groups([len(b) for b in bases[:d_max + 1]], mats)
     warnings = [f"relative to prefix member Y_{m} (finite-prefix stand-in for the colimit)"]
     if X.window_tag is not None:
         warnings.append("window-relative values")
@@ -1200,13 +1261,10 @@ class SimplicialComplex:
         Degree d is exact for the complex as built; build through d+1 when the
         complex is a truncation of something deeper (skeleton homology otherwise).
         """
-        out = []
-        for n in range(d_max + 1):
-            c = len(self.simplices[n]) if n <= self.dim_built else 0
-            d_n = self.boundary(n) if 1 <= n <= self.dim_built else None
-            d_next = self.boundary(n + 1) if n + 1 <= self.dim_built else None
-            out.append(_group_from_boundaries(c, d_n, d_next))
-        return out
+        dims = [len(self.simplices[n]) if n <= self.dim_built else 0 for n in range(d_max + 1)]
+        boundaries = [None] + [self.boundary(n) if n <= self.dim_built else None
+                               for n in range(1, d_max + 2)]
+        return _homology_groups(dims, boundaries)
 
     def betti(self, d_max):
         return [g.free_rank for g in self.homology(d_max)]

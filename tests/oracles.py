@@ -201,3 +201,11 @@ def chain_homology(dims, boundaries, max_degree):
             torsion = [d for d in diag if d >= 2]
         out.append((cn - rank_dn - rank_dn1, sorted(torsion)))
     return out
+
+
+def smith_invariant_factors(rows):
+    """Nonzero invariant factors, 1s included, ascending, via sympy's Smith form."""
+    if not rows or not rows[0]:
+        return []
+    snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    return sorted(abs(int(snf[i, i])) for i in range(min(snf.rows, snf.cols)) if snf[i, i] != 0)

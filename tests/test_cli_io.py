@@ -359,6 +359,14 @@ def test_snf_rejects_non_integer_entries(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["[[1, 2], [3]]", "[[1], [3, 4]]"])
+def test_snf_rejects_ragged_rows(tmp_path, capsys, text):
+    mat = tmp_path / "m.json"
+    mat.write_text(text)
+    _, code, _ = run_quiet(["snf", "--matrix", str(mat)], capsys)
+    assert code == 2
+
+
 # ------------------------------------------------------------ exit codes
 
 

@@ -8,6 +8,7 @@ factors, and hand-computed small cases frozen below.
 """
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from coarsehom import (
     subspace,
     windowed_builtin,
 )
+from coarsehom import homology_engine
 from coarsehom.homology_engine import (
     DegreeCapExceeded,
     FGAbGroup,
@@ -226,6 +228,12 @@ def test_snf_contract_random(rows, cols, seed):
     assert_snf_contract(A)
 
 
+def test_snf_rejects_ragged_rows():
+    for A in ([[1, 2], [3]], [[1], [3, 4]]):
+        with pytest.raises(ValueError):
+            smith_normal_form(A)
+
+
 def test_snf_matches_minor_gcd_oracle():
     rng = random.Random(5)
     for _ in range(20):
@@ -233,6 +241,94 @@ def test_snf_matches_minor_gcd_oracle():
         A = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
         res = smith_normal_form(A)
         assert res.invariant_factors == oracles.minor_gcd_invariant_factors(A)
+
+
+# ------------------------------------------------- sparse elimination kernel
+
+SPARSE_ENTRY = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6])
+
+
+@st.composite
+def sparse_int_matrices(draw):
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    return [draw(st.lists(SPARSE_ENTRY, min_size=n, max_size=n)) for _ in range(m)]
+
+
+@st.composite
+def planted_torsion_matrices(draw):
+    """diag(factors) padded with zeros, mixed by unimodular +-1 row and column operations."""
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    factors = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 12]), max_size=min(m, n)))
+    A = [[factors[i] if i == j and i < len(factors) else 0 for j in range(n)] for i in range(m)]
+    for by_row, a, b, sign in draw(st.lists(
+            st.tuples(st.booleans(), st.integers(0, 9), st.integers(0, 9), st.sampled_from([1, -1])),
+            max_size=12)):
+        size = m if by_row else n
+        a, b = a % size, b % size
+        if a == b:
+            continue
+        if by_row:
+            A[a] = [x + sign * y for x, y in zip(A[a], A[b])]
+        else:
+            for row in A:
+                row[a] += sign * row[b]
+    return A
+
+
+def assert_kernel_matches_sympy(A):
+    rank, facs = homology_engine._sparse_invariants(
+        [{j: v for j, v in enumerate(row) if v} for row in A])
+    expected = oracles.smith_invariant_factors(A)
+    assert (rank, facs) == (len(expected), expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_int_matrices())
+def test_sparse_kernel_matches_sympy_on_mixed_entries(A):
+    assert_kernel_matches_sympy(A)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_torsion_matrices())
+def test_sparse_kernel_matches_sympy_on_planted_torsion(A):
+    assert_kernel_matches_sympy(A)
+
+
+def test_homology_reduces_each_boundary_once(monkeypatch):
+    kernel = homology_engine._sparse_invariants
+    calls = []
+    monkeypatch.setattr(homology_engine, "_sparse_invariants",
+                        lambda rows: calls.append(len(rows)) or kernel(rows))
+    assert homology_at_scale(HEX, 1, 2) == [Z, Z, ZERO]
+    assert len(calls) == 3
+
+
+# six-vertex real projective plane: every edge lies on exactly two triangles
+RP2_TRIANGLES = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+                 (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
+
+
+def rp2_subdivision():
+    """Barycentric subdivision of RP^2: one point per face, a pair per proper face inclusion."""
+    faces = sorted({f for t in RP2_TRIANGLES for size in (1, 2, 3)
+                    for f in combinations(sorted(t), size)})
+    names = ["".join(map(str, f)) for f in faces]
+    pairs = [(names[a], names[b]) for a, fa in enumerate(faces) for b, fb in enumerate(faces)
+             if len(fa) < len(fb) and set(fa) <= set(fb)]
+    return make_explicit_space(names, [pairs], [names])
+
+
+def test_rp2_subdivision_has_two_torsion(monkeypatch):
+    X = rp2_subdivision()
+    assert len(X.points) == 31
+    residual = homology_engine._residual_pivots
+    residual_sizes = []
+    monkeypatch.setattr(homology_engine, "_residual_pivots",
+                        lambda rows: residual_sizes.append(len(rows)) or residual(rows))
+    expected = [Z, FGAbGroup(0, (2,)), ZERO]
+    assert homology_at_scale(X, 1, 2) == expected
+    assert rips_complex(X, 1, 3).homology(2) == expected
+    assert any(residual_sizes)
 
 
 # -------------------------------------------------------- homology_at_scale
