@@ -14,11 +14,18 @@ rows that never offer a unit reach the residual phase, a general elimination
 with gcd steps whose pivots are repaired into a divisibility chain.  Each
 boundary of a complex is reduced once: its rank serves H_{n-1} and H_n, and
 its invariant factors give the torsion of H_{n-1}.
+
+Presentations, induced maps and the `snf` command use a dense Smith form
+with transforms, whose pivot is the least |nonzero| entry, ties row-major;
+generator chains follow from that order, so it is kept exactly, and the
+steps skip zeros instead: the search stops at the first ±1, a unit pivot
+skips the divisibility scan, and row and column operations run over the
+support of their source.
 """
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import compress, product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -325,12 +332,57 @@ def _shape_of(A):
 
 def _as_int_rows(A):
     if sp.issparse(A):
-        A = A.toarray()
-    return [[int(x) for x in row] for row in A]
+        m, n = A.shape
+        rows = [[0] * n for _ in range(m)]
+        coo = A.tocoo()
+        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+            rows[i][j] += int(v)
+        return rows
+    return [list(map(int, row)) for row in A]
 
 
 def _eye(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int):
+    """dst += q*src over the support of src; q != 0, so a new key is never 0."""
+    for j, x in src.items():
+        v = dst.get(j, 0) + q * x
+        if v:
+            dst[j] = v
+        else:
+            del dst[j]
+
+
+def _dense(vecs: List[Dict[int, int]], size: int, columns=False):
+    """The size x size list rows of sparse rows, or of sparse columns."""
+    out = [[0] * size for _ in range(size)]
+    for a, vec in enumerate(vecs):
+        for b, x in vec.items():
+            if columns:
+                out[b][a] = x
+            else:
+                out[a][b] = x
+    return out
+
+
+def _least_entry(S, d):
+    """Row and column of the least |nonzero| in S[d:, d:], ties row-major.
+
+    A ±1 is the least possible value, so the first one found is the winner
+    and ends the search.
+    """
+    best = None
+    for i in range(d, len(S)):
+        Si = S[i]
+        for j in range(d, len(Si)):
+            v = Si[j]
+            if v and (best is None or abs(v) < best[0]):
+                if v == 1 or v == -1:
+                    return i, j
+                best = (abs(v), i, j)
+    return None if best is None else best[1:]
 
 
 @dataclass
@@ -359,11 +411,18 @@ class SNFResult:
 
 
 def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
-    """Exact Smith normal form; pivot is the least |nonzero| entry, ties row-major."""
+    """Exact Smith normal form; pivot is the least |nonzero| entry, ties row-major.
+
+    The pivot order and every row and column operation are fixed by that
+    rule (frozen generator chains depend on them); only zeros are skipped.
+    While reducing, the transforms are sparse dicts, with U and V⁻¹ kept by
+    columns so that their column operations are dict updates too.
+    """
     m, n = _shape_of(A)
     S = _as_int_rows(A)
-    U, Ui = (_eye(m), _eye(m)) if track_U else (None, None)
-    V, Vi = (_eye(n), _eye(n)) if track_V else (None, None)
+    # Ui: rows of U⁻¹, Uc: columns of U; Vr: rows of V, Vic: columns of V⁻¹
+    Ui, Uc = ([{i: 1} for i in range(m)], [{i: 1} for i in range(m)]) if track_U else (None, None)
+    Vr, Vic = ([{j: 1} for j in range(n)], [{j: 1} for j in range(n)]) if track_V else (None, None)
 
     def swap_rows(a, b):
         if a == b:
@@ -371,8 +430,7 @@ def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
         S[a], S[b] = S[b], S[a]
         if track_U:
             Ui[a], Ui[b] = Ui[b], Ui[a]
-            for r in U:
-                r[a], r[b] = r[b], r[a]
+            Uc[a], Uc[b] = Uc[b], Uc[a]
 
     def swap_cols(a, b):
         if a == b:
@@ -380,43 +438,35 @@ def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
         for r in S:
             r[a], r[b] = r[b], r[a]
         if track_V:
-            V[a], V[b] = V[b], V[a]
-            for r in Vi:
-                r[a], r[b] = r[b], r[a]
+            Vr[a], Vr[b] = Vr[b], Vr[a]
+            Vic[a], Vic[b] = Vic[b], Vic[a]
 
-    def row_sub(i, d, q):
-        # S: row_i -= q*row_d; keeps A = U S V
+    def row_sub(i, d, q, support):
+        # S: row_i -= q*row_d, support = the nonzeros of row_d; keeps A = U S V
         if q == 0:
             return
-        Si, Sd = S[i], S[d]
-        for j in range(n):
-            Si[j] -= q * Sd[j]
+        Si = S[i]
+        for j, x in support:
+            Si[j] -= q * x
         if track_U:
-            UIi, UId = Ui[i], Ui[d]
-            for j in range(m):
-                UIi[j] -= q * UId[j]
-            for r in U:
-                r[d] += q * r[i]
+            _axpy(Ui[i], Ui[d], -q)
+            _axpy(Uc[d], Uc[i], q)
 
     def col_sub(j, d, q):
-        # S: col_j -= q*col_d
+        # S: col_j -= q*col_d, whose only nonzero is the pivot: the rows below
+        # were cleared first and the rows above were finished earlier
         if q == 0:
             return
-        for r in S:
-            r[j] -= q * r[d]
+        S[d][j] -= q * S[d][d]
         if track_V:
-            Vd, Vj = V[d], V[j]
-            for t in range(n):
-                Vd[t] += q * Vj[t]
-            for r in Vi:
-                r[j] -= q * r[d]
+            _axpy(Vr[d], Vr[j], q)
+            _axpy(Vic[j], Vic[d], -q)
 
     def negate_row(d):
         S[d] = [-x for x in S[d]]
         if track_U:
-            Ui[d] = [-x for x in Ui[d]]
-            for r in U:
-                r[d] = -r[d]
+            Ui[d] = {j: -x for j, x in Ui[d].items()}
+            Uc[d] = {i: -x for i, x in Uc[d].items()}
 
     def row_add(d, i):
         # S: row_d += row_i
@@ -424,33 +474,25 @@ def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
         for j in range(n):
             Sd[j] += Si[j]
         if track_U:
-            UId, UIi = Ui[d], Ui[i]
-            for j in range(m):
-                UId[j] += UIi[j]
-            for r in U:
-                r[i] -= r[d]
+            _axpy(Ui[d], Ui[i], 1)
+            _axpy(Uc[i], Uc[d], -1)
 
     d = 0
     while d < m and d < n:
-        best = None
-        for i in range(d, m):
-            Si = S[i]
-            for j in range(d, n):
-                v = Si[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
+        best = _least_entry(S, d)
         if best is None:
             break
-        swap_rows(d, best[1])
-        swap_cols(d, best[2])
+        swap_rows(d, best[0])
+        swap_cols(d, best[1])
         if S[d][d] < 0:
             negate_row(d)
         while True:
             restart = False
+            support = [(j, S[d][j]) for j in compress(range(n), S[d])]
             for i in range(d + 1, m):
                 if S[i][d]:
                     q = S[i][d] // S[d][d]
-                    row_sub(i, d, q)
+                    row_sub(i, d, q, support)
                     if S[i][d]:
                         swap_rows(d, i)
                         if S[d][d] < 0:
@@ -472,6 +514,8 @@ def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
             if restart:
                 continue
             pivot = S[d][d]
+            if pivot == 1:
+                break  # a unit divides every entry
             fix = None
             for i in range(d + 1, m):
                 Si = S[i]
@@ -485,6 +529,8 @@ def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
                 break
             row_add(d, fix)
         d += 1
+    U, Ui = (_dense(Uc, m, columns=True), _dense(Ui, m)) if track_U else (None, None)
+    V, Vi = (_dense(Vr, n), _dense(Vic, n, columns=True)) if track_V else (None, None)
     return SNFResult(U, S, V, Ui, Vi, (m, n))
 
 
@@ -761,10 +807,6 @@ def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP, full_table=True):
 # ------------------------------------------------------- presentations
 
 
-def _matvec(A, v):
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
-
-
 @dataclass
 class HomologyPresentation:
     """H_n at a scale with enough bookkeeping to take class coordinates of cycles."""
@@ -785,18 +827,21 @@ class HomologyPresentation:
     def generator_count(self):
         return len(self.group.torsion) + self.group.free_rank
 
+    def _generator_columns(self):
+        # positions in kernel coordinates of the torsion, then the free generators
+        s = len(self.factors)
+        return [i for i in range(s) if self.factors[i] >= 2] + list(range(s, len(self.kernel_basis)))
+
     def generator_chains(self):
         # kernel_basis holds columns; generator i mixes them with weights Uprime[:, i]
-        t = len(self.kernel_basis)
-        s = len(self.factors)
-        cols = [i for i in range(s) if self.factors[i] >= 2] + list(range(s, t))
+        kernel = [[(r, x) for r, x in enumerate(col) if x] for col in self.kernel_basis]
         out = []
-        for i in cols:
+        for i in self._generator_columns():
             vec = [0] * len(self.basis)
-            for a in range(t):
+            for a, col in enumerate(kernel):
                 coeff = self.Uprime[a][i]
                 if coeff:
-                    for r, x in enumerate(self.kernel_basis[a]):
+                    for r, x in col:
                         vec[r] += coeff * x
             out.append(vec)
         return out
@@ -804,20 +849,31 @@ class HomologyPresentation:
     def class_coordinates(self, chain):
         """Coordinates (torsion parts reduced mod their orders, then free parts)."""
         if isinstance(chain, dict):
-            vec = [0] * len(self.basis)
+            coeffs: Dict[int, int] = {}
             for t, c in chain.items():
-                vec[self.index[t]] += c
+                i = self.index.get(t)
+                if i is None:
+                    raise HomologyError(
+                        f"{t!r} is not a degree-{self.degree} basis tuple at scale {self.scale}"
+                    )
+                coeffs[i] = coeffs.get(i, 0) + c
+            nz = [(i, c) for i, c in coeffs.items() if c]
         else:
             vec = list(chain)
-        y = _matvec(self.V, vec)
-        if any(y[i] for i in range(self.rank_dn)):
+            if len(vec) != len(self.basis):
+                raise HomologyError(
+                    f"chain has {len(vec)} coefficients; the degree-{self.degree} basis has {len(self.basis)}"
+                )
+            nz = [(i, c) for i, c in enumerate(vec) if c]
+        y = [sum(row[i] * c for i, c in nz) for row in self.V]
+        if any(y[:self.rank_dn]):
             raise HomologyError("chain is not a cycle at this scale")
-        a0 = y[self.rank_dn:]
-        a = _matvec(self.Uprime_inv, a0)
-        s = len(self.factors)
-        tors = [a[i] % self.factors[i] for i in range(s) if self.factors[i] >= 2]
-        free = list(a[s:])
-        return tuple(tors + free)
+        a0 = [(j, c) for j, c in enumerate(y[self.rank_dn:]) if c]
+        coords = []
+        for i in self._generator_columns():
+            a = sum(self.Uprime_inv[i][j] * c for j, c in a0)
+            coords.append(a % self.factors[i] if i < len(self.factors) else a)
+        return tuple(coords)
 
 
 def homology_presentation(X, k, n, basis_cap=DEFAULT_BASIS_CAP) -> HomologyPresentation:
@@ -836,28 +892,31 @@ def _presentation_from_complex(basis, d_n, d_next, degree, scale):
         r = 0
         V, Vi = _eye(c), _eye(c)
     t = c - r
-    kernel_cols = [[Vi[row][r + i] for row in range(c)] for i in range(t)]
+    kernel_cols = [list(col) for col in zip(*Vi)][r:]
     # image of d_next in kernel coordinates
     wcols = []
     if d_next is not None and d_next.shape[1]:
         coo = d_next.tocoo()
         bycol: Dict[int, List[Tuple[int, int]]] = {}
-        for rr, cc_, vv in zip(coo.row, coo.col, coo.data):
-            bycol.setdefault(int(cc_), []).append((int(rr), int(vv)))
+        for rr, cc_, vv in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+            bycol.setdefault(cc_, []).append((rr, vv))
+        # column rr of V's kernel rows, read once, as (i, V[r+i][rr]) over its nonzeros
+        vcols: Dict[int, List[Tuple[int, int]]] = {}
         seen = set()
         for j in sorted(bycol):
             col = [0] * t
             for rr, vv in bycol[j]:
-                for i in range(t):
-                    vcoef = V[r + i][rr]
-                    if vcoef:
-                        col[i] += vv * vcoef
+                vcol = vcols.get(rr)
+                if vcol is None:
+                    vcol = vcols[rr] = [(i, V[r + i][rr]) for i in range(t) if V[r + i][rr]]
+                for i, vcoef in vcol:
+                    col[i] += vv * vcoef
             key = tuple(col)
             if any(col) and key not in seen:
                 seen.add(key)
                 wcols.append(col)
     if wcols:
-        W = [[wcols[j][i] for j in range(len(wcols))] for i in range(t)]
+        W = [list(row) for row in zip(*wcols)]
         wsnf = smith_normal_form(W, track_V=False)
         factors = [wsnf.S[i][i] for i in range(min(t, len(wcols))) if wsnf.S[i][i] != 0]
         Uprime, Uprime_inv = wsnf.U, wsnf.U_inv
@@ -921,7 +980,10 @@ def induced_map(f: SpaceMap, k_source, n, target_scale=None, basis_cap=DEFAULT_B
     if kt < shift:
         raise NotControlledAtScale(k_source, None)
     src = homology_presentation(f.source, k_source, n, basis_cap)
-    tgt = homology_presentation(f.target, kt, n, basis_cap)
+    if f.target is f.source and kt == k_source:
+        tgt = src
+    else:
+        tgt = homology_presentation(f.target, kt, n, basis_cap)
     chain = _chain_map_matrix(f, src.basis, tgt.index)
     coo = chain.tocoo()
     entries = [(int(r), int(c), int(v)) for r, c, v in zip(coo.row, coo.col, coo.data)]

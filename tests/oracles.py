@@ -209,3 +209,144 @@ def smith_invariant_factors(rows):
         return []
     snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
     return sorted(abs(int(snf[i, i])) for i in range(min(snf.rows, snf.cols)) if snf[i, i] != 0)
+
+
+def reference_smith_normal_form(A, track_U=True, track_V=True):
+    """The dense Smith normal form as first written: (U, S, V, U_inv, V_inv).
+
+    Pivot is the least |nonzero| entry, ties row-major, found by a full scan;
+    every row and column operation runs over whole rows and columns.  The
+    package's kernel must produce these exact matrices, not merely a valid
+    Smith form, because frozen generator chains follow from the pivot order.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    S = [[int(x) for x in row] for row in A]
+
+    def eye(k):
+        return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+    U, Ui = (eye(m), eye(m)) if track_U else (None, None)
+    V, Vi = (eye(n), eye(n)) if track_V else (None, None)
+
+    def swap_rows(a, b):
+        if a == b:
+            return
+        S[a], S[b] = S[b], S[a]
+        if track_U:
+            Ui[a], Ui[b] = Ui[b], Ui[a]
+            for r in U:
+                r[a], r[b] = r[b], r[a]
+
+    def swap_cols(a, b):
+        if a == b:
+            return
+        for r in S:
+            r[a], r[b] = r[b], r[a]
+        if track_V:
+            V[a], V[b] = V[b], V[a]
+            for r in Vi:
+                r[a], r[b] = r[b], r[a]
+
+    def row_sub(i, d, q):
+        # S: row_i -= q*row_d; keeps A = U S V
+        if q == 0:
+            return
+        Si, Sd = S[i], S[d]
+        for j in range(n):
+            Si[j] -= q * Sd[j]
+        if track_U:
+            UIi, UId = Ui[i], Ui[d]
+            for j in range(m):
+                UIi[j] -= q * UId[j]
+            for r in U:
+                r[d] += q * r[i]
+
+    def col_sub(j, d, q):
+        # S: col_j -= q*col_d
+        if q == 0:
+            return
+        for r in S:
+            r[j] -= q * r[d]
+        if track_V:
+            Vd, Vj = V[d], V[j]
+            for t in range(n):
+                Vd[t] += q * Vj[t]
+            for r in Vi:
+                r[j] -= q * r[d]
+
+    def negate_row(d):
+        S[d] = [-x for x in S[d]]
+        if track_U:
+            Ui[d] = [-x for x in Ui[d]]
+            for r in U:
+                r[d] = -r[d]
+
+    def row_add(d, i):
+        # S: row_d += row_i
+        Sd, Si = S[d], S[i]
+        for j in range(n):
+            Sd[j] += Si[j]
+        if track_U:
+            UId, UIi = Ui[d], Ui[i]
+            for j in range(m):
+                UId[j] += UIi[j]
+            for r in U:
+                r[i] -= r[d]
+
+    d = 0
+    while d < m and d < n:
+        best = None
+        for i in range(d, m):
+            Si = S[i]
+            for j in range(d, n):
+                v = Si[j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        swap_rows(d, best[1])
+        swap_cols(d, best[2])
+        if S[d][d] < 0:
+            negate_row(d)
+        while True:
+            restart = False
+            for i in range(d + 1, m):
+                if S[i][d]:
+                    q = S[i][d] // S[d][d]
+                    row_sub(i, d, q)
+                    if S[i][d]:
+                        swap_rows(d, i)
+                        if S[d][d] < 0:
+                            negate_row(d)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(d + 1, n):
+                if S[d][j]:
+                    q = S[d][j] // S[d][d]
+                    col_sub(j, d, q)
+                    if S[d][j]:
+                        swap_cols(d, j)
+                        if S[d][d] < 0:
+                            negate_row(d)
+                        restart = True
+                        break
+            if restart:
+                continue
+            pivot = S[d][d]
+            fix = None
+            for i in range(d + 1, m):
+                Si = S[i]
+                for j in range(d + 1, n):
+                    if Si[j] % pivot:
+                        fix = i
+                        break
+                if fix is not None:
+                    break
+            if fix is None:
+                break
+            row_add(d, fix)
+        d += 1
+    return U, S, V, Ui, Vi

@@ -1,6 +1,7 @@
 """Document parsing, report rendering, and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -433,8 +434,11 @@ def test_command_echo_matches_argv(capsys):
 
 
 def test_console_module_entry():
+    # the child imports the same package this process imports, installed or not
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coarsehom.cli_io", "components", "--space", "point"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "results.count: 1" in proc.stdout
