@@ -11,14 +11,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from .core_spaces import BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage
 from .homology_engine import (
     DEFAULT_BASIS_CAP,
     DegreeCapExceeded,
     FGAbGroup,
     SimplicialComplex,
+    _space_tables,
 )
 
 
@@ -109,13 +108,32 @@ def _ball_lebesgue(X, related_s, members) -> Optional[str]:
     return "lebesgue verified via ball containment (sufficient for symmetric relations)"
 
 
+def _maximal_cliques(adj):
+    """Maximal cliques of the graph on 0..len(adj)-1 with neighbour sets adj (no self-loops).
+
+    Bron–Kerbosch with Tomita pivoting on an explicit stack of (clique,
+    candidates, excluded); an isolated vertex is a singleton clique.
+    """
+    stack = [([], set(range(len(adj))), set())] if adj else []
+    while stack:
+        clique, cand, excl = stack.pop()
+        if not cand:
+            if not excl:
+                yield clique
+            continue
+        pivot = max(cand | excl, key=lambda u: len(cand & adj[u]))
+        for v in cand - adj[pivot]:
+            stack.append((clique + [v], cand & adj[v], excl & adj[v]))
+            cand.remove(v)
+            excl.add(v)
+
+
 def _exact_lebesgue(X, s, members) -> Optional[str]:
     """Exact route: maximal bounded sets are maximal cliques of the scale-s graph."""
-    G = nx.Graph()
-    G.add_nodes_from(X.points)
-    G.add_edges_from((a, b) for a, b in X.closure_at(s).pairs if a != b)
-    for clique in nx.find_cliques(G):
-        cset = frozenset(clique)
+    pts = X.points
+    _, sets = _space_tables(X, s)
+    for clique in _maximal_cliques([nb - {v} for v, nb in enumerate(sets)]):
+        cset = frozenset(pts[i] for i in clique)
         if not any(cset <= m for m in members):
             return None
     return "lebesgue verified via maximal bounded-set enumeration"

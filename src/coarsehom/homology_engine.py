@@ -2,10 +2,12 @@
 
 Chains in degree n are Z-linear combinations of (n+1)-tuples of points whose
 entries are pairwise related at a chosen scale; tuples with two equal adjacent
-entries are normalized away.  Boundary matrices are sparse integer matrices,
-homology groups come out of Smith normal forms, and every identity the module
-claims (complex identity, prism identity, swindle identity) is verified as an
-exact matrix equation, never numerically.
+entries are normalized away.  Boundaries, chain maps and prism blocks are
+`IntMatrix` values: a shape and one dict {column: int} per row, with Python
+ints, so no entry can overflow.  Homology groups come out of Smith normal
+forms, and every identity the module claims (complex identity, prism
+identity, swindle identity) is verified as an exact matrix equation, never
+numerically.
 
 Groups are read off one sparse elimination kernel in two phases.  The unit
 phase takes ±1 pivots from a heap of rows keyed on length, each in its
@@ -28,9 +30,6 @@ from dataclasses import dataclass, field
 from itertools import compress, product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-import scipy.sparse as sp
 
 from .core_spaces import BornCoarseSpace, BigFamilyPrefix, CoarseError
 from .morphisms import SpaceMap, _least_containing_scale, are_close
@@ -88,6 +87,72 @@ class PrefixTooShort(HomologyError):
             f"no family member absorbs closure_at({scale})[Y_{member_index}]; "
             "extend the prefix"
         )
+
+
+# --------------------------------------------------------------------- matrix
+
+
+class IntMatrix:
+    """Exact sparse integer matrix: a shape and one dict {column: value} per row.
+
+    Rows hold no zeros, so the matrix is zero exactly when every row is empty.
+    """
+
+    __slots__ = ("shape", "rows")
+
+    def __init__(self, shape: Tuple[int, int], rows: List[Dict[int, int]]):
+        if len(rows) != shape[0]:
+            raise ValueError(f"{len(rows)} rows for shape {shape}")
+        self.shape = shape
+        self.rows = rows
+
+    @property
+    def nnz(self):
+        return sum(map(len, self.rows))
+
+    def __bool__(self):
+        return any(self.rows)
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        out = []
+        for row in self.rows:
+            acc: Dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in other.rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: v for j, v in acc.items() if v})
+        return IntMatrix((self.shape[0], other.shape[1]), out)
+
+    def _plus(self, other: "IntMatrix", sign: int) -> "IntMatrix":
+        if self.shape != other.shape:
+            raise ValueError(f"cannot add {self.shape} and {other.shape}")
+        out = []
+        for a, b in zip(self.rows, other.rows):
+            acc = dict(a)
+            for j, v in b.items():
+                acc[j] = acc.get(j, 0) + sign * v
+            out.append({j: v for j, v in acc.items() if v})
+        return IntMatrix(self.shape, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def tolist(self) -> List[List[int]]:
+        return [[row.get(j, 0) for j in range(self.shape[1])] for row in self.rows]
+
+
+def _columns(M: IntMatrix) -> List[Dict[int, int]]:
+    """The columns of M as dicts {row: value}."""
+    cols: List[Dict[int, int]] = [{} for _ in range(M.shape[1])]
+    for i, row in enumerate(M.rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
 
 
 # --------------------------------------------------------------------- tuples
@@ -206,21 +271,25 @@ def _materialize_bases(nbrs, sets, d_max, basis_cap, scale):
     return bases
 
 
+def _faces(t, n):
+    """(face, sign) pairs of the boundary of an n-tuple, without faces that repeat an entry.
+
+    Two deletions give the same face only across equal adjacent entries, so the
+    faces of a normalized tuple are distinct.
+    """
+    for i in range(n + 1):
+        if 0 < i < n and t[i - 1] == t[i + 1]:
+            continue
+        yield t[:i] + t[i + 1:], 1 if i % 2 == 0 else -1
+
+
 def _boundary_from_lists(basis_n, index_prev, n):
-    """Sparse matrix of the alternating face sum on normalized index tuples."""
-    rows, cols, data = [], [], []
+    """Matrix of the alternating face sum on normalized index tuples."""
+    rows: List[Dict[int, int]] = [{} for _ in index_prev]
     for col, t in enumerate(basis_n):
-        for i in range(n + 1):
-            if 0 < i < n and t[i - 1] == t[i + 1]:
-                continue
-            face = t[:i] + t[i + 1:]
-            rows.append(index_prev[face])
-            cols.append(col)
-            data.append(1 if i % 2 == 0 else -1)
-    return sp.csc_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)),
-        shape=(len(index_prev), len(basis_n)),
-    )
+        for face, sign in _faces(t, n):
+            rows[index_prev[face]][col] = sign
+    return IntMatrix((len(index_prev), len(basis_n)), rows)
 
 
 def boundary_matrix(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
@@ -241,16 +310,14 @@ class ChainComplexAtScale:
     scale: int
     d_max: int
     bases: List[List[tuple]]
-    boundaries: List[Optional[sp.csc_matrix]]
+    boundaries: List[Optional[IntMatrix]]
 
     def dims(self):
         return [len(b) for b in self.bases]
 
     def verify_dd(self):
-        for n in range(2, self.d_max + 1):
-            if (self.boundaries[n - 1] @ self.boundaries[n]).nnz != 0:
-                return False
-        return True
+        return not any(self.boundaries[n - 1] @ self.boundaries[n]
+                       for n in range(2, self.d_max + 1))
 
 
 def chain_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
@@ -258,7 +325,7 @@ def chain_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     idx_bases = _materialize_bases(nbrs, sets, d_max, basis_cap, k)
     pts = X.points
     bases = [[tuple(pts[i] for i in t) for t in b] for b in idx_bases]
-    boundaries: List[Optional[sp.csc_matrix]] = [None]
+    boundaries: List[Optional[IntMatrix]] = [None]
     for n in range(1, d_max + 1):
         index_prev = {t: i for i, t in enumerate(idx_bases[n - 1])}
         boundaries.append(_boundary_from_lists(idx_bases[n], index_prev, n))
@@ -268,53 +335,32 @@ def chain_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     return cc
 
 
-def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None, chunk=400_000):
-    """Exact check that consecutive boundaries compose to zero, streaming the top degree."""
+def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None):
+    """Exact check that consecutive boundaries compose to zero, streaming the top degree.
+
+    Top-degree tuples are never stored: each one's faces are composed with
+    the columns of d_{d_max-1} as it is enumerated.
+    """
     nbrs, sets = _space_tables(X, k)
     if d_max < 2:
         return True
     bases = _materialize_bases(nbrs, sets, d_max - 1, basis_cap, k)
     indexes = [{t: i for i, t in enumerate(b)} for b in bases]
-    mats = {}
-    for n in range(1, d_max):
-        mats[n] = _boundary_from_lists(bases[n], indexes[n - 1], n)
-    for n in range(2, d_max):
-        if (mats[n - 1] @ mats[n]).nnz != 0:
-            return False
-    # stream the top boundary in column blocks
+    mats = [None] + [_boundary_from_lists(bases[n], indexes[n - 1], n) for n in range(1, d_max)]
+    if any(mats[n - 1] @ mats[n] for n in range(2, d_max)):
+        return False
     n = d_max
     prev = indexes[n - 1]
-    d_prev = mats[n - 1]
-    rows, cols, data = [], [], []
-    col = 0
-    count = 0
-
-    def flush():
-        block = sp.csc_matrix(
-            (np.asarray(data, dtype=np.int64), (rows, cols)),
-            shape=(len(prev), col),
-        )
-        return (d_prev @ block).nnz == 0
-
-    for t in _iter_controlled(nbrs, sets, n):
-        count += 1
+    d_prev = _columns(mats[n - 1])
+    for count, t in enumerate(_iter_controlled(nbrs, sets, n), 1):
         if basis_cap is not None and count > basis_cap:
             raise DegreeCapExceeded(n, k, basis_cap)
-        for i in range(n + 1):
-            if 0 < i < n and t[i - 1] == t[i + 1]:
-                continue
-            face = t[:i] + t[i + 1:]
-            rows.append(prev[face])
-            cols.append(col)
-            data.append(1 if i % 2 == 0 else -1)
-        col += 1
-        if col >= chunk:
-            if not flush():
-                return False
-            rows, cols, data = [], [], []
-            col = 0
-    if col and not flush():
-        return False
+        acc: Dict[int, int] = {}
+        for face, sign in _faces(t, n):
+            for i, v in d_prev[prev[face]].items():
+                acc[i] = acc.get(i, 0) + sign * v
+        if any(acc.values()):
+            return False
     return True
 
 
@@ -322,7 +368,7 @@ def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None, chun
 
 
 def _shape_of(A):
-    if sp.issparse(A) or isinstance(A, np.ndarray):
+    if isinstance(A, IntMatrix):
         return A.shape
     n = len(A[0]) if len(A) else 0
     if any(len(row) != n for row in A):
@@ -331,13 +377,8 @@ def _shape_of(A):
 
 
 def _as_int_rows(A):
-    if sp.issparse(A):
-        m, n = A.shape
-        rows = [[0] * n for _ in range(m)]
-        coo = A.tocoo()
-        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            rows[i][j] += int(v)
-        return rows
+    if isinstance(A, IntMatrix):
+        return A.tolist()
     return [list(map(int, row)) for row in A]
 
 
@@ -691,14 +732,6 @@ def _residual_pivots(rows: List[Dict[int, int]]):
     return pivots
 
 
-def _sparse_rows_from_csc(M: sp.csc_matrix):
-    coo = M.tocoo()
-    rows: List[Dict[int, int]] = [dict() for _ in range(M.shape[0])]
-    for r, c, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-        rows[r][c] = v
-    return rows
-
-
 # --------------------------------------------------------------- groups
 
 
@@ -734,7 +767,7 @@ class FGAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _homology_groups(dims, boundaries: Sequence[Optional[sp.csc_matrix]]):
+def _homology_groups(dims, boundaries: Sequence[Optional[IntMatrix]]):
     """H_0..H_{len(dims)-1} of a complex, reducing each boundary exactly once.
 
     dims[n] is the rank of C_n; boundaries[n] is d_n for n = 1..len(dims)
@@ -743,7 +776,7 @@ def _homology_groups(dims, boundaries: Sequence[Optional[sp.csc_matrix]]):
     """
     ranks, torsion = [0], [()]
     for d in boundaries[1:len(dims) + 1]:
-        r, facs = _sparse_invariants(_sparse_rows_from_csc(d)) if d is not None else (0, [])
+        r, facs = _sparse_invariants([dict(row) for row in d.rows]) if d is not None else (0, [])
         ranks.append(r)
         torsion.append(tuple(f for f in facs if f >= 2))
     return [FGAbGroup(c - ranks[n] - ranks[n + 1], torsion[n + 1]) for n, c in enumerate(dims)]
@@ -760,24 +793,6 @@ class StabilizationReport:
     stable_scale: int
     per_scale: Dict[int, List[FGAbGroup]]
     warnings: List[str] = field(default_factory=list)
-
-
-def _component_count(X, k):
-    pts = X.points
-    idx = {p: i for i, p in enumerate(pts)}
-    parent = list(range(len(pts)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in X.closure_at(k).pairs:
-        ra, rb = find(idx[a]), find(idx[b])
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(len(pts))})
 
 
 def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP, full_table=True):
@@ -797,7 +812,7 @@ def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP, full_table=True):
             table[s] = groups if s == stab else homology_at_scale(X, s, d_max, basis_cap)
     else:
         for s in scales:
-            table[s] = groups if s == stab else [FGAbGroup(_component_count(X, s), ())]
+            table[s] = groups if s == stab else [FGAbGroup(_components_of(_space_tables(X, s)[0])[1])]
         warnings.append(
             "per-scale table lists degree-0 component counts only; the terminal value is exact"
         )
@@ -895,17 +910,13 @@ def _presentation_from_complex(basis, d_n, d_next, degree, scale):
     kernel_cols = [list(col) for col in zip(*Vi)][r:]
     # image of d_next in kernel coordinates
     wcols = []
-    if d_next is not None and d_next.shape[1]:
-        coo = d_next.tocoo()
-        bycol: Dict[int, List[Tuple[int, int]]] = {}
-        for rr, cc_, vv in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-            bycol.setdefault(cc_, []).append((rr, vv))
+    if d_next is not None:
         # column rr of V's kernel rows, read once, as (i, V[r+i][rr]) over its nonzeros
         vcols: Dict[int, List[Tuple[int, int]]] = {}
         seen = set()
-        for j in sorted(bycol):
+        for dcol in _columns(d_next):
             col = [0] * t
-            for rr, vv in bycol[j]:
+            for rr, vv in dcol.items():
                 vcol = vcols.get(rr)
                 if vcol is None:
                     vcol = vcols[rr] = [(i, V[r + i][rr]) for i in range(t) if V[r + i][rr]]
@@ -940,18 +951,12 @@ def _shift_at(f: SpaceMap, k):
 
 
 def _chain_map_matrix(f: SpaceMap, basis_src, index_tgt):
-    rows, cols, data = [], [], []
+    rows: List[Dict[int, int]] = [{} for _ in index_tgt]
     for col, t in enumerate(basis_src):
         img = tuple(f(x) for x in t)
-        if any(img[i] == img[i + 1] for i in range(len(img) - 1)):
-            continue
-        rows.append(index_tgt[img])
-        cols.append(col)
-        data.append(1)
-    return sp.csc_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)),
-        shape=(len(index_tgt), len(basis_src)),
-    )
+        if all(img[i] != img[i + 1] for i in range(len(img) - 1)):
+            rows[index_tgt[img]][col] = 1
+    return IntMatrix((len(index_tgt), len(basis_src)), rows)
 
 
 @dataclass
@@ -962,7 +967,7 @@ class InducedMap:
     target_scale: int
     source: HomologyPresentation
     target: HomologyPresentation
-    chain_matrix: sp.csc_matrix
+    chain_matrix: IntMatrix
     matrix: List[List[int]]  # columns = images of source generators in target coordinates
 
 
@@ -985,8 +990,7 @@ def induced_map(f: SpaceMap, k_source, n, target_scale=None, basis_cap=DEFAULT_B
     else:
         tgt = homology_presentation(f.target, kt, n, basis_cap)
     chain = _chain_map_matrix(f, src.basis, tgt.index)
-    coo = chain.tocoo()
-    entries = [(int(r), int(c), int(v)) for r, c, v in zip(coo.row, coo.col, coo.data)]
+    entries = [(r, c, v) for r, row in enumerate(chain.rows) for c, v in row.items()]
     cols = []
     for g in src.generator_chains():
         img = [0] * len(tgt.basis)
@@ -1007,7 +1011,7 @@ class PrismResult:
     source_scale: int
     target_scale: int
     closeness: int
-    h: Dict[int, sp.csc_matrix]
+    h: Dict[int, IntMatrix]
     verified: bool
 
 
@@ -1027,23 +1031,20 @@ def prism(f: SpaceMap, g: SpaceMap, k, n, basis_cap=DEFAULT_BASIS_CAP):
     src_cc = chain_complex(f.source, k, n, basis_cap)
     tgt_cc = chain_complex(f.target, kt, n + 1, basis_cap)
     tgt_index = [{t: i for i, t in enumerate(b)} for b in tgt_cc.bases]
-    hmats: Dict[int, sp.csc_matrix] = {}
+    hmats: Dict[int, IntMatrix] = {}
     for m in range(n + 1):
-        rows, cols, data = [], [], []
+        rows: List[Dict[int, int]] = [{} for _ in tgt_cc.bases[m + 1]]
         for col, t in enumerate(src_cc.bases[m]):
             fx = [f(x) for x in t]
             gx = [g(x) for x in t]
             for i in range(m + 1):
                 pr = tuple(fx[: i + 1]) + tuple(gx[i:])
-                if any(pr[a] == pr[a + 1] for a in range(len(pr) - 1)):
-                    continue
-                rows.append(tgt_index[m + 1][pr])
-                cols.append(col)
-                data.append(1 if i % 2 == 0 else -1)
-        hmats[m] = sp.csc_matrix(
-            (np.asarray(data, dtype=np.int64), (rows, cols)),
-            shape=(len(tgt_cc.bases[m + 1]), len(src_cc.bases[m])),
-        )
+                if all(pr[a] != pr[a + 1] for a in range(len(pr) - 1)):
+                    row = rows[tgt_index[m + 1][pr]]
+                    row[col] = row.get(col, 0) + (1 if i % 2 == 0 else -1)
+        # two prism terms can meet in one tuple and cancel
+        rows = [{j: v for j, v in row.items() if v} for row in rows]
+        hmats[m] = IntMatrix((len(rows), len(src_cc.bases[m])), rows)
     verified = True
     for m in range(n + 1):
         F = _chain_map_matrix(f, src_cc.bases[m], tgt_index[m])
@@ -1051,7 +1052,7 @@ def prism(f: SpaceMap, g: SpaceMap, k, n, basis_cap=DEFAULT_BASIS_CAP):
         lhs = tgt_cc.boundaries[m + 1] @ hmats[m]
         if m >= 1:
             lhs = lhs + hmats[m - 1] @ src_cc.boundaries[m]
-        if (lhs - (G - F)).nnz != 0:
+        if lhs - (G - F):
             verified = False
     return PrismResult(k, kt, c, hmats, verified)
 
@@ -1100,13 +1101,7 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
         Phi = _chain_map_matrix(f, basis_K0, idx_K1)
         incl = _chain_map_matrix(ident, basis_k, idx_K1)
         lhs = E @ S - Phi @ S - incl
-        proj = np.fromiter(
-            (1 if any(x in Bset for x in t) else 0 for t in basis_K1),
-            dtype=np.int64,
-            count=len(basis_K1),
-        )
-        P = sp.diags(proj, format="csc", dtype=np.int64)
-        if (P @ lhs).nnz != 0:
+        if any(row and any(x in Bset for x in t) for row, t in zip(lhs.rows, basis_K1)):
             return False
     return True
 
@@ -1130,21 +1125,12 @@ def _relative_bases(nbrs, sets, inside, d_max, basis_cap, scale):
 
 
 def _relative_boundary(basis_n, index_prev, inside, n):
-    rows, cols, data = [], [], []
+    rows: List[Dict[int, int]] = [{} for _ in index_prev]
     for col, t in enumerate(basis_n):
-        for i in range(n + 1):
-            if 0 < i < n and t[i - 1] == t[i + 1]:
-                continue
-            face = t[:i] + t[i + 1:]
-            if all(inside[x] for x in face):
-                continue
-            rows.append(index_prev[face])
-            cols.append(col)
-            data.append(1 if i % 2 == 0 else -1)
-    return sp.csc_matrix(
-        (np.asarray(data, dtype=np.int64), (rows, cols)),
-        shape=(len(index_prev), len(basis_n)),
-    )
+        for face, sign in _faces(t, n):
+            if not all(inside[x] for x in face):
+                rows[index_prev[face]][col] = sign
+    return IntMatrix((len(index_prev), len(basis_n)), rows)
 
 
 @dataclass
@@ -1164,7 +1150,7 @@ def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BA
     pts = X.points
     inside = [p in Y for p in pts]
     bases = _relative_bases(nbrs, sets, inside, d_max + 1, basis_cap, k)
-    mats: List[Optional[sp.csc_matrix]] = [None]
+    mats: List[Optional[IntMatrix]] = [None]
     for n in range(1, d_max + 2):
         index_prev = {t: i for i, t in enumerate(bases[n - 1])}
         mats.append(_relative_boundary(bases[n], index_prev, inside, n))
@@ -1197,7 +1183,7 @@ class ExcisionReport:
 
 def _quotient_presentations(points, nbrs, sets, inside, k, d_max, basis_cap):
     bases = _relative_bases(nbrs, sets, inside, d_max + 1, basis_cap, k)
-    mats: List[Optional[sp.csc_matrix]] = [None]
+    mats: List[Optional[IntMatrix]] = [None]
     for n in range(1, d_max + 2):
         index_prev = {t: i for i, t in enumerate(bases[n - 1])}
         mats.append(_relative_boundary(bases[n], index_prev, inside, n))
@@ -1304,18 +1290,9 @@ class SimplicialComplex:
     def boundary(self, n):
         if n < 1 or n > self.dim_built:
             raise ValueError("degree out of the built range")
+        # increasing simplices never repeat an entry, so every face is kept
         index_prev = {s: i for i, s in enumerate(self.simplices[n - 1])}
-        rows, cols, data = [], [], []
-        for col, s in enumerate(self.simplices[n]):
-            for i in range(n + 1):
-                face = s[:i] + s[i + 1:]
-                rows.append(index_prev[face])
-                cols.append(col)
-                data.append(1 if i % 2 == 0 else -1)
-        return sp.csc_matrix(
-            (np.asarray(data, dtype=np.int64), (rows, cols)),
-            shape=(len(self.simplices[n - 1]), len(self.simplices[n])),
-        )
+        return _boundary_from_lists(self.simplices[n], index_prev, n)
 
     def homology(self, d_max):
         """Groups in degrees 0..d_max.

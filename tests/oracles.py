@@ -72,6 +72,27 @@ def clique_complex(points, edges, max_dim):
     return simplices
 
 
+def maximal_cliques(points, edges):
+    """Maximal cliques as a set of frozensets, by testing every subset of points.
+
+    A subset is a maximal clique when its pairs are all edges and no other
+    point is adjacent to all of it; an isolated point is a singleton clique.
+    """
+    adj = {p: set() for p in points}
+    for a, b in edges:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    pts = list(points)
+    out = set()
+    for size in range(1, len(pts) + 1):
+        for combo in combinations(pts, size):
+            if (all(b in adj[a] for a, b in combinations(combo, 2))
+                    and not any(all(c in adj[q] for c in combo) for q in pts if q not in combo)):
+                out.add(frozenset(combo))
+    return out
+
+
 def simplicial_homology(simplices, max_degree, point_order=None):
     """Integer homology of an abstract simplicial complex via sympy's Smith form.
 

@@ -95,11 +95,10 @@ def test_criterion_03_complex_identity():
 
 
 def _col_dicts_from_sparse(M):
-    M = M.tocsc()
-    cols = []
-    for j in range(M.shape[1]):
-        sl = slice(M.indptr[j], M.indptr[j + 1])
-        cols.append({int(i): int(v) for i, v in zip(M.indices[sl], M.data[sl])})
+    cols = [{} for _ in range(M.shape[1])]
+    for i, row in enumerate(M.rows):
+        for j, v in row.items():
+            cols[j][i] = v
     return cols
 
 

@@ -442,3 +442,14 @@ def test_console_module_entry():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "results.count: 1" in proc.stdout
+
+
+def test_import_pulls_in_no_third_party_numerics():
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, coarsehom, coarsehom.cli_io; "
+            "print(sorted(m for m in ('numpy', 'scipy', 'networkx') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

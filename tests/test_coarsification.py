@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from coarsehom import (
@@ -39,6 +41,7 @@ from coarsehom.coarsification import (
     nerve,
     uniform_decomposition_check,
 )
+from coarsehom.coarsification import _maximal_cliques
 from coarsehom.homology_engine import DegreeCapExceeded, FGAbGroup, rips_complex
 from genspaces import random_explicit_space
 
@@ -129,6 +132,34 @@ def test_cover_never_mixes_far_components():
             comp[p] = cid
     for m in cover_from_net(X, 1).members:
         assert len({comp[p] for p in m}) == 1
+
+
+# ------------------------------------------------------ maximal cliques
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.one_of(st.just(pairs), st.lists(st.sampled_from(pairs), unique=True)
+                           if pairs else st.just([])))
+    return n, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+@example((4, []))  # isolated vertices only
+@example((6, list(combinations(range(6), 2))))  # complete graph
+@example((5, [(0, 1), (1, 2), (0, 2), (2, 3)]))  # a triangle, a tail and an isolated vertex
+def test_maximal_cliques_match_brute_force(graph):
+    n, edges = graph
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    got = [frozenset(c) for c in _maximal_cliques(adj)]
+    assert all(len(c) > 0 for c in got)
+    assert len(got) == len(set(got))  # each clique exactly once
+    assert set(got) == oracles.maximal_cliques(range(n), edges)
 
 
 # ------------------------------------------------------------ check_cover

@@ -12,9 +12,7 @@ import json
 import random
 from itertools import combinations
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +29,7 @@ from coarsehom.homology_engine import (
     DegreeCapExceeded,
     FGAbGroup,
     HomologyError,
+    IntMatrix,
     NotClose,
     NotComplementary,
     PrefixTooShort,
@@ -131,23 +130,24 @@ def test_tuple_enumeration_deterministic():
 
 def test_edge_boundary_is_difference():
     E = make_explicit_space([0, 1], [[(0, 1)]], [[0, 1]])
-    D = boundary_matrix(E, 1, 1).toarray()
+    D = boundary_matrix(E, 1, 1)
     # basis order: vertices [(0,), (1,)], pairs [(0, 1), (1, 0)]
     assert D.tolist() == [[-1, 1], [1, -1]]
+    assert D.nnz == 4
 
 
 def test_degenerate_faces_contribute_zero():
     E = make_explicit_space([0, 1], [[(0, 1)]], [[0, 1]])
-    D = boundary_matrix(E, 1, 2).toarray()
+    D = boundary_matrix(E, 1, 2).tolist()
     # d(0,1,0) = (1,0) - (0,0) + (0,1) and the middle face is dropped
-    assert D[:, 0].tolist() == [1, 1]
-    assert D[:, 1].tolist() == [1, 1]
+    assert [row[0] for row in D] == [1, 1]
+    assert [row[1] for row in D] == [1, 1]
 
 
 def test_triangle_vertex_boundary_rank():
     D = boundary_matrix(clique_space(3), 1, 1)
     import sympy
-    assert sympy.Matrix(D.toarray()).rank() == 2
+    assert sympy.Matrix(D.tolist()).rank() == 2
 
 
 def test_dd_zero_on_fixed_spaces():
@@ -166,29 +166,52 @@ def test_dd_zero_on_random_spaces():
             assert verify_complex_identity(X, k, 3)
 
 
-def test_streaming_identity_check_small_chunks():
-    assert verify_complex_identity(HEX, 1, 3, chunk=7)
+def test_planted_sign_flip_fails_the_complex_identity(monkeypatch):
+    build = homology_engine._boundary_from_lists
+
+    def flipped(basis_n, index_prev, n):
+        M = build(basis_n, index_prev, n)
+        if n == 1:  # a lower boundary in every check below
+            row = next(r for r in M.rows if r)
+            j = next(iter(row))
+            row[j] = -row[j]
+        return M
+
+    monkeypatch.setattr(homology_engine, "_boundary_from_lists", flipped)
+    for d_max in (2, 3):  # d_1 meets the streamed top degree, then a stored d_2
+        assert not verify_complex_identity(HEX, 1, d_max)
+    with pytest.raises(HomologyError, match="complex identity"):
+        chain_complex(HEX, 1, 2)
 
 
 # ------------------------------------------------------------------ SNF
 
+def matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col, strict=True)) for col in zip(*B)] for row in A]
+
+
+def eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def assert_snf_contract(A):
     res = smith_normal_form(A)
-    A = np.asarray(A, dtype=np.int64) if not sp.issparse(A) else A.toarray()
-    U, S, V = np.asarray(res.U), np.asarray(res.S), np.asarray(res.V)
-    assert (U @ S @ V == A).all()
-    assert abs(oracles.bareiss_det(U.tolist())) == 1
-    assert abs(oracles.bareiss_det(V.tolist())) == 1
-    assert (U @ np.asarray(res.U_inv) == np.eye(U.shape[0], dtype=np.int64)).all()
-    assert (np.asarray(res.V_inv) @ V == np.eye(V.shape[0], dtype=np.int64)).all()
+    A = A.tolist() if isinstance(A, IntMatrix) else [list(row) for row in A]
+    m, n = res.shape
+    U, S, V = res.U, res.S, res.V
+    assert matmul(matmul(U, S), V) == A
+    assert abs(oracles.bareiss_det(U)) == 1
+    assert abs(oracles.bareiss_det(V)) == 1
+    assert matmul(U, res.U_inv) == eye(m)
+    assert matmul(res.V_inv, V) == eye(n)
     diag = res.invariant_factors
     assert all(d > 0 for d in diag)
     assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
     # S vanishes off the pivot diagonal
-    for i in range(S.shape[0]):
-        for j in range(S.shape[1]):
+    for i in range(m):
+        for j in range(n):
             if i != j:
-                assert S[i, j] == 0
+                assert S[i][j] == 0
     return res
 
 
@@ -198,7 +221,7 @@ def test_snf_zero_matrix():
 
 
 def test_snf_identity():
-    res = assert_snf_contract(np.eye(3, dtype=np.int64))
+    res = assert_snf_contract(eye(3))
     assert res.invariant_factors == [1, 1, 1]
 
 
@@ -208,8 +231,9 @@ def test_snf_two_by_two_divisor_chain():
 
 
 def test_snf_degenerate_shapes():
+    # lists cannot carry (0, 3) or (3, 0); the matrix type has a shape
     for shape in [(0, 0), (0, 3), (3, 0)]:
-        res = smith_normal_form(np.zeros(shape, dtype=np.int64))
+        res = smith_normal_form(IntMatrix(shape, [{} for _ in range(shape[0])]))
         assert res.shape == shape
         assert len(res.S) == shape[0]
         assert all(len(row) == shape[1] for row in res.S)
@@ -217,9 +241,10 @@ def test_snf_degenerate_shapes():
 
 
 def test_snf_sparse_input():
-    A = sp.csc_matrix(np.array([[0, 2], [3, 0], [0, 0]], dtype=np.int64))
+    A = IntMatrix((3, 2), [{1: 2}, {0: 3}, {}])
     res = assert_snf_contract(A)
     assert res.rank == 2
+    assert res.invariant_factors == [1, 6]
 
 
 @settings(max_examples=40, deadline=None)
@@ -303,7 +328,8 @@ def test_snf_bit_identical_to_reference(A):
     # not just a valid Smith form: frozen generator chains follow from these exact U and V
     for track_U, track_V in [(True, True), (False, True), (True, False)]:
         want = oracles.reference_smith_normal_form(A, track_U, track_V)
-        for M in (A, sp.csc_matrix(np.asarray(A, dtype=np.int64))):
+        sparse = IntMatrix((len(A), len(A[0])), [{j: v for j, v in enumerate(row) if v} for row in A])
+        for M in (A, sparse):
             res = smith_normal_form(M, track_U, track_V)
             assert (res.U, res.S, res.V, res.U_inv, res.V_inv) == want
 
@@ -459,8 +485,8 @@ def test_hexagon_cycle_generator():
     pres = homology_presentation(HEX, 1, 1)
     assert pres.group == Z and pres.generator_count == 1
     gen = pres.generator_chains()[0]
-    D = boundary_matrix(HEX, 1, 1).toarray()
-    assert all(v == 0 for v in D @ np.asarray(gen))
+    D = boundary_matrix(HEX, 1, 1)
+    assert all(sum(v * gen[j] for j, v in row.items()) == 0 for row in D.rows)
     coord = pres.class_coordinates(gen)
     assert coord in [(1,), (-1,)]
     assert pres.class_coordinates([2 * v for v in gen]) == (2 * coord[0],)
@@ -523,7 +549,7 @@ def test_identity_induces_identity():
     im = induced_map(identity_map(HEX), 1, 1)
     assert im.matrix == [[1]] or im.matrix == [[-1]]
     n_chains = len(controlled_tuples(HEX, 1, 1))
-    assert (im.chain_matrix != sp.eye(n_chains, dtype=np.int64, format="csc")).nnz == 0
+    assert im.chain_matrix.tolist() == eye(n_chains)
 
 
 def test_self_map_at_its_own_scale_builds_one_presentation(monkeypatch):
@@ -564,10 +590,8 @@ def test_functoriality_chain_and_homology():
     imf = induced_map(f, 1, 0)
     img = induced_map(g, imf.target_scale, 0)
     comp = induced_map(g.compose(f), 1, 0, target_scale=img.target_scale)
-    assert (comp.chain_matrix != img.chain_matrix @ imf.chain_matrix).nnz == 0
-    lhs = np.asarray(comp.matrix)
-    rhs = np.asarray(img.matrix) @ np.asarray(imf.matrix)
-    assert (lhs == rhs).all()
+    assert comp.chain_matrix.tolist() == (img.chain_matrix @ imf.chain_matrix).tolist()
+    assert comp.matrix == matmul(img.matrix, imf.matrix)
 
 
 # ------------------------------------------------------------------- prisms
