@@ -11,13 +11,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core_spaces import BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage
+from .core_spaces import BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage, is_U_bounded
 from .homology_engine import (
     DEFAULT_BASIS_CAP,
     DegreeCapExceeded,
     FGAbGroup,
     SimplicialComplex,
-    _space_tables,
 )
 
 
@@ -64,45 +63,27 @@ class Cover:
         return len(self.members)
 
 
-def _relation_tables(X: BornCoarseSpace, k: int):
-    related = {p: {p} for p in X.points}
-    for a, b in X.closure_at(k).pairs:
-        related[a].add(b)
-    return related
-
-
 def greedy_net(X: BornCoarseSpace, k: int) -> list:
     """Separated covering subset, grown greedily in canonical point order."""
-    related = _relation_tables(X, k)
-    net = []
-    for x in X.points:
-        if all(x not in related[d] for d in net):
-            net.append(x)
+    net = _net_over_order(X.points, X.coarse.graph(k))
     # both halves of the net contract are cheap to re-check exactly
     for i, d in enumerate(net):
         for e in net[i + 1:]:
-            if e in related[d] or d in related[e]:
+            if X.coarse.related_at(k, d, e):
                 raise CoverError(f"net separation violated by {d!r}, {e!r}")
-    covered = set()
-    for d in net:
-        covered |= related[d]
-    if covered != set(X.points):
+    if X.coarse.thicken(k, net) != frozenset(X.points):
         raise CoverError("net fails to cover the space")
     return net
 
 
-def _is_bounded_at(related, member) -> bool:
-    return all(b in related[a] for a in member for b in member)
-
-
-def _ball_lebesgue(X, related_s, members) -> Optional[str]:
+def _ball_lebesgue(X, s, members) -> Optional[str]:
     """Ball route: every scale-s ball inside some member certifies the scale.
 
     Sufficient because a bounded set lies in the ball around any of its points;
     failure is not conclusive (balls are twice as wide as bounded sets).
     """
     for x in X.points:
-        ball = related_s[x]
+        ball = X.coarse.ball(s, x)
         if not any(ball <= m for m in members):
             return None
     return "lebesgue verified via ball containment (sufficient for symmetric relations)"
@@ -131,8 +112,7 @@ def _maximal_cliques(adj):
 def _exact_lebesgue(X, s, members) -> Optional[str]:
     """Exact route: maximal bounded sets are maximal cliques of the scale-s graph."""
     pts = X.points
-    _, sets = _space_tables(X, s)
-    for clique in _maximal_cliques([nb - {v} for v, nb in enumerate(sets)]):
+    for clique in _maximal_cliques([nb - {v} for v, nb in enumerate(X.coarse.graph(s).sets)]):
         cset = frozenset(pts[i] for i in clique)
         if not any(cset <= m for m in members):
             return None
@@ -140,11 +120,7 @@ def _exact_lebesgue(X, s, members) -> Optional[str]:
 
 
 def _verify_lebesgue(X, s, members) -> Optional[str]:
-    related_s = _relation_tables(X, s)
-    note = _ball_lebesgue(X, related_s, members)
-    if note is None:
-        note = _exact_lebesgue(X, s, members)
-    return note
+    return _ball_lebesgue(X, s, members) or _exact_lebesgue(X, s, members)
 
 
 def cover_from_net(X: BornCoarseSpace, k: int) -> Cover:
@@ -154,11 +130,8 @@ def cover_from_net(X: BornCoarseSpace, k: int) -> Cover:
     center); the Lebesgue scale is the largest verified value up to the
     stabilization scale.
     """
-    net = greedy_net(X, k)
-    related = _relation_tables(X, k)
-    members = tuple(frozenset(related[d]) for d in net)
-    related_2k = _relation_tables(X, 2 * k)
-    bound = 2 * k if all(_is_bounded_at(related_2k, m) for m in members) else None
+    members = tuple(X.coarse.ball(k, d) for d in greedy_net(X, k))
+    bound = 2 * k if all(is_U_bounded(X, 2 * k, m) for m in members) else None
     notes = []
     stab = X.coarse.stabilization()
     lebesgue = None
@@ -190,10 +163,9 @@ def check_cover(X: BornCoarseSpace, cover, k_bound: int, k_lebesgue: int) -> Cov
         missing = sorted(set(X.points) - union, key=list(X.points).index)[0]
         raise NotACover(f"point {missing!r} is not covered")
     notes = []
-    related_b = _relation_tables(X, k_bound)
     bound: Optional[int] = k_bound
     for i, m in enumerate(members):
-        if not _is_bounded_at(related_b, m):
+        if not is_U_bounded(X, k_bound, m):
             bound = None
             notes.append(f"member {i} is not bounded at scale {k_bound}")
             break
@@ -233,16 +205,13 @@ def anti_cech(X: BornCoarseSpace, scale_list: Sequence[int]) -> AntiCechPrefix:
             raise CertificateFailed(i, f"scales must increase, got {a} then {b}")
     covers = []
     for k in scales:
-        net = greedy_net(X, k)
-        related = _relation_tables(X, k)
-        members = tuple(frozenset(related[d]) for d in net)
+        members = tuple(X.coarse.ball(k, d) for d in greedy_net(X, k))
         covers.append(Cover(members, 2 * k, None, ("ball cover; bound scale is twice the radius",)))
     certificates = []
     refinements = []
     for i in range(len(scales) - 1):
         s = 2 * scales[i]
-        related_s = _relation_tables(X, s)
-        if not all(_is_bounded_at(related_s, m) for m in covers[i].members):
+        if not all(is_U_bounded(X, s, m) for m in covers[i].members):
             raise CertificateFailed(i, f"a member of cover {i} is not bounded at scale {s}")
         if _verify_lebesgue(X, s, covers[i + 1].members) is None:
             raise CertificateFailed(
@@ -445,10 +414,13 @@ class AsdimReport:
     notes: Tuple[str, ...] = ()
 
 
-def _net_over_order(order, related):
+def _net_over_order(order, g):
+    """Points of order not related at the scale of g to any point taken before them."""
+    index = {p: i for i, p in enumerate(g.points)}
     net = []
     for x in order:
-        if all(x not in related[d] for d in net):
+        i = index[x]
+        if all(i not in g.sets[index[d]] for d in net):
             net.append(x)
     return net
 
@@ -466,14 +438,14 @@ def asdim_upper_bound(X: BornCoarseSpace, scale_list: Sequence[int],
     per_scale = {}
     for k in scale_list:
         k = int(k)
-        related = _relation_tables(X, k)
+        g = X.coarse.graph(k)
         best = None
         for r in range(max(1, min(search_budget, len(points)))):
             order = points[r:] + points[:r]
-            net = _net_over_order(order, related)
+            net = _net_over_order(order, g)
             depth = {p: 0 for p in points}
             for d in net:
-                for p in related[d]:
+                for p in X.coarse.ball(k, d):
                     depth[p] += 1
             dim = max(depth.values()) - 1
             best = dim if best is None else min(best, dim)
@@ -507,23 +479,10 @@ def hybrid_entourage(X: BornCoarseSpace, family: BigFamilyPrefix,
             raise PhiNotDecreasing(f"phi({i}) = {a} < phi({i + 1}) = {b}")
     if any(v < 0 for v in phi):
         raise CoarseError("phi entries must be nonnegative scale indices")
-    small = []
-    for v in phi:
-        small.append({p: {p} for p in X.points})
-        if v > 0:
-            for a, b in X.closure_at(v).pairs:
-                small[-1][a].add(b)
-    pairs = []
-    for a, b in X.closure_at(base_k).pairs:
-        ok = True
-        for i, Y in enumerate(family.members):
-            if a in Y and b in Y:
-                continue
-            if b not in small[i][a]:
-                ok = False
-                break
-        if ok:
-            pairs.append((a, b))
+    pairs = [
+        (a, b) for a, b in X.closure_at(base_k).pairs
+        if all((a in Y and b in Y) or X.coarse.related_at(v, a, b) for Y, v in zip(family.members, phi))
+    ]
     return Entourage(X.ground, pairs)
 
 

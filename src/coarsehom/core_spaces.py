@@ -115,8 +115,8 @@ class GroundSet:
 class Entourage:
     """A finite set of ordered point pairs over a ground set.
 
-    Internally keeps a left-neighbour map so that thickenings U[B] and
-    compositions are cheap; the pair set itself stays the source of truth.
+    Internally keeps a left-neighbour map so that compositions are cheap;
+    the pair set itself stays the source of truth.
     """
 
     __slots__ = ("ground", "pairs", "_left")
@@ -148,13 +148,6 @@ class Entourage:
 
     def __le__(self, other: "Entourage"):
         return self.pairs <= other.pairs
-
-    def image_of(self, B: Iterable) -> frozenset:
-        """U[B] = all x with (x, b) in U for some b in B."""
-        out = set()
-        for b in B:
-            out |= self._left.get(b, ())
-        return frozenset(out)
 
     def inverse(self) -> "Entourage":
         return Entourage(self.ground, ((y, x) for x, y in self.pairs))
@@ -188,13 +181,61 @@ def diagonal(ground: GroundSet) -> Entourage:
     return Entourage(ground, ((p, p) for p in ground))
 
 
+class ScaleGraph:
+    """The scale-k relation as an index-space graph over a ground order.
+
+    nbrs[i] is the sorted list of the points related to point i (i itself
+    included), sets[i] the same as a set; comp[i] is the component of i and
+    components lists each component's members in order, components ordered
+    by least member.
+    """
+
+    __slots__ = ("points", "nbrs", "sets", "comp", "components")
+
+    def __init__(self, points: Sequence, sets: list):
+        self.points = tuple(points)
+        self.sets = sets
+        self.nbrs = [sorted(s) for s in sets]
+        comp = [-1] * len(sets)
+        components = []
+        for start in range(len(sets)):
+            if comp[start] >= 0:
+                continue
+            cid = comp[start] = len(components)
+            members, stack = [], [start]
+            while stack:
+                v = stack.pop()
+                members.append(v)
+                for w in self.nbrs[v]:
+                    if comp[w] < 0:
+                        comp[w] = cid
+                        stack.append(w)
+            components.append(sorted(members))
+        self.comp = comp
+        self.components = components
+
+    def restrict(self, subset) -> "ScaleGraph":
+        """The induced graph on the points in subset, in ambient order."""
+        keep = [i for i, p in enumerate(self.points) if p in subset]
+        new = {old: i for i, old in enumerate(keep)}
+        return ScaleGraph([self.points[i] for i in keep],
+                          [{new[j] for j in self.nbrs[i] if j in new} for i in keep])
+
+
 class CoarseStructure:
     """Generated coarse structure, represented by its scale filtration.
 
     closure_at(k) is the k-fold composition of diag u G u G^-1 with itself,
-    where G is the union of the generators; equivalently all pairs at graph
-    distance <= k in the symmetrized generator graph.  The memo fill is
-    idempotent, so concurrent readers are safe.
+    where G is the union of the generators; equivalently all pairs at hop
+    distance <= k in the symmetrized generator graph.
+
+    The filtration is stored once, as a hop-distance table in index space:
+    for each point a dict {index: hop distance} in breadth-first order, plus
+    the offsets where each breadth-first layer ends, so the ball of radius k
+    is a prefix of the dict.  The table grows in place one layer at a time,
+    only as deep as the largest scale asked for so far; stabilized_at is set
+    when a layer adds nothing, and is the largest hop distance between
+    related points.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -205,74 +246,106 @@ class CoarseStructure:
                 raise UnknownPoint("generator defined over a different ground set")
         self.cached_closures: dict[int, Entourage] = {}
         self.stabilized_at: Optional[int] = None
-        # symmetric adjacency of the scale-1 relation, by point
-        adj = {p: {p} for p in ground}
+        adj = [set() for _ in ground]
         for g in self.generators:
             for x, y in g.pairs:
-                adj[x].add(y)
-                adj[y].add(x)
-        self._adj1 = {p: frozenset(s) for p, s in adj.items()}
-        self._balls: dict[int, dict] = {0: {p: frozenset((p,)) for p in ground}, 1: self._adj1}
-        if all(len(s) == 1 for s in self._adj1.values()):
-            self.stabilized_at = 0
+                i, j = ground.index(x), ground.index(y)
+                if i != j:
+                    adj[i].add(j)
+                    adj[j].add(i)
+        # scale-1 adjacency without self-loops, each list sorted
+        self._adj = [sorted(s) for s in adj]
+        self._dist = [{i: 0} for i in range(len(ground))]
+        self._ends = [[1] for _ in ground]
+        self._front = [[i] for i in range(len(ground))]
+        self._depth = 0
 
-    def _ball_map(self, k: int) -> dict:
-        """Map point -> closed ball of radius k in the generator graph."""
-        if k in self._balls:
-            return self._balls[k]
-        prev = self._ball_map(k - 1)
-        if self.stabilized_at is not None and k > self.stabilized_at:
-            self._balls[k] = self._balls[self.stabilized_at]
-            return self._balls[k]
-        cur = {}
-        changed = False
-        for p, ball in prev.items():
-            grown = set(ball)
-            for q in ball:
-                grown |= self._adj1[q]
-            cur[p] = frozenset(grown)
-            if cur[p] != ball:
-                changed = True
-        if not changed and self.stabilized_at is None:
-            self.stabilized_at = k - 1
-            self._balls[k] = prev
-            return prev
-        self._balls[k] = cur
-        return cur
+    def _grow(self, k: int):
+        """Extend every breadth-first search to depth k, or until a layer adds nothing."""
+        adj = self._adj
+        while self._depth < k and self.stabilized_at is None:
+            d = self._depth + 1
+            grew = False
+            for i, front in enumerate(self._front):
+                dist = self._dist[i]
+                nxt = []
+                for v in front:
+                    for w in adj[v]:
+                        if w not in dist:
+                            dist[w] = d
+                            nxt.append(w)
+                self._front[i] = nxt
+                self._ends[i].append(len(dist))
+                grew = grew or bool(nxt)
+            self._depth = d
+            if not grew:
+                self.stabilized_at = d - 1
+                self._front = None
 
-    def closure_at(self, k: int) -> Entourage:
+    def _scale(self, k: int) -> int:
+        """Validate k, grow the table to it, and cap it at the stabilization scale."""
         if k < 0:
             raise CoarseError("scale-index must be >= 0")
+        self._grow(k)
         if self.stabilized_at is not None and k > self.stabilized_at:
-            k = self.stabilized_at
+            return self.stabilized_at
+        return k
+
+    def closure_at(self, k: int) -> Entourage:
+        k = self._scale(k)
         if k not in self.cached_closures:
-            balls = self._ball_map(k)
-            pairs = [(x, y) for y, ball in balls.items() for x in ball]
+            pairs = [(x, y) for y in self.ground.points for x in self.ball(k, y)]
             self.cached_closures[k] = Entourage(self.ground, pairs)
         return self.cached_closures[k]
 
     def ball(self, k: int, x) -> frozenset:
+        i = self.ground.index(x)
+        end = self._ends[i][self._scale(k)]
+        pts = self.ground.points
+        return frozenset([pts[j] for j in itertools.islice(self._dist[i], end)])
+
+    def thicken(self, k: int, B: Iterable) -> frozenset:
+        """closure_at(k)[B]: a breadth-first search of k steps from all of B at once."""
         if k < 0:
             raise CoarseError("scale-index must be >= 0")
-        if self.stabilized_at is not None and k > self.stabilized_at:
-            k = self.stabilized_at
-        return self._ball_map(k)[x]
+        seen = {self.ground.index(b) for b in B}
+        front = list(seen)
+        for _ in range(k):
+            nxt = []
+            for v in front:
+                for w in self._adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            if not nxt:
+                break
+            front = nxt
+        pts = self.ground.points
+        return frozenset([pts[i] for i in seen])
+
+    def graph(self, k: int) -> ScaleGraph:
+        """The scale-k relation as an index-space graph, built afresh from the table."""
+        k = self._scale(k)
+        return ScaleGraph(self.ground.points, [set(itertools.islice(dist, ends[k]))
+                                               for dist, ends in zip(self._dist, self._ends)])
 
     def stabilization(self) -> int:
         """Least s with closure_at(s) == closure_at(s+1); finite spaces always stabilize."""
-        k = 0
-        # graph diameter is < |X|, so this terminates
-        while self.stabilized_at is None and k <= len(self.ground) + 1:
-            self._ball_map(k)
-            k += 1
-        if self.stabilized_at is None:
-            self.stabilized_at = max(len(self.ground) - 1, 0)
+        # every hop distance is < |X|, so layer |X| adds nothing
+        self._grow(len(self.ground) + 1)
         return self.stabilized_at
 
+    def distance(self, x, y) -> Optional[int]:
+        """Hop distance between x and y in the generator graph; None across components."""
+        i, j = self.ground.index(x), self.ground.index(y)
+        self.stabilization()
+        return self._dist[j].get(i)
+
     def related_at(self, k: int, x, y) -> bool:
-        if self.stabilized_at is not None and k > self.stabilized_at:
-            k = self.stabilized_at
-        return x in self._ball_map(k)[y]
+        i, j = self.ground.index(x), self.ground.index(y)
+        k = self._scale(k)
+        d = self._dist[j].get(i)
+        return d is not None and d <= k
 
 
 class Bornology:
@@ -377,9 +450,8 @@ class BornCoarseSpace:
 
 def _check_compatibility(ground: GroundSet, coarse: CoarseStructure, bornology: Bornology):
     """Scale-1 compatibility: controlled thickenings of bounded sets stay bounded."""
-    U1 = coarse.closure_at(1)
     for B in bornology.generators:
-        thick = U1.image_of(B)
+        thick = coarse.thicken(1, B)
         if not bornology.bounded(thick):
             raise IncompatibleStructures(
                 f"thickening of bounded generator {sorted(B, key=ground.index)} at scale 1 "
@@ -488,11 +560,7 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
 
 def thicken(space: BornCoarseSpace, k: int, B: Iterable) -> frozenset:
     """closure_at(k)[B] = {x : (x, b) in closure_at(k) for some b in B}."""
-    B = space.ground.check_subset(B)
-    out = set()
-    for b in B:
-        out |= space.coarse.ball(k, b)
-    return frozenset(out)
+    return space.coarse.thicken(k, B)
 
 
 def closure_at(space: BornCoarseSpace, k: int) -> Entourage:
@@ -505,39 +573,14 @@ def is_U_bounded(space: BornCoarseSpace, k: int, B: Iterable) -> bool:
     return all(space.coarse.related_at(k, x, y) for x in B for y in B)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def coarse_components(space: BornCoarseSpace) -> list:
     """Partition of the ground set by the union of all entourages.
 
     Classes come back in canonical order (least member first), each class
     sorted by the point order.
     """
-    uf = _UnionFind(space.ground.points)
-    for g in space.coarse.generators:
-        for x, y in g.pairs:
-            uf.union(x, y)
-    classes: dict = {}
-    for p in space.ground.points:
-        classes.setdefault(uf.find(p), []).append(p)
-    # points were scanned in canonical order, so each class is already sorted
-    return sorted(classes.values(), key=lambda c: space.ground.index(c[0]))
+    g = space.coarse.graph(1)
+    return [[g.points[i] for i in members] for members in g.components]
 
 
 def product_p(X: BornCoarseSpace, Y: BornCoarseSpace) -> BornCoarseSpace:
@@ -661,7 +704,7 @@ def big_family_generated(X: BornCoarseSpace, A: Iterable, depth: int) -> BigFami
     witness = {}
     for i in range(depth + 1):
         for k in range(depth + 1):
-            # exact: composing ball maps adds scale indices
+            # exact: composing closures adds scale indices
             if i + k <= depth:
                 witness[(i, k)] = i + k
             else:

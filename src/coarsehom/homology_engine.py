@@ -31,7 +31,7 @@ from itertools import compress, product
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core_spaces import BornCoarseSpace, BigFamilyPrefix, CoarseError
+from .core_spaces import BornCoarseSpace, BigFamilyPrefix, CoarseError, ScaleGraph
 from .morphisms import SpaceMap, _least_containing_scale, are_close
 
 DEFAULT_BASIS_CAP = 200_000
@@ -158,51 +158,15 @@ def _columns(M: IntMatrix) -> List[Dict[int, int]]:
 # --------------------------------------------------------------------- tuples
 
 
-def _neighbor_tables(points, pair_iter):
-    """Index-space adjacency (sorted lists and sets) of a symmetric reflexive relation."""
-    idx = {p: i for i, p in enumerate(points)}
-    sets = [set() for _ in points]
-    for a, b in pair_iter:
-        sets[idx[a]].add(idx[b])
-    nbrs = [sorted(s) for s in sets]
-    return nbrs, sets
-
-
-def _space_tables(X, k):
-    ent = X.closure_at(k)
-    return _neighbor_tables(X.points, ent.pairs)
-
-
-def _components_of(nbrs):
-    comp = [-1] * len(nbrs)
-    cid = 0
-    for start in range(len(nbrs)):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = cid
-        while stack:
-            v = stack.pop()
-            for w in nbrs[v]:
-                if comp[w] < 0:
-                    comp[w] = cid
-                    stack.append(w)
-        cid += 1
-    return comp, cid
-
-
-def _iter_controlled(nbrs, sets, n):
+def _iter_controlled(g: ScaleGraph, n):
     """Yield index tuples of length n+1, pairwise related, no adjacent repeats, lex order."""
-    npts = len(nbrs)
+    npts = len(g.points)
     if n == 0:
         for i in range(npts):
             yield (i,)
         return
-    comp, ncomp = _components_of(nbrs)
-    members = [[] for _ in range(ncomp)]
-    for i in range(npts):
-        members[comp[i]].append(i)
-    clique = [all(len(nbrs[i]) == len(members[c]) for i in members[c]) for c in range(ncomp)]
+    nbrs, sets, comp, members = g.nbrs, g.sets, g.comp, g.components
+    clique = [all(len(nbrs[i]) == len(mem) for i in mem) for mem in members]
 
     def dfs(prefix, cand):
         if len(prefix) == n + 1:
@@ -249,21 +213,20 @@ def controlled_tuples(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
     """All nondegenerate (n+1)-tuples pairwise related at scale k, lex order."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    nbrs, sets = _space_tables(X, k)
     pts = X.points
     out = []
-    for t in _iter_controlled(nbrs, sets, n):
+    for t in _iter_controlled(X.coarse.graph(k), n):
         if basis_cap is not None and len(out) >= basis_cap:
             raise DegreeCapExceeded(n, k, basis_cap)
         out.append(tuple(pts[i] for i in t))
     return out
 
 
-def _materialize_bases(nbrs, sets, d_max, basis_cap, scale):
+def _materialize_bases(g, d_max, basis_cap, scale):
     bases = []
     for n in range(d_max + 1):
         basis = []
-        for t in _iter_controlled(nbrs, sets, n):
+        for t in _iter_controlled(g, n):
             if basis_cap is not None and len(basis) >= basis_cap:
                 raise DegreeCapExceeded(n, scale, basis_cap)
             basis.append(t)
@@ -296,8 +259,7 @@ def boundary_matrix(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
     """Matrix of the degree-n boundary at scale k (rows: degree n-1, cols: degree n)."""
     if n < 1:
         raise ValueError("boundary matrices start at degree 1")
-    nbrs, sets = _space_tables(X, k)
-    bases = _materialize_bases(nbrs, sets, n, basis_cap, k)
+    bases = _materialize_bases(X.coarse.graph(k), n, basis_cap, k)
     index_prev = {t: i for i, t in enumerate(bases[n - 1])}
     return _boundary_from_lists(bases[n], index_prev, n)
 
@@ -321,8 +283,7 @@ class ChainComplexAtScale:
 
 
 def chain_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
-    nbrs, sets = _space_tables(X, k)
-    idx_bases = _materialize_bases(nbrs, sets, d_max, basis_cap, k)
+    idx_bases = _materialize_bases(X.coarse.graph(k), d_max, basis_cap, k)
     pts = X.points
     bases = [[tuple(pts[i] for i in t) for t in b] for b in idx_bases]
     boundaries: List[Optional[IntMatrix]] = [None]
@@ -341,10 +302,10 @@ def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None):
     Top-degree tuples are never stored: each one's faces are composed with
     the columns of d_{d_max-1} as it is enumerated.
     """
-    nbrs, sets = _space_tables(X, k)
+    g = X.coarse.graph(k)
     if d_max < 2:
         return True
-    bases = _materialize_bases(nbrs, sets, d_max - 1, basis_cap, k)
+    bases = _materialize_bases(g, d_max - 1, basis_cap, k)
     indexes = [{t: i for i, t in enumerate(b)} for b in bases]
     mats = [None] + [_boundary_from_lists(bases[n], indexes[n - 1], n) for n in range(1, d_max)]
     if any(mats[n - 1] @ mats[n] for n in range(2, d_max)):
@@ -352,7 +313,7 @@ def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None):
     n = d_max
     prev = indexes[n - 1]
     d_prev = _columns(mats[n - 1])
-    for count, t in enumerate(_iter_controlled(nbrs, sets, n), 1):
+    for count, t in enumerate(_iter_controlled(g, n), 1):
         if basis_cap is not None and count > basis_cap:
             raise DegreeCapExceeded(n, k, basis_cap)
         acc: Dict[int, int] = {}
@@ -812,7 +773,7 @@ def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP, full_table=True):
             table[s] = groups if s == stab else homology_at_scale(X, s, d_max, basis_cap)
     else:
         for s in scales:
-            table[s] = groups if s == stab else [FGAbGroup(_components_of(_space_tables(X, s)[0])[1])]
+            table[s] = groups if s == stab else [FGAbGroup(len(X.coarse.graph(s).components))]
         warnings.append(
             "per-scale table lists degree-0 component counts only; the terminal value is exact"
         )
@@ -944,10 +905,7 @@ def _presentation_from_complex(basis, d_n, d_next, degree, scale):
 
 
 def _shift_at(f: SpaceMap, k):
-    src, tgt = f.source, f.target
-    pairs = [(f(a), f(b)) for a, b in src.closure_at(k).pairs]
-    cap = tgt.coarse.stabilization()
-    return _least_containing_scale(tgt, pairs, cap)
+    return _least_containing_scale(f.target, [(f(a), f(b)) for a, b in f.source.closure_at(k).pairs])
 
 
 def _chain_map_matrix(f: SpaceMap, basis_src, index_tgt):
@@ -977,7 +935,7 @@ def induced_map(f: SpaceMap, k_source, n, target_scale=None, basis_cap=DEFAULT_B
     if shift is None:
         bad = next(
             (p for p in f.source.closure_at(k_source).pairs
-             if not f.target.coarse.related_at(f.target.coarse.stabilization(), f(p[0]), f(p[1]))),
+             if f.target.coarse.distance(f(p[0]), f(p[1])) is None),
             None,
         )
         raise NotControlledAtScale(k_source, bad)
@@ -1109,12 +1067,12 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
 # ------------------------------------------------- relative homology
 
 
-def _relative_bases(nbrs, sets, inside, d_max, basis_cap, scale):
+def _relative_bases(g, inside, d_max, basis_cap, scale):
     """Bases of the quotient complex by the subcomplex of tuples inside a subset."""
     bases = []
     for deg in range(d_max + 1):
         basis = []
-        for t in _iter_controlled(nbrs, sets, deg):
+        for t in _iter_controlled(g, deg):
             if all(inside[i] for i in t):
                 continue
             if basis_cap is not None and len(basis) >= basis_cap:
@@ -1146,10 +1104,8 @@ def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BA
     """Homology of C(X)/C(Y_m) for the last family member Y_m (finite-prefix stand-in)."""
     m = len(family.members) - 1
     Y = family.members[m]
-    nbrs, sets = _space_tables(X, k)
-    pts = X.points
-    inside = [p in Y for p in pts]
-    bases = _relative_bases(nbrs, sets, inside, d_max + 1, basis_cap, k)
+    inside = [p in Y for p in X.points]
+    bases = _relative_bases(X.coarse.graph(k), inside, d_max + 1, basis_cap, k)
     mats: List[Optional[IntMatrix]] = [None]
     for n in range(1, d_max + 2):
         index_prev = {t: i for i, t in enumerate(bases[n - 1])}
@@ -1181,15 +1137,16 @@ class ExcisionReport:
         return all(self.iso)
 
 
-def _quotient_presentations(points, nbrs, sets, inside, k, d_max, basis_cap):
-    bases = _relative_bases(nbrs, sets, inside, d_max + 1, basis_cap, k)
+def _quotient_presentations(g, Y, k, d_max, basis_cap):
+    inside = [p in Y for p in g.points]
+    bases = _relative_bases(g, inside, d_max + 1, basis_cap, k)
     mats: List[Optional[IntMatrix]] = [None]
     for n in range(1, d_max + 2):
         index_prev = {t: i for i, t in enumerate(bases[n - 1])}
         mats.append(_relative_boundary(bases[n], index_prev, inside, n))
     pres = []
     for n in range(d_max + 1):
-        named = [tuple(points[i] for i in t) for t in bases[n]]
+        named = [tuple(g.points[i] for i in t) for t in bases[n]]
         pres.append(_presentation_from_complex(named, mats[n] if n else None,
                                                mats[n + 1], n, k))
     return bases, pres
@@ -1230,22 +1187,14 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
     if m is None:
         raise PrefixTooShort(i0, k)
     Ym = family.members[m]
-    pts = X.points
-    nbrs, sets = _space_tables(X, k)
-    inside_full = [p in Ym for p in pts]
-    bases_full, pres_full = _quotient_presentations(pts, nbrs, sets, inside_full, k, d_max, basis_cap)
-
-    zpts = [p for p in pts if p in Zset]
-    zidx = {p: i for i, p in enumerate(zpts)}
-    old = {p: i for i, p in enumerate(pts)}
-    znbrs = [[zidx[q] for q in (pts[j] for j in nbrs[old[p]]) if q in zidx] for p in zpts]
-    zsets = [set(r) for r in znbrs]
-    inside_sub = [p in Ym for p in zpts]
-    bases_sub, pres_sub = _quotient_presentations(zpts, znbrs, zsets, inside_sub, k, d_max, basis_cap)
+    g = X.coarse.graph(k)
+    bases_full, pres_full = _quotient_presentations(g, Ym, k, d_max, basis_cap)
+    zg = g.restrict(Zset)
+    bases_sub, pres_sub = _quotient_presentations(zg, Ym, k, d_max, basis_cap)
 
     bijection = all(
-        [tuple(zpts[i] for i in t) for t in bases_sub[n]]
-        == [tuple(pts[i] for i in t) for t in bases_full[n]]
+        [tuple(zg.points[i] for i in t) for t in bases_sub[n]]
+        == [tuple(g.points[i] for i in t) for t in bases_full[n]]
         for n in range(d_max + 2)
     )
     iso = []
@@ -1309,7 +1258,7 @@ class SimplicialComplex:
         return [g.free_rank for g in self.homology(d_max)]
 
 
-def _cliques(nbrs, sets, d_max, cap, scale):
+def _cliques(g: ScaleGraph, d_max, cap, scale):
     """Strictly increasing index tuples spanning cliques, by dimension."""
     out = [[] for _ in range(d_max + 1)]
     total = 0
@@ -1326,10 +1275,10 @@ def _cliques(nbrs, sets, d_max, cap, scale):
         last = s[-1]
         for j in cand:
             if j > last:
-                grow(s + (j,), [t for t in cand if t in sets[j]])
+                grow(s + (j,), [t for t in cand if t in g.sets[j]])
 
-    for i in range(len(nbrs)):
-        grow((i,), [j for j in nbrs[i] if j > i])
+    for i, nb in enumerate(g.nbrs):
+        grow((i,), [j for j in nb if j > i])
     return out
 
 
@@ -1338,18 +1287,7 @@ def rips_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP, points=None):
 
     With points given, uses the relation induced on that subset (in ambient order).
     """
-    if points is None:
-        verts = list(X.points)
-        nbrs, sets = _space_tables(X, k)
-    else:
-        sub = X.ground.check_subset(points)
-        verts = [p for p in X.points if p in sub]
-        ent = X.closure_at(k)
-        vi = {p: i for i, p in enumerate(verts)}
-        sets = [set() for _ in verts]
-        for a, b in ent.pairs:
-            if a in vi and b in vi:
-                sets[vi[a]].add(vi[b])
-        nbrs = [sorted(s) for s in sets]
-    simp = _cliques(nbrs, sets, d_max, basis_cap, k)
-    return SimplicialComplex(verts, simp)
+    g = X.coarse.graph(k)
+    if points is not None:
+        g = g.restrict(X.ground.check_subset(points))
+    return SimplicialComplex(list(g.points), _cliques(g, d_max, basis_cap, k))

@@ -160,16 +160,14 @@ class MorphismReport:
         return self.controlled and self.proper
 
 
-def _least_containing_scale(space: BornCoarseSpace, pairs, cap: int) -> Optional[int]:
-    """Least k <= cap with all pairs inside closure_at(k), or None."""
+def _least_containing_scale(space: BornCoarseSpace, pairs) -> Optional[int]:
+    """Least k with all pairs inside closure_at(k): their largest hop distance, or None."""
     worst = 0
     for x, y in pairs:
-        k = worst
-        while k <= cap and not space.coarse.related_at(k, x, y):
-            k += 1
-        if k > cap:
+        d = space.coarse.distance(x, y)
+        if d is None:
             return None
-        worst = max(worst, k)
+        worst = max(worst, d)
     return worst
 
 
@@ -177,17 +175,16 @@ def check_morphism(f: SpaceMap) -> MorphismReport:
     """Decide controlled and proper against the target's stabilized filtration."""
     src, tgt = f.source, f.target
     s_src = src.coarse.stabilization()
-    s_tgt = tgt.coarse.stabilization()
     shift = {}
     controlled = True
     witness = None
     for k in range(s_src + 1):
         pairs = [(f(x), f(y)) for x, y in src.closure_at(k).pairs]
-        found = _least_containing_scale(tgt, pairs, s_tgt)
+        found = _least_containing_scale(tgt, pairs)
         if found is None:
             controlled = False
             for x, y in src.closure_at(k).pairs:
-                if not tgt.coarse.related_at(s_tgt, f(x), f(y)):
+                if tgt.coarse.distance(f(x), f(y)) is None:
                     witness = (x, y)
                     break
             break
@@ -207,9 +204,8 @@ def are_close(f: SpaceMap, g: SpaceMap) -> Optional[int]:
     """Least k with (f(x), g(x)) in the target's closure_at(k) for all x."""
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("closeness needs equal sources and targets")
-    cap = f.target.coarse.stabilization()
     pairs = [(f(x), g(x)) for x in f.source.ground.points]
-    return _least_containing_scale(f.target, pairs, cap)
+    return _least_containing_scale(f.target, pairs)
 
 
 @dataclass
@@ -327,7 +323,6 @@ def certify_flasque(
     if k1 is None:
         return FlasqueRefusal("condition 1", "f is not close to the identity on the window")
 
-    cap = X.coarse.stabilization()
     powers = [identity_map(X)]
     for _ in range(iter_cap):
         powers.append(f.compose(powers[-1]))
@@ -337,9 +332,9 @@ def certify_flasque(
         pairs = set()
         for fj in powers:
             pairs.update((fj(x), fj(y)) for x, y in X.closure_at(k).pairs)
-        found = _least_containing_scale(X, pairs, cap)
+        found = _least_containing_scale(X, pairs)
         if found is None:
-            bad = next(p for p in pairs if not X.coarse.related_at(cap, *p))
+            bad = next(p for p in pairs if X.coarse.distance(*p) is None)
             return FlasqueRefusal(
                 "condition 2",
                 f"iterated images of closure_at({k}) escape every window closure",
@@ -423,9 +418,8 @@ def certify_flasque_generalized(
         f"{X.window_tag.name}({X.window_tag.radius}) window",
     )
 
-    cap = X.coarse.stabilization()
     consec = [(fj(x), fk(x)) for fj, fk in zip(maps, maps[1:]) for x in X.ground.points]
-    k2 = _least_containing_scale(X, consec, cap)
+    k2 = _least_containing_scale(X, consec)
     if k2 is None:
         return FlasqueRefusal("condition 2", "consecutive maps are not uniformly close on the window")
 
@@ -434,7 +428,7 @@ def certify_flasque_generalized(
         pairs = set()
         for fj in maps:
             pairs.update((fj(x), fj(y)) for x, y in X.closure_at(k).pairs)
-        found = _least_containing_scale(X, pairs, cap)
+        found = _least_containing_scale(X, pairs)
         if found is None:
             return FlasqueRefusal("condition 3", f"images of closure_at({k}) escape every window closure")
         cond3[k] = found

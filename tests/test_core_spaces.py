@@ -1,6 +1,7 @@
 """Core space model: construction, closures, thickenings, components, unions."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,29 @@ def test_thicken_examples():
         thicken(X, 1, {9})
 
 
+def test_scale_queries_refuse_bad_input():
+    X = windowed_builtin("int_window", 3)
+    with pytest.raises(CoarseError, match="scale-index must be >= 0"):
+        X.coarse.related_at(-1, 0, 0)
+    with pytest.raises(UnknownPoint):
+        X.coarse.ball(1, 99)
+    with pytest.raises(UnknownPoint):
+        X.coarse.related_at(1, 99, 0)
+
+
+def test_stabilization_memory_stays_small():
+    X = windowed_builtin("int_window", 100)
+    tracemalloc.start()
+    try:
+        s = X.coarse.stabilization()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s == 200
+    assert peak < 16 * 2**20
+    assert X.closure_at(s).pairs == frozenset((a, b) for a in X.points for b in X.points)
+
+
 def test_path_closure_stabilizes():
     X = path_space(3)
     full = {(a, b) for a in range(4) for b in range(4)}
@@ -171,8 +195,34 @@ def test_closure_matches_bfs_oracle(data):
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=m, max_size=m)
     )
     X = make_explicit_space(list(range(n)), [edges], [list(range(n))])
-    k = data.draw(st.integers(0, 5))
-    assert X.closure_at(k).pairs == frozenset(bfs_distance_pairs(range(n), edges, k))
+    B = data.draw(st.sets(st.integers(0, n - 1)))
+    S = data.draw(st.sets(st.integers(0, n - 1)))
+    pts = range(n)
+    # points are their own indices here, so index-space answers compare directly
+    oracle = [frozenset(bfs_distance_pairs(pts, edges, k)) for k in range(n + 2)]
+    for k in range(6):
+        rel = oracle[min(k, n + 1)]
+        assert X.closure_at(k).pairs == rel
+        for x in pts:
+            for y in pts:
+                assert X.coarse.related_at(k, x, y) == ((x, y) in rel)
+        for y in pts:
+            assert X.coarse.ball(k, y) == {x for x in pts if (x, y) in rel}
+        assert thicken(X, k, B) == {x for x in pts if any((x, b) in rel for b in B)}
+        g = X.coarse.graph(k)
+        assert g.points == tuple(pts)
+        assert g.nbrs == [[x for x in pts if (x, y) in rel] for y in pts]
+        assert g.sets == [set(nb) for nb in g.nbrs]
+        sub = g.restrict(S)
+        kept = sorted(S)
+        assert sub.points == tuple(kept)
+        assert sub.nbrs == [[i for i, x in enumerate(kept) if (x, y) in rel] for y in kept]
+    stab = next(s for s in range(n + 1) if oracle[s] == oracle[s + 1])
+    assert X.coarse.stabilization() == stab
+    for x in pts:
+        for y in pts:
+            hops = next((s for s in range(stab + 1) if (x, y) in oracle[s]), None)
+            assert X.coarse.distance(x, y) == hops
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,6 +300,11 @@ def test_components_match_union_find_oracle():
         expect = union_find_components(X.points, edges)
         got = {frozenset(c) for c in coarse_components(X)}
         assert got == expect
+        for k in (1, 2, X.coarse.stabilization() + 1):
+            g = X.coarse.graph(k)
+            assert {frozenset(g.points[i] for i in c) for c in g.components} == expect
+            assert all(g.comp[i] == c for c, members in enumerate(g.components) for i in members)
+        assert X.coarse.graph(0).components == [[i] for i in range(len(X))]
 
 
 # ---------------------------------------------------------------- constructions
