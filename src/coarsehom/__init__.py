@@ -114,21 +114,25 @@ from .coarsification import (
     cover_from_net,
     greedy_net,
     hybrid_entourage,
-    measure_complex,
     nerve,
     uniform_decomposition_check,
 )
-from .cli_io import (
-    ParseError,
-    Report,
-    UnknownCommand,
-    emit_space,
-    emit_space_text,
-    parse_map_file,
-    parse_space,
-    run,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The command line is imported on first use, so that `python -m coarsehom.cli_io`
+# runs the module once, as __main__, and importing the library skips argparse.
+_CLI_NAMES = ("ParseError", "Report", "UnknownCommand", "emit_space", "emit_space_text",
+              "parse_map_file", "parse_space", "run")
+
+
+def __getattr__(name):
+    if name != "cli_io" and name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    cli_io = importlib.import_module(".cli_io", __name__)
+    return cli_io if name == "cli_io" else getattr(cli_io, name)
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_CLI_NAMES)
 
 __version__ = "0.1.0"

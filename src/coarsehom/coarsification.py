@@ -1,6 +1,6 @@
-"""Covers, nerves, anti-Cech prefixes, measure complexes and their homology,
-truncated coarsening telescopes, asymptotic-dimension upper bounds, and the
-hybrid/uniform-decomposition constructions.
+"""Covers, nerves, anti-Cech prefixes, coarsified homology on measure (clique)
+complexes, truncated coarsening telescopes, asymptotic-dimension upper
+bounds, and the hybrid/uniform-decomposition constructions.
 
 Certificates on covers are verified, never trusted: a bound scale means every
 member was checked to be bounded at that scale, and a Lebesgue scale means
@@ -17,6 +17,7 @@ from .homology_engine import (
     DegreeCapExceeded,
     FGAbGroup,
     SimplicialComplex,
+    rips_complex,
 )
 
 
@@ -264,44 +265,12 @@ def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> Nerve
     return NerveComplex(list(range(len(members))), simplices, cover)
 
 
-def measure_complex(X: BornCoarseSpace, k: int, d_max: int,
-                    basis_cap: int = DEFAULT_BASIS_CAP) -> SimplicialComplex:
-    """Supports of bounded probability measures at scale k, as a complex.
-
-    Simplices are the subsets S with S x S inside the scale-k closure, i.e.
-    exactly the cliques of the symmetric relation, so this coincides with
-    rips_complex(X, k, d_max) as a complex; the agreement is asserted in the
-    test suite, with the enumeration kept independent on purpose.
-    """
-    points = list(X.points)
-    pairs = set(X.closure_at(k).pairs)
-    simplices: List[List[tuple]] = [[] for _ in range(d_max + 1)]
-    total = 0
-
-    def grow(s):
-        nonlocal total
-        dim = len(s) - 1
-        simplices[dim].append(s)
-        total += 1
-        if total > basis_cap:
-            raise DegreeCapExceeded(dim, k, basis_cap)
-        if dim == d_max:
-            return
-        for j in range(s[-1] + 1, len(points)):
-            if all((points[i], points[j]) in pairs for i in s):
-                grow(s + (j,))
-
-    for i in range(len(points)):
-        grow((i,))
-    return SimplicialComplex(points, simplices)
-
-
 # -------------------------------------------------- coarsified homology
 
 
 @dataclass
 class CoarsificationReport:
-    """Per-scale homology of the measure complex plus the stabilized value."""
+    """Per-scale homology of the clique (measure) complex plus the stabilized value."""
 
     d_max: int
     table: Dict[int, List[FGAbGroup]]
@@ -314,9 +283,13 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
                       basis_cap: int = DEFAULT_BASIS_CAP) -> CoarsificationReport:
     """Homology of the measure complex at each listed scale and at stabilization.
 
-    For a finite space the exhaustion over bounded subsets collapses at the
-    whole space, so the value at a scale is the plain unreduced homology of
-    the measure complex there; no cofiber towers are involved.
+    The measure complex at scale k has a simplex for each support S of a
+    bounded probability measure, i.e. each S with S x S inside closure_at(k):
+    it is the clique complex rips_complex(X, k, ...), built through degree
+    d_max + 1.  For a finite space the exhaustion over bounded subsets
+    collapses at the whole space, so the value at a scale is the plain
+    unreduced homology of that complex; no cofiber towers are involved.
+    basis_cap bounds the simplices built at each scale.
     """
     notes = ["bounded exhaustion collapses at the whole finite space; "
              "values are unreduced homology of the measure complex"]
@@ -327,11 +300,11 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
         )
     table = {}
     for k in scale_list:
-        table[int(k)] = measure_complex(X, int(k), d_max + 1, basis_cap).homology(d_max)
+        table[int(k)] = rips_complex(X, int(k), d_max + 1, basis_cap).homology(d_max)
     stab = X.coarse.stabilization()
     terminal = table.get(stab)
     if terminal is None:
-        terminal = measure_complex(X, stab, d_max + 1, basis_cap).homology(d_max)
+        terminal = rips_complex(X, stab, d_max + 1, basis_cap).homology(d_max)
     return CoarsificationReport(d_max, table, stab, terminal, tuple(notes))
 
 

@@ -102,9 +102,10 @@ class GroundSet:
 
     def check_subset(self, B: Iterable) -> frozenset:
         B = frozenset(B)
-        for p in B:
-            if p not in self._index:
-                raise UnknownPoint(f"point {p!r} is not in the ground set")
+        unknown = [p for p in B if p not in self._index]
+        if unknown:
+            # the least by repr, so the message does not follow set iteration order
+            raise UnknownPoint(f"point {min(unknown, key=repr)!r} is not in the ground set")
         return B
 
     def sorted(self, B: Iterable):

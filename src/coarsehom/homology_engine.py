@@ -2,12 +2,21 @@
 
 Chains in degree n are Z-linear combinations of (n+1)-tuples of points whose
 entries are pairwise related at a chosen scale; tuples with two equal adjacent
-entries are normalized away.  Boundaries, chain maps and prism blocks are
-`IntMatrix` values: a shape and one dict {column: int} per row, with Python
-ints, so no entry can overflow.  Homology groups come out of Smith normal
-forms, and every identity the module claims (complex identity, prism
-identity, swindle identity) is verified as an exact matrix equation, never
-numerically.
+entries are normalized away.  This controlled-tuple complex is the definition,
+and it serves every chain-level certificate: presentations, induced maps,
+prisms, the swindle, relative homology and the excision check.  Boundaries,
+chain maps and prism blocks are `IntMatrix` values: a shape and one dict
+{column: int} per row, with Python ints, so no entry can overflow.  Every
+identity the module claims (complex identity, prism identity, swindle
+identity) is verified as an exact matrix equation, never numerically.
+
+Groups alone (`homology_at_scale`, hence the colimit table) come from the
+clique complex of the same scale graph, which is chain-equivalent to the
+tuple complex (ordered against oriented chains, Munkres, Elements of
+Algebraic Topology, section 13) and far smaller: a simplex maps to its
+increasing tuple, and a tuple with distinct entries maps to the sorted
+simplex with the sign of the sorting permutation.  `basis_cap` keeps its
+meaning there, a bound on tuples per degree, read off the clique counts.
 
 Groups are read off one sparse elimination kernel in two phases.  The unit
 phase takes ±1 pivots from a heap of rows keyed on length, each in its
@@ -27,12 +36,12 @@ support of their source.
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import compress, product
-from math import gcd
+from itertools import compress, islice, product
+from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_spaces import BornCoarseSpace, BigFamilyPrefix, CoarseError, ScaleGraph
-from .morphisms import SpaceMap, _least_containing_scale, are_close
+from .morphisms import SpaceMap, _least_containing_scale, _uncontrolled_pair, are_close
 
 DEFAULT_BASIS_CAP = 200_000
 DEFAULT_DEGREE_CAP = 3
@@ -278,8 +287,12 @@ class ChainComplexAtScale:
         return [len(b) for b in self.bases]
 
     def verify_dd(self):
-        return not any(self.boundaries[n - 1] @ self.boundaries[n]
-                       for n in range(2, self.d_max + 1))
+        return _is_complex(self.boundaries)
+
+
+def _is_complex(boundaries: Sequence[Optional[IntMatrix]]):
+    """Whether d_{n-1} d_n = 0 exactly for boundaries[n] = d_n, n >= 1."""
+    return not any(boundaries[n - 1] @ boundaries[n] for n in range(2, len(boundaries)))
 
 
 def chain_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
@@ -308,7 +321,7 @@ def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None):
     bases = _materialize_bases(g, d_max - 1, basis_cap, k)
     indexes = [{t: i for i, t in enumerate(b)} for b in bases]
     mats = [None] + [_boundary_from_lists(bases[n], indexes[n - 1], n) for n in range(1, d_max)]
-    if any(mats[n - 1] @ mats[n] for n in range(2, d_max)):
+    if not _is_complex(mats):
         return False
     n = d_max
     prev = indexes[n - 1]
@@ -744,9 +757,19 @@ def _homology_groups(dims, boundaries: Sequence[Optional[IntMatrix]]):
 
 
 def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
-    """Homology groups of the controlled-tuple complex, degrees 0..d_max."""
-    cc = chain_complex(X, k, d_max + 1, basis_cap)
-    return _homology_groups(cc.dims()[:d_max + 1], cc.boundaries)
+    """Homology groups of the controlled-tuple complex, degrees 0..d_max.
+
+    Computed on the chain-equivalent clique complex, built through d_max + 1
+    and checked to be a complex exactly; no tuple is enumerated.  basis_cap
+    bounds the tuple basis of each degree, as in chain_complex, and is
+    refused at the same degree with the same message.
+    """
+    g = X.coarse.graph(k)
+    K = SimplicialComplex(list(g.points), _cliques(g, d_max + 1, basis_cap, k, tuples=True))
+    boundaries = [None] + [K.boundary(n) for n in range(1, d_max + 2)]
+    if not _is_complex(boundaries):
+        raise HomologyError("boundary matrices fail the complex identity")
+    return _homology_groups([len(s) for s in K.simplices[:d_max + 1]], boundaries)
 
 
 @dataclass
@@ -933,12 +956,7 @@ def induced_map(f: SpaceMap, k_source, n, target_scale=None, basis_cap=DEFAULT_B
     """Chain-level and homology-level matrices of a controlled map at a scale."""
     shift = _shift_at(f, k_source)
     if shift is None:
-        bad = next(
-            (p for p in f.source.closure_at(k_source).pairs
-             if f.target.coarse.distance(f(p[0]), f(p[1])) is None),
-            None,
-        )
-        raise NotControlledAtScale(k_source, bad)
+        raise NotControlledAtScale(k_source, _uncontrolled_pair(f, k_source))
     kt = shift if target_scale is None else target_scale
     if kt < shift:
         raise NotControlledAtScale(k_source, None)
@@ -1258,27 +1276,51 @@ class SimplicialComplex:
         return [g.free_rank for g in self.homology(d_max)]
 
 
-def _cliques(g: ScaleGraph, d_max, cap, scale):
-    """Strictly increasing index tuples spanning cliques, by dimension."""
-    out = [[] for _ in range(d_max + 1)]
-    total = 0
+def _tuple_count(clique_counts, n):
+    """Number of degree-n controlled tuples, from clique_counts[m - 1] = number of m-cliques.
 
-    def grow(s, cand):
-        nonlocal total
-        dim = len(s) - 1
-        out[dim].append(s)
-        total += 1
-        if cap is not None and total > cap:
+    The entries of a tuple span a clique, and the tuples of length L whose
+    entries are exactly a given m-clique number w(m, L): the words without
+    adjacent repeats over m letters, by inclusion-exclusion over the letters
+    left out.  w(m, m) = m! >= 1, so more than cap (n+1)-cliques already mean
+    more than cap tuples in degree n.
+    """
+    L = n + 1
+    return sum(c * sum((-1) ** j * comb(m, j) * (m - j) * (m - j - 1) ** (L - 1)
+                       for j in range(m + 1))
+               for m, c in enumerate(clique_counts[:L], 1))
+
+
+def _cliques(g: ScaleGraph, d_max, cap, scale, tuples=False):
+    """Strictly increasing index tuples spanning cliques, by dimension, each in lex order.
+
+    Built one dimension at a time, each simplex extended by the later common
+    neighbours of its vertices.  cap bounds the simplices built so far; with
+    tuples it bounds instead the controlled tuples of each degree (counted by
+    _tuple_count), refused at the least degree past it before the next
+    dimension is built.  Either way a level stops growing once it alone is
+    past the cap.
+    """
+    # a negative cap refuses the first simplex, as a cap of 0 does
+    limit = None if cap is None else max(cap, 0)
+    sets = g.sets
+    later = [[j for j in nb if j > i] for i, nb in enumerate(g.nbrs)]
+    out: List[List[tuple]] = []
+    built = 0
+    for dim in range(d_max + 1):
+        if dim == 0:
+            grown = ((i,) for i in range(len(sets)))
+        else:
+            grown = (s + (j,) for s in out[-1] for j in later[s[-1]]
+                     if all(j in sets[i] for i in s[:-1]))
+        room = None if limit is None else limit - (0 if tuples else built)
+        level = list(grown if room is None else islice(grown, room + 1))
+        if room is not None and len(level) > room:
             raise DegreeCapExceeded(dim, scale, cap)
-        if dim == d_max:
-            return
-        last = s[-1]
-        for j in cand:
-            if j > last:
-                grow(s + (j,), [t for t in cand if t in g.sets[j]])
-
-    for i, nb in enumerate(g.nbrs):
-        grow((i,), [j for j in nb if j > i])
+        out.append(level)
+        built += len(level)
+        if tuples and limit is not None and _tuple_count([len(lv) for lv in out], dim) > limit:
+            raise DegreeCapExceeded(dim, scale, cap)
     return out
 
 

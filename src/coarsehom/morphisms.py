@@ -171,6 +171,22 @@ def _least_containing_scale(space: BornCoarseSpace, pairs) -> Optional[int]:
     return worst
 
 
+def _uncontrolled_pair(f: SpaceMap, k) -> Optional[tuple]:
+    """The least pair of the source's closure_at(k) whose image is related at no scale.
+
+    Pairs are scanned in ground-index order of the first point, then of the
+    second, so the witness does not depend on how sets happen to iterate.
+    """
+    g = f.source.coarse.graph(k)
+    pts, distance = g.points, f.target.coarse.distance
+    for i, nb in enumerate(g.nbrs):
+        fx = f(pts[i])
+        for j in nb:
+            if distance(fx, f(pts[j])) is None:
+                return pts[i], pts[j]
+    return None
+
+
 def check_morphism(f: SpaceMap) -> MorphismReport:
     """Decide controlled and proper against the target's stabilized filtration."""
     src, tgt = f.source, f.target
@@ -183,10 +199,7 @@ def check_morphism(f: SpaceMap) -> MorphismReport:
         found = _least_containing_scale(tgt, pairs)
         if found is None:
             controlled = False
-            for x, y in src.closure_at(k).pairs:
-                if tgt.coarse.distance(f(x), f(y)) is None:
-                    witness = (x, y)
-                    break
+            witness = _uncontrolled_pair(f, k)
             break
         shift[k] = found
     proper = True
@@ -334,11 +347,15 @@ def certify_flasque(
             pairs.update((fj(x), fj(y)) for x, y in X.closure_at(k).pairs)
         found = _least_containing_scale(X, pairs)
         if found is None:
-            bad = next(p for p in pairs if X.coarse.distance(*p) is None)
+            # the image of the least escaping pair, under the first iterate that has one
+            for fj in powers:
+                bad = _uncontrolled_pair(fj, k)
+                if bad:
+                    break
             return FlasqueRefusal(
                 "condition 2",
                 f"iterated images of closure_at({k}) escape every window closure",
-                bad,
+                (fj(bad[0]), fj(bad[1])),
             )
         cond2[k] = found
 
@@ -490,7 +507,9 @@ def cylinder(
         if pp[x] < 0:
             raise CoarseError(f"p_plus({x!r}) = {pp[x]} must be nonnegative")
     if max_jump is not None:
-        for x, y in X.closure_at(1).pairs:
+        # related pairs in ground-index order, so the reported pair is canonical
+        g1 = X.coarse.graph(1)
+        for x, y in ((g1.points[i], g1.points[j]) for i, nb in enumerate(g1.nbrs) for j in nb):
             for p in (pm, pp):
                 if abs(p[x] - p[y]) > max_jump:
                     raise PNotControlled(
@@ -498,7 +517,7 @@ def cylinder(
                     )
     if max_value is not None:
         for B in X.bornology.generators:
-            for x in B:
+            for x in X.ground.sorted(B):
                 if max(abs(pm[x]), abs(pp[x])) > max_value:
                     raise PNotBornological(f"|p| exceeds {max_value} on a bounded generator at {x!r}")
 

@@ -224,6 +224,85 @@ def chain_homology(dims, boundaries, max_degree):
     return out
 
 
+def measure_complex(points, pairs, d_max):
+    """Supports of bounded probability measures, by dimension, as index tuples into points.
+
+    A support is a set S of points with S x S inside the relation given by
+    pairs (the scale-k closure of a space), so these are the cliques of that
+    relation; each is grown by testing every later point against all of it.
+    """
+    points = list(points)
+    related = set(pairs)
+    simplices = [[] for _ in range(d_max + 1)]
+
+    def grow(s):
+        simplices[len(s) - 1].append(s)
+        if len(s) > d_max:
+            return
+        for j in range(s[-1] + 1, len(points)):
+            if all((points[i], points[j]) in related for i in s):
+                grow(s + (j,))
+
+    for i in range(len(points)):
+        grow((i,))
+    return simplices
+
+
+def sparse_invariant_factors(rows):
+    """Nonzero invariant factors, 1s included, ascending, of a matrix given as sparse rows.
+
+    rows: a list of dicts {column: value}.  A row with a ±1 entry, taken in
+    row order, clears that entry's column by row operations and then drops
+    out with factor 1 (column operations would clear the rest of it without
+    touching any other row).  The rows that never offer a unit go whole, as
+    a dense matrix, to reference_smith_normal_form.
+    """
+    rows = [dict(r) for r in rows if r]
+    units = 0
+    changed = True
+    while changed:
+        changed = False
+        for r in range(len(rows)):
+            prow = rows[r]
+            c = next((j for j, v in prow.items() if v in (1, -1)), None)
+            if c is None:
+                continue
+            v = prow[c]
+            for i, row in enumerate(rows):
+                if i != r and c in row:
+                    q = row[c] * v
+                    for j, x in prow.items():
+                        w = row.get(j, 0) - q * x
+                        if w:
+                            row[j] = w
+                        else:
+                            del row[j]
+            rows[r] = {}
+            units += 1
+            changed = True
+        rows = [row for row in rows if row]
+    cols = sorted({j for row in rows for j in row})
+    dense = [[row.get(j, 0) for j in cols] for row in rows]
+    _, S, _, _, _ = reference_smith_normal_form(dense, track_U=False, track_V=False)
+    rest = [abs(S[i][i]) for i in range(min(len(rows), len(cols))) if S[i][i]]
+    return sorted([1] * units + rest)
+
+
+def sparse_chain_homology(dims, boundaries, max_degree):
+    """chain_homology for boundaries given as sparse rows: boundaries[n] holds d_n's rows.
+
+    boundaries[0] is ignored; a missing or None boundary is zero.  Returns
+    [(free_rank, [torsion coefficients >= 2]), ...] for degrees 0..max_degree.
+    """
+    facs = [[]]
+    for n in range(1, max_degree + 2):
+        rows = boundaries[n] if n < len(boundaries) else None
+        facs.append(sparse_invariant_factors(rows) if rows else [])
+    return [((dims[n] if n < len(dims) else 0) - len(facs[n]) - len(facs[n + 1]),
+             [d for d in facs[n + 1] if d >= 2])
+            for n in range(max_degree + 1)]
+
+
 def smith_invariant_factors(rows):
     """Nonzero invariant factors, 1s included, ascending, via sympy's Smith form."""
     if not rows or not rows[0]:

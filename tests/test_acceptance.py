@@ -26,6 +26,7 @@ from coarsehom.coarsification import (
     nerve,
 )
 from coarsehom.homology_engine import (
+    FGAbGroup,
     PrefixTooShort,
     chain_complex,
     homology_at_scale,
@@ -230,9 +231,12 @@ def test_criterion_07_backend_agreement():
     rng = random.Random(77)
     for _ in range(30):
         X, _ = random_capped_space(rng, max_points=25, max_pairs=60, comp_cap=9)
-        tuple_route = homology_at_scale(X, 1, 2)
+        cc = chain_complex(X, 1, 3, None)
+        tuple_route = [FGAbGroup(f, tuple(t)) for f, t in oracles.sparse_chain_homology(
+            cc.dims(), [None] + [b.rows for b in cc.boundaries[1:]], 2)]
         clique_route = rips_complex(X, 1, 3).homology(2)
         assert tuple_route == clique_route
+        assert homology_at_scale(X, 1, 2) == tuple_route
     report_pass(7, "tuple and clique-complex homology agree in degrees <= 2 on 30 spaces")
 
 

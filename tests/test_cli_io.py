@@ -442,6 +442,47 @@ def test_console_module_entry():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "results.count: 1" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_reports_do_not_depend_on_hash_seed(tmp_path):
+    # string points hash differently in every process unless the hash seed is fixed
+    points = list("abcdef")
+    write_space(tmp_path, "pairs.json", {"kind": "explicit", "points": points,
+                                         "entourages": [[["a", "b"], ["c", "d"], ["e", "f"]]],
+                                         "bornology": [points]})
+    write_space(tmp_path, "discrete.json", {"kind": "explicit", "points": points,
+                                            "entourages": [], "bornology": [points]})
+
+    def map_file(name, source, target, image):
+        lines = [source, target] + [f"{p} -> {image(p)}" for p in points]
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        return name
+
+    ident = map_file("ident.map", "pairs.json", "discrete.json", lambda p: p)
+    back = map_file("back.map", "discrete.json", "pairs.json", lambda p: p)
+    flip = map_file("flip.map", "pairs.json", "discrete.json", lambda p: points[-1 - points.index(p)])
+    self_map = map_file("self.map", "pairs.json", "pairs.json", lambda p: p)
+    commands = [["check-morphism", "--map", ident], ["close", "--map", ident, "--map", flip],
+                ["equivalence", "--map", ident, "--map", back],
+                ["flasque", "--space", "pairs.json", "--map", self_map]]
+    argvs = [argv + ["--format", fmt] for argv in commands for fmt in ("text", "json")]
+    code = ("import json, sys\n"
+            "from coarsehom.cli_io import run\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    run(argv)\n")
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in range(6):
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], cwd=tmp_path,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    report = outputs.pop()
+    assert "results.controlled_witness: [a, b]" in report
 
 
 def test_import_pulls_in_no_third_party_numerics():

