@@ -681,10 +681,12 @@ def _cmd_flasque(args, rep: Report):
         raise CoarseError("the map's source differs from --space")
     out = certify_flasque(X, f, scale_cap=args.scale_cap, iter_cap=args.iter_cap)
     if isinstance(out, FlasqueRefusal):
-        rep.refusals.append({
-            "error": "FlasqueRefusal",
-            "detail": f"condition {out.condition}: {out.explanation}",
-        })
+        detail = f"{out.condition}: {out.explanation}"
+        if isinstance(out.witness, frozenset):  # a bounded generator, in ground order
+            detail += f"; witness [{', '.join(map(str, X.ground.sorted(out.witness)))}]"
+        elif out.witness is not None:  # a pair of points
+            detail += f"; witness ({', '.join(map(str, out.witness))})"
+        rep.refusals.append({"error": "FlasqueRefusal", "detail": detail})
         return
     rep.results = {
         "window": out.window,

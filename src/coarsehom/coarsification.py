@@ -252,7 +252,7 @@ def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> Nerve
         simplices[dim].append(s)
         total += 1
         if total > basis_cap:
-            raise DegreeCapExceeded(dim, None, basis_cap)
+            raise DegreeCapExceeded(dim, None, basis_cap, "nerve simplices")
         if dim == d_max:
             return
         for j in range(s[-1] + 1, len(members)):

@@ -8,7 +8,9 @@ prisms, the swindle, relative homology and the excision check.  Boundaries,
 chain maps and prism blocks are `IntMatrix` values: a shape and one dict
 {column: int} per row, with Python ints, so no entry can overflow.  Every
 identity the module claims (complex identity, prism identity, swindle
-identity) is verified as an exact matrix equation, never numerically.
+identity) is verified as an exact matrix equation, never numerically.  A
+space keeps the tuple complexes and presentations built on it, so each is
+built once per scale (and degree) and shared read-only by later callers.
 
 Groups alone (`homology_at_scale`, hence the colimit table) come from the
 clique complex of the same scale graph, which is chain-equivalent to the
@@ -52,13 +54,15 @@ class HomologyError(CoarseError):
 
 
 class DegreeCapExceeded(HomologyError):
-    def __init__(self, degree, scale, cap):
+    """A basis past basis_cap; unit names what the cap counts (tuples, simplices, ...)."""
+
+    def __init__(self, degree, scale, cap, unit="tuples"):
         self.degree = degree
         self.scale = scale
         self.cap = cap
         where = f" at scale {scale}" if scale is not None else ""
         super().__init__(
-            f"basis in degree {degree}{where} exceeds the cap of {cap} tuples; "
+            f"basis in degree {degree}{where} exceeds the cap of {cap} {unit}; "
             "raise basis_cap to proceed"
         )
 
@@ -231,16 +235,17 @@ def controlled_tuples(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
     return out
 
 
+def _controlled_basis(g, n, basis_cap, scale):
+    basis = []
+    for t in _iter_controlled(g, n):
+        if basis_cap is not None and len(basis) >= basis_cap:
+            raise DegreeCapExceeded(n, scale, basis_cap)
+        basis.append(t)
+    return basis
+
+
 def _materialize_bases(g, d_max, basis_cap, scale):
-    bases = []
-    for n in range(d_max + 1):
-        basis = []
-        for t in _iter_controlled(g, n):
-            if basis_cap is not None and len(basis) >= basis_cap:
-                raise DegreeCapExceeded(n, scale, basis_cap)
-            basis.append(t)
-        bases.append(basis)
-    return bases
+    return [_controlled_basis(g, n, basis_cap, scale) for n in range(d_max + 1)]
 
 
 def _faces(t, n):
@@ -295,18 +300,59 @@ def _is_complex(boundaries: Sequence[Optional[IntMatrix]]):
     return not any(boundaries[n - 1] @ boundaries[n] for n in range(2, len(boundaries)))
 
 
+class _SpaceStore:
+    """The tuple complexes and presentations of one space, each built once.
+
+    complexes maps (scale, basis_cap) to (bases, boundaries) through the
+    deepest degree asked for; presentations maps (scale, degree, basis_cap)
+    to a HomologyPresentation.  The space holds its store and the store holds
+    nothing of the space, so both go together.  A refusal is never stored.
+    """
+
+    __slots__ = ("complexes", "presentations")
+
+    def __init__(self):
+        self.complexes: Dict[tuple, Tuple[list, list]] = {}
+        self.presentations: Dict[tuple, "HomologyPresentation"] = {}
+
+
+def _store(X) -> _SpaceStore:
+    return vars(X).setdefault("_homology_store", _SpaceStore())
+
+
 def chain_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
-    idx_bases = _materialize_bases(X.coarse.graph(k), d_max, basis_cap, k)
-    pts = X.points
-    bases = [[tuple(pts[i] for i in t) for t in b] for b in idx_bases]
-    boundaries: List[Optional[IntMatrix]] = [None]
-    for n in range(1, d_max + 1):
-        index_prev = {t: i for i, t in enumerate(idx_bases[n - 1])}
-        boundaries.append(_boundary_from_lists(idx_bases[n], index_prev, n))
-    cc = ChainComplexAtScale(X, k, d_max, bases, boundaries)
-    if not cc.verify_dd():
+    """The normalized tuple complex at scale k through degree d_max.
+
+    Built once per space and (k, basis_cap) and grown to the deepest degree
+    asked for; a shallower call gets a prefix.  Bases and boundaries are
+    shared with every other caller, read-only.
+    """
+    complexes = _store(X).complexes
+    key = (k, basis_cap)
+    entry = complexes.get(key)
+    if entry is None or len(entry[0]) <= d_max:
+        entry = complexes[key] = _grown_complex(X, k, entry, d_max, basis_cap)
+    bases, boundaries = entry
+    return ChainComplexAtScale(X, k, d_max, bases[:d_max + 1], boundaries[:d_max + 1])
+
+
+def _grown_complex(X, k, entry, d_max, basis_cap):
+    """A stored complex extended through degree d_max, as new lists; only new d∘d are checked."""
+    g, pts = X.coarse.graph(k), X.points
+    bases, boundaries = (list(entry[0]), list(entry[1])) if entry else ([], [None])
+    built = len(bases)
+    if built:
+        index = X.ground.index
+        prev = [tuple(map(index, t)) for t in bases[-1]]
+    for n in range(built, d_max + 1):
+        basis = _controlled_basis(g, n, basis_cap, k)
+        if n:
+            boundaries.append(_boundary_from_lists(basis, {t: i for i, t in enumerate(prev)}, n))
+        bases.append([tuple(pts[i] for i in t) for t in basis])
+        prev = basis
+    if not _is_complex(boundaries[max(built - 2, 0):]):
         raise HomologyError("boundary matrices fail the complex identity")
-    return cc
+    return bases, boundaries
 
 
 def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None):
@@ -876,9 +922,14 @@ class HomologyPresentation:
 
 
 def homology_presentation(X, k, n, basis_cap=DEFAULT_BASIS_CAP) -> HomologyPresentation:
-    cc = chain_complex(X, k, n + 1, basis_cap)
-    return _presentation_from_complex(cc.bases[n], cc.boundaries[n] if n else None,
-                                      cc.boundaries[n + 1], n, k)
+    """H_n at scale k with class coordinates; built once per space, shared read-only."""
+    presentations = _store(X).presentations
+    key = (k, n, basis_cap)
+    if key not in presentations:
+        cc = chain_complex(X, k, n + 1, basis_cap)
+        presentations[key] = _presentation_from_complex(
+            cc.bases[n], cc.boundaries[n] if n else None, cc.boundaries[n + 1], n, k)
+    return presentations[key]
 
 
 def _presentation_from_complex(basis, d_n, d_next, degree, scale):
@@ -961,10 +1012,7 @@ def induced_map(f: SpaceMap, k_source, n, target_scale=None, basis_cap=DEFAULT_B
     if kt < shift:
         raise NotControlledAtScale(k_source, None)
     src = homology_presentation(f.source, k_source, n, basis_cap)
-    if f.target is f.source and kt == k_source:
-        tgt = src
-    else:
-        tgt = homology_presentation(f.target, kt, n, basis_cap)
+    tgt = homology_presentation(f.target, kt, n, basis_cap)
     chain = _chain_map_matrix(f, src.basis, tgt.index)
     entries = [(r, c, v) for r, row in enumerate(chain.rows) for c, v in row.items()]
     cols = []
@@ -1303,6 +1351,7 @@ def _cliques(g: ScaleGraph, d_max, cap, scale, tuples=False):
     """
     # a negative cap refuses the first simplex, as a cap of 0 does
     limit = None if cap is None else max(cap, 0)
+    unit = "tuples" if tuples else "simplices"
     sets = g.sets
     later = [[j for j in nb if j > i] for i, nb in enumerate(g.nbrs)]
     out: List[List[tuple]] = []
@@ -1316,11 +1365,11 @@ def _cliques(g: ScaleGraph, d_max, cap, scale, tuples=False):
         room = None if limit is None else limit - (0 if tuples else built)
         level = list(grown if room is None else islice(grown, room + 1))
         if room is not None and len(level) > room:
-            raise DegreeCapExceeded(dim, scale, cap)
+            raise DegreeCapExceeded(dim, scale, cap, unit)
         out.append(level)
         built += len(level)
         if tuples and limit is not None and _tuple_count([len(lv) for lv in out], dim) > limit:
-            raise DegreeCapExceeded(dim, scale, cap)
+            raise DegreeCapExceeded(dim, scale, cap, unit)
     return out
 
 

@@ -294,6 +294,23 @@ def _margin_generators(X: BornCoarseSpace, margin: Optional[int]):
     return tuple(B for B in X.bornology.generators if inside(B))
 
 
+def _orbit(f: SpaceMap, pairs, steps: int) -> set:
+    """The pairs (f^j x, f^j y) for (x, y) in pairs and j <= steps: a breadth-first walk.
+
+    Each step maps only the pairs first reached by the one before, and the
+    walk stops early once a step reaches nothing new.
+    """
+    table = f.table
+    seen = set(pairs)
+    front = seen
+    for _ in range(steps):
+        front = {(table[x], table[y]) for x, y in front} - seen
+        if not front:
+            break
+        seen |= front
+    return seen
+
+
 def certify_flasque(
     X: BornCoarseSpace,
     f: SpaceMap,
@@ -304,9 +321,16 @@ def certify_flasque(
     """Certificate or refusal for the three flasqueness conditions.
 
     1. f is close to the identity.
-    2. The union over iterates f^j of (f^j x f^j)(closure_at(k)) stays inside
-       a single closure, for each tested k <= scale_cap.
+    2. The union over iterates f^j, j <= iter_cap, of (f^j x f^j)(closure_at(k))
+       stays inside a single closure, for each tested k <= scale_cap.
     3. Iterates eventually leave every tested bounded generator.
+
+    The union of condition 2 is the orbit of closure_at(k) under f x f,
+    walked breadth-first: step j maps only the pairs first reached at step
+    j - 1, so the pairs reached within j steps are exactly the images under
+    f^0..f^j, and the walk ends early when a step reaches no new pair.  The
+    iterate images of condition 3 are likewise f applied to the last one,
+    computed only as far as some tested generator needs.
 
     Finite spaces without a window are refused: their ground set is bounded,
     so condition 3 cannot hold.  On windowed spaces only generators within
@@ -336,22 +360,16 @@ def certify_flasque(
     if k1 is None:
         return FlasqueRefusal("condition 1", "f is not close to the identity on the window")
 
-    powers = [identity_map(X)]
-    for _ in range(iter_cap):
-        powers.append(f.compose(powers[-1]))
-
     cond2 = {}
     for k in range(scale_cap + 1):
-        pairs = set()
-        for fj in powers:
-            pairs.update((fj(x), fj(y)) for x, y in X.closure_at(k).pairs)
-        found = _least_containing_scale(X, pairs)
+        found = _least_containing_scale(X, _orbit(f, X.closure_at(k).pairs, iter_cap))
         if found is None:
             # the image of the least escaping pair, under the first iterate that has one
-            for fj in powers:
+            fj = identity_map(X)
+            bad = _uncontrolled_pair(fj, k)
+            while bad is None:
+                fj = f.compose(fj)
                 bad = _uncontrolled_pair(fj, k)
-                if bad:
-                    break
             return FlasqueRefusal(
                 "condition 2",
                 f"iterated images of closure_at({k}) escape every window closure",
@@ -360,20 +378,21 @@ def certify_flasque(
         cond2[k] = found
 
     tested = _margin_generators(X, margin)
+    images = [frozenset(X.points)]  # images[j] = f^j(X), grown as the generators need
     cond3 = {}
     for B in tested:
-        escaped = None
-        for j, fj in enumerate(powers):
-            if not (fj.image() & B):
-                escaped = j
-                break
-        if escaped is None:
-            return FlasqueRefusal(
-                "condition 3",
-                f"no iterate up to {iter_cap} leaves the bounded generator",
-                B,
-            )
-        cond3[B] = escaped
+        j = 0
+        while images[j] & B:
+            if j >= iter_cap:
+                return FlasqueRefusal(
+                    "condition 3",
+                    f"no iterate up to {iter_cap} leaves the bounded generator",
+                    B,
+                )
+            j += 1
+            if j == len(images):
+                images.append(f.image(images[-1]))
+        cond3[B] = j
 
     return FlasqueCertificate(
         f,

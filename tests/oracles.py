@@ -450,3 +450,68 @@ def reference_smith_normal_form(A, track_U=True, track_V=True):
             row_add(d, fix)
         d += 1
     return U, S, V, Ui, Vi
+
+
+def flasque_reference(points, edges, table, tested, scale_cap, iter_cap):
+    """The flasqueness verdict on a window, with condition 2 as a union over all powers.
+
+    points in ground order, edges the generator pairs, table the self-map as
+    a dict, tested the bornology generators to test.  Returns
+    ("certificate", cond1_scale, cond2_table, cond3_table), or the refusal as
+    (condition, explanation, witness).
+    """
+    order = {p: i for i, p in enumerate(points)}
+    adj = {p: set() for p in points}
+    for a, b in edges:
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    dist = {}
+    for src in points:
+        seen = {src: 0}
+        q = deque([src])
+        while q:
+            v = q.popleft()
+            for w in adj[v]:
+                if w not in seen:
+                    seen[w] = seen[v] + 1
+                    q.append(w)
+        dist[src] = seen
+
+    def least_scale(pairs):
+        worst = 0
+        for x, y in pairs:
+            d = dist[x].get(y)
+            if d is None:
+                return None
+            worst = max(worst, d)
+        return worst
+
+    cond1 = least_scale((table[x], x) for x in points)
+    if cond1 is None:
+        return ("condition 1", "f is not close to the identity on the window", None)
+    powers = [{p: p for p in points}]
+    for _ in range(iter_cap):
+        powers.append({p: table[powers[-1][p]] for p in points})
+    cond2 = {}
+    for k in range(scale_cap + 1):
+        # pairs in ground order of the first point, then of the second
+        closure = [(x, y) for x in points for y in sorted(dist[x], key=order.get)
+                   if dist[x][y] <= k]
+        found = least_scale({(fj[x], fj[y]) for fj in powers for x, y in closure})
+        if found is None:
+            for fj in powers:
+                bad = [(x, y) for x, y in closure if fj[y] not in dist[fj[x]]]
+                if bad:
+                    x, y = bad[0]
+                    return ("condition 2",
+                            f"iterated images of closure_at({k}) escape every window closure",
+                            (fj[x], fj[y]))
+        cond2[k] = found
+    cond3 = {}
+    for B in tested:
+        escaped = [j for j, fj in enumerate(powers) if not set(fj.values()) & B]
+        if not escaped:
+            return ("condition 3", f"no iterate up to {iter_cap} leaves the bounded generator", B)
+        cond3[B] = escaped[0]
+    return ("certificate", cond1, cond2, cond3)

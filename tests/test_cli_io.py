@@ -300,6 +300,20 @@ def test_flasque_certificate_and_refusal(tmp_path, capsys):
     assert rep.refusals[0]["error"] == "FlasqueRefusal"
 
 
+def test_flasque_refusal_detail_names_condition_once_with_witness(tmp_path, capsys):
+    sp, _, idp = shift_fixture(tmp_path, radius=30)
+    rep, code, _ = run_quiet(["flasque", "--space", str(sp), "--map", str(idp)], capsys)
+    assert code == 1
+    assert rep.refusals == [{
+        "error": "FlasqueRefusal",
+        "detail": "condition 3: no iterate up to 64 leaves the bounded generator; witness [0]",
+    }]
+    _, _, out = run_quiet(["flasque", "--space", str(sp), "--map", str(idp), "--iter-cap", "2"],
+                          capsys)
+    assert ("refusal [FlasqueRefusal]: condition 3: no iterate up to 2 leaves the bounded "
+            "generator; witness [0]") in out.splitlines()
+
+
 def test_mv_check_command(tmp_path, capsys):
     sp = write_space(tmp_path, "iw.json", {"kind": "builtin", "name": "int_window", "radius": 20})
     rep, code, _ = run_quiet([

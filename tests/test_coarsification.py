@@ -267,8 +267,19 @@ def test_nerve_matches_brute_force_and_is_closed():
 
 def test_nerve_cap():
     members = tuple(frozenset({0}) for _ in range(12))
-    with pytest.raises(DegreeCapExceeded):
+    with pytest.raises(DegreeCapExceeded) as e:
         nerve(Cover(members), 5, basis_cap=50)
+    assert str(e.value) == ("basis in degree 5 exceeds the cap of 50 nerve simplices; "
+                            "raise basis_cap to proceed")
+
+
+def test_coarsify_homology_cap_counts_simplices():
+    pts = list(range(8))
+    X = make_explicit_space(pts, [[(a, b) for a in pts for b in pts if a < b]], [pts])
+    with pytest.raises(DegreeCapExceeded) as e:
+        coarsify_homology(X, [1], 1, basis_cap=20)
+    assert str(e.value) == ("basis in degree 1 at scale 1 exceeds the cap of 20 simplices; "
+                            "raise basis_cap to proceed")
 
 
 # --------------------------------------------------------- measure_complex

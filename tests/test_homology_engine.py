@@ -7,9 +7,11 @@ oracle-built complexes, union-find component counts, minor-gcd invariant
 factors, and hand-computed small cases frozen below.
 """
 
+import gc
 import hashlib
 import json
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -73,6 +75,7 @@ def clique_space(n):
 
 POINT = make_explicit_space(["*"], [], [["*"]])
 HEX = cycle_space(6)
+DEFAULT_CAP = homology_engine.DEFAULT_BASIS_CAP
 
 
 def groups_via_oracle(X, k, d_max):
@@ -123,6 +126,17 @@ def test_basis_cap_refusal():
     with pytest.raises(DegreeCapExceeded) as e:
         controlled_tuples(clique_space(6), 1, 3, basis_cap=10)
     assert e.value.degree == 3 and e.value.scale == 1 and e.value.cap == 10
+
+
+def test_cap_refusal_counts_tuples_on_tuple_routes():
+    X = clique_space(6)
+    want = "basis in degree 2 at scale 1 exceeds the cap of 40 tuples; raise basis_cap to proceed"
+    for call in (lambda: controlled_tuples(X, 1, 2, basis_cap=40),
+                 lambda: chain_complex(X, 1, 2, basis_cap=40),
+                 lambda: homology_at_scale(X, 1, 2, basis_cap=40)):
+        with pytest.raises(DegreeCapExceeded) as e:
+            call()
+        assert str(e.value) == want
 
 
 def test_tuple_enumeration_deterministic():
@@ -184,11 +198,14 @@ def test_planted_sign_flip_fails_the_complex_identity(monkeypatch):
             row[j] = -row[j]
         return M
 
+    # a hexagon of its own: complexes stored on HEX by earlier tests never
+    # reach the patched builder
+    hexagon = cycle_space(6)
     monkeypatch.setattr(homology_engine, "_boundary_from_lists", flipped)
     for d_max in (2, 3):  # d_1 meets the streamed top degree, then a stored d_2
-        assert not verify_complex_identity(HEX, 1, d_max)
+        assert not verify_complex_identity(hexagon, 1, d_max)
     with pytest.raises(HomologyError, match="complex identity"):
-        chain_complex(HEX, 1, 2)
+        chain_complex(hexagon, 1, 2)
 
 
 # ------------------------------------------------------------------ SNF
@@ -562,17 +579,18 @@ def test_identity_induces_identity():
 
 
 def test_self_map_at_its_own_scale_builds_one_presentation(monkeypatch):
-    build = homology_engine.homology_presentation
+    build = homology_engine._presentation_from_complex
     scales = []
-    monkeypatch.setattr(homology_engine, "homology_presentation",
-                        lambda X, k, n, cap: scales.append(k) or build(X, k, n, cap))
-    rotate = SpaceMap(HEX, HEX, {i: (i + 1) % 6 for i in HEX.points})
+    monkeypatch.setattr(homology_engine, "_presentation_from_complex",
+                        lambda *args: scales.append(args[4]) or build(*args))
+    hexagon = cycle_space(6)  # fresh, so no presentation is stored on it yet
+    rotate = SpaceMap(hexagon, hexagon, {i: (i + 1) % 6 for i in hexagon.points})
     im = induced_map(rotate, 1, 1)
     assert scales == [1] and im.target is im.source
     assert im.matrix == [[1]]
     scales.clear()
     assert induced_map(rotate, 1, 1, target_scale=2).matrix == []
-    assert scales == [1, 2]
+    assert scales == [2]  # the scale-1 source is the one already built
 
 
 def test_constant_map_kills_degree_one():
@@ -652,6 +670,90 @@ def test_close_maps_agree_on_homology():
         mf = induced_map(f, 1, n, target_scale=pr.target_scale).matrix
         mg = induced_map(g, 1, n, target_scale=pr.target_scale).matrix
         assert mf == mg
+
+
+# ------------------------------------------------------ per-space store
+
+def test_repeated_presentation_is_the_same_object():
+    X = windowed_builtin("half_line", 8)
+    P = homology_presentation(X, 1, 1)
+    assert homology_presentation(X, 1, 1) is P
+    assert homology_presentation(X, 2, 1) is not P
+    assert homology_presentation(X, 1, 1, basis_cap=10_000) is not P
+    assert homology_presentation(X, 1, 0) is not P
+
+
+def test_other_scale_or_cap_builds_anew(monkeypatch):
+    build = homology_engine._presentation_from_complex
+    calls = []
+    monkeypatch.setattr(homology_engine, "_presentation_from_complex",
+                        lambda *args: calls.append(args[3:]) or build(*args))
+    X = cycle_space(7)
+    for k, cap in ((1, DEFAULT_CAP), (1, DEFAULT_CAP), (2, DEFAULT_CAP), (1, 500), (2, DEFAULT_CAP)):
+        homology_presentation(X, k, 1, cap)
+    assert calls == [(1, 1), (1, 2), (1, 1)]  # (degree, scale) of each build
+
+
+def test_refused_call_refuses_again():
+    X = clique_space(6)
+    for _ in range(2):
+        with pytest.raises(DegreeCapExceeded) as e:
+            homology_presentation(X, 1, 1, basis_cap=40)
+        assert (e.value.degree, e.value.cap) == (2, 40)
+    with pytest.raises(DegreeCapExceeded):
+        chain_complex(X, 1, 2, basis_cap=40)
+    assert homology_engine._store(X).complexes == {}
+    assert chain_complex(X, 1, 1, basis_cap=40).dims() == [6, 30]
+    with pytest.raises(DegreeCapExceeded):
+        chain_complex(X, 1, 2, basis_cap=40)
+
+
+def same_complex(a, b):
+    return (a.d_max == b.d_max and a.bases == b.bases
+            and [m and m.tolist() for m in a.boundaries] == [m and m.tolist() for m in b.boundaries])
+
+
+def test_prefix_of_a_stored_complex_equals_a_fresh_build():
+    rng = random.Random(83)
+    for _ in range(6):
+        X = random_explicit_space(rng, max_points=9, max_pairs=16)
+        deep = chain_complex(X, 1, 3)
+        for d in (0, 1, 2):
+            fresh = chain_complex(subspace(X, X.points), 1, d)
+            assert same_complex(chain_complex(X, 1, d), fresh)
+        Y = subspace(X, X.points)  # grown one degree at a time instead
+        for d in (0, 1, 2, 3):
+            grown = chain_complex(Y, 1, d)
+        assert same_complex(grown, deep)
+
+
+def test_close_pair_builds_two_presentations(monkeypatch):
+    build = homology_engine._presentation_from_complex
+    calls = []
+    monkeypatch.setattr(homology_engine, "_presentation_from_complex",
+                        lambda *args: calls.append(args[3:]) or build(*args))
+    X = windowed_builtin("half_line", 12)
+    f, g = identity_map(X), translate_map(X, 1)
+    pr = prism(f, g, 1, 1)
+    mf = induced_map(f, 1, 1, target_scale=pr.target_scale).matrix
+    mg = induced_map(g, 1, 1, target_scale=pr.target_scale).matrix
+    assert pr.verified and mf == mg
+    assert calls == [(1, 1), (1, 2)]
+    assert sorted(homology_engine._store(X).complexes) == [(1, DEFAULT_CAP), (2, DEFAULT_CAP)]
+
+
+def test_store_goes_with_its_space():
+    gc.disable()
+    try:
+        X = windowed_builtin("half_line", 10)
+        f, g = identity_map(X), translate_map(X, 1)
+        prism(f, g, 1, 1)
+        induced_map(g, 1, 1)
+        alive = weakref.ref(X)
+        del X, f, g
+        assert alive() is None  # by reference count alone
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------------ swindle
@@ -800,8 +902,10 @@ def test_backends_and_oracle_agree():
 
 
 def test_rips_respects_cap():
-    with pytest.raises(DegreeCapExceeded):
+    with pytest.raises(DegreeCapExceeded) as e:
         rips_complex(clique_space(8), 1, 3, basis_cap=20)
+    assert str(e.value) == ("basis in degree 1 at scale 1 exceeds the cap of 20 simplices; "
+                            "raise basis_cap to proceed")
 
 
 # ------------------------------------------------ tuple/clique comparison

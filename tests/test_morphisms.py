@@ -2,8 +2,11 @@
 flasqueness certificates, cylinders and homotopies."""
 
 import random
+from collections import Counter
 
 import pytest
+
+import oracles
 
 from coarsehom import (
     CoarseError,
@@ -13,6 +16,7 @@ from coarsehom import (
     subspace,
     windowed_builtin,
 )
+from coarsehom.core_spaces import BornCoarseSpace, WindowTag
 from coarsehom.morphisms import (
     Cylinder,
     CylinderMismatch,
@@ -35,6 +39,7 @@ from coarsehom.morphisms import (
     inclusion_map,
     translate_map,
 )
+from coarsehom.morphisms import _margin_generators
 
 
 def path_space(n):
@@ -204,6 +209,55 @@ def test_flasque_refuses_identity_on_window():
     out = certify_flasque(X, identity_map(X))
     assert isinstance(out, FlasqueRefusal)
     assert out.condition == "condition 3"
+
+
+def flasque_verdict(X, f, scale_cap, iter_cap, margin=None):
+    out = certify_flasque(X, f, scale_cap=scale_cap, iter_cap=iter_cap, margin=margin)
+    if isinstance(out, FlasqueRefusal):
+        return (out.condition, out.explanation, out.witness)
+    return ("certificate", out.cond1_scale, out.cond2_table, out.cond3_table)
+
+
+def windowed_cycle(n):
+    C = make_explicit_space(list(range(n)), [[(i, (i + 1) % n) for i in range(n)]],
+                            [[i] for i in range(n)])
+    return BornCoarseSpace(C.ground, C.coarse, C.bornology, window_tag=WindowTag("cycle", n))
+
+
+def flasque_sweep(rng):
+    """(space, self-map) pairs: shifts, clamped doubling, rotations, random near-identities."""
+    for r in (5, 8, 13):
+        for name in ("half_line", "int_window"):
+            X = windowed_builtin(name, r)
+            lo = min(X.points)
+            for d in (1, 2, -1):
+                yield X, translate_map(X, d)
+            for b in (0, 1):  # x -> 2x + b keeps adding pairs until the clamp
+                yield X, SpaceMap(X, X, {x: max(min(2 * x + b, r), lo) for x in X.points})
+            yield X, SpaceMap(X, X, {x: max(min(x + rng.randint(-2, 2), r), lo) for x in X.points})
+    H = windowed_cycle(6)
+    for d in range(6):
+        yield H, SpaceMap(H, H, {x: (x + d) % 6 for x in H.points})
+    G = windowed_builtin("grid2_window", 2)
+    yield G, SpaceMap(G, G, {(a, b): (min(a + 1, 2), b) for a, b in G.points})
+    yield G, SpaceMap(G, G, {(a, b): (max(min(a + rng.randint(-1, 1), 2), -2), b)
+                             for a, b in G.points})
+
+
+def test_flasque_orbit_walk_matches_union_over_all_powers():
+    rng = random.Random(71)
+    verdicts = Counter()
+    for X, f in flasque_sweep(rng):
+        edges = [pair for E in X.coarse.generators for pair in E.pairs]
+        for margin in (None, 0):  # margin 0 tests few generators, so more certificates
+            tested = _margin_generators(X, X.window_tag.radius // 2 if margin is None else margin)
+            for scale_cap, iter_cap in ((4, 64), (3, 0), (2, 1), (4, 2), (1, 3), (4, 5)):
+                want = oracles.flasque_reference(list(X.points), edges, f.table, tested,
+                                                 scale_cap, iter_cap)
+                got = flasque_verdict(X, f, scale_cap, iter_cap, margin)
+                assert got == want, (X, f.table, iter_cap, margin)
+                verdicts[want[0]] += 1
+    assert verdicts["certificate"] > 100 and verdicts["condition 3"] > 100
 
 
 def test_generalized_from_plain_witness():
