@@ -4,6 +4,9 @@ Documents are JSON text; rationals travel as "p/q" strings (or integers, or
 decimal literals, all converted exactly) so no float ever reaches a
 comparison.  Reports render as sorted-key JSON or as flat deterministic text;
 two runs over the same inputs produce identical bytes.
+
+Parsing and emitting need only `core_spaces`; each subcommand imports the
+layer it calls inside its handler, so a cold process loads nothing more.
 """
 
 import argparse
@@ -23,33 +26,6 @@ from .core_spaces import (
     make_big_family,
     make_explicit_space,
     windowed_builtin,
-)
-from .morphisms import (
-    SpaceMap,
-    are_close,
-    certify_flasque,
-    check_equivalence,
-    check_morphism,
-    FlasqueRefusal,
-)
-from .homology_engine import (
-    DEFAULT_BASIS_CAP,
-    DEFAULT_DEGREE_CAP,
-    FGAbGroup,
-    homology_at_scale,
-    homology_colimit,
-    mv_check,
-    smith_normal_form,
-)
-from .coarsification import (
-    anti_cech,
-    asdim_upper_bound,
-    coarsening_space,
-    coarsify_homology,
-    cover_from_net,
-    hybrid_entourage,
-    nerve,
-    uniform_decomposition_check,
 )
 
 
@@ -294,9 +270,11 @@ def _json_flag(text, field_name):
 # -------------------------------------------------------------- map files
 
 
-def parse_map_file(path: str) -> Tuple[SpaceMap, Dict[str, str]]:
+def parse_map_file(path: str) -> Tuple["SpaceMap", Dict[str, str]]:
     """Two space references, then one 'source -> target' line per point."""
     import os
+
+    from .morphisms import SpaceMap
 
     try:
         with open(path, "rb") as fh:
@@ -382,7 +360,7 @@ def _flatten(prefix, obj):
     return [f"{prefix}: {obj}"]
 
 
-def _group_json(g: FGAbGroup, degree) -> dict:
+def _group_json(g, degree) -> dict:
     return {"degree": degree, "free_rank": g.free_rank, "torsion": list(g.torsion)}
 
 
@@ -396,6 +374,17 @@ def _tokens(points, X) -> list:
 
 
 # ----------------------------------------------------------- CLI plumbing
+
+
+def _count(text) -> int:
+    """argparse type of a flag that counts something: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -419,18 +408,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scale", type=int)
     p.add_argument("--colimit", action="store_true")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_DEGREE_CAP)
-    p.add_argument("--basis-cap", type=int, default=DEFAULT_BASIS_CAP)
+    p.add_argument("--max-dim", type=_count)  # defaults live in homology_engine
+    p.add_argument("--basis-cap", type=int)
 
     p = sub.add_parser("qhomology", help="coarsified homology over measure complexes")
     common(p)
     p.add_argument("--scales", default="", help="comma-separated scale list")
-    p.add_argument("--max-dim", type=int, default=2)
+    p.add_argument("--max-dim", type=_count, default=2)
 
     p = sub.add_parser("nerve", help="nerve of the greedy ball cover at a scale")
     common(p)
     p.add_argument("--scale", type=int, required=True)
-    p.add_argument("--max-dim", type=int, default=2)
+    p.add_argument("--max-dim", type=_count, default=2)
 
     p = sub.add_parser("anti-cech", help="anti-Cech prefix over increasing scales")
     common(p)
@@ -439,12 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("telescope", help="coarsening telescope over an anti-Cech prefix")
     common(p)
     p.add_argument("--scales", required=True)
-    p.add_argument("--max-dim", type=int, default=1)
+    p.add_argument("--max-dim", type=_count, default=1)
 
     p = sub.add_parser("asdim", help="asymptotic dimension upper-bound search")
     common(p)
     p.add_argument("--scales", required=True)
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=_count, default=8)
 
     p = sub.add_parser("check-morphism", help="controlled/proper verdict for a map")
     common(p, space=False)
@@ -463,8 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flasque", help="flasqueness certificate for a self-map")
     common(p)
     p.add_argument("--map", required=True)
-    p.add_argument("--scale-cap", type=int, default=4)
-    p.add_argument("--iter-cap", type=int, default=64)
+    p.add_argument("--scale-cap", type=_count, default=4)
+    p.add_argument("--iter-cap", type=_count, default=64)
 
     p = sub.add_parser("mv-check", help="two-set excision comparison")
     common(p)
@@ -472,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family-base", required=True, help="JSON list naming the thickening base")
     p.add_argument("--family-depth", type=int, required=True)
     p.add_argument("--scale", type=int, default=1)
-    p.add_argument("--max-dim", type=int, default=2)
+    p.add_argument("--max-dim", type=_count, default=2)
 
     p = sub.add_parser("hybrid", help="hybrid relation from a family and phi")
     common(p)
@@ -536,12 +525,17 @@ def _window_warning(X, rep):
 
 
 def _cmd_homology(args, rep: Report):
+    from .homology_engine import (DEFAULT_BASIS_CAP, DEFAULT_DEGREE_CAP, homology_at_scale,
+                                  homology_colimit)
+
+    max_dim = DEFAULT_DEGREE_CAP if args.max_dim is None else args.max_dim
+    basis_cap = DEFAULT_BASIS_CAP if args.basis_cap is None else args.basis_cap
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     if args.colimit == (args.scale is not None):
         raise ParseError("give exactly one of --scale or --colimit", "scale")
     if args.colimit:
-        groups, stab = homology_colimit(X, args.max_dim, args.basis_cap)
+        groups, stab = homology_colimit(X, max_dim, basis_cap)
         rep.results = {
             "mode": "colimit",
             "stable_scale": stab.stable_scale,
@@ -550,7 +544,7 @@ def _cmd_homology(args, rep: Report):
         }
         rep.warnings.extend(stab.warnings)
     else:
-        groups = homology_at_scale(X, args.scale, args.max_dim, args.basis_cap)
+        groups = homology_at_scale(X, args.scale, max_dim, basis_cap)
         rep.results = {
             "mode": "at-scale",
             "scale": args.scale,
@@ -560,6 +554,8 @@ def _cmd_homology(args, rep: Report):
 
 
 def _cmd_qhomology(args, rep: Report):
+    from .coarsification import coarsify_homology
+
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     scales = _parse_scales(args.scales) if args.scales.strip() else []
@@ -573,6 +569,8 @@ def _cmd_qhomology(args, rep: Report):
 
 
 def _cmd_nerve(args, rep: Report):
+    from .coarsification import cover_from_net, nerve
+
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     cov = cover_from_net(X, args.scale)
@@ -590,6 +588,8 @@ def _cmd_nerve(args, rep: Report):
 
 
 def _cmd_anti_cech(args, rep: Report):
+    from .coarsification import anti_cech
+
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     pre = anti_cech(X, _parse_scales(args.scales))
@@ -603,6 +603,8 @@ def _cmd_anti_cech(args, rep: Report):
 
 
 def _cmd_telescope(args, rep: Report):
+    from .coarsification import anti_cech, coarsening_space
+
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     pre = anti_cech(X, _parse_scales(args.scales))
@@ -617,6 +619,8 @@ def _cmd_telescope(args, rep: Report):
 
 
 def _cmd_asdim(args, rep: Report):
+    from .coarsification import asdim_upper_bound
+
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     out = asdim_upper_bound(X, _parse_scales(args.scales), args.budget)
@@ -629,6 +633,8 @@ def _cmd_asdim(args, rep: Report):
 
 
 def _cmd_check_morphism(args, rep: Report):
+    from .morphisms import check_morphism
+
     f, digs = parse_map_file(args.map)
     rep.input_digest.update(digs)
     verdict = check_morphism(f)
@@ -655,12 +661,16 @@ def _two_maps(args, rep):
 
 
 def _cmd_close(args, rep: Report):
+    from .morphisms import are_close
+
     f, g = _two_maps(args, rep)
     k = are_close(f, g)
     rep.results = {"close": k is not None, "closeness": k}
 
 
 def _cmd_equivalence(args, rep: Report):
+    from .morphisms import check_equivalence
+
     f, g = _two_maps(args, rep)
     verdict = check_equivalence(f, g)
     rep.results = {
@@ -673,6 +683,8 @@ def _cmd_equivalence(args, rep: Report):
 
 
 def _cmd_flasque(args, rep: Report):
+    from .morphisms import FlasqueRefusal, certify_flasque
+
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     f, digs = parse_map_file(args.map)
@@ -704,6 +716,8 @@ def _cmd_flasque(args, rep: Report):
 
 
 def _cmd_mv_check(args, rep: Report):
+    from .homology_engine import mv_check
+
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     Z = _match_subset(X, _json_flag(args.subset, "subset"), "subset")
@@ -724,6 +738,8 @@ def _cmd_mv_check(args, rep: Report):
 
 
 def _cmd_hybrid(args, rep: Report):
+    from .coarsification import hybrid_entourage
+
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     if (args.family is None) == (args.family_base is None):
@@ -747,6 +763,8 @@ def _cmd_hybrid(args, rep: Report):
 
 
 def _cmd_udecomp(args, rep: Report):
+    from .coarsification import uniform_decomposition_check
+
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     Y = _match_subset(X, _json_flag(args.part_y, "part-y"), "part-y")
@@ -764,6 +782,8 @@ def _cmd_udecomp(args, rep: Report):
 
 
 def _cmd_snf(args, rep: Report):
+    from .homology_engine import smith_normal_form
+
     try:
         with open(args.matrix, "rb") as fh:
             blob = fh.read()

@@ -336,6 +336,18 @@ class CoarseStructure:
         self._grow(len(self.ground) + 1)
         return self.stabilized_at
 
+    def hop_rows(self, k: Optional[int] = None) -> list:
+        """The table itself, grown to scale k (to stabilization when k is None).
+
+        Row i is {j: hop distance} in breadth-first order, so distances never
+        decrease along a row; it may run past k.  Callers must not change it.
+        """
+        if k is None:
+            self.stabilization()
+        else:
+            self._scale(k)
+        return self._dist
+
     def distance(self, x, y) -> Optional[int]:
         """Hop distance between x and y in the generator graph; None across components."""
         i, j = self.ground.index(x), self.ground.index(y)

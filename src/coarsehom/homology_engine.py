@@ -43,7 +43,7 @@ from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core_spaces import BornCoarseSpace, BigFamilyPrefix, CoarseError, ScaleGraph
-from .morphisms import SpaceMap, _least_containing_scale, _uncontrolled_pair, are_close
+from .morphisms import SpaceMap, _shift_table, _uncontrolled_pair, are_close
 
 DEFAULT_BASIS_CAP = 200_000
 DEFAULT_DEGREE_CAP = 3
@@ -979,7 +979,9 @@ def _presentation_from_complex(basis, d_n, d_next, degree, scale):
 
 
 def _shift_at(f: SpaceMap, k):
-    return _least_containing_scale(f.target, [(f(a), f(b)) for a, b in f.source.closure_at(k).pairs])
+    """Least target scale holding the image of closure_at(k), or None if there is none."""
+    shift, fail = _shift_table(f, k)
+    return None if fail is not None else shift[len(shift) - 1]
 
 
 def _chain_map_matrix(f: SpaceMap, basis_src, index_tgt):

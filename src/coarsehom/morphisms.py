@@ -187,21 +187,52 @@ def _uncontrolled_pair(f: SpaceMap, k) -> Optional[tuple]:
     return None
 
 
+def _shift_table(f: SpaceMap, k: Optional[int] = None):
+    """One pass over the source's hop-distance table, up to scale k (all of it when None).
+
+    Returns (shift, fail).  fail is the least hop distance of a source pair
+    whose image is related at no scale, or None.  shift[d], for each hop
+    distance d read below fail, is the least target scale holding the image
+    of closure_at(d): the running maximum over d' <= d of the largest target
+    distance of an image pair at hop distance d'.
+    """
+    index = f.target.ground.index
+    img = [index(f.table[p]) for p in f.source.ground.points]
+    target_rows = f.target.coarse.hop_rows()
+    worst, fail = {}, None
+    stop = float("inf") if k is None else k + 1
+    for i, row in enumerate(f.source.coarse.hop_rows(k)):
+        near = target_rows[img[i]]
+        for j, d in row.items():
+            if d >= stop:  # rows run in breadth-first order
+                break
+            e = near.get(img[j])
+            if e is None:
+                fail = stop = d
+            elif e > worst.get(d, -1):
+                worst[d] = e
+    shift, run = {}, 0
+    for d in range(max(worst, default=0) + 1 if fail is None else fail):
+        run = max(run, worst.get(d, 0))
+        shift[d] = run
+    return shift, fail
+
+
 def check_morphism(f: SpaceMap) -> MorphismReport:
-    """Decide controlled and proper against the target's stabilized filtration."""
+    """Decide controlled and proper against the target's stabilized filtration.
+
+    Controlledness takes one pass over the source's hop-distance table
+    (`_shift_table`): each related pair at hop distance d raises the largest
+    target distance recorded for d, and scale_shift[k] is the running maximum
+    over d <= k, for every k up to the source's stabilization scale.  The
+    least d with an image pair related at no scale is the first failing
+    scale: the map is not controlled, the witness is the least such pair of
+    closure_at(d), and scale_shift holds the scales below d.
+    """
     src, tgt = f.source, f.target
-    s_src = src.coarse.stabilization()
-    shift = {}
-    controlled = True
-    witness = None
-    for k in range(s_src + 1):
-        pairs = [(f(x), f(y)) for x, y in src.closure_at(k).pairs]
-        found = _least_containing_scale(tgt, pairs)
-        if found is None:
-            controlled = False
-            witness = _uncontrolled_pair(f, k)
-            break
-        shift[k] = found
+    shift, fail = _shift_table(f)
+    controlled = fail is None
+    witness = None if controlled else _uncontrolled_pair(f, fail)
     proper = True
     proper_witness = None
     for B in tgt.bornology.generators:
@@ -325,6 +356,10 @@ def certify_flasque(
        stays inside a single closure, for each tested k <= scale_cap.
     3. Iterates eventually leave every tested bounded generator.
 
+    Condition 2 never refuses once condition 1 holds: f moves no point out
+    of its coarse component, so no iterate does, and iterates of a related
+    pair stay related.
+
     The union of condition 2 is the orbit of closure_at(k) under f x f,
     walked breadth-first: step j maps only the pairs first reached at step
     j - 1, so the pairs reached within j steps are exactly the images under
@@ -339,6 +374,8 @@ def certify_flasque(
     """
     if f.source != X or f.target != X:
         raise SourceTargetMismatch("flasqueness needs a self-map of X")
+    if scale_cap < 0 or iter_cap < 0:
+        raise CoarseError(f"scale_cap and iter_cap must be >= 0, got {scale_cap} and {iter_cap}")
     if len(X) == 0:
         return FlasqueCertificate(f, None, 0, {}, {}, iter_cap, scale_cap, (), 0, ("empty space",))
     if X.window_tag is None:
@@ -360,22 +397,8 @@ def certify_flasque(
     if k1 is None:
         return FlasqueRefusal("condition 1", "f is not close to the identity on the window")
 
-    cond2 = {}
-    for k in range(scale_cap + 1):
-        found = _least_containing_scale(X, _orbit(f, X.closure_at(k).pairs, iter_cap))
-        if found is None:
-            # the image of the least escaping pair, under the first iterate that has one
-            fj = identity_map(X)
-            bad = _uncontrolled_pair(fj, k)
-            while bad is None:
-                fj = f.compose(fj)
-                bad = _uncontrolled_pair(fj, k)
-            return FlasqueRefusal(
-                "condition 2",
-                f"iterated images of closure_at({k}) escape every window closure",
-                (fj(bad[0]), fj(bad[1])),
-            )
-        cond2[k] = found
+    cond2 = {k: _least_containing_scale(X, _orbit(f, X.closure_at(k).pairs, iter_cap))
+             for k in range(scale_cap + 1)}
 
     tested = _margin_generators(X, margin)
     images = [frozenset(X.points)]  # images[j] = f^j(X), grown as the generators need
@@ -431,6 +454,10 @@ def certify_flasque_generalized(
     Conditions: f_0 = id; consecutive maps uniformly close; the union of all
     (f_j x f_j)(U) controlled for each tested U; every tested bounded
     generator eventually avoided by all later maps in the prefix.
+
+    Condition 3 never refuses once f_0 = id and condition 2 hold: a chain of
+    close maps from the identity moves no point out of its coarse component,
+    so images of a related pair stay related.
     """
     maps = list(maps)
     if not maps:
@@ -464,10 +491,7 @@ def certify_flasque_generalized(
         pairs = set()
         for fj in maps:
             pairs.update((fj(x), fj(y)) for x, y in X.closure_at(k).pairs)
-        found = _least_containing_scale(X, pairs)
-        if found is None:
-            return FlasqueRefusal("condition 3", f"images of closure_at({k}) escape every window closure")
-        cond3[k] = found
+        cond3[k] = _least_containing_scale(X, pairs)
 
     tested = _margin_generators(X, margin)
     cond4 = {}

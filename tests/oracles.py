@@ -3,6 +3,8 @@
 Everything here is implemented from first principles (BFS, union-find,
 itertools enumeration, sympy Smith form) without importing the package under
 test, so oracle agreement is a genuine cross-check and not a tautology.
+Spaces reach an oracle as plain data: points in ground order, generator
+pairs, bornology generators.
 """
 
 from collections import deque
@@ -452,15 +454,8 @@ def reference_smith_normal_form(A, track_U=True, track_V=True):
     return U, S, V, Ui, Vi
 
 
-def flasque_reference(points, edges, table, tested, scale_cap, iter_cap):
-    """The flasqueness verdict on a window, with condition 2 as a union over all powers.
-
-    points in ground order, edges the generator pairs, table the self-map as
-    a dict, tested the bornology generators to test.  Returns
-    ("certificate", cond1_scale, cond2_table, cond3_table), or the refusal as
-    (condition, explanation, witness).
-    """
-    order = {p: i for i, p in enumerate(points)}
+def _hop_distances(points, edges):
+    """{p: {q: hop distance}} in the symmetrized generator graph, by BFS from every point."""
     adj = {p: set() for p in points}
     for a, b in edges:
         if a != b:
@@ -477,6 +472,19 @@ def flasque_reference(points, edges, table, tested, scale_cap, iter_cap):
                     seen[w] = seen[v] + 1
                     q.append(w)
         dist[src] = seen
+    return dist
+
+
+def flasque_reference(points, edges, table, tested, scale_cap, iter_cap):
+    """The flasqueness verdict on a window, with condition 2 as a union over all powers.
+
+    points in ground order, edges the generator pairs, table the self-map as
+    a dict, tested the bornology generators to test.  Returns
+    ("certificate", cond1_scale, cond2_table, cond3_table), or the refusal as
+    (condition, explanation, witness).
+    """
+    order = {p: i for i, p in enumerate(points)}
+    dist = _hop_distances(points, edges)
 
     def least_scale(pairs):
         worst = 0
@@ -515,3 +523,48 @@ def flasque_reference(points, edges, table, tested, scale_cap, iter_cap):
             return ("condition 3", f"no iterate up to {iter_cap} leaves the bounded generator", B)
         cond3[B] = escaped[0]
     return ("certificate", cond1, cond2, cond3)
+
+
+def _closure_scan(source, target, table, k):
+    """(largest target distance or None, least escaping pair) over closure_at(k) of source."""
+    points, edges, _ = source
+    order = {p: i for i, p in enumerate(points)}
+    dsrc, dtgt = _hop_distances(points, edges), _hop_distances(target[0], target[1])
+    pairs = sorted(((x, y) for x in points for y, d in dsrc[x].items() if d <= k),
+                   key=lambda xy: (order[xy[0]], order[xy[1]]))
+    worst = 0
+    for x, y in pairs:
+        d = dtgt[table[x]].get(table[y])
+        if d is None:
+            return None, (x, y)
+        worst = max(worst, d)
+    return worst, None
+
+
+def closure_scan_shift_at(source, target, table, k):
+    """Least target scale holding the image of closure_at(k), or None: the scan of one closure."""
+    return _closure_scan(source, target, table, k)[0]
+
+
+def closure_scan_morphism(source, target, table):
+    """The morphism verdict by scanning closure_at(k) for every k up to stabilization.
+
+    source and target are (points, edges, bornology generators), table the
+    map as a dict.  Returns (controlled, proper, scale_shift,
+    controlled_witness, proper_witness), the witness being the least
+    escaping pair in ground order of the first point, then of the second,
+    at the least scale that has one.
+    """
+    points, edges, bounded = source
+    stable = max((d for row in _hop_distances(points, edges).values() for d in row.values()),
+                 default=0)
+    shift, witness = {}, None
+    for k in range(stable + 1):
+        found, witness = _closure_scan(source, target, table, k)
+        if found is None:
+            break
+        shift[k] = found
+    covered = set().union(*bounded)
+    proper_witness = next((B for B in target[2] if not {x for x in points if table[x] in B} <= covered),
+                          None)
+    return witness is None, proper_witness is None, shift, witness, proper_witness

@@ -314,6 +314,41 @@ def test_flasque_refusal_detail_names_condition_once_with_witness(tmp_path, caps
             "generator; witness [0]") in out.splitlines()
 
 
+def assert_flag_refused(argv, flag, capsys):
+    """A negative count is a usage error at parse time: exit 2, the flag named, no report."""
+    rep, code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"argument {flag}: must be >= 0, got -1" in captured.err
+    assert captured.out == "" and rep.results == {}
+
+
+def test_negative_max_dim_is_refused(capsys):
+    for cmd in (["homology", "--scale", "1"], ["qhomology", "--scales", "1"],
+                ["nerve", "--scale", "1"]):
+        assert_flag_refused(cmd + ["--space", "hexagon", "--max-dim", "-1"], "--max-dim", capsys)
+    _, code, out = run_quiet(["homology", "--space", "hexagon", "--scale", "1", "--max-dim", "0"],
+                             capsys)
+    assert code == 0 and "results.groups[0].degree: 0" in out
+
+
+def test_negative_scale_cap_is_refused(tmp_path, capsys):
+    sp, mp, _ = shift_fixture(tmp_path)
+    assert_flag_refused(["flasque", "--space", str(sp), "--map", str(mp), "--scale-cap", "-1"],
+                        "--scale-cap", capsys)
+
+
+def test_negative_iter_cap_is_refused(tmp_path, capsys):
+    sp, mp, _ = shift_fixture(tmp_path)
+    assert_flag_refused(["flasque", "--space", str(sp), "--map", str(mp), "--iter-cap", "-1"],
+                        "--iter-cap", capsys)
+
+
+def test_negative_budget_is_refused(capsys):
+    assert_flag_refused(["asdim", "--space", "hexagon", "--scales", "1", "--budget", "-1"],
+                        "--budget", capsys)
+
+
 def test_mv_check_command(tmp_path, capsys):
     sp = write_space(tmp_path, "iw.json", {"kind": "builtin", "name": "int_window", "radius": 20})
     rep, code, _ = run_quiet([
@@ -508,3 +543,48 @@ def test_import_pulls_in_no_third_party_numerics():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def loaded_modules(code):
+    """The coarsehom modules a fresh interpreter has loaded after running code."""
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code += "\nprint(json.dumps([m for m in sys.modules if m.startswith('coarsehom')]))"
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_layer():
+    assert loaded_modules("import coarsehom") == {"coarsehom"}
+
+
+def test_each_subcommand_loads_only_its_layer(tmp_path):
+    sp, mp, idp = shift_fixture(tmp_path)
+    runs = {
+        "components": ["components", "--space", "hexagon"],
+        "check-morphism": ["check-morphism", "--map", str(mp)],
+        "close": ["close", "--map", str(mp), "--map", str(idp)],
+        "equivalence": ["equivalence", "--map", str(mp), "--map", str(idp)],
+        "flasque": ["flasque", "--space", str(sp), "--map", str(mp)],
+    }
+    for name, argv in runs.items():
+        code = f"from coarsehom.cli_io import main\nassert main({argv!r}) == 0"
+        layers = {m.split(".")[-1] for m in loaded_modules(code)} - {"coarsehom"}
+        want = {"cli_io", "core_spaces"} | ({"morphisms"} if name != "components" else set())
+        assert layers == want, name
+
+
+def test_public_names_resolve_on_first_use():
+    code = "\n".join([
+        "import coarsehom",
+        "names = {}",
+        "exec('from coarsehom import *', names)",
+        "assert set(coarsehom.__all__) <= names.keys() & set(dir(coarsehom))",
+        "assert names['check_morphism'] is coarsehom.morphisms.check_morphism",
+        "assert 'cli_io' in dir(coarsehom) and not hasattr(coarsehom, 'no_such_name')",
+    ])
+    # the star import binds every name, so it loads every layer and the command line
+    assert loaded_modules(code) == {"coarsehom"} | {f"coarsehom.{m}" for m in (
+        "core_spaces", "morphisms", "homology_engine", "coarsification", "cli_io")}

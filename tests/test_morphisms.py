@@ -5,18 +5,22 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import genspaces
 import oracles
 
 from coarsehom import (
     CoarseError,
+    Entourage,
     coarse_components,
     from_metric,
     make_explicit_space,
     subspace,
     windowed_builtin,
 )
-from coarsehom.core_spaces import BornCoarseSpace, WindowTag
+from coarsehom.core_spaces import BornCoarseSpace, Bornology, CoarseStructure, GroundSet, WindowTag
+from coarsehom.homology_engine import _shift_at
 from coarsehom.morphisms import (
     Cylinder,
     CylinderMismatch,
@@ -109,6 +113,103 @@ def test_controlled_witness_is_least_failing_pair():
     rep = check_morphism(SpaceMap(X, D, {p: p for p in pts}))
     assert not rep.controlled
     assert rep.controlled_witness == ("a", "b")
+
+
+# ------------------------------------------- one-pass shift table vs closure scan
+
+def as_data(X):
+    return (list(X.points), [pair for E in X.coarse.generators for pair in E.pairs],
+            list(X.bornology.generators))
+
+
+def assert_matches_closure_scan(f):
+    """check_morphism and _shift_at at every scale agree with scanning each closure."""
+    src, tgt = as_data(f.source), as_data(f.target)
+    rep = check_morphism(f)
+    got = (rep.controlled, rep.proper, rep.scale_shift, rep.controlled_witness, rep.proper_witness)
+    assert got == oracles.closure_scan_morphism(src, tgt, f.table), f.table
+    for k in range(f.source.coarse.stabilization() + 3):
+        assert _shift_at(f, k) == oracles.closure_scan_shift_at(src, tgt, f.table, k), (f.table, k)
+    return rep
+
+
+def shift_table_sweep(rng):
+    """Self-maps, maps across components, inclusions, constant maps, cylinder maps."""
+    for _ in range(25):
+        X = genspaces.random_explicit_space(rng, max_points=14, max_pairs=20)
+        Y = genspaces.random_explicit_space(rng, max_points=14, max_pairs=20)
+        pts = list(X.points)
+        yield SpaceMap(X, X, {x: rng.choice(pts) for x in pts})
+        yield SpaceMap(X, X, {x: rng.choice(sorted(X.coarse.ball(1, x))) for x in pts})
+        yield SpaceMap(X, Y, {x: rng.choice(Y.points) for x in pts})
+        yield constant_map(X, Y, rng.choice(Y.points))
+        A = subspace(X, rng.sample(pts, rng.randint(1, len(pts))))
+        yield inclusion_map(A, X)
+    for r in (3, 6, 10):
+        H = windowed_builtin("half_line", r)
+        W = windowed_builtin("int_window", r + 4)
+        yield translate_map(H, 1)
+        yield translate_map(H, -2)
+        yield inclusion_map(H, W)
+        yield SpaceMap(H, W, {x: -x if x % 3 else x for x in H.points})
+        yield SpaceMap(H, W, {x: min(x * x, r + 4) for x in H.points})
+        yield constant_map(W, H, r)
+    G = windowed_builtin("grid2_window", 2)
+    yield translate_map(G, (1, 0))
+    yield SpaceMap(G, G, {(a, b): (b, a) for a, b in G.points})
+    for _ in range(6):
+        X = genspaces.random_explicit_space(rng, max_points=6, max_pairs=8)
+        cyl = cylinder(X, {x: -rng.randint(0, 2) for x in X.points},
+                       {x: rng.randint(0, 2) for x in X.points})
+        yield cyl.projection
+        yield cyl.i_minus
+        yield cyl.i_plus
+    # source bornologies that do not cover keep properness falsifiable
+    g = GroundSet(range(6))
+    thin = BornCoarseSpace(g, CoarseStructure(g, []), Bornology(g, [[0, 1]]))
+    thin_line = BornCoarseSpace(g, CoarseStructure(g, [Entourage(g, [(i, i + 1) for i in range(5)])]),
+                                Bornology(g, [[0, 1]]))
+    dots = make_explicit_space(list(range(6)), [], [[i] for i in range(6)])
+    yield SpaceMap(thin_line, dots, {x: x for x in range(6)})  # neither controlled nor proper
+    yield SpaceMap(thin, dots, {x: x // 2 for x in range(6)})  # controlled, not proper
+
+
+def test_one_pass_shift_table_matches_closure_scan():
+    verdicts = Counter()
+    for f in shift_table_sweep(random.Random(23)):
+        rep = assert_matches_closure_scan(f)
+        verdicts[rep.controlled, rep.proper] += 1
+    assert len(verdicts) == 4 and verdicts[False, True] > 10, verdicts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_one_pass_shift_table_matches_closure_scan_on_random_maps(data):
+    def space(tag):
+        n = data.draw(st.integers(1, 9), label=f"{tag} points")
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=12), label=f"{tag} edges")
+        born = data.draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=1, max_size=3),
+                         label=f"{tag} bornology")
+        g = GroundSet(range(n))
+        return BornCoarseSpace(g, CoarseStructure(g, [Entourage(g, edges)]), Bornology(g, born))
+
+    X = space("source")
+    Y = X if data.draw(st.booleans(), label="self-map") else space("target")
+    table = {x: data.draw(st.integers(0, len(Y) - 1), label=f"f({x})") for x in X.points}
+    assert_matches_closure_scan(SpaceMap(X, Y, table))
+
+
+def test_check_morphism_never_builds_a_closure(monkeypatch):
+    maps = list(shift_table_sweep(random.Random(5)))  # cylinders are built before the patch
+
+    def refuse(self, k):
+        raise AssertionError("closure_at called")
+
+    monkeypatch.setattr(CoarseStructure, "closure_at", refuse)
+    for f in maps:
+        check_morphism(f)
+        _shift_at(f, 2)
 
 
 # ---------------------------------------------------------------- closeness
@@ -209,6 +310,15 @@ def test_flasque_refuses_identity_on_window():
     out = certify_flasque(X, identity_map(X))
     assert isinstance(out, FlasqueRefusal)
     assert out.condition == "condition 3"
+
+
+def test_flasque_rejects_negative_caps():
+    X = windowed_builtin("half_line", 10)
+    f = translate_map(X, 1)
+    for caps in ({"scale_cap": -1}, {"iter_cap": -1}):
+        with pytest.raises(CoarseError, match="must be >= 0"):
+            certify_flasque(X, f, **caps)
+    assert isinstance(certify_flasque(X, f, scale_cap=0, iter_cap=20), FlasqueCertificate)
 
 
 def flasque_verdict(X, f, scale_cap, iter_cap, margin=None):
