@@ -409,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int)
     p.add_argument("--colimit", action="store_true")
     p.add_argument("--max-dim", type=_count)  # defaults live in homology_engine
-    p.add_argument("--basis-cap", type=int)
+    p.add_argument("--basis-cap", type=_count)
 
     p = sub.add_parser("qhomology", help="coarsified homology over measure complexes")
     common(p)

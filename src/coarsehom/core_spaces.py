@@ -116,24 +116,28 @@ class GroundSet:
 class Entourage:
     """A finite set of ordered point pairs over a ground set.
 
-    Internally keeps a left-neighbour map so that compositions are cheap;
-    the pair set itself stays the source of truth.
+    The frozenset of pairs is the whole representation; compose builds the
+    left-neighbour index it needs for that one call.
     """
 
-    __slots__ = ("ground", "pairs", "_left")
+    __slots__ = ("ground", "pairs")
 
     def __init__(self, ground: GroundSet, pairs: Iterable):
         self.ground = ground
+        index = ground._index
         ps = set()
         for x, y in pairs:
-            if x not in ground or y not in ground:
+            if x not in index or y not in index:
                 raise UnknownPoint(f"pair ({x!r}, {y!r}) leaves the ground set")
             ps.add((x, y))
         self.pairs = frozenset(ps)
-        left = {}
-        for x, y in self.pairs:
-            left.setdefault(y, set()).add(x)
-        self._left = left
+
+    @classmethod
+    def _unchecked(cls, ground: GroundSet, pairs: frozenset) -> "Entourage":
+        """Wrap pairs already known to lie in ground, without checking them."""
+        U = object.__new__(cls)
+        U.ground, U.pairs = ground, pairs
+        return U
 
     def __contains__(self, pair):
         return pair in self.pairs
@@ -158,11 +162,10 @@ class Entourage:
 
     def compose(self, other: "Entourage") -> "Entourage":
         """U o V = {(x, z) : (x, y) in U and (y, z) in V for some y}."""
-        pairs = set()
-        for y, z in other.pairs:
-            for x in self._left.get(y, ()):
-                pairs.add((x, z))
-        return Entourage(self.ground, pairs)
+        left = {}
+        for x, y in self.pairs:
+            left.setdefault(y, []).append(x)
+        return Entourage(self.ground, [(x, z) for y, z in other.pairs for x in left.get(y, ())])
 
     def is_symmetric(self) -> bool:
         return all((y, x) in self.pairs for x, y in self.pairs)
@@ -175,7 +178,7 @@ class Entourage:
 
     def neighbours(self, x) -> frozenset:
         """Points y with (y, x) in U; equals the ball around x once symmetric."""
-        return frozenset(self._left.get(x, ()))
+        return frozenset([y for y, z in self.pairs if z == x])
 
 
 def diagonal(ground: GroundSet) -> Entourage:
@@ -233,10 +236,11 @@ class CoarseStructure:
     The filtration is stored once, as a hop-distance table in index space:
     for each point a dict {index: hop distance} in breadth-first order, plus
     the offsets where each breadth-first layer ends, so the ball of radius k
-    is a prefix of the dict.  The table grows in place one layer at a time,
-    only as deep as the largest scale asked for so far; stabilized_at is set
-    when a layer adds nothing, and is the largest hop distance between
-    related points.
+    is a prefix of the dict, and closure_at(k) is read off the table in one
+    pass (one pair per prefix entry, no ball sets).  The table grows in place
+    one layer at a time, only as deep as the largest scale asked for so far;
+    stabilized_at is set when a layer adds nothing, and is the largest hop
+    distance between related points.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -295,8 +299,10 @@ class CoarseStructure:
     def closure_at(self, k: int) -> Entourage:
         k = self._scale(k)
         if k not in self.cached_closures:
-            pairs = [(x, y) for y in self.ground.points for x in self.ball(k, y)]
-            self.cached_closures[k] = Entourage(self.ground, pairs)
+            pts = self.ground.points
+            self.cached_closures[k] = Entourage._unchecked(self.ground, frozenset(
+                [(pts[j], y) for y, dist, ends in zip(pts, self._dist, self._ends)
+                 for j in itertools.islice(dist, ends[k])]))
         return self.cached_closures[k]
 
     def ball(self, k: int, x) -> frozenset:
@@ -629,6 +635,11 @@ def _tagged_union_points(spaces: Sequence[BornCoarseSpace]):
     return pts
 
 
+def _tagged_bornology(ground: GroundSet, spaces: Sequence[BornCoarseSpace]) -> Bornology:
+    return Bornology(ground, [frozenset((i, p) for p in B)
+                              for i, S in enumerate(spaces) for B in S.bornology.generators])
+
+
 def coproduct(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
     """Disjoint union; per-factor generators, bounded iff bounded in each factor."""
     spaces = list(spaces)
@@ -637,11 +648,7 @@ def coproduct(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
     for i, S in enumerate(spaces):
         for g in S.coarse.generators:
             gens.append(Entourage(ground, (((i, x), (i, y)) for x, y in g.pairs)))
-    born_gens = []
-    for i, S in enumerate(spaces):
-        for B in S.bornology.generators:
-            born_gens.append(frozenset((i, p) for p in B))
-    return BornCoarseSpace(ground, CoarseStructure(ground, gens), Bornology(ground, born_gens))
+    return BornCoarseSpace(ground, CoarseStructure(ground, gens), _tagged_bornology(ground, spaces))
 
 
 def free_union(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
@@ -657,11 +664,7 @@ def free_union(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
     for i, S in enumerate(spaces):
         pairs.extend(((i, x), (i, y)) for x, y in S.closure_at(1).pairs)
     coarse = CoarseStructure(ground, [Entourage(ground, pairs)] if pairs else [])
-    born_gens = []
-    for i, S in enumerate(spaces):
-        for B in S.bornology.generators:
-            born_gens.append(frozenset((i, p) for p in B))
-    return BornCoarseSpace(ground, coarse, Bornology(ground, born_gens))
+    return BornCoarseSpace(ground, coarse, _tagged_bornology(ground, spaces))
 
 
 def mixed_union(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
@@ -681,11 +684,8 @@ def subspace(X: BornCoarseSpace, A: Iterable) -> BornCoarseSpace:
         for g in X.coarse.generators
     ]
     born_gens = [B & A for B in X.bornology.generators if B & A]
-    if not pts:
-        born_gens = []
-    metric = X.metric
     return BornCoarseSpace(
-        ground, CoarseStructure(ground, gens), Bornology(ground, born_gens), window_tag=X.window_tag, metric=metric
+        ground, CoarseStructure(ground, gens), Bornology(ground, born_gens), window_tag=X.window_tag, metric=X.metric
     )
 
 

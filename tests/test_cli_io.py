@@ -327,6 +327,8 @@ def test_negative_max_dim_is_refused(capsys):
     for cmd in (["homology", "--scale", "1"], ["qhomology", "--scales", "1"],
                 ["nerve", "--scale", "1"]):
         assert_flag_refused(cmd + ["--space", "hexagon", "--max-dim", "-1"], "--max-dim", capsys)
+    assert_flag_refused(["homology", "--space", "hexagon", "--scale", "1", "--basis-cap", "-1"],
+                        "--basis-cap", capsys)
     _, code, out = run_quiet(["homology", "--space", "hexagon", "--scale", "1", "--max-dim", "0"],
                              capsys)
     assert code == 0 and "results.groups[0].degree: 0" in out

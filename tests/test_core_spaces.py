@@ -11,6 +11,8 @@ from coarsehom import (
     BadScales,
     BornologyDoesNotCover,
     CoarseError,
+    Entourage,
+    GroundSet,
     IncompatibleStructures,
     NonSymmetricMatrix,
     UnknownPoint,
@@ -178,6 +180,21 @@ def test_stabilization_memory_stays_small():
     assert X.closure_at(s).pairs == frozenset((a, b) for a in X.points for b in X.points)
 
 
+def test_closure_memory_stays_small():
+    X = windowed_builtin("grid2_window", 8)
+    s = X.coarse.stabilization()
+    tracemalloc.start()
+    try:
+        U = X.closure_at(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
+    full = frozenset((a, b) for comp in coarse_components(X) for a in comp for b in comp)
+    edges = [pair for g in X.coarse.generators for pair in g.pairs]
+    assert U.pairs == full == frozenset(bfs_distance_pairs(X.points, edges, s))
+
+
 def test_path_closure_stabilizes():
     X = path_space(3)
     full = {(a, b) for a in range(4) for b in range(4)}
@@ -253,6 +270,41 @@ def test_closure_monotone_symmetric_reflexive():
             if k >= 1:
                 assert U.is_symmetric()
                 assert U.contains_diagonal()
+
+
+# ---------------------------------------------------------------- entourage algebra
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_entourage_algebra_matches_set_oracles(data):
+    n = data.draw(st.integers(1, 6))
+    # integer points and tuple points, as windows and products have
+    pts = data.draw(st.sampled_from([list(range(n)), [(i, -i) for i in range(n)]]))
+    ground = GroundSet(pts)
+    pair_sets = st.sets(st.tuples(st.sampled_from(pts), st.sampled_from(pts)), max_size=2 * n)
+    P, Q = data.draw(pair_sets), data.draw(pair_sets)
+    A = frozenset(data.draw(st.sets(st.sampled_from(pts))))
+    U, V = Entourage(ground, P), Entourage(ground, Q)
+    assert U.pairs == frozenset(P) and len(U) == len(P)
+    assert U.compose(V).pairs == {(x, z) for x, y in P for y2, z in Q if y == y2}
+    assert U.inverse().pairs == {(y, x) for x, y in P}
+    assert U.union(V).pairs == P | Q
+    assert U.restrict(A).pairs == {(x, y) for x, y in P if x in A and y in A}
+    for p in pts:
+        assert U.neighbours(p) == {x for x, y in P if y == p}
+    assert U.is_symmetric() == all((y, x) in P for x, y in P)
+    assert U.contains_diagonal() == all((p, p) in P for p in pts)
+    assert (U <= V) == (P <= Q)
+    assert (U == V) == (P == Q) and hash(U) == hash(frozenset(P))
+
+
+def test_entourage_refuses_pairs_off_the_ground():
+    ground = GroundSet([(0, 0), (0, 1)])
+    with pytest.raises(UnknownPoint, match="leaves the ground set"):
+        Entourage(ground, [((0, 0), (0, 1)), ((0, 1), (1, 1))])
+    U = Entourage(ground, [((0, 0), (0, 1))])
+    with pytest.raises(UnknownPoint):
+        U.union(Entourage(GroundSet([(0, 0), (1, 1)]), [((1, 1), (0, 0))]))
 
 
 # ---------------------------------------------------------------- boundedness
