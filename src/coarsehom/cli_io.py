@@ -180,7 +180,7 @@ def _try_emit_metric(X) -> Optional[dict]:
     if X.metric is None:
         return None
     pts = list(X.points)
-    if X.bornology.generators != (frozenset(pts),) and list(X.bornology.generators) != [frozenset(pts)]:
+    if X.bornology.generators != (frozenset(pts),):
         return None
     dist = {(a, b): X.metric(a, b) for a in pts for b in pts}
     realized = sorted({d for d in dist.values() if d > 0})
@@ -369,8 +369,7 @@ def _groups_json(groups) -> list:
 
 
 def _tokens(points, X) -> list:
-    order = {p: i for i, p in enumerate(X.points)}
-    return [str(p) for p in sorted(points, key=order.get)]
+    return [str(p) for p in X.ground.sorted(points)]
 
 
 # ----------------------------------------------------------- CLI plumbing
@@ -508,11 +507,9 @@ def _cmd_components(args, rep: Report):
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
     comps = coarse_components(X)
-    order = {p: i for i, p in enumerate(X.points)}
-    comps = sorted(comps, key=lambda c: min(order[p] for p in c))
     rep.results = {
         "count": len(comps),
-        "components": [_tokens(c, X) for c in comps],
+        "components": [[str(p) for p in c] for c in comps],
         "scale": "stabilized",
     }
 
@@ -752,8 +749,8 @@ def _cmd_hybrid(args, rep: Report):
         fam = big_family_generated(X, base, args.family_depth)
     phi = _json_flag(args.phi, "phi")
     U = hybrid_entourage(X, fam, phi, args.scale)
-    order = {p: i for i, p in enumerate(X.points)}
-    pairs = sorted(U.pairs, key=lambda ab: (order[ab[0]], order[ab[1]]))
+    index = X.ground.index
+    pairs = sorted(U.pairs, key=lambda ab: (index(ab[0]), index(ab[1])))
     rep.results = {
         "base_scale": args.scale,
         "pair_count": len(pairs),
@@ -835,20 +832,42 @@ _HANDLERS = {
 }
 
 
+def _scales_words(argv):
+    """(command words, parser words) of argv, alike for `--scales V` and `--scales=V`.
+
+    The command words give V as a word of its own; the parser gets
+    `--scales=V`, so a list that starts with a negative scale is read as the
+    value and not as an option.
+    """
+    words, parse = [], []
+    for tok in argv:
+        flag, eq, value = tok.partition("=")
+        if flag == "--scales" and eq:
+            words += [flag, value]
+            parse.append(tok)
+            continue
+        words.append(tok)
+        if parse and parse[-1] == "--scales" and not tok.startswith("--"):
+            parse[-1] += "=" + tok
+        else:
+            parse.append(tok)
+    return words, parse
+
+
 def run(argv: Sequence[str]) -> Tuple[Report, int]:
     """Execute one command line; returns the report and the exit code.
 
     0 success, 1 refusal or domain error, 2 usage or parse error.  The
     formatted report goes to --out or stdout; parse errors go to stderr.
     """
-    argv = list(argv)
+    argv, parse = _scales_words(list(argv))
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         print(f"unknown command {argv[0]!r}; expected one of {', '.join(COMMANDS)}",
               file=sys.stderr)
         return Report(command=" ".join(argv)), 2
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(parse)
     except SystemExit as e:
         return Report(command=" ".join(argv)), (e.code if e.code else 2)
     rep = Report(command=" ".join(argv))

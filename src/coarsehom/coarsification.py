@@ -161,7 +161,7 @@ def check_cover(X: BornCoarseSpace, cover, k_bound: int, k_lebesgue: int) -> Cov
     for m in members:
         union |= m
     if union != set(X.points):
-        missing = sorted(set(X.points) - union, key=list(X.points).index)[0]
+        missing = X.ground.sorted(set(X.points) - union)[0]
         raise NotACover(f"point {missing!r} is not covered")
     notes = []
     bound: Optional[int] = k_bound

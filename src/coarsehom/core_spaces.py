@@ -490,7 +490,7 @@ def make_explicit_space(points, entourage_gens, bornology_gens) -> BornCoarseSpa
     bornology = Bornology(ground, bornology_gens)
     _check_compatibility(ground, coarse, bornology)
     if not bornology.covers():
-        missing = ground.sorted(set(ground.points) - set().union(*bornology.generators) if bornology.generators else set(ground.points))
+        missing = ground.sorted(set(ground.points) - bornology._union)
         raise BornologyDoesNotCover(f"bornology generators do not cover points {missing}")
     return BornCoarseSpace(ground, coarse, bornology)
 

@@ -4,13 +4,16 @@ Chains in degree n are Z-linear combinations of (n+1)-tuples of points whose
 entries are pairwise related at a chosen scale; tuples with two equal adjacent
 entries are normalized away.  This controlled-tuple complex is the definition,
 and it serves every chain-level certificate: presentations, induced maps,
-prisms, the swindle, relative homology and the excision check.  Boundaries,
-chain maps and prism blocks are `IntMatrix` values: a shape and one dict
-{column: int} per row, with Python ints, so no entry can overflow.  Every
-identity the module claims (complex identity, prism identity, swindle
-identity) is verified as an exact matrix equation, never numerically.  A
-space keeps the tuple complexes and presentations built on it, so each is
-built once per scale (and degree) and shared read-only by later callers.
+prisms, the swindle, relative homology and the excision check.  One builder
+makes every tuple complex, absolute or the quotient by the tuples inside a
+subset: one depth-first enumerator gives each basis in lex order, and one
+loop grows bases and boundaries a degree at a time.  Boundaries, chain maps
+and prism blocks are `IntMatrix` values: a shape and one dict {column: int}
+per row, with Python ints, so no entry can overflow.  Every identity the
+module claims (complex identity, prism identity, swindle identity) is
+verified as an exact matrix equation, never numerically.  A space keeps the
+tuple complexes and presentations built on it, so each is built once per
+scale (and degree) and shared read-only by later callers.
 
 Groups alone (`homology_at_scale`, hence the colimit table) come from the
 clique complex of the same scale graph, which is chain-equivalent to the
@@ -33,12 +36,13 @@ with transforms, whose pivot is the least |nonzero| entry, ties row-major;
 generator chains follow from that order, so it is kept exactly, and the
 steps skip zeros instead: the search stops at the first ±1, a unit pivot
 skips the divisibility scan, and row and column operations run over the
-support of their source.
+support of their source.  One pushforward carries generator chains along a
+chain map onto homology, for induced maps and the excision inclusion alike.
 """
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import compress, islice, product
+from itertools import compress, islice
 from math import comb, gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -172,54 +176,40 @@ def _columns(M: IntMatrix) -> List[Dict[int, int]]:
 
 
 def _iter_controlled(g: ScaleGraph, n):
-    """Yield index tuples of length n+1, pairwise related, no adjacent repeats, lex order."""
-    npts = len(g.points)
-    if n == 0:
-        for i in range(npts):
-            yield (i,)
-        return
-    nbrs, sets, comp, members = g.nbrs, g.sets, g.comp, g.components
-    clique = [all(len(nbrs[i]) == len(mem) for i in mem) for mem in members]
+    """Yield index tuples of length n+1, pairwise related, no adjacent repeats, lex order.
 
-    def dfs(prefix, cand):
-        if len(prefix) == n + 1:
-            yield prefix
-            return
+    Depth first: each entry is drawn, in order, from the points related to all before it.
+    """
+    sets = g.sets
+
+    def grow(prefix, cand):
         last = prefix[-1]
         for j in cand:
-            if j == last:
-                continue
-            sj = sets[j]
-            yield from dfs(prefix + (j,), [t for t in cand if t in sj])
+            if j != last:
+                t = prefix + (j,)
+                if len(t) > n:
+                    yield t
+                else:
+                    sj = sets[j]
+                    yield from grow(t, [c for c in cand if c in sj])
 
-    for i0 in range(npts):
-        c = comp[i0]
-        if clique[c]:
-            mem = members[c]
-            if n == 1:
-                for a in mem:
-                    if a != i0:
-                        yield (i0, a)
-            elif n == 2:
-                for a in mem:
-                    if a == i0:
-                        continue
-                    for b in mem:
-                        if b != a:
-                            yield (i0, a, b)
-            else:
-                for rest in product(mem, repeat=n):
-                    prev = i0
-                    ok = True
-                    for r in rest:
-                        if r == prev:
-                            ok = False
-                            break
-                        prev = r
-                    if ok:
-                        yield (i0,) + rest
+    for i, nb in enumerate(g.nbrs):
+        if n:
+            yield from grow((i,), nb)
         else:
-            yield from dfs((i0,), nbrs[i0])
+            yield (i,)
+
+
+def _controlled_basis(g, n, basis_cap, scale, inside=None):
+    """Degree-n index tuples in lex order, less those wholly in the point mask inside."""
+    basis = []
+    for t in _iter_controlled(g, n):
+        if inside is not None and all(inside[i] for i in t):
+            continue
+        if basis_cap is not None and len(basis) >= basis_cap:
+            raise DegreeCapExceeded(n, scale, basis_cap)
+        basis.append(t)
+    return basis
 
 
 def controlled_tuples(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
@@ -227,25 +217,7 @@ def controlled_tuples(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
     if n < 0:
         raise ValueError("degree must be >= 0")
     pts = X.points
-    out = []
-    for t in _iter_controlled(X.coarse.graph(k), n):
-        if basis_cap is not None and len(out) >= basis_cap:
-            raise DegreeCapExceeded(n, k, basis_cap)
-        out.append(tuple(pts[i] for i in t))
-    return out
-
-
-def _controlled_basis(g, n, basis_cap, scale):
-    basis = []
-    for t in _iter_controlled(g, n):
-        if basis_cap is not None and len(basis) >= basis_cap:
-            raise DegreeCapExceeded(n, scale, basis_cap)
-        basis.append(t)
-    return basis
-
-
-def _materialize_bases(g, d_max, basis_cap, scale):
-    return [_controlled_basis(g, n, basis_cap, scale) for n in range(d_max + 1)]
+    return [tuple(pts[i] for i in t) for t in _controlled_basis(X.coarse.graph(k), n, basis_cap, k)]
 
 
 def _faces(t, n):
@@ -260,22 +232,37 @@ def _faces(t, n):
         yield t[:i] + t[i + 1:], 1 if i % 2 == 0 else -1
 
 
-def _boundary_from_lists(basis_n, index_prev, n):
-    """Matrix of the alternating face sum on normalized index tuples."""
+def _boundary_from_lists(basis_n, index_prev, n, inside=None):
+    """Matrix of the alternating face sum on normalized index tuples; faces wholly inside are 0."""
     rows: List[Dict[int, int]] = [{} for _ in index_prev]
     for col, t in enumerate(basis_n):
         for face, sign in _faces(t, n):
-            rows[index_prev[face]][col] = sign
+            if inside is None or not all(inside[i] for i in face):
+                rows[index_prev[face]][col] = sign
     return IntMatrix((len(index_prev), len(basis_n)), rows)
+
+
+def _extend(g, bases, boundaries, d_max, basis_cap, scale, inside=None):
+    """Grow index bases and boundaries (boundaries[n] = d_n, [0] None) in place through d_max.
+
+    Every tuple complex is built here: absolute, or with a point mask inside
+    the quotient by the tuples wholly in it.
+    """
+    for n in range(len(bases), d_max + 1):
+        basis = _controlled_basis(g, n, basis_cap, scale, inside)
+        if n:
+            index_prev = {t: i for i, t in enumerate(bases[n - 1])}
+            boundaries.append(_boundary_from_lists(basis, index_prev, n, inside))
+        bases.append(basis)
 
 
 def boundary_matrix(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
     """Matrix of the degree-n boundary at scale k (rows: degree n-1, cols: degree n)."""
     if n < 1:
         raise ValueError("boundary matrices start at degree 1")
-    bases = _materialize_bases(X.coarse.graph(k), n, basis_cap, k)
-    index_prev = {t: i for i, t in enumerate(bases[n - 1])}
-    return _boundary_from_lists(bases[n], index_prev, n)
+    bases, boundaries = [], [None]
+    _extend(X.coarse.graph(k), bases, boundaries, n, basis_cap, k)
+    return boundaries[n]
 
 
 @dataclass
@@ -303,16 +290,17 @@ def _is_complex(boundaries: Sequence[Optional[IntMatrix]]):
 class _SpaceStore:
     """The tuple complexes and presentations of one space, each built once.
 
-    complexes maps (scale, basis_cap) to (bases, boundaries) through the
-    deepest degree asked for; presentations maps (scale, degree, basis_cap)
-    to a HomologyPresentation.  The space holds its store and the store holds
-    nothing of the space, so both go together.  A refusal is never stored.
+    complexes maps (scale, basis_cap) to (index bases, named bases,
+    boundaries) through the deepest degree asked for; presentations maps
+    (scale, degree, basis_cap) to a HomologyPresentation.  The space holds its
+    store and the store holds nothing of the space, so both go together.  A
+    refusal is never stored.
     """
 
     __slots__ = ("complexes", "presentations")
 
     def __init__(self):
-        self.complexes: Dict[tuple, Tuple[list, list]] = {}
+        self.complexes: Dict[tuple, Tuple[list, list, list]] = {}
         self.presentations: Dict[tuple, "HomologyPresentation"] = {}
 
 
@@ -325,63 +313,34 @@ def chain_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
 
     Built once per space and (k, basis_cap) and grown to the deepest degree
     asked for; a shallower call gets a prefix.  Bases and boundaries are
-    shared with every other caller, read-only.
+    shared with every other caller, read-only.  Growth works on copies of the
+    stored lists, and only the new d∘d products are checked.
     """
     complexes = _store(X).complexes
     key = (k, basis_cap)
-    entry = complexes.get(key)
-    if entry is None or len(entry[0]) <= d_max:
-        entry = complexes[key] = _grown_complex(X, k, entry, d_max, basis_cap)
-    bases, boundaries = entry
+    index_bases, bases, boundaries = complexes.get(key, ([], [], [None]))
+    built = len(bases)
+    if built <= d_max:
+        index_bases, boundaries = list(index_bases), list(boundaries)
+        _extend(X.coarse.graph(k), index_bases, boundaries, d_max, basis_cap, k)
+        if not _is_complex(boundaries[max(built - 2, 0):]):
+            raise HomologyError("boundary matrices fail the complex identity")
+        pts = X.points
+        bases = bases + [[tuple(pts[i] for i in t) for t in b] for b in index_bases[built:]]
+        complexes[key] = (index_bases, bases, boundaries)
     return ChainComplexAtScale(X, k, d_max, bases[:d_max + 1], boundaries[:d_max + 1])
 
 
-def _grown_complex(X, k, entry, d_max, basis_cap):
-    """A stored complex extended through degree d_max, as new lists; only new d∘d are checked."""
-    g, pts = X.coarse.graph(k), X.points
-    bases, boundaries = (list(entry[0]), list(entry[1])) if entry else ([], [None])
-    built = len(bases)
-    if built:
-        index = X.ground.index
-        prev = [tuple(map(index, t)) for t in bases[-1]]
-    for n in range(built, d_max + 1):
-        basis = _controlled_basis(g, n, basis_cap, k)
-        if n:
-            boundaries.append(_boundary_from_lists(basis, {t: i for i, t in enumerate(prev)}, n))
-        bases.append([tuple(pts[i] for i in t) for t in basis])
-        prev = basis
-    if not _is_complex(boundaries[max(built - 2, 0):]):
-        raise HomologyError("boundary matrices fail the complex identity")
-    return bases, boundaries
-
-
 def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None):
-    """Exact check that consecutive boundaries compose to zero, streaming the top degree.
+    """Exact check that consecutive boundaries compose to zero through degree d_max.
 
-    Top-degree tuples are never stored: each one's faces are composed with
-    the columns of d_{d_max-1} as it is enumerated.
+    The complex comes fresh from the builder every tuple complex shares; nothing is stored.
     """
-    g = X.coarse.graph(k)
     if d_max < 2:
         return True
-    bases = _materialize_bases(g, d_max - 1, basis_cap, k)
-    indexes = [{t: i for i, t in enumerate(b)} for b in bases]
-    mats = [None] + [_boundary_from_lists(bases[n], indexes[n - 1], n) for n in range(1, d_max)]
-    if not _is_complex(mats):
-        return False
-    n = d_max
-    prev = indexes[n - 1]
-    d_prev = _columns(mats[n - 1])
-    for count, t in enumerate(_iter_controlled(g, n), 1):
-        if basis_cap is not None and count > basis_cap:
-            raise DegreeCapExceeded(n, k, basis_cap)
-        acc: Dict[int, int] = {}
-        for face, sign in _faces(t, n):
-            for i, v in d_prev[prev[face]].items():
-                acc[i] = acc.get(i, 0) + sign * v
-        if any(acc.values()):
-            return False
-    return True
+    bases, boundaries = [], [None]
+    _extend(X.coarse.graph(k), bases, boundaries, d_max, basis_cap, k)
+    return _is_complex(boundaries)
 
 
 # ------------------------------------------------------------ exact SNF
@@ -984,6 +943,14 @@ def _shift_at(f: SpaceMap, k):
     return None if fail is not None else shift[len(shift) - 1]
 
 
+def _controlled_shift(f: SpaceMap, k):
+    """_shift_at(f, k), refusing an uncontrolled map with its least failing pair."""
+    shift = _shift_at(f, k)
+    if shift is None:
+        raise NotControlledAtScale(k, _uncontrolled_pair(f, k))
+    return shift
+
+
 def _chain_map_matrix(f: SpaceMap, basis_src, index_tgt):
     rows: List[Dict[int, int]] = [{} for _ in index_tgt]
     for col, t in enumerate(basis_src):
@@ -1005,28 +972,33 @@ class InducedMap:
     matrix: List[List[int]]  # columns = images of source generators in target coordinates
 
 
+def _on_homology(chain: IntMatrix, src: HomologyPresentation, tgt: HomologyPresentation):
+    """A chain map on homology: column j is src's generator j pushed along chain, in tgt coordinates."""
+    chain_cols = _columns(chain)
+    cols = []
+    for gen in src.generator_chains():
+        img = [0] * chain.shape[0]
+        for c, x in enumerate(gen):
+            if x:
+                for r, v in chain_cols[c].items():
+                    img[r] += v * x
+        cols.append(tgt.class_coordinates(img))
+    return [[col[i] for col in cols] for i in range(tgt.generator_count)]
+
+
 def induced_map(f: SpaceMap, k_source, n, target_scale=None, basis_cap=DEFAULT_BASIS_CAP):
     """Chain-level and homology-level matrices of a controlled map at a scale."""
-    shift = _shift_at(f, k_source)
-    if shift is None:
-        raise NotControlledAtScale(k_source, _uncontrolled_pair(f, k_source))
+    shift = _controlled_shift(f, k_source)
     kt = shift if target_scale is None else target_scale
     if kt < shift:
-        raise NotControlledAtScale(k_source, None)
+        raise HomologyError(
+            f"target scale {kt} does not hold the image of closure_at({k_source}); "
+            f"the least scale that does is {shift}"
+        )
     src = homology_presentation(f.source, k_source, n, basis_cap)
     tgt = homology_presentation(f.target, kt, n, basis_cap)
     chain = _chain_map_matrix(f, src.basis, tgt.index)
-    entries = [(r, c, v) for r, row in enumerate(chain.rows) for c, v in row.items()]
-    cols = []
-    for g in src.generator_chains():
-        img = [0] * len(tgt.basis)
-        for r, c, v in entries:
-            gv = g[c]
-            if gv:
-                img[r] += v * gv
-        cols.append(list(tgt.class_coordinates(img)))
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(tgt.generator_count)]
-    return InducedMap(f, n, k_source, kt, src, tgt, chain, matrix)
+    return InducedMap(f, n, k_source, kt, src, tgt, chain, _on_homology(chain, src, tgt))
 
 
 # ------------------------------------------------------------ prism
@@ -1048,10 +1020,8 @@ def prism(f: SpaceMap, g: SpaceMap, k, n, basis_cap=DEFAULT_BASIS_CAP):
     c = are_close(f, g)
     if c is None:
         raise NotClose("maps are not close at any scale up to stabilization")
-    sf = _shift_at(f, k)
-    sg = _shift_at(g, k)
-    if sf is None or sg is None:
-        raise NotControlledAtScale(k, None)
+    sf = _controlled_shift(f, k)
+    sg = _controlled_shift(g, k)
     # closures agree past stabilization, so capping keeps the same complex
     kt = min(max(sf, sg) + c, f.target.coarse.stabilization())
     src_cc = chain_complex(f.source, k, n, basis_cap)
@@ -1093,7 +1063,8 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
     holds after projecting onto tuples that meet B, provided f^J(X) misses B.
     """
     Bset = X.ground.check_subset(B)
-    powers = [SpaceMap(X, X, {p: p for p in X.points})]
+    ident = SpaceMap(X, X, {p: p for p in X.points})
+    powers = [ident]
     for _ in range(J):
         powers.append(f.compose(powers[-1]))
     if Bset:
@@ -1101,28 +1072,17 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
         hit = img & Bset
         if hit:
             raise WindowTooSmall(J, sorted(hit)[0])
-    shifts = []
-    for j in range(J + 1):
-        s = _shift_at(powers[j], k)
-        if s is None:
-            raise NotControlledAtScale(k, None)
-        shifts.append(s)
-    K0 = max([k] + shifts)
-    sF = _shift_at(f, K0)
-    if sF is None:
-        raise NotControlledAtScale(K0, None)
-    K1 = max(K0, sF)
+    K0 = max([k] + [_controlled_shift(p, k) for p in powers])
+    K1 = max(K0, _controlled_shift(f, K0))
     for deg in range(n + 1):
         basis_k = controlled_tuples(X, k, deg, basis_cap)
         basis_K0 = controlled_tuples(X, K0, deg, basis_cap) if K0 != k else basis_k
         basis_K1 = controlled_tuples(X, K1, deg, basis_cap) if K1 != K0 else basis_K0
         idx_K0 = {t: i for i, t in enumerate(basis_K0)}
         idx_K1 = {t: i for i, t in enumerate(basis_K1)}
-        ident = SpaceMap(X, X, {p: p for p in X.points})
-        S = None
-        for j in range(J + 1):
-            M = _chain_map_matrix(powers[j], basis_k, idx_K0)
-            S = M if S is None else S + M
+        S = _chain_map_matrix(ident, basis_k, idx_K0)
+        for p in powers[1:]:
+            S = S + _chain_map_matrix(p, basis_k, idx_K0)
         E = _chain_map_matrix(ident, basis_K0, idx_K1)
         Phi = _chain_map_matrix(f, basis_K0, idx_K1)
         incl = _chain_map_matrix(ident, basis_k, idx_K1)
@@ -1135,28 +1095,13 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
 # ------------------------------------------------- relative homology
 
 
-def _relative_bases(g, inside, d_max, basis_cap, scale):
-    """Bases of the quotient complex by the subcomplex of tuples inside a subset."""
-    bases = []
-    for deg in range(d_max + 1):
-        basis = []
-        for t in _iter_controlled(g, deg):
-            if all(inside[i] for i in t):
-                continue
-            if basis_cap is not None and len(basis) >= basis_cap:
-                raise DegreeCapExceeded(deg, scale, basis_cap)
-            basis.append(t)
-        bases.append(basis)
-    return bases
-
-
-def _relative_boundary(basis_n, index_prev, inside, n):
-    rows: List[Dict[int, int]] = [{} for _ in index_prev]
-    for col, t in enumerate(basis_n):
-        for face, sign in _faces(t, n):
-            if not all(inside[x] for x in face):
-                rows[index_prev[face]][col] = sign
-    return IntMatrix((len(index_prev), len(basis_n)), rows)
+def _quotient_complex(g, Y, d_max, basis_cap, scale):
+    """Named bases and boundaries of C(g)/C(Y) through d_max: tuples wholly in Y are dropped."""
+    inside = [p in Y for p in g.points]
+    bases, boundaries = [], [None]
+    _extend(g, bases, boundaries, d_max, basis_cap, scale, inside)
+    pts = g.points
+    return [[tuple(pts[i] for i in t) for t in b] for b in bases], boundaries
 
 
 @dataclass
@@ -1172,12 +1117,7 @@ def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BA
     """Homology of C(X)/C(Y_m) for the last family member Y_m (finite-prefix stand-in)."""
     m = len(family.members) - 1
     Y = family.members[m]
-    inside = [p in Y for p in X.points]
-    bases = _relative_bases(X.coarse.graph(k), inside, d_max + 1, basis_cap, k)
-    mats: List[Optional[IntMatrix]] = [None]
-    for n in range(1, d_max + 2):
-        index_prev = {t: i for i, t in enumerate(bases[n - 1])}
-        mats.append(_relative_boundary(bases[n], index_prev, inside, n))
+    bases, mats = _quotient_complex(X.coarse.graph(k), Y, d_max + 1, basis_cap, k)
     groups = _homology_groups([len(b) for b in bases[:d_max + 1]], mats)
     warnings = [f"relative to prefix member Y_{m} (finite-prefix stand-in for the colimit)"]
     if X.window_tag is not None:
@@ -1206,36 +1146,21 @@ class ExcisionReport:
 
 
 def _quotient_presentations(g, Y, k, d_max, basis_cap):
-    inside = [p in Y for p in g.points]
-    bases = _relative_bases(g, inside, d_max + 1, basis_cap, k)
-    mats: List[Optional[IntMatrix]] = [None]
-    for n in range(1, d_max + 2):
-        index_prev = {t: i for i, t in enumerate(bases[n - 1])}
-        mats.append(_relative_boundary(bases[n], index_prev, inside, n))
-    pres = []
-    for n in range(d_max + 1):
-        named = [tuple(g.points[i] for i in t) for t in bases[n]]
-        pres.append(_presentation_from_complex(named, mats[n] if n else None,
-                                               mats[n + 1], n, k))
+    """Named quotient bases through d_max + 1 and presentations through d_max."""
+    bases, mats = _quotient_complex(g, Y, d_max + 1, basis_cap, k)
+    pres = [_presentation_from_complex(bases[n], mats[n] if n else None, mats[n + 1], n, k)
+            for n in range(d_max + 1)]
     return bases, pres
 
 
 def _surjective_over_Z(matrix, target: HomologyPresentation):
-    """matrix columns = images in target generator coordinates; checks surjectivity."""
-    gens = target.generator_count
-    if gens == 0:
-        return True
-    cols = [[matrix[i][j] for i in range(gens)] for j in range(len(matrix[0]) if matrix else 0)]
-    tors = list(target.group.torsion)
-    for i, d in enumerate(tors):
-        rel = [0] * gens
-        rel[i] = d
-        cols.append(rel)
-    if not cols:
-        return False
-    A = [[cols[j][i] for j in range(len(cols))] for i in range(gens)]
-    r, facs = _sparse_invariants([{j: v for j, v in enumerate(row) if v} for row in A])
-    return r == gens and all(d == 1 for d in facs)
+    """Whether the columns of matrix, in target generator coordinates, generate the target."""
+    width = len(matrix[0]) if matrix else 0
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    for i, d in enumerate(target.group.torsion):  # torsion generators come first: d_i e_i = 0
+        rows[i][width + i] = d
+    r, facs = _sparse_invariants(rows)
+    return r == target.generator_count and all(d == 1 for d in facs)
 
 
 def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
@@ -1260,27 +1185,17 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
     zg = g.restrict(Zset)
     bases_sub, pres_sub = _quotient_presentations(zg, Ym, k, d_max, basis_cap)
 
-    bijection = all(
-        [tuple(zg.points[i] for i in t) for t in bases_sub[n]]
-        == [tuple(g.points[i] for i in t) for t in bases_full[n]]
-        for n in range(d_max + 2)
-    )
+    bijection = bases_sub == bases_full
     iso = []
-    for n in range(d_max + 1):
-        src, tgt = pres_sub[n], pres_full[n]
+    for src, tgt in zip(pres_sub, pres_full):
         if src.group != tgt.group:
             iso.append(False)
             continue
-        cols = []
-        for gch in src.generator_chains():
-            img = [0] * len(tgt.basis)
-            for i, v in enumerate(gch):
-                if v:
-                    t_full = src.basis[i]
-                    img[tgt.index[t_full]] += v
-            cols.append(list(tgt.class_coordinates(img)))
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(tgt.generator_count)]
-        iso.append(_surjective_over_Z(matrix, tgt))
+        # the inclusion of chains: each tuple of Z goes to the same tuple of X
+        incl = IntMatrix((len(tgt.basis), len(src.basis)), [{} for _ in tgt.basis])
+        for c, t in enumerate(src.basis):
+            incl.rows[tgt.index[t]][c] = 1
+        iso.append(_surjective_over_Z(_on_homology(incl, src, tgt), tgt))
     warnings = [
         f"complementary member index {i0}, quotient taken at prefix index {m}",
     ]

@@ -8,7 +8,7 @@ pairs, bornology generators.
 """
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import sympy
@@ -473,6 +473,24 @@ def _hop_distances(points, edges):
                     q.append(w)
         dist[src] = seen
     return dist
+
+
+def controlled_tuples_reference(points, edges, k, n):
+    """Degree-n controlled tuples at scale k by brute force, in lex order of ground indices.
+
+    Every (n+1)-tuple of point indices is tried in product order; it is kept
+    when no two adjacent entries are equal and every two entries are within
+    hop distance k in the symmetrized generator graph.
+    """
+    dist = _hop_distances(points, edges)
+    out = []
+    for t in product(range(len(points)), repeat=n + 1):
+        if any(a == b for a, b in zip(t, t[1:])):
+            continue
+        named = tuple(points[i] for i in t)
+        if all(dist[a].get(b, k + 1) <= k for a in named for b in named):
+            out.append(named)
+    return out
 
 
 def flasque_reference(points, edges, table, tested, scale_cap, iter_cap):

@@ -260,6 +260,21 @@ def test_asdim_command(tmp_path, capsys):
     assert rep.results["per_scale"] == {"2": 1, "4": 1}
 
 
+@pytest.mark.parametrize("command", ["anti-cech", "telescope", "asdim", "qhomology"])
+def test_scales_value_reads_alike_in_both_spellings(command, tmp_path, capsys):
+    sp = write_space(tmp_path, "hl30.json", {"kind": "builtin", "name": "half_line", "radius": 30})
+    for scales, want in (("-1,2", 1), ("1,2", 0)):
+        seen = []
+        for spelling in (["--scales", scales], [f"--scales={scales}"]):
+            for fmt in ("text", "json"):
+                code = run([command, "--space", str(sp)] + spelling + ["--format", fmt])[1]
+                seen.append((fmt, code) + tuple(capsys.readouterr()))
+        assert seen[:2] == seen[2:]
+        assert [entry[1] for entry in seen] == [want] * 4
+        if want:  # the bad scale reaches the refusal that names it
+            assert "scale-index must be >= 0" in seen[0][2]
+
+
 def shift_fixture(tmp_path, radius=20):
     sp = write_space(tmp_path, "hl.json",
                      {"kind": "builtin", "name": "half_line", "radius": radius})

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from coarsehom import (
     big_family_generated,
+    coproduct,
     make_big_family,
     make_explicit_space,
     subspace,
@@ -187,11 +188,28 @@ def test_dd_zero_on_random_spaces():
             assert verify_complex_identity(X, k, 3)
 
 
+def test_tuple_order_matches_brute_force_oracle():
+    rng = random.Random(67)
+    cases = [(clique_space(6), 1), (HEX, 3), (coproduct([clique_space(m) for m in (1, 3, 5)]), 1)]
+    for _ in range(8):
+        X = random_explicit_space(rng, max_points=9, max_pairs=16)
+        cases.append((X, rng.randint(1, 2)))
+    for X, k in cases:
+        pts = list(X.points)
+        edges = [pair for E in X.coarse.generators for pair in E.pairs]
+        Y = frozenset(pts[::2])
+        quotient = homology_engine._quotient_complex(X.coarse.graph(k), Y, 3, None, k)[0]
+        for n in range(4):
+            want = oracles.controlled_tuples_reference(pts, edges, k, n)
+            assert controlled_tuples(X, k, n) == want, (pts, edges, k, n)
+            assert quotient[n] == [t for t in want if not Y.issuperset(t)], (pts, edges, k, n)
+
+
 def test_planted_sign_flip_fails_the_complex_identity(monkeypatch):
     build = homology_engine._boundary_from_lists
 
-    def flipped(basis_n, index_prev, n):
-        M = build(basis_n, index_prev, n)
+    def flipped(basis_n, index_prev, n, *rest):
+        M = build(basis_n, index_prev, n, *rest)
         if n == 1:  # a lower boundary in every check below
             row = next(r for r in M.rows if r)
             j = next(iter(row))
@@ -202,7 +220,7 @@ def test_planted_sign_flip_fails_the_complex_identity(monkeypatch):
     # reach the patched builder
     hexagon = cycle_space(6)
     monkeypatch.setattr(homology_engine, "_boundary_from_lists", flipped)
-    for d_max in (2, 3):  # d_1 meets the streamed top degree, then a stored d_2
+    for d_max in (2, 3):  # d_1 d_2 is the first product either check takes
         assert not verify_complex_identity(hexagon, 1, d_max)
     with pytest.raises(HomologyError, match="complex identity"):
         chain_complex(hexagon, 1, 2)
@@ -628,6 +646,23 @@ def test_uncontrolled_witness_is_least_failing_pair():
     with pytest.raises(homology_engine.NotControlledAtScale) as e:
         induced_map(SpaceMap(X, D, {p: p for p in pts}), 1, 0)
     assert e.value.witness == ("a", "b")
+
+
+def test_refusals_name_the_witness_pair_and_the_scales():
+    Y = make_explicit_space([0, 1, 2], [[(0, 1)]], [[0, 1, 2]])
+    g = SpaceMap(Y, Y, {0: 0, 1: 2, 2: 2})  # (0, 1) goes to the unrelated (0, 2)
+    for call in (lambda: prism(g, g, 1, 0), lambda: swindle_identity_check(Y, g, [], 1, k=1, n=0)):
+        with pytest.raises(homology_engine.NotControlledAtScale) as e:
+            call()
+        assert e.value.witness == (0, 1)
+        assert str(e.value) == "map is not controlled at scale 1; witness pair (0, 1)"
+    P = path_space(4)
+    double = SpaceMap(P, P, {x: min(2 * x, 4) for x in P.points})  # a step becomes two
+    assert induced_map(double, 1, 0, target_scale=2).target_scale == 2
+    with pytest.raises(HomologyError) as e:
+        induced_map(double, 1, 0, target_scale=1)
+    assert str(e.value) == ("target scale 1 does not hold the image of closure_at(1); "
+                            "the least scale that does is 2")
 
 
 # ------------------------------------------------------------------- prisms
