@@ -13,13 +13,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .core_spaces import (
     BornCoarseSpace,
     CoarseError,
+    Record,
     coarse_components,
     big_family_generated,
     from_metric,
@@ -314,13 +314,13 @@ def parse_map_file(path: str) -> Tuple["SpaceMap", Dict[str, str]]:
 # ---------------------------------------------------------------- reports
 
 
-@dataclass
-class Report:
-    command: str
-    input_digest: Dict[str, str] = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    warnings: List[str] = field(default_factory=list)
-    refusals: List[dict] = field(default_factory=list)
+class Report(Record):
+    def __init__(self, command, input_digest=None, results=None, warnings=None, refusals=None):
+        self.command = command
+        self.input_digest = {} if input_digest is None else input_digest
+        self.results = {} if results is None else results
+        self.warnings = [] if warnings is None else warnings
+        self.refusals = [] if refusals is None else refusals
 
     def to_json(self) -> str:
         body = {

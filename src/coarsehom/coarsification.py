@@ -7,15 +7,15 @@ member was checked to be bounded at that scale, and a Lebesgue scale means
 every bounded subset at that scale was checked to land inside some member.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from .core_spaces import BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage, is_U_bounded
+from .core_spaces import (
+    BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage, FrozenRecord, Record, is_U_bounded,
+)
 from .homology_engine import (
     DEFAULT_BASIS_CAP,
     DegreeCapExceeded,
-    FGAbGroup,
     SimplicialComplex,
     rips_complex,
 )
@@ -47,18 +47,16 @@ class NotADecomposition(CoarseError):
 # ---------------------------------------------------------------- covers
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(FrozenRecord):
     """Indexed cover with verified (optional) bound and Lebesgue certificates.
 
     bound_scale k: every member M satisfies M x M <= closure_at(k).
     lebesgue_scale k: every closure_at(k)-bounded subset lies in some member.
     """
 
-    members: Tuple[frozenset, ...]
-    bound_scale: Optional[int] = None
-    lebesgue_scale: Optional[int] = None
-    notes: Tuple[str, ...] = ()
+    def __init__(self, members, bound_scale=None, lebesgue_scale=None, notes=()):
+        vars(self).update(members=members, bound_scale=bound_scale, lebesgue_scale=lebesgue_scale,
+                          notes=notes)
 
     def __len__(self):
         return len(self.members)
@@ -182,8 +180,7 @@ def check_cover(X: BornCoarseSpace, cover, k_bound: int, k_lebesgue: int) -> Cov
 # ---------------------------------------------------------- anti-Cech
 
 
-@dataclass(frozen=True)
-class AntiCechPrefix:
+class AntiCechPrefix(FrozenRecord):
     """Ball covers at increasing scales with verified pairwise certificates.
 
     certificates[i] is a scale bounding every member of covers[i] and, at the
@@ -191,10 +188,9 @@ class AntiCechPrefix:
     each member of covers[i] to the least member of covers[i+1] containing it.
     """
 
-    scales: Tuple[int, ...]
-    covers: Tuple[Cover, ...]
-    certificates: Tuple[int, ...]
-    refinements: Tuple[Tuple[int, ...], ...]
+    def __init__(self, scales, covers, certificates, refinements):
+        vars(self).update(scales=scales, covers=covers, certificates=certificates,
+                          refinements=refinements)
 
 
 def anti_cech(X: BornCoarseSpace, scale_list: Sequence[int]) -> AntiCechPrefix:
@@ -234,11 +230,12 @@ def anti_cech(X: BornCoarseSpace, scale_list: Sequence[int]) -> AntiCechPrefix:
 # ------------------------------------------------------------- nerves
 
 
-@dataclass
 class NerveComplex(SimplicialComplex):
     """Nerve of a cover; vertices are member indices."""
 
-    cover: Cover
+    def __init__(self, vertices, simplices, cover):
+        super().__init__(vertices, simplices)
+        self.cover = cover
 
 
 def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> NerveComplex:
@@ -268,15 +265,15 @@ def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> Nerve
 # -------------------------------------------------- coarsified homology
 
 
-@dataclass
-class CoarsificationReport:
+class CoarsificationReport(Record):
     """Per-scale homology of the clique (measure) complex plus the stabilized value."""
 
-    d_max: int
-    table: Dict[int, List[FGAbGroup]]
-    stable_scale: int
-    terminal: List[FGAbGroup]
-    notes: Tuple[str, ...] = ()
+    def __init__(self, d_max, table, stable_scale, terminal, notes=()):
+        self.d_max = d_max
+        self.table = table
+        self.stable_scale = stable_scale
+        self.terminal = terminal
+        self.notes = notes
 
 
 def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
@@ -311,7 +308,6 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
 # ------------------------------------------------------------ telescope
 
 
-@dataclass
 class TelescopeComplex(SimplicialComplex):
     """Mapping telescope of the nerves along the refinement maps.
 
@@ -319,7 +315,9 @@ class TelescopeComplex(SimplicialComplex):
     subcomplex and consecutive slices are joined by prism blocks.
     """
 
-    prefix: AntiCechPrefix
+    def __init__(self, vertices, simplices, prefix):
+        super().__init__(vertices, simplices)
+        self.prefix = prefix
 
     def slice_vertex_indices(self, i):
         return [a for a, (s, _) in enumerate(self.vertices) if s == i]
@@ -377,14 +375,14 @@ def coarsening_space(prefix: AntiCechPrefix, d_max: int,
 # ----------------------------------------------------------------- asdim
 
 
-@dataclass
-class AsdimReport:
+class AsdimReport(Record):
     """Heuristic upper bound for asymptotic dimension on a finite window."""
 
-    per_scale: Dict[int, int]
-    upper_bound: int
-    budget: int
-    notes: Tuple[str, ...] = ()
+    def __init__(self, per_scale, upper_bound, budget, notes=()):
+        self.per_scale = per_scale
+        self.upper_bound = upper_bound
+        self.budget = budget
+        self.notes = notes
 
 
 def _net_over_order(order, g):
@@ -462,14 +460,14 @@ def hybrid_entourage(X: BornCoarseSpace, family: BigFamilyPrefix,
 # ------------------------------------------------ uniform decompositions
 
 
-@dataclass
-class UniformDecompositionReport:
+class UniformDecompositionReport(Record):
     """Finite-prefix certificate for a uniform two-set decomposition."""
 
-    radii: Tuple[Fraction, ...]
-    assignments: Tuple[Tuple[Fraction, Optional[Fraction]], ...]
-    ok: bool
-    notes: Tuple[str, ...] = ()
+    def __init__(self, radii, assignments, ok, notes=()):
+        self.radii = radii
+        self.assignments = assignments
+        self.ok = ok
+        self.notes = notes
 
 
 def _metric_thicken(X, S, r: Fraction):

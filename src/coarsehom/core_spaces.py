@@ -10,9 +10,8 @@ components, thickenings) is reported in that order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class CoarseError(Exception):
@@ -45,6 +44,38 @@ class NegativeDistance(InvalidMetric):
 
 class BadScales(CoarseError):
     pass
+
+
+class Record:
+    """Equality and repr over the fields that __init__ sets, in that order.
+
+    Records of one class with equal fields are equal, and a record is
+    unhashable.  Fields named in _hidden stay out of the repr.
+    """
+
+    _hidden = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        shown = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if k not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A record that hashes by value and refuses assignment; __init__ fills vars(self) directly."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 def _as_fraction(value) -> Fraction:
@@ -290,7 +321,7 @@ class CoarseStructure:
     def _scale(self, k: int) -> int:
         """Validate k, grow the table to it, and cap it at the stabilization scale."""
         if k < 0:
-            raise CoarseError("scale-index must be >= 0")
+            raise BadScales(f"scale-index must be >= 0, got {k}")
         self._grow(k)
         if self.stabilized_at is not None and k > self.stabilized_at:
             return self.stabilized_at
@@ -314,7 +345,7 @@ class CoarseStructure:
     def thicken(self, k: int, B: Iterable) -> frozenset:
         """closure_at(k)[B]: a breadth-first search of k steps from all of B at once."""
         if k < 0:
-            raise CoarseError("scale-index must be >= 0")
+            raise BadScales(f"scale-index must be >= 0, got {k}")
         seen = {self.ground.index(b) for b in B}
         front = list(seen)
         for _ in range(k):
@@ -398,24 +429,22 @@ class Bornology:
         return hash(frozenset(self.generators))
 
 
-@dataclass(frozen=True)
-class WindowTag:
+class WindowTag(FrozenRecord):
     """Marks a space as a finite window into an infinite ambient space.
 
     Every statement about such a space is window-relative; reports must carry
     this tag through to their warnings.
     """
 
-    name: str
-    radius: int
+    def __init__(self, name, radius):
+        vars(self).update(name=name, radius=radius)
 
 
-@dataclass(frozen=True)
-class UniformMetric:
+class UniformMetric(FrozenRecord):
     """Rational point metric backing the uniform (small-scale) structure."""
 
-    dist: Callable[[object, object], Fraction]
-    description: str = ""
+    def __init__(self, dist, description=""):
+        vars(self).update(dist=dist, description=description)
 
     def __call__(self, x, y) -> Fraction:
         return self.dist(x, y)
@@ -689,16 +718,16 @@ def subspace(X: BornCoarseSpace, A: Iterable) -> BornCoarseSpace:
     )
 
 
-@dataclass
-class BigFamilyPrefix:
+class BigFamilyPrefix(Record):
     """Finite prefix Y_0 subset ... subset Y_m of a big family.
 
     witness[(i, k)] = least j <= m with closure_at(k)[Y_i] subset Y_j; pairs
     with no such j are absent, never guessed.
     """
 
-    members: tuple
-    witness: Mapping
+    def __init__(self, members, witness):
+        self.members = members
+        self.witness = witness
 
     def __len__(self):
         return len(self.members)

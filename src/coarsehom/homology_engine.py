@@ -40,14 +40,17 @@ support of their source.  One pushforward carries generator chains along a
 chain map onto homology, for induced maps and the excision inclusion alike.
 """
 
+from __future__ import annotations
+
 import heapq
-from dataclasses import dataclass, field
 from itertools import compress, islice
 from math import comb, gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .core_spaces import BornCoarseSpace, BigFamilyPrefix, CoarseError, ScaleGraph
-from .morphisms import SpaceMap, _shift_table, _uncontrolled_pair, are_close
+from .core_spaces import BigFamilyPrefix, CoarseError, FrozenRecord, Record, ScaleGraph
+
+if TYPE_CHECKING:  # annotations only: `morphisms` loads when a map is first used
+    from .morphisms import SpaceMap
 
 DEFAULT_BASIS_CAP = 200_000
 DEFAULT_DEGREE_CAP = 3
@@ -265,15 +268,15 @@ def boundary_matrix(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
     return boundaries[n]
 
 
-@dataclass
-class ChainComplexAtScale:
+class ChainComplexAtScale(Record):
     """Normalized controlled-tuple complex of a space at one scale."""
 
-    space: BornCoarseSpace
-    scale: int
-    d_max: int
-    bases: List[List[tuple]]
-    boundaries: List[Optional[IntMatrix]]
+    def __init__(self, space, scale, d_max, bases, boundaries):
+        self.space = space
+        self.scale = scale
+        self.d_max = d_max
+        self.bases = bases
+        self.boundaries = boundaries
 
     def dims(self):
         return [len(b) for b in self.bases]
@@ -405,20 +408,20 @@ def _least_entry(S, d):
     return None if best is None else best[1:]
 
 
-@dataclass
-class SNFResult:
+class SNFResult(Record):
     """A = U @ S @ V with unimodular U, V and a divisibility chain on diag(S).
 
     Matrices are lists of Python-int rows so entries never overflow; shape
     records the dimensions of S even when a side is zero.
     """
 
-    U: Optional[List[List[int]]]
-    S: List[List[int]]
-    V: Optional[List[List[int]]]
-    U_inv: Optional[List[List[int]]]
-    V_inv: Optional[List[List[int]]]
-    shape: Tuple[int, int]
+    def __init__(self, U, S, V, U_inv, V_inv, shape):
+        self.U = U
+        self.S = S
+        self.V = V
+        self.U_inv = U_inv
+        self.V_inv = V_inv
+        self.shape = shape
 
     @property
     def invariant_factors(self):
@@ -714,23 +717,20 @@ def _residual_pivots(rows: List[Dict[int, int]]):
 # --------------------------------------------------------------- groups
 
 
-@dataclass(frozen=True)
-class FGAbGroup:
+class FGAbGroup(FrozenRecord):
     """Finitely generated abelian group Z^free_rank + sum of Z/d with d_1 | d_2 | ..."""
 
-    free_rank: int
-    torsion: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank, torsion=()):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError("torsion orders must be >= 2")
             if prev is not None and d % prev:
                 raise ValueError("torsion orders must form a divisibility chain")
             prev = d
+        vars(self).update(free_rank=free_rank, torsion=torsion)
 
     @property
     def trivial(self):
@@ -777,11 +777,11 @@ def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     return _homology_groups([len(s) for s in K.simplices[:d_max + 1]], boundaries)
 
 
-@dataclass
-class StabilizationReport:
-    stable_scale: int
-    per_scale: Dict[int, List[FGAbGroup]]
-    warnings: List[str] = field(default_factory=list)
+class StabilizationReport(Record):
+    def __init__(self, stable_scale, per_scale, warnings=None):
+        self.stable_scale = stable_scale
+        self.per_scale = per_scale
+        self.warnings = [] if warnings is None else warnings
 
 
 def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP, full_table=True):
@@ -811,21 +811,22 @@ def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP, full_table=True):
 # ------------------------------------------------------- presentations
 
 
-@dataclass
-class HomologyPresentation:
+class HomologyPresentation(Record):
     """H_n at a scale with enough bookkeeping to take class coordinates of cycles."""
 
-    degree: int
-    scale: int
-    group: FGAbGroup
-    basis: List[tuple]
-    index: Dict[tuple, int]
-    rank_dn: int
-    V: List[List[int]]
-    kernel_basis: List[List[int]]  # columns, each of length len(basis)
-    factors: List[int]  # invariant factors of the image presentation, with 1s
-    Uprime: List[List[int]]
-    Uprime_inv: List[List[int]]
+    def __init__(self, degree, scale, group, basis, index, rank_dn, V, kernel_basis, factors,
+                 Uprime, Uprime_inv):
+        self.degree = degree
+        self.scale = scale
+        self.group = group
+        self.basis = basis
+        self.index = index
+        self.rank_dn = rank_dn
+        self.V = V
+        self.kernel_basis = kernel_basis  # columns, each of length len(basis)
+        self.factors = factors  # invariant factors of the image presentation, with 1s
+        self.Uprime = Uprime
+        self.Uprime_inv = Uprime_inv
 
     @property
     def generator_count(self):
@@ -939,37 +940,45 @@ def _presentation_from_complex(basis, d_n, d_next, degree, scale):
 
 def _shift_at(f: SpaceMap, k):
     """Least target scale holding the image of closure_at(k), or None if there is none."""
+    from .morphisms import _shift_table
+
     shift, fail = _shift_table(f, k)
     return None if fail is not None else shift[len(shift) - 1]
 
 
 def _controlled_shift(f: SpaceMap, k):
     """_shift_at(f, k), refusing an uncontrolled map with its least failing pair."""
+    from .morphisms import _uncontrolled_pair
+
     shift = _shift_at(f, k)
     if shift is None:
         raise NotControlledAtScale(k, _uncontrolled_pair(f, k))
     return shift
 
 
-def _chain_map_matrix(f: SpaceMap, basis_src, index_tgt):
+def _chain_map_matrix(basis_src, index_tgt, *maps: SpaceMap):
+    """The sum of the chain maps of maps, from basis_src into the basis indexed by index_tgt."""
     rows: List[Dict[int, int]] = [{} for _ in index_tgt]
-    for col, t in enumerate(basis_src):
-        img = tuple(f(x) for x in t)
-        if all(img[i] != img[i + 1] for i in range(len(img) - 1)):
-            rows[index_tgt[img]][col] = 1
+    for f in maps:
+        for col, t in enumerate(basis_src):
+            img = tuple(f(x) for x in t)
+            if all(img[i] != img[i + 1] for i in range(len(img) - 1)):
+                row = rows[index_tgt[img]]
+                row[col] = row.get(col, 0) + 1
     return IntMatrix((len(index_tgt), len(basis_src)), rows)
 
 
-@dataclass
-class InducedMap:
-    map: SpaceMap
-    degree: int
-    source_scale: int
-    target_scale: int
-    source: HomologyPresentation
-    target: HomologyPresentation
-    chain_matrix: IntMatrix
-    matrix: List[List[int]]  # columns = images of source generators in target coordinates
+class InducedMap(Record):
+    def __init__(self, map, degree, source_scale, target_scale, source, target, chain_matrix,
+                 matrix):
+        self.map = map
+        self.degree = degree
+        self.source_scale = source_scale
+        self.target_scale = target_scale
+        self.source = source
+        self.target = target
+        self.chain_matrix = chain_matrix
+        self.matrix = matrix  # columns = images of source generators in target coordinates
 
 
 def _on_homology(chain: IntMatrix, src: HomologyPresentation, tgt: HomologyPresentation):
@@ -997,24 +1006,26 @@ def induced_map(f: SpaceMap, k_source, n, target_scale=None, basis_cap=DEFAULT_B
         )
     src = homology_presentation(f.source, k_source, n, basis_cap)
     tgt = homology_presentation(f.target, kt, n, basis_cap)
-    chain = _chain_map_matrix(f, src.basis, tgt.index)
+    chain = _chain_map_matrix(src.basis, tgt.index, f)
     return InducedMap(f, n, k_source, kt, src, tgt, chain, _on_homology(chain, src, tgt))
 
 
 # ------------------------------------------------------------ prism
 
 
-@dataclass
-class PrismResult:
-    source_scale: int
-    target_scale: int
-    closeness: int
-    h: Dict[int, IntMatrix]
-    verified: bool
+class PrismResult(Record):
+    def __init__(self, source_scale, target_scale, closeness, h, verified):
+        self.source_scale = source_scale
+        self.target_scale = target_scale
+        self.closeness = closeness
+        self.h = h
+        self.verified = verified
 
 
 def prism(f: SpaceMap, g: SpaceMap, k, n, basis_cap=DEFAULT_BASIS_CAP):
     """Chain homotopy between C(f) and C(g) with the prism identity checked exactly."""
+    from .morphisms import are_close
+
     if f.source is not g.source or f.target is not g.target:
         raise NotClose("prism needs a parallel pair of maps")
     c = are_close(f, g)
@@ -1043,8 +1054,8 @@ def prism(f: SpaceMap, g: SpaceMap, k, n, basis_cap=DEFAULT_BASIS_CAP):
         hmats[m] = IntMatrix((len(rows), len(src_cc.bases[m])), rows)
     verified = True
     for m in range(n + 1):
-        F = _chain_map_matrix(f, src_cc.bases[m], tgt_index[m])
-        G = _chain_map_matrix(g, src_cc.bases[m], tgt_index[m])
+        F = _chain_map_matrix(src_cc.bases[m], tgt_index[m], f)
+        G = _chain_map_matrix(src_cc.bases[m], tgt_index[m], g)
         lhs = tgt_cc.boundaries[m + 1] @ hmats[m]
         if m >= 1:
             lhs = lhs + hmats[m - 1] @ src_cc.boundaries[m]
@@ -1062,6 +1073,8 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
     With S_J the sum of the chain maps of f^0..f^J, the identity S - C(f)S = id
     holds after projecting onto tuples that meet B, provided f^J(X) misses B.
     """
+    from .morphisms import SpaceMap
+
     Bset = X.ground.check_subset(B)
     ident = SpaceMap(X, X, {p: p for p in X.points})
     powers = [ident]
@@ -1080,12 +1093,10 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
         basis_K1 = controlled_tuples(X, K1, deg, basis_cap) if K1 != K0 else basis_K0
         idx_K0 = {t: i for i, t in enumerate(basis_K0)}
         idx_K1 = {t: i for i, t in enumerate(basis_K1)}
-        S = _chain_map_matrix(ident, basis_k, idx_K0)
-        for p in powers[1:]:
-            S = S + _chain_map_matrix(p, basis_k, idx_K0)
-        E = _chain_map_matrix(ident, basis_K0, idx_K1)
-        Phi = _chain_map_matrix(f, basis_K0, idx_K1)
-        incl = _chain_map_matrix(ident, basis_k, idx_K1)
+        S = _chain_map_matrix(basis_k, idx_K0, *powers)
+        E = _chain_map_matrix(basis_K0, idx_K1, ident)
+        Phi = _chain_map_matrix(basis_K0, idx_K1, f)
+        incl = _chain_map_matrix(basis_k, idx_K1, ident)
         lhs = E @ S - Phi @ S - incl
         if any(row and any(x in Bset for x in t) for row, t in zip(lhs.rows, basis_K1)):
             return False
@@ -1104,13 +1115,13 @@ def _quotient_complex(g, Y, d_max, basis_cap, scale):
     return [[tuple(pts[i] for i in t) for t in b] for b in bases], boundaries
 
 
-@dataclass
-class RelativeHomology:
-    groups: List[FGAbGroup]
-    prefix_index: int
-    member: frozenset
-    scale: int
-    warnings: List[str] = field(default_factory=list)
+class RelativeHomology(Record):
+    def __init__(self, groups, prefix_index, member, scale, warnings=None):
+        self.groups = groups
+        self.prefix_index = prefix_index
+        self.member = member
+        self.scale = scale
+        self.warnings = [] if warnings is None else warnings
 
 
 def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
@@ -1128,17 +1139,18 @@ def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BA
 # ------------------------------------------------------------ mv_check
 
 
-@dataclass
-class ExcisionReport:
-    scale: int
-    d_max: int
-    complement_index: int
-    prefix_index: int
-    groups_sub: List[FGAbGroup]
-    groups_full: List[FGAbGroup]
-    iso: List[bool]
-    basis_bijection: bool
-    warnings: List[str] = field(default_factory=list)
+class ExcisionReport(Record):
+    def __init__(self, scale, d_max, complement_index, prefix_index, groups_sub, groups_full, iso,
+                 basis_bijection, warnings=None):
+        self.scale = scale
+        self.d_max = d_max
+        self.complement_index = complement_index
+        self.prefix_index = prefix_index
+        self.groups_sub = groups_sub
+        self.groups_full = groups_full
+        self.iso = iso
+        self.basis_bijection = basis_bijection
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def all_iso(self):
@@ -1208,12 +1220,12 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
 # ----------------------------------------------------- rips backend
 
 
-@dataclass
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Finite simplicial complex; simplices are index tuples, strictly increasing."""
 
-    vertices: List
-    simplices: List[List[tuple]]
+    def __init__(self, vertices, simplices):
+        self.vertices = vertices
+        self.simplices = simplices
 
     @property
     def dim_built(self):

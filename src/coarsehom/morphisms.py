@@ -8,7 +8,6 @@ window-relative and say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .core_spaces import (
@@ -18,6 +17,7 @@ from .core_spaces import (
     CoarseStructure,
     Entourage,
     GroundSet,
+    Record,
     UnknownPoint,
     thicken,
 )
@@ -147,13 +147,14 @@ def translate_map(X: BornCoarseSpace, delta) -> SpaceMap:
 
 # ------------------------------------------------------------------ reports
 
-@dataclass
-class MorphismReport:
-    controlled: bool
-    proper: bool
-    scale_shift: dict
-    controlled_witness: Optional[tuple] = None
-    proper_witness: Optional[frozenset] = None
+class MorphismReport(Record):
+    def __init__(self, controlled, proper, scale_shift, controlled_witness=None,
+                 proper_witness=None):
+        self.controlled = controlled
+        self.proper = proper
+        self.scale_shift = scale_shift
+        self.controlled_witness = controlled_witness
+        self.proper_witness = proper_witness
 
     @property
     def is_morphism(self) -> bool:
@@ -252,13 +253,15 @@ def are_close(f: SpaceMap, g: SpaceMap) -> Optional[int]:
     return _least_containing_scale(f.target, pairs)
 
 
-@dataclass
-class EquivalenceReport:
-    equivalence: bool
-    k_source: Optional[int]  # closeness index of g o f to id_X
-    k_target: Optional[int]  # closeness index of f o g to id_X'
-    f_report: MorphismReport = field(repr=False, default=None)
-    g_report: MorphismReport = field(repr=False, default=None)
+class EquivalenceReport(Record):
+    _hidden = ("f_report", "g_report")
+
+    def __init__(self, equivalence, k_source, k_target, f_report=None, g_report=None):
+        self.equivalence = equivalence
+        self.k_source = k_source  # closeness index of g o f to id_X
+        self.k_target = k_target  # closeness index of f o g to id_X'
+        self.f_report = f_report
+        self.g_report = g_report
 
     def __bool__(self):
         return self.equivalence
@@ -277,8 +280,7 @@ def check_equivalence(f: SpaceMap, g: SpaceMap) -> EquivalenceReport:
 
 # ------------------------------------------------------------------ flasqueness
 
-@dataclass
-class FlasqueCertificate:
+class FlasqueCertificate(Record):
     """Window-relative witness for the three flasqueness conditions.
 
     cond2_table maps each tested scale k to the least k' bounding every
@@ -286,23 +288,25 @@ class FlasqueCertificate:
     generator to the first iterate whose image avoids it.
     """
 
-    map: SpaceMap
-    window: Optional[int]
-    cond1_scale: int
-    cond2_table: dict
-    cond3_table: dict
-    iter_cap: int
-    scale_cap: int
-    tested_generators: tuple
-    clamp_count: int
-    warnings: tuple
+    def __init__(self, map, window, cond1_scale, cond2_table, cond3_table, iter_cap, scale_cap,
+                 tested_generators, clamp_count, warnings):
+        self.map = map
+        self.window = window
+        self.cond1_scale = cond1_scale
+        self.cond2_table = cond2_table
+        self.cond3_table = cond3_table
+        self.iter_cap = iter_cap
+        self.scale_cap = scale_cap
+        self.tested_generators = tested_generators
+        self.clamp_count = clamp_count
+        self.warnings = warnings
 
 
-@dataclass
-class FlasqueRefusal:
-    condition: str
-    explanation: str
-    witness: object = None
+class FlasqueRefusal(Record):
+    def __init__(self, condition, explanation, witness=None):
+        self.condition = condition
+        self.explanation = explanation
+        self.witness = witness
 
     def __bool__(self):
         return False
@@ -431,16 +435,17 @@ def certify_flasque(
     )
 
 
-@dataclass
-class GeneralizedFlasqueCertificate:
-    maps_checked: int
-    window: Optional[int]
-    cond2_scale: int  # uniform closeness of consecutive maps
-    cond3_table: dict
-    cond4_table: dict
-    scale_cap: int
-    tested_generators: tuple
-    warnings: tuple
+class GeneralizedFlasqueCertificate(Record):
+    def __init__(self, maps_checked, window, cond2_scale, cond3_table, cond4_table, scale_cap,
+                 tested_generators, warnings):
+        self.maps_checked = maps_checked
+        self.window = window
+        self.cond2_scale = cond2_scale  # uniform closeness of consecutive maps
+        self.cond3_table = cond3_table
+        self.cond4_table = cond4_table
+        self.scale_cap = scale_cap
+        self.tested_generators = tested_generators
+        self.warnings = warnings
 
 
 def certify_flasque_generalized(
@@ -516,14 +521,14 @@ def certify_flasque_generalized(
 
 # ------------------------------------------------------------------ cylinders
 
-@dataclass
-class Cylinder:
-    space: BornCoarseSpace
-    projection: SpaceMap
-    i_minus: SpaceMap
-    i_plus: SpaceMap
-    p_minus: dict
-    p_plus: dict
+class Cylinder(Record):
+    def __init__(self, space, projection, i_minus, i_plus, p_minus, p_plus):
+        self.space = space
+        self.projection = projection
+        self.i_minus = i_minus
+        self.i_plus = i_plus
+        self.p_minus = p_minus
+        self.p_plus = p_plus
 
 
 def cylinder(

@@ -272,7 +272,7 @@ def test_scales_value_reads_alike_in_both_spellings(command, tmp_path, capsys):
         assert seen[:2] == seen[2:]
         assert [entry[1] for entry in seen] == [want] * 4
         if want:  # the bad scale reaches the refusal that names it
-            assert "scale-index must be >= 0" in seen[0][2]
+            assert "refusal [BadScales]: scale-index must be >= 0, got -1" in seen[0][2]
 
 
 def shift_fixture(tmp_path, radius=20):
@@ -563,10 +563,11 @@ def test_import_pulls_in_no_third_party_numerics():
 
 
 def loaded_modules(code):
-    """The coarsehom modules a fresh interpreter has loaded after running code."""
+    """The coarsehom modules, and dataclasses or inspect, a fresh interpreter has loaded after code."""
     src = os.path.dirname(os.path.dirname(cli_io.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code += "\nprint(json.dumps([m for m in sys.modules if m.startswith('coarsehom')]))"
+    code += ("\nprint(json.dumps([m for m in sys.modules"
+             " if m.startswith('coarsehom') or m in ('dataclasses', 'inspect')]))")
     proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
@@ -577,20 +578,46 @@ def test_import_loads_no_layer():
     assert loaded_modules("import coarsehom") == {"coarsehom"}
 
 
+def test_homology_layers_load_no_maps():
+    # morphisms loads inside the functions that take a map, on their first call
+    base = {"coarsehom", "coarsehom.core_spaces", "coarsehom.homology_engine"}
+    assert loaded_modules("import coarsehom.homology_engine") == base
+    assert loaded_modules("import coarsehom.coarsification") == base | {"coarsehom.coarsification"}
+
+
 def test_each_subcommand_loads_only_its_layer(tmp_path):
     sp, mp, idp = shift_fixture(tmp_path)
-    runs = {
-        "components": ["components", "--space", "hexagon"],
-        "check-morphism": ["check-morphism", "--map", str(mp)],
-        "close": ["close", "--map", str(mp), "--map", str(idp)],
-        "equivalence": ["equivalence", "--map", str(mp), "--map", str(idp)],
-        "flasque": ["flasque", "--space", str(sp), "--map", str(mp)],
+    mat = tmp_path / "m.json"
+    mat.write_text("[[2, 4], [-6, 6]]")
+    hl = ["--space", str(sp)]
+    hom, coars, maps = {"homology_engine"}, {"homology_engine", "coarsification"}, {"morphisms"}
+    runs = {  # argv, and the layers it loads besides cli_io and core_spaces
+        "components": (["components", "--space", "hexagon"], set()),
+        "homology": (["homology", "--space", "hexagon", "--scale", "1"], hom),
+        "snf": (["snf", "--matrix", str(mat)], hom),
+        "mv-check": (["mv-check", *hl, "--subset", json.dumps(list(range(8, 21))),
+                      "--family-base", "[0]", "--family-depth", "10", "--scale", "1"], hom),
+        "qhomology": (["qhomology", "--space", "hexagon", "--scales", "1"], coars),
+        "nerve": (["nerve", "--space", "hexagon", "--scale", "1"], coars),
+        "anti-cech": (["anti-cech", *hl, "--scales", "1,2"], coars),
+        "telescope": (["telescope", *hl, "--scales", "1,2"], coars),
+        "asdim": (["asdim", *hl, "--scales", "2"], coars),
+        "hybrid": (["hybrid", *hl, "--family", "[[0, 1, 2, 3]]", "--phi", "[0]", "--scale", "1"],
+                   coars),
+        "udecomp": (["udecomp", *hl, "--part-y", json.dumps(list(range(11))),
+                     "--part-z", json.dumps(list(range(10, 21))), "--radii", '["2", "1"]'], coars),
+        "check-morphism": (["check-morphism", "--map", str(mp)], maps),
+        "close": (["close", "--map", str(mp), "--map", str(idp)], maps),
+        "equivalence": (["equivalence", "--map", str(mp), "--map", str(idp)], maps),
+        "flasque": (["flasque", *hl, "--map", str(mp)], maps),
     }
-    for name, argv in runs.items():
+    assert set(runs) == set(cli_io.COMMANDS)
+    for name, (argv, extra) in runs.items():
         code = f"from coarsehom.cli_io import main\nassert main({argv!r}) == 0"
-        layers = {m.split(".")[-1] for m in loaded_modules(code)} - {"coarsehom"}
-        want = {"cli_io", "core_spaces"} | ({"morphisms"} if name != "components" else set())
-        assert layers == want, name
+        loaded = loaded_modules(code)
+        assert not loaded & {"dataclasses", "inspect"}, name
+        layers = {m.split(".")[-1] for m in loaded} - {"coarsehom"}
+        assert layers == {"cli_io", "core_spaces"} | extra, name
 
 
 def test_public_names_resolve_on_first_use():

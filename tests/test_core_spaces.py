@@ -167,6 +167,18 @@ def test_scale_queries_refuse_bad_input():
         X.coarse.related_at(1, 99, 0)
 
 
+@pytest.mark.parametrize("k", [-1, -7])
+def test_negative_scale_refusal_names_the_value(k):
+    X = windowed_builtin("int_window", 3)
+    calls = {"ball": lambda: X.coarse.ball(k, 0), "closure_at": lambda: closure_at(X, k),
+             "related_at": lambda: X.coarse.related_at(k, 0, 1), "thicken": lambda: thicken(X, k, {0}),
+             "graph": lambda: X.coarse.graph(k)}
+    for name, call in calls.items():
+        with pytest.raises(BadScales) as e:
+            call()
+        assert str(e.value) == f"scale-index must be >= 0, got {k}", name
+
+
 def test_stabilization_memory_stays_small():
     X = windowed_builtin("int_window", 100)
     tracemalloc.start()

@@ -816,6 +816,92 @@ def test_swindle_identity_never_escapes():
         swindle_identity_check(X, identity_map(X), [0], J=8)
 
 
+def summed_swindle(X, f, B, J, k=1, n=1):
+    """swindle_identity_check's verdict with S summed one chain map at a time, S = S + M."""
+    B = set(B)
+    powers = [identity_map(X)]
+    for _ in range(J):
+        powers.append(f.compose(powers[-1]))
+    hit = B & powers[J].image()
+    if hit:
+        raise WindowTooSmall(J, min(hit))
+    K0 = max([k] + [homology_engine._controlled_shift(p, k) for p in powers])
+    K1 = max(K0, homology_engine._controlled_shift(f, K0))
+
+    def chain(p, src, tgt):
+        index = {t: i for i, t in enumerate(tgt)}
+        rows = [{} for _ in tgt]
+        for c, t in enumerate(src):
+            img = tuple(map(p, t))
+            if all(a != b for a, b in zip(img, img[1:])):
+                rows[index[img]][c] = 1
+        return IntMatrix((len(tgt), len(src)), rows)
+
+    for deg in range(n + 1):
+        Bk, B0, B1 = (controlled_tuples(X, s, deg) for s in (k, K0, K1))
+        S = chain(powers[0], Bk, B0)
+        for p in powers[1:]:
+            S = S + chain(p, Bk, B0)
+        lhs = chain(powers[0], B0, B1) @ S - chain(f, B0, B1) @ S - chain(powers[0], Bk, B1)
+        if any(row and B & set(t) for row, t in zip(lhs.rows, B1)):
+            return False
+    return True
+
+
+def swindle_outcome(check, *args, **kw):
+    try:
+        return check(*args, **kw)
+    except WindowTooSmall as e:
+        return ("WindowTooSmall", e.iterate, e.witness)
+
+
+@pytest.mark.parametrize("radius, delta, B, J, k, n", [
+    (30, 1, range(6), 8, 1, 1),
+    (30, 2, range(6), 3, 1, 2),
+    (30, 2, [4, 9], 6, 2, 1),
+    (20, 3, [0, 1], 1, 0, 2),
+    (20, 1, range(6), 4, 1, 1),  # f^4 still meets B at 4
+    (20, 1, [], 2, 1, 1),
+])
+def test_swindle_matches_the_summed_form(radius, delta, B, J, k, n):
+    X = windowed_builtin("half_line", radius)
+    f = translate_map(X, delta)
+    got = swindle_outcome(swindle_identity_check, X, f, B, J, k=k, n=n)
+    assert got == swindle_outcome(summed_swindle, X, f, B, J, k=k, n=n)
+    assert got in (True, ("WindowTooSmall", 4, 4))
+
+
+def test_summed_chain_map_counts_every_power():
+    # the clamped shift fixes the window edge, so powers f^j, j >= 10 - x, all send x there
+    X = windowed_builtin("half_line", 10)
+    powers = [translate_map(X, 1).power(j) for j in range(13)]
+    for deg in range(3):
+        basis = controlled_tuples(X, 1, deg)
+        index = {t: i for i, t in enumerate(basis)}
+        S = homology_engine._chain_map_matrix(basis, index, *powers)
+        summed = homology_engine._chain_map_matrix(basis, index, powers[0])
+        for p in powers[1:]:
+            summed = summed + homology_engine._chain_map_matrix(basis, index, p)
+        assert (S.shape, S.rows) == (summed.shape, summed.rows)
+        if deg == 0:
+            assert [S.rows[10][x] for x in range(11)] == [min(13, 3 + x) for x in range(11)]
+
+
+def test_swindle_false_verdict_matches_the_summed_form(monkeypatch):
+    # past the refusal the identity always holds: the sum telescopes to -f^(J+1),
+    # whose tuples lie in f^J(X); powers that skip every other iterate break it
+    X = windowed_builtin("half_line", 30)
+    f = translate_map(X, 1)
+
+    def skipping_compose(self, first):
+        return SpaceMap(first.source, self.target,
+                        {x: self.table[self.table[y]] for x, y in first.table.items()})
+
+    monkeypatch.setattr(SpaceMap, "compose", skipping_compose)
+    assert swindle_identity_check(X, f, range(11), J=6) is False
+    assert summed_swindle(X, f, range(11), J=6) is False
+
+
 # -------------------------------------------------------- relative homology
 
 def test_relative_to_whole_space_vanishes():
