@@ -267,6 +267,14 @@ def _json_flag(text, field_name):
         raise ParseError(f"bad JSON in --{field_name}: {e}", field_name)
 
 
+def _int_list(vals, field_name):
+    """vals, refused unless it is a list of integers (booleans, floats and strings are not)."""
+    if not isinstance(vals, list) or any(type(v) is not int for v in vals):
+        raise ParseError(f"{field_name} needs a JSON list of integers, got {json.dumps(vals)}",
+                         field_name)
+    return vals
+
+
 # -------------------------------------------------------------- map files
 
 
@@ -486,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_scales(text, field_name="scales"):
     raw = text.strip()
     if raw.startswith("["):
-        vals = _json_flag(raw, field_name)
+        vals = _int_list(_json_flag(raw, field_name), field_name)
     else:
         vals = [tok for tok in raw.split(",") if tok.strip()]
     out = []
@@ -747,7 +755,7 @@ def _cmd_hybrid(args, rep: Report):
     else:
         base = _match_subset(X, _json_flag(args.family_base, "family-base"), "family-base")
         fam = big_family_generated(X, base, args.family_depth)
-    phi = _json_flag(args.phi, "phi")
+    phi = _int_list(_json_flag(args.phi, "phi"), "phi")
     U = hybrid_entourage(X, fam, phi, args.scale)
     index = X.ground.index
     pairs = sorted(U.pairs, key=lambda ab: (index(ab[0]), index(ab[1])))
@@ -788,12 +796,10 @@ def _cmd_snf(args, rep: Report):
         raise ParseError(f"cannot read matrix {args.matrix!r}: {e.strerror}")
     rep.input_digest["matrix"] = _digest(blob)
     rows = _json_flag(blob.decode("utf-8"), "matrix")
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+    if not isinstance(rows, list):
         raise ParseError("matrix must be a JSON list of rows", "matrix")
     for r in rows:
-        for v in r:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"matrix entry {v!r} is not an integer", "matrix")
+        _int_list(r, "matrix")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ParseError("matrix rows have unequal lengths", "matrix")
     res = smith_normal_form(rows)

@@ -17,7 +17,8 @@ from .homology_engine import (
     DEFAULT_BASIS_CAP,
     DegreeCapExceeded,
     SimplicialComplex,
-    rips_complex,
+    _clique_groups,
+    _colimit_groups,
 )
 
 
@@ -248,7 +249,7 @@ def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> Nerve
         dim = len(s) - 1
         simplices[dim].append(s)
         total += 1
-        if total > basis_cap:
+        if basis_cap is not None and total > basis_cap:
             raise DegreeCapExceeded(dim, None, basis_cap, "nerve simplices")
         if dim == d_max:
             return
@@ -283,10 +284,11 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
     The measure complex at scale k has a simplex for each support S of a
     bounded probability measure, i.e. each S with S x S inside closure_at(k):
     it is the clique complex rips_complex(X, k, ...), built through degree
-    d_max + 1.  For a finite space the exhaustion over bounded subsets
-    collapses at the whole space, so the value at a scale is the plain
-    unreduced homology of that complex; no cofiber towers are involved.
-    basis_cap bounds the simplices built at each scale.
+    d_max + 1 under basis_cap simplices.  For a finite space the exhaustion
+    over bounded subsets collapses at the whole space, so the value at a scale
+    is the plain unreduced homology of that complex; no cofiber towers are
+    involved.  The terminal value comes from the scale graph as in
+    homology_colimit, with no complex built, so it is never capped.
     """
     notes = ["bounded exhaustion collapses at the whole finite space; "
              "values are unreduced homology of the measure complex"]
@@ -295,14 +297,9 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
             f"window-relative: computed over the {X.window_tag.name} window "
             f"of radius {X.window_tag.radius}"
         )
-    table = {}
-    for k in scale_list:
-        table[int(k)] = rips_complex(X, int(k), d_max + 1, basis_cap).homology(d_max)
-    stab = X.coarse.stabilization()
-    terminal = table.get(stab)
-    if terminal is None:
-        terminal = rips_complex(X, stab, d_max + 1, basis_cap).homology(d_max)
-    return CoarsificationReport(d_max, table, stab, terminal, tuple(notes))
+    table = {int(k): _clique_groups(X, int(k), d_max, basis_cap) for k in scale_list}
+    terminal = _colimit_groups(X, d_max)
+    return CoarsificationReport(d_max, table, X.coarse.stabilization(), terminal, tuple(notes))
 
 
 # ------------------------------------------------------------ telescope

@@ -15,13 +15,15 @@ verified as an exact matrix equation, never numerically.  A space keeps the
 tuple complexes and presentations built on it, so each is built once per
 scale (and degree) and shared read-only by later callers.
 
-Groups alone (`homology_at_scale`, hence the colimit table) come from the
-clique complex of the same scale graph, which is chain-equivalent to the
-tuple complex (ordered against oriented chains, Munkres, Elements of
+Groups alone (`homology_at_scale`, hence the per-scale colimit table) come
+from the clique complex of the same scale graph, which is chain-equivalent
+to the tuple complex (ordered against oriented chains, Munkres, Elements of
 Algebraic Topology, section 13) and far smaller: a simplex maps to its
 increasing tuple, and a tuple with distinct entries maps to the sorted
 simplex with the sign of the sorting permutation.  `basis_cap` keeps its
 meaning there, a bound on tuples per degree, read off the clique counts.
+At stabilization each coarse component is a clique, hence a cone: the colimit
+is Z^(components) in degree 0 and 0 above, read off the graph, nothing built.
 
 Groups are read off one sparse elimination kernel in two phases.  The unit
 phase takes ±1 pivots from a heap of rows keyed on length, each in its
@@ -761,6 +763,16 @@ def _homology_groups(dims, boundaries: Sequence[Optional[IntMatrix]]):
     return [FGAbGroup(c - ranks[n] - ranks[n + 1], torsion[n + 1]) for n, c in enumerate(dims)]
 
 
+def _clique_groups(X, k, d_max, basis_cap, tuples=False):
+    """Groups 0..d_max of the scale-k clique complex, built through d_max + 1 and checked."""
+    g = X.coarse.graph(k)
+    K = SimplicialComplex(list(g.points), _cliques(g, d_max + 1, basis_cap, k, tuples))
+    boundaries = [None] + [K.boundary(n) for n in range(1, d_max + 2)]
+    if not _is_complex(boundaries):
+        raise HomologyError("boundary matrices fail the complex identity")
+    return _homology_groups([len(s) for s in K.simplices[:d_max + 1]], boundaries)
+
+
 def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     """Homology groups of the controlled-tuple complex, degrees 0..d_max.
 
@@ -769,12 +781,23 @@ def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     bounds the tuple basis of each degree, as in chain_complex, and is
     refused at the same degree with the same message.
     """
-    g = X.coarse.graph(k)
-    K = SimplicialComplex(list(g.points), _cliques(g, d_max + 1, basis_cap, k, tuples=True))
-    boundaries = [None] + [K.boundary(n) for n in range(1, d_max + 2)]
-    if not _is_complex(boundaries):
-        raise HomologyError("boundary matrices fail the complex identity")
-    return _homology_groups([len(s) for s in K.simplices[:d_max + 1]], boundaries)
+    return _clique_groups(X, k, d_max, basis_cap, tuples=True)
+
+
+def _colimit_groups(X, d_max):
+    """Groups 0..d_max at stabilization, where each component is a clique, so a cone.
+
+    A component that is not a clique means a fault in stabilization: refused.
+    """
+    stab = X.coarse.stabilization()
+    g = X.coarse.graph(stab)
+    for i, related in enumerate(g.sets):
+        component = g.components[g.comp[i]]
+        if len(related) != len(component):
+            j = next(j for j in component if j not in related)
+            raise HomologyError(f"{g.points[i]!r} and {g.points[j]!r} share a component but "
+                                f"are unrelated at the stabilization scale {stab}")
+    return [FGAbGroup(0 if n else len(g.components)) for n in range(d_max + 1)]
 
 
 class StabilizationReport(Record):
@@ -784,27 +807,21 @@ class StabilizationReport(Record):
         self.warnings = [] if warnings is None else warnings
 
 
-def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP, full_table=True):
-    """Homology at the stabilized closure plus a per-scale table up to stabilization."""
+def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP):
+    """Homology at the stabilized closure plus a per-scale table up to stabilization.
+
+    The stabilized value is read off the scale graph and builds no complex.
+    """
     stab = X.coarse.stabilization()
-    groups = homology_at_scale(X, stab, d_max, basis_cap)
+    groups = _colimit_groups(X, d_max)
     warnings = []
     if X.window_tag is not None:
         warnings.append(
             f"window-relative: colimit taken over the {X.window_tag.name} window of "
             f"radius {X.window_tag.radius}"
         )
-    table: Dict[int, List[FGAbGroup]] = {}
-    scales = list(range(min(1, stab), stab + 1)) or [0]
-    if full_table:
-        for s in scales:
-            table[s] = groups if s == stab else homology_at_scale(X, s, d_max, basis_cap)
-    else:
-        for s in scales:
-            table[s] = groups if s == stab else [FGAbGroup(len(X.coarse.graph(s).components))]
-        warnings.append(
-            "per-scale table lists degree-0 component counts only; the terminal value is exact"
-        )
+    table = {s: homology_at_scale(X, s, d_max, basis_cap) for s in range(min(1, stab), stab)}
+    table[stab] = groups
     return groups, StabilizationReport(stab, table, warnings)
 
 
@@ -1071,7 +1088,9 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
     """Truncated Eilenberg-swindle identity, exact on chains seen by the bounded set B.
 
     With S_J the sum of the chain maps of f^0..f^J, the identity S - C(f)S = id
-    holds after projecting onto tuples that meet B, provided f^J(X) misses B.
+    holds after projecting onto tuples that meet B, provided f^J(X) misses B (else
+    WindowTooSmall).  It then holds by telescoping to -C(f^(J+1)), so the exact
+    matrix equation checks the chain-map code: False means a fault there.
     """
     from .morphisms import SpaceMap
 

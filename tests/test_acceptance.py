@@ -75,7 +75,7 @@ def test_criterion_01_point_axiom(capsys):
 def test_criterion_02_components_law():
     t0 = time.monotonic()
     for X, pairs in battery():
-        rank = homology_colimit(X, 0, full_table=False)[0][0].free_rank
+        rank = homology_colimit(X, 0)[0][0].free_rank
         assert rank == len(oracles.union_find_components(X.points, pairs))
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

@@ -275,6 +275,31 @@ def test_scales_value_reads_alike_in_both_spellings(command, tmp_path, capsys):
             assert "refusal [BadScales]: scale-index must be >= 0, got -1" in seen[0][2]
 
 
+@pytest.mark.parametrize("value", ["[2.7]", "[true,2]", '["2"]', "[[1]]", "1.5"])
+def test_scales_must_be_integers(value, capsys):
+    rep, code = run(["anti-cech", "--space", "hexagon", "--scales", value])
+    captured = capsys.readouterr()
+    assert code == 2 and rep.results == {} and captured.out == ""
+    assert captured.err.startswith("parse error: ") and "(field scales)" in captured.err
+
+
+@pytest.mark.parametrize("value", ["3", '["a"]', "[2.5]", "[true]", '{"0": 1}', "[null]"])
+def test_phi_must_be_a_list_of_integers(value, capsys):
+    rep, code = run(["hybrid", "--space", "hexagon", "--family", '[["0", "1"]]',
+                     "--phi", value, "--scale", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and rep.results == {} and captured.out == ""
+    assert captured.err.startswith("parse error: ") and "(field phi)" in captured.err
+
+
+def test_qhomology_terminal_past_the_simplex_cap(tmp_path, capsys):
+    # the stabilized complex of 49 points has C(49, 4) tetrahedra; the terminal builds none
+    sp = write_space(tmp_path, "g3.json", {"kind": "builtin", "name": "grid2_window", "radius": 3})
+    rep, code, _ = run_quiet(["qhomology", "--space", str(sp), "--max-dim", "2"], capsys)
+    assert code == 0 and rep.results["table"] == {}
+    assert [g["free_rank"] for g in rep.results["terminal"]] == [1, 0, 0]
+
+
 def shift_fixture(tmp_path, radius=20):
     sp = write_space(tmp_path, "hl.json",
                      {"kind": "builtin", "name": "half_line", "radius": radius})

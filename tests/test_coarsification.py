@@ -21,6 +21,7 @@ from coarsehom import (
     make_explicit_space,
     windowed_builtin,
 )
+from coarsehom import homology_engine
 from coarsehom.coarsification import (
     AntiCechPrefix,
     CertificateFailed,
@@ -273,6 +274,18 @@ def test_nerve_cap():
                             "raise basis_cap to proceed")
 
 
+def test_uncapped_nerve_and_telescope_match_the_default_cap():
+    X = windowed_builtin("half_line", 6)
+    cover = cover_from_net(X, 1)
+    capped, uncapped = nerve(cover, 2), nerve(cover, 2, None)
+    assert uncapped.simplices == capped.simplices
+    assert uncapped.homology(1) == capped.homology(1)
+    pre = anti_cech(X, [1, 2])
+    tele, groups = coarsening_space(pre, 1)
+    tele_none, groups_none = coarsening_space(pre, 1, None)
+    assert tele_none.simplices == tele.simplices and groups_none == groups
+
+
 def test_coarsify_homology_cap_counts_simplices():
     pts = list(range(8))
     X = make_explicit_space(pts, [[(a, b) for a in pts for b in pts if a < b]], [pts])
@@ -341,6 +354,24 @@ def test_coarsified_terminal_counts_components():
         rep = coarsify_homology(X, [], 1)
         assert rep.terminal[0] == FGAbGroup(want)
         assert rep.terminal[1].trivial
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("grid2_window", 3), ("grid2_window", 5), ("grid2_window", 8),
+    ("int_window", 30), ("int_window", 100), ("int_window", 200),
+])
+def test_coarsified_terminal_enumerates_nothing(name, radius, monkeypatch):
+    # the stabilized clique complex is a full simplex: grid2_window(3) alone
+    # has C(49, 4) tetrahedra, past the default cap
+    X = windowed_builtin(name, radius)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the terminal value enumerated a complex")
+
+    monkeypatch.setattr(homology_engine, "_cliques", refuse)
+    monkeypatch.setattr(homology_engine, "_iter_controlled", refuse)
+    rep = coarsify_homology(X, [], 2)
+    assert rep.terminal == [Z, ZERO, ZERO]
 
 
 def test_coarsified_windowed_note():

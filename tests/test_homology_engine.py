@@ -52,6 +52,7 @@ from coarsehom.homology_engine import (
     swindle_identity_check,
     verify_complex_identity,
 )
+from coarsehom.core_spaces import CoarseStructure
 from coarsehom.morphisms import SpaceMap, constant_map, identity_map, translate_map
 from genspaces import random_explicit_space
 
@@ -510,12 +511,38 @@ def test_colimit_rank_matches_union_find():
         stab = X.coarse.stabilization()
         pairs = [(a, b) for a, b in X.closure_at(max(stab, 1)).pairs if a != b]
         want = len(oracles.union_find_components(X.points, pairs))
-        groups, rep = homology_colimit(X, 0, full_table=False)
+        groups, rep = homology_colimit(X, 0)
         assert groups[0] == FGAbGroup(want)
-        assert any("component counts" in w for w in rep.warnings)
         for s, gs in rep.per_scale.items():
             at_s = [(a, b) for a, b in X.closure_at(s).pairs if a != b]
             assert gs[0].free_rank == len(oracles.union_find_components(X.points, at_s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10 ** 6), st.integers(0, 2))
+def test_closed_form_colimit_matches_full_reduction(n, seed, d):
+    rng = random.Random(seed)
+    pts = list(range(n))
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    X = make_explicit_space(pts, [pairs], [pts])
+    stab = X.coarse.stabilization()
+    groups = homology_engine._colimit_groups(X, d)
+    assert groups == homology_at_scale(X, stab, d, None)
+    assert groups == rips_complex(X, stab, d + 1, None).homology(d)
+    comps = oracles.union_find_components(pts, [p for p in pairs if p[0] != p[1]])
+    assert groups == [FGAbGroup(len(comps))] + [ZERO] * d
+    assert homology_colimit(X, d)[0] == groups
+
+
+def test_closed_form_refuses_a_stabilization_fault(monkeypatch):
+    X = path_space(5)
+    stabilization = CoarseStructure.stabilization
+    monkeypatch.setattr(CoarseStructure, "stabilization", lambda self: stabilization(self) - 1)
+    for call in (lambda: homology_engine._colimit_groups(X, 2), lambda: homology_colimit(X, 2)):
+        with pytest.raises(HomologyError) as e:
+            call()
+        assert str(e.value) == ("0 and 5 share a component but are unrelated at the "
+                                "stabilization scale 4")
 
 
 def test_windowed_colimit_warns():
@@ -814,6 +841,21 @@ def test_swindle_identity_never_escapes():
     X = windowed_builtin("half_line", 30)
     with pytest.raises(WindowTooSmall):
         swindle_identity_check(X, identity_map(X), [0], J=8)
+
+
+def test_swindle_past_the_refusal_always_holds():
+    # S - C(f)S - id telescopes to -C(f^(J+1)), which misses B once f^J(X) does
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(100):
+        X = windowed_builtin(rng.choice(["half_line", "int_window"]), rng.randint(3, 6))
+        pts = list(X.points)
+        f = SpaceMap(X, X, {p: rng.choice(pts) for p in pts})
+        B = rng.sample(pts, rng.randint(0, 3))
+        J, k, n = rng.randint(1, 6), rng.randint(0, 2), rng.randint(0, 2)
+        outcome = swindle_outcome(swindle_identity_check, X, f, B, J, k=k, n=n)
+        seen.add(outcome if outcome is True else outcome[0])
+    assert seen == {True, "WindowTooSmall"}
 
 
 def summed_swindle(X, f, B, J, k=1, n=1):
