@@ -316,9 +316,6 @@ class TelescopeComplex(SimplicialComplex):
         super().__init__(vertices, simplices)
         self.prefix = prefix
 
-    def slice_vertex_indices(self, i):
-        return [a for a, (s, _) in enumerate(self.vertices) if s == i]
-
 
 def coarsening_space(prefix: AntiCechPrefix, d_max: int,
                      basis_cap: int = DEFAULT_BASIS_CAP):

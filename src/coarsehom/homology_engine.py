@@ -23,30 +23,33 @@ increasing tuple, and a tuple with distinct entries maps to the sorted
 simplex with the sign of the sorting permutation.  `basis_cap` keeps its
 meaning there, a bound on tuples per degree, read off the clique counts.
 At stabilization each coarse component is a clique, hence a cone: the colimit
-is Z^(components) in degree 0 and 0 above, read off the graph, nothing built.
+is Z^(components) in degree 0 and 0 above, read off the hop-distance table,
+nothing built.
 
 Groups are read off one sparse elimination kernel in two phases.  The unit
 phase takes ±1 pivots from a heap of rows keyed on length, each in its
 sparsest column, and clears that column with exact row operations; only the
-rows that never offer a unit reach the residual phase, a general elimination
-with gcd steps whose pivots are repaired into a divisibility chain.  Each
-boundary of a complex is reduced once: its rank serves H_{n-1} and H_n, and
-its invariant factors give the torsion of H_{n-1}.
+rows that never offer a unit reach the residual phase, the Smith form that
+presentations use, run without transforms.  Each boundary of a complex is
+reduced once: its rank serves H_{n-1} and H_n, and its invariant factors
+give the torsion of H_{n-1}.
 
-Presentations, induced maps and the `snf` command use a dense Smith form
-with transforms, whose pivot is the least |nonzero| entry, ties row-major;
-generator chains follow from that order, so it is kept exactly, and the
-steps skip zeros instead: the search stops at the first ±1, a unit pivot
-skips the divisibility scan, and row and column operations run over the
-support of their source.  One pushforward carries generator chains along a
-chain map onto homology, for induced maps and the excision inclusion alike.
+Presentations, induced maps and the `snf` command share one Smith form with
+transforms, whose pivot is the least |nonzero| entry, ties row-major;
+generator chains follow from that order, so it is kept exactly.  It runs on
+sparse rows with sparse transforms, and swaps only permute positions.
+`smith_normal_form` makes its result dense; a presentation keeps its
+transforms sparse, each in the orientation it is read in, so class
+coordinates cost in proportion to the nonzeros a chain touches.  One
+pushforward carries generator chains along a chain map onto homology, for
+induced maps and the excision inclusion alike.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import compress, islice
-from math import comb, gcd
+from itertools import islice
+from math import comb
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .core_spaces import BigFamilyPrefix, CoarseError, FrozenRecord, Record, ScaleGraph
@@ -360,16 +363,6 @@ def _shape_of(A):
     return (len(A), n)
 
 
-def _as_int_rows(A):
-    if isinstance(A, IntMatrix):
-        return A.tolist()
-    return [list(map(int, row)) for row in A]
-
-
-def _eye(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int):
     """dst += q*src over the support of src; q != 0, so a new key is never 0."""
     for j, x in src.items():
@@ -392,22 +385,125 @@ def _dense(vecs: List[Dict[int, int]], size: int, columns=False):
     return out
 
 
-def _least_entry(S, d):
-    """Row and column of the least |nonzero| in S[d:, d:], ties row-major.
+def _swap(at, pos, a, b):
+    """Swap positions a and b of the permutation at, whose inverse is pos."""
+    x, y = at[a], at[b]
+    at[a], at[b] = y, x
+    pos[x], pos[y] = b, a
 
-    A ±1 is the least possible value, so the first one found is the winner
-    and ends the search.
+
+def _least_entry(S, rowat, colpos, d):
+    """Position (row, column) of the least |nonzero| from position d on, ties row-major.
+
+    A ±1 is the least possible value, so the first row holding one ends the search.
     """
     best = None
-    for i in range(d, len(S)):
-        Si = S[i]
-        for j in range(d, len(Si)):
-            v = Si[j]
-            if v and (best is None or abs(v) < best[0]):
-                if v == 1 or v == -1:
-                    return i, j
-                best = (abs(v), i, j)
+    for p in range(d, len(rowat)):
+        row = S[rowat[p]]
+        if row:
+            a = min(map(abs, row.values()))
+            if best is None or a < best[0]:
+                best = (a, p, min(colpos[j] for j, v in row.items() if abs(v) == a))
+                if a == 1:
+                    break
     return None if best is None else best[1:]
+
+
+def _smith(S: List[Dict[int, int]], n: int, track_U=True, track_V=True):
+    """Smith form of the matrix with sparse rows S (dicts {column: int}) and n columns.
+
+    Destructive on S.  The pivot is the least |nonzero| entry not yet reduced,
+    ties row-major; row operations clear its column, then column operations
+    its row, and a remainder becomes the new pivot.  A pivot that fails to
+    divide a later row gets that row added to its own.  Rows and columns keep
+    their ids while swaps permute their positions.  Returns the pivots in
+    order and, by position, the rows of U⁻¹, the columns of U, the rows of V
+    and the columns of V⁻¹ (dicts over the rows of A for U, its columns for
+    V; None when not tracked), so that A = U S V.
+    """
+    m = len(S)
+    rowat, rowpos, colat, colpos = list(range(m)), list(range(m)), list(range(n)), list(range(n))
+    # Ui: rows of U⁻¹, Uc: columns of U; Vr: rows of V, Vic: columns of V⁻¹; all by id
+    Ui, Uc = ([{i: 1} for i in range(m)], [{i: 1} for i in range(m)]) if track_U else (None, None)
+    Vr, Vic = ([{j: 1} for j in range(n)], [{j: 1} for j in range(n)]) if track_V else (None, None)
+
+    def row_op(dst, src, q):
+        # row_dst += q*row_src, q != 0; keeps A = U S V
+        _axpy(S[dst], S[src], q)
+        if track_U:
+            _axpy(Ui[dst], Ui[src], q)
+            _axpy(Uc[src], Uc[dst], -q)
+
+    def negate_row(r):
+        Sr = S[r]
+        for j in Sr:
+            Sr[j] = -Sr[j]
+        if track_U:
+            Ui[r] = {j: -x for j, x in Ui[r].items()}
+            Uc[r] = {i: -x for i, x in Uc[r].items()}
+
+    d = 0
+    while d < m and d < n:
+        best = _least_entry(S, rowat, colpos, d)
+        if best is None:
+            break
+        _swap(rowat, rowpos, d, best[0])
+        _swap(colat, colpos, d, best[1])
+        if S[rowat[d]][colat[d]] < 0:
+            negate_row(rowat[d])
+        while True:
+            pr, pc = rowat[d], colat[d]
+            Sp = S[pr]
+            pivot = Sp[pc]
+            # Clear the pivot column by row operations, rows in position order,
+            # until a row is left with a remainder: it becomes the pivot row.  A
+            # remainder is positive, so a new pivot needs no sign change.
+            moved = False
+            for p in range(d + 1, m):
+                i = rowat[p]
+                x = S[i].get(pc)
+                if x:
+                    q = x // pivot
+                    if q:
+                        row_op(i, pr, -q)
+                    if pc in S[i]:
+                        _swap(rowat, rowpos, d, p)
+                        moved = True
+                        break
+            if moved:
+                continue
+            # then the pivot row by column operations, columns in position order;
+            # the pivot is the only nonzero of its column, so each changes one entry of S
+            for p in sorted(colpos[j] for j in Sp if j != pc):
+                j = colat[p]
+                q = Sp[j] // pivot
+                if q:
+                    Sp[j] -= q * pivot
+                    if not Sp[j]:
+                        del Sp[j]
+                    if track_V:
+                        _axpy(Vr[pc], Vr[j], q)
+                        _axpy(Vic[j], Vic[pc], -q)
+                if j in Sp:
+                    _swap(colat, colpos, d, p)
+                    moved = True
+                    break
+            if moved:
+                continue
+            if pivot == 1:
+                break  # a unit divides every entry
+            fix = next((rowat[p] for p in range(d + 1, m)
+                        if any(v % pivot for v in S[rowat[p]].values())), None)
+            if fix is None:
+                break
+            row_op(pr, fix, 1)
+        d += 1
+
+    def by_position(vecs, at):
+        return None if vecs is None else [vecs[i] for i in at]
+
+    return ([S[rowat[p]][colat[p]] for p in range(d)], by_position(Ui, rowat),
+            by_position(Uc, rowat), by_position(Vr, colat), by_position(Vic, colat))
 
 
 class SNFResult(Record):
@@ -439,124 +535,22 @@ def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
     """Exact Smith normal form; pivot is the least |nonzero| entry, ties row-major.
 
     The pivot order and every row and column operation are fixed by that
-    rule (frozen generator chains depend on them); only zeros are skipped.
-    While reducing, the transforms are sparse dicts, with U and V⁻¹ kept by
-    columns so that their column operations are dict updates too.
+    rule (frozen generator chains depend on them).  The elimination runs on
+    sparse rows with sparse transforms; only the result is made dense: S, U,
+    V, U⁻¹ and V⁻¹ as lists of rows.
     """
     m, n = _shape_of(A)
-    S = _as_int_rows(A)
-    # Ui: rows of U⁻¹, Uc: columns of U; Vr: rows of V, Vic: columns of V⁻¹
-    Ui, Uc = ([{i: 1} for i in range(m)], [{i: 1} for i in range(m)]) if track_U else (None, None)
-    Vr, Vic = ([{j: 1} for j in range(n)], [{j: 1} for j in range(n)]) if track_V else (None, None)
-
-    def swap_rows(a, b):
-        if a == b:
-            return
-        S[a], S[b] = S[b], S[a]
-        if track_U:
-            Ui[a], Ui[b] = Ui[b], Ui[a]
-            Uc[a], Uc[b] = Uc[b], Uc[a]
-
-    def swap_cols(a, b):
-        if a == b:
-            return
-        for r in S:
-            r[a], r[b] = r[b], r[a]
-        if track_V:
-            Vr[a], Vr[b] = Vr[b], Vr[a]
-            Vic[a], Vic[b] = Vic[b], Vic[a]
-
-    def row_sub(i, d, q, support):
-        # S: row_i -= q*row_d, support = the nonzeros of row_d; keeps A = U S V
-        if q == 0:
-            return
-        Si = S[i]
-        for j, x in support:
-            Si[j] -= q * x
-        if track_U:
-            _axpy(Ui[i], Ui[d], -q)
-            _axpy(Uc[d], Uc[i], q)
-
-    def col_sub(j, d, q):
-        # S: col_j -= q*col_d, whose only nonzero is the pivot: the rows below
-        # were cleared first and the rows above were finished earlier
-        if q == 0:
-            return
-        S[d][j] -= q * S[d][d]
-        if track_V:
-            _axpy(Vr[d], Vr[j], q)
-            _axpy(Vic[j], Vic[d], -q)
-
-    def negate_row(d):
-        S[d] = [-x for x in S[d]]
-        if track_U:
-            Ui[d] = {j: -x for j, x in Ui[d].items()}
-            Uc[d] = {i: -x for i, x in Uc[d].items()}
-
-    def row_add(d, i):
-        # S: row_d += row_i
-        Sd, Si = S[d], S[i]
-        for j in range(n):
-            Sd[j] += Si[j]
-        if track_U:
-            _axpy(Ui[d], Ui[i], 1)
-            _axpy(Uc[i], Uc[d], -1)
-
-    d = 0
-    while d < m and d < n:
-        best = _least_entry(S, d)
-        if best is None:
-            break
-        swap_rows(d, best[0])
-        swap_cols(d, best[1])
-        if S[d][d] < 0:
-            negate_row(d)
-        while True:
-            restart = False
-            support = [(j, S[d][j]) for j in compress(range(n), S[d])]
-            for i in range(d + 1, m):
-                if S[i][d]:
-                    q = S[i][d] // S[d][d]
-                    row_sub(i, d, q, support)
-                    if S[i][d]:
-                        swap_rows(d, i)
-                        if S[d][d] < 0:
-                            negate_row(d)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(d + 1, n):
-                if S[d][j]:
-                    q = S[d][j] // S[d][d]
-                    col_sub(j, d, q)
-                    if S[d][j]:
-                        swap_cols(d, j)
-                        if S[d][d] < 0:
-                            negate_row(d)
-                        restart = True
-                        break
-            if restart:
-                continue
-            pivot = S[d][d]
-            if pivot == 1:
-                break  # a unit divides every entry
-            fix = None
-            for i in range(d + 1, m):
-                Si = S[i]
-                for j in range(d + 1, n):
-                    if Si[j] % pivot:
-                        fix = i
-                        break
-                if fix is not None:
-                    break
-            if fix is None:
-                break
-            row_add(d, fix)
-        d += 1
-    U, Ui = (_dense(Uc, m, columns=True), _dense(Ui, m)) if track_U else (None, None)
-    V, Vi = (_dense(Vr, n), _dense(Vic, n, columns=True)) if track_V else (None, None)
-    return SNFResult(U, S, V, Ui, Vi, (m, n))
+    if isinstance(A, IntMatrix):
+        rows = [dict(row) for row in A.rows]
+    else:
+        rows = [{j: x for j, x in enumerate(map(int, row)) if x} for row in A]
+    diag, Ui, Uc, Vr, Vic = _smith(rows, n, track_U, track_V)
+    S = [[0] * n for _ in range(m)]
+    for d, x in enumerate(diag):
+        S[d][d] = x
+    U, U_inv = (_dense(Uc, m, columns=True), _dense(Ui, m)) if track_U else (None, None)
+    V, V_inv = (_dense(Vr, n), _dense(Vic, n, columns=True)) if track_V else (None, None)
+    return SNFResult(U, S, V, U_inv, V_inv, (m, n))
 
 
 def _sparse_invariants(rows: List[Dict[int, int]]):
@@ -568,7 +562,7 @@ def _sparse_invariants(rows: List[Dict[int, int]]):
     is dropped with factor 1 (column operations would clear the rest of the
     row without touching any other).  Every row the operation changed gets a
     new generation and goes back on the heap, so stale entries are skipped.
-    Residual phase: the rows that never offered a unit go to the general loop.
+    Residual phase: the rows that never offered a unit go to the Smith form.
     """
     col_index: Dict[int, set] = {}
     for i, row in enumerate(rows):
@@ -616,104 +610,15 @@ def _sparse_invariants(rows: List[Dict[int, int]]):
                 del col_index[j]
         rows[r] = {}
         units += 1
-    pivots = _residual_pivots([row for row in rows if row])
-    # repair the divisibility chain pairwise: diag(a,b) ~ diag(gcd, lcm)
-    facs = sorted(pivots)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(facs) - 1):
-            a, b = facs[i], facs[i + 1]
-            if b % a:
-                g = gcd(a, b)
-                facs[i], facs[i + 1] = g, a * b // g
-                changed = True
-        facs.sort()
+    rest = [row for row in rows if row]
+    facs = _residual_pivots(rest) if rest else []
     return units + len(facs), [1] * units + facs
 
 
 def _residual_pivots(rows: List[Dict[int, int]]):
-    """Pivots of a general sparse elimination with gcd steps, destructive on rows."""
-    live = {i for i, r in enumerate(rows) if r}
-    col_index: Dict[int, set] = {}
-    for i in live:
-        for j in rows[i]:
-            col_index.setdefault(j, set()).add(i)
-    pivots = []
-
-    def drop_entry(i, j):
-        s = col_index.get(j)
-        if s is not None:
-            s.discard(i)
-            if not s:
-                del col_index[j]
-
-    def set_entry(i, j, v):
-        row = rows[i]
-        if v:
-            if j not in row:
-                col_index.setdefault(j, set()).add(i)
-            row[j] = v
-        elif j in row:
-            del row[j]
-            drop_entry(i, j)
-
-    while live:
-        # pick a pivot: unit if available, otherwise smallest magnitude; favor sparse rows
-        best = None
-        for i in live:
-            row = rows[i]
-            if not row:
-                continue
-            for j, v in row.items():
-                a = abs(v)
-                key = (a > 1, a, len(row), len(col_index.get(j, ())), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-            if best is not None and best[0][0] is False and best[0][2] <= 2:
-                break
-        if best is None:
-            break
-        _, r, c = best
-        while True:
-            v = rows[r][c]
-            if v < 0:
-                rows[r] = {j: -x for j, x in rows[r].items()}
-                v = -v
-            moved = False
-            for i in list(col_index.get(c, ())):
-                if i == r:
-                    continue
-                a = rows[i][c]
-                q = a // v
-                if q:
-                    for j, x in rows[r].items():
-                        set_entry(i, j, rows[i].get(j, 0) - q * x)
-                if rows[i].get(c, 0):
-                    r = i
-                    moved = True
-                    break
-            if moved:
-                continue
-            # column is clear; reduce the pivot row in place (column ops touch only row r)
-            rrow = rows[r]
-            rem = None
-            for j in list(rrow):
-                if j == c:
-                    continue
-                w = rrow[j] % v
-                set_entry(r, j, w)
-                if w:
-                    rem = j
-            if rem is not None:
-                c = rem
-                continue
-            break
-        pivots.append(abs(rows[r][c]))
-        set_entry(r, c, 0)
-        live.discard(r)
-        live = {i for i in live if rows[i]}
-    return pivots
+    """Invariant factors of the rows that never offered a unit, by the Smith form."""
+    ids = {j: c for c, j in enumerate(sorted({j for row in rows for j in row}))}
+    return _smith([{ids[j]: v for j, v in row.items()} for row in rows], len(ids), False, False)[0]
 
 
 # --------------------------------------------------------------- groups
@@ -787,17 +692,26 @@ def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
 def _colimit_groups(X, d_max):
     """Groups 0..d_max at stabilization, where each component is a clique, so a cone.
 
-    A component that is not a clique means a fault in stabilization: refused.
+    Grown to stabilization, row i of the hop table holds the whole component
+    of i, so a component is a clique when no row reaches past the
+    stabilization scale.  A component that is not a clique means a fault in
+    stabilization: refused, naming the least unrelated pair.
     """
     stab = X.coarse.stabilization()
-    g = X.coarse.graph(stab)
-    for i, related in enumerate(g.sets):
-        component = g.components[g.comp[i]]
-        if len(related) != len(component):
-            j = next(j for j in component if j not in related)
-            raise HomologyError(f"{g.points[i]!r} and {g.points[j]!r} share a component but "
+    rows = X.coarse.hop_rows()
+    pts = X.points
+    components = 0
+    seen = [False] * len(rows)
+    for i, row in enumerate(rows):
+        if next(reversed(row.values())) > stab:  # distances never decrease along a row
+            j = min(j for j, dist in row.items() if dist > stab)
+            raise HomologyError(f"{pts[i]!r} and {pts[j]!r} share a component but "
                                 f"are unrelated at the stabilization scale {stab}")
-    return [FGAbGroup(0 if n else len(g.components)) for n in range(d_max + 1)]
+        if not seen[i]:
+            components += 1
+            for j in row:
+                seen[j] = True
+    return [FGAbGroup(0 if n else components) for n in range(d_max + 1)]
 
 
 class StabilizationReport(Record):
@@ -829,7 +743,16 @@ def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP):
 
 
 class HomologyPresentation(Record):
-    """H_n at a scale with enough bookkeeping to take class coordinates of cycles."""
+    """H_n at a scale with enough bookkeeping to take class coordinates of cycles.
+
+    The sparse fields are stored in the orientation they are read in.  With
+    d_n = U S V (rank rank_dn): V holds the columns of V, one dict {row: value}
+    per basis tuple; kernel_basis the columns rank_dn.. of V⁻¹, a basis of the
+    cycles, each a dict {basis index: value}.  The image of d_{n+1} in those
+    kernel coordinates has Smith form U' S' V' with invariant factors factors
+    (1s included); Uprime holds the columns of U', Uprime_inv the rows of
+    U'⁻¹, each a dict over the kernel coordinates.
+    """
 
     def __init__(self, degree, scale, group, basis, index, rank_dn, V, kernel_basis, factors,
                  Uprime, Uprime_inv):
@@ -840,8 +763,8 @@ class HomologyPresentation(Record):
         self.index = index
         self.rank_dn = rank_dn
         self.V = V
-        self.kernel_basis = kernel_basis  # columns, each of length len(basis)
-        self.factors = factors  # invariant factors of the image presentation, with 1s
+        self.kernel_basis = kernel_basis
+        self.factors = factors
         self.Uprime = Uprime
         self.Uprime_inv = Uprime_inv
 
@@ -855,16 +778,13 @@ class HomologyPresentation(Record):
         return [i for i in range(s) if self.factors[i] >= 2] + list(range(s, len(self.kernel_basis)))
 
     def generator_chains(self):
-        # kernel_basis holds columns; generator i mixes them with weights Uprime[:, i]
-        kernel = [[(r, x) for r, x in enumerate(col) if x] for col in self.kernel_basis]
+        # generator i mixes the kernel columns with the weights of column i of U'
         out = []
         for i in self._generator_columns():
             vec = [0] * len(self.basis)
-            for a, col in enumerate(kernel):
-                coeff = self.Uprime[a][i]
-                if coeff:
-                    for r, x in col:
-                        vec[r] += coeff * x
+            for a, coeff in self.Uprime[i].items():
+                for r, x in self.kernel_basis[a].items():
+                    vec[r] += coeff * x
             out.append(vec)
         return out
 
@@ -887,13 +807,19 @@ class HomologyPresentation(Record):
                     f"chain has {len(vec)} coefficients; the degree-{self.degree} basis has {len(self.basis)}"
                 )
             nz = [(i, c) for i, c in enumerate(vec) if c]
-        y = [sum(row[i] * c for i, c in nz) for row in self.V]
-        if any(y[:self.rank_dn]):
+        # V @ chain, as the sum of the columns of V the chain touches
+        y: Dict[int, int] = {}
+        for i, c in nz:
+            for p, x in self.V[i].items():
+                y[p] = y.get(p, 0) + c * x
+        r = self.rank_dn
+        if any(v for p, v in y.items() if p < r):
             raise HomologyError("chain is not a cycle at this scale")
-        a0 = [(j, c) for j, c in enumerate(y[self.rank_dn:]) if c]
+        a0 = [(p - r, v) for p, v in y.items() if v]
         coords = []
         for i in self._generator_columns():
-            a = sum(self.Uprime_inv[i][j] * c for j, c in a0)
+            row = self.Uprime_inv[i]
+            a = sum(row.get(j, 0) * c for j, c in a0)
             coords.append(a % self.factors[i] if i < len(self.factors) else a)
         return tuple(coords)
 
@@ -911,45 +837,34 @@ def homology_presentation(X, k, n, basis_cap=DEFAULT_BASIS_CAP) -> HomologyPrese
 
 def _presentation_from_complex(basis, d_n, d_next, degree, scale):
     c = len(basis)
-    if d_n is not None:
-        snf = smith_normal_form(d_n, track_U=False)
-        r = snf.rank
-        V, Vi = snf.V, snf.V_inv
-    else:
-        r = 0
-        V, Vi = _eye(c), _eye(c)
-    t = c - r
-    kernel_cols = [list(col) for col in zip(*Vi)][r:]
-    # image of d_next in kernel coordinates
-    wcols = []
-    if d_next is not None:
-        # column rr of V's kernel rows, read once, as (i, V[r+i][rr]) over its nonzeros
-        vcols: Dict[int, List[Tuple[int, int]]] = {}
-        seen = set()
-        for dcol in _columns(d_next):
-            col = [0] * t
-            for rr, vv in dcol.items():
-                vcol = vcols.get(rr)
-                if vcol is None:
-                    vcol = vcols[rr] = [(i, V[r + i][rr]) for i in range(t) if V[r + i][rr]]
-                for i, vcoef in vcol:
-                    col[i] += vv * vcoef
-            key = tuple(col)
-            if any(col) and key not in seen:
-                seen.add(key)
-                wcols.append(col)
-    if wcols:
-        W = [list(row) for row in zip(*wcols)]
-        wsnf = smith_normal_form(W, track_V=False)
-        factors = [wsnf.S[i][i] for i in range(min(t, len(wcols))) if wsnf.S[i][i] != 0]
-        Uprime, Uprime_inv = wsnf.U, wsnf.U_inv
-    else:
-        factors = []
-        Uprime, Uprime_inv = _eye(t), _eye(t)
-    group = FGAbGroup(t - len(factors), tuple(d for d in factors if d >= 2))
+    # degree 0 has no d_n: a 0 x c matrix, whose Smith form is the identity
+    rows = [dict(row) for row in d_n.rows] if d_n is not None else []
+    diag, _, _, Vr, Vic = _smith(rows, c, track_U=False)
+    r = len(diag)
+    V: List[Dict[int, int]] = [{} for _ in range(c)]
+    kernel_rows: List[Dict[int, int]] = [{} for _ in range(c)]  # V's rows r.., by column
+    for p, row in enumerate(Vr):
+        for b, x in row.items():
+            V[b][p] = x
+            if p >= r:
+                kernel_rows[b][p - r] = x
+    # W: the image of d_next in kernel coordinates, each distinct nonzero column once
+    W: List[Dict[int, int]] = [{} for _ in range(c - r)]
+    seen = set()
+    for dcol in _columns(d_next):
+        col: Dict[int, int] = {}
+        for rr, vv in dcol.items():
+            _axpy(col, kernel_rows[rr], vv)
+        key = frozenset(col.items())
+        if col and key not in seen:
+            for i, x in col.items():
+                W[i][len(seen)] = x
+            seen.add(key)
+    factors, Uprime_inv, Uprime, _, _ = _smith(W, len(seen), track_V=False)
+    group = FGAbGroup(c - r - len(factors), tuple(d for d in factors if d >= 2))
     index = {tp: i for i, tp in enumerate(basis)}
     return HomologyPresentation(degree, scale, group, list(basis), index, r, V,
-                                kernel_cols, factors, Uprime, Uprime_inv)
+                                Vic[r:], factors, Uprime, Uprime_inv)
 
 
 # ------------------------------------------------------- induced maps

@@ -454,6 +454,57 @@ def reference_smith_normal_form(A, track_U=True, track_V=True):
     return U, S, V, Ui, Vi
 
 
+def reference_presentation(c, d_n, d_next):
+    """The dense presentation of H_n as first written, on reference_smith_normal_form.
+
+    c is the size of the degree-n basis; d_n (None in degree 0) and d_next
+    are the boundaries into and out of degree n as dense list rows.  V and
+    V⁻¹ come from the Smith form of d_n, the image of d_next in kernel
+    coordinates (each distinct nonzero column once) is reduced again, and
+    generators and coordinates follow as the package first computed them.
+    Returns (free_rank, torsion, factors, rank_dn, generator_chains,
+    class_coordinates, image_columns): class_coordinates maps a dense chain
+    to its coordinates, or to None when the chain is not a cycle, and
+    image_columns counts the distinct nonzero image columns reduced.
+    """
+    def eye(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    if d_n:
+        _, S, V, _, Vi = reference_smith_normal_form(d_n, track_U=False)
+        r = sum(1 for i in range(min(len(S), c)) if S[i][i])
+    else:
+        r, V, Vi = 0, eye(c), eye(c)
+    t = c - r
+    kernel_cols = [list(col) for col in zip(*Vi)][r:]
+    wcols, seen = [], set()
+    for dcol in zip(*d_next):
+        nz = [(rr, x) for rr, x in enumerate(dcol) if x]
+        col = [sum(V[r + i][rr] * x for rr, x in nz) for i in range(t)]
+        if any(col) and tuple(col) not in seen:
+            seen.add(tuple(col))
+            wcols.append(col)
+    if wcols:
+        U, S, _, Ui, _ = reference_smith_normal_form([list(row) for row in zip(*wcols)],
+                                                     track_V=False)
+        factors = [S[i][i] for i in range(min(t, len(wcols))) if S[i][i]]
+    else:
+        factors, U, Ui = [], eye(t), eye(t)
+    gens = [i for i in range(len(factors)) if factors[i] >= 2] + list(range(len(factors), t))
+    chains = [[sum(U[a][i] * kernel_cols[a][b] for a in range(t)) for b in range(c)]
+              for i in gens]
+
+    def class_coordinates(chain):
+        y = [sum(row[i] * x for i, x in enumerate(chain)) for row in V]
+        if any(y[:r]):
+            return None
+        a = [sum(Ui[i][j] * x for j, x in enumerate(y[r:])) for i in gens]
+        return tuple(x % factors[i] if i < len(factors) else x for i, x in zip(gens, a))
+
+    return (t - len(factors), [d for d in factors if d >= 2], factors, r, chains,
+            class_coordinates, len(wcols))
+
+
 def _hop_distances(points, edges):
     """{p: {q: hop distance}} in the symmetrized generator graph, by BFS from every point."""
     adj = {p: set() for p in points}

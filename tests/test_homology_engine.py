@@ -11,6 +11,7 @@ import gc
 import hashlib
 import json
 import random
+import tracemalloc
 import weakref
 from itertools import combinations
 
@@ -545,6 +546,22 @@ def test_closed_form_refuses_a_stabilization_fault(monkeypatch):
                                 "stabilization scale 4")
 
 
+@pytest.mark.parametrize("short, pair", [(1, "5 and 7"), (2, "3 and 7")])
+def test_closed_form_refuses_a_non_clique_component(monkeypatch, short, pair):
+    # an edge {0, 1}, then the path 5-3-2-4-6-7 of diameter 5: with the
+    # stabilization scale planted short, the second component is no clique
+    # and the refusal names its least unrelated pair in ground order
+    edges = [(0, 1), (5, 3), (3, 2), (2, 4), (4, 6), (6, 7)]
+    X = make_explicit_space(list(range(8)), [edges], [list(range(8))])
+    assert X.coarse.stabilization() == 5
+    stabilization = CoarseStructure.stabilization
+    monkeypatch.setattr(CoarseStructure, "stabilization", lambda self: stabilization(self) - short)
+    with pytest.raises(HomologyError) as e:
+        homology_engine._colimit_groups(X, 1)
+    assert str(e.value) == (f"{pair} share a component but are unrelated at the "
+                            f"stabilization scale {5 - short}")
+
+
 def test_windowed_colimit_warns():
     _, rep = homology_colimit(windowed_builtin("half_line", 10), 0)
     assert any(w.startswith("window-relative") for w in rep.warnings)
@@ -586,6 +603,28 @@ def test_class_coordinates_rejects_foreign_chains():
             pres.class_coordinates(chain)
 
 
+def test_large_presentation_memory_stays_small():
+    # 1,236 one-tuples and 6,984 two-tuples: the transforms and the image
+    # matrix must stay sparse to fit
+    X = windowed_builtin("grid2_window", 5)
+    chain_complex(X, 2, 2)
+    tracemalloc.start()
+    try:
+        pres = homology_presentation(X, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pres.group == ZERO and len(pres.basis) == 1236
+    assert peak < 64 * 2**20
+    edge = pres.basis[0]
+    with pytest.raises(HomologyError, match="^chain is not a cycle at this scale$"):
+        pres.class_coordinates({edge: 1})
+    foreign = ((-5, -5), (5, 5))
+    with pytest.raises(HomologyError) as e:
+        pres.class_coordinates({edge: 1, foreign: 1})
+    assert str(e.value) == f"{foreign!r} is not a degree-1 basis tuple at scale 2"
+
+
 def digest(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -612,6 +651,66 @@ def test_presentation_consistent_with_groups():
                 assert all(c == 0 for j, c in enumerate(coord) if j != i)
                 assert coord[i] in (1, -1, coord[i])  # torsion coords live mod d_i
                 assert coord[i] != 0
+
+
+def assert_presentation_matches_reference(X, k, n, rng, monkeypatch):
+    """The sparse presentation against the dense one of oracles.reference_presentation."""
+    cc = chain_complex(X, k, n + 1)
+    d_n, d_next = cc.boundaries[n] if n else None, cc.boundaries[n + 1]
+    free, torsion, factors, rank_dn, chains, coordinates, image_columns = (
+        oracles.reference_presentation(len(cc.bases[n]), d_n.tolist() if n else None,
+                                       d_next.tolist()))
+    widths = []
+    smith = homology_engine._smith
+    monkeypatch.setattr(homology_engine, "_smith",
+                        lambda S, width, **track: widths.append(width) or smith(S, width, **track))
+    P = homology_engine._presentation_from_complex(cc.bases[n], d_n, d_next, n, k)
+    monkeypatch.undo()
+    # the image is reduced with each distinct nonzero column once
+    assert widths[-1] == image_columns
+    assert (P.group.free_rank, list(P.group.torsion)) == (free, torsion)
+    assert (P.factors, P.rank_dn) == (factors, rank_dn)
+    assert P.generator_chains() == chains
+    for gen in chains:
+        assert P.class_coordinates(gen) == coordinates(gen)
+    # seeded integer combinations of generators plus boundaries
+    boundaries = [list(col) for col in zip(*d_next.tolist())]
+    for _ in range(4):
+        chain = [0] * len(P.basis)
+        for vec in chains + rng.sample(boundaries, min(3, len(boundaries))):
+            a = rng.randint(-3, 3)
+            chain = [x + a * v for x, v in zip(chain, vec)]
+        assert P.class_coordinates(chain) == coordinates(chain)
+    return P
+
+
+@pytest.mark.parametrize("case", ["hexagon", "grid2_window", "int_window", "rp2"])
+def test_presentation_matches_dense_reference(case, monkeypatch):
+    rng = random.Random(41)
+    if case == "hexagon":
+        runs = [(HEX, k, n) for k in (1, 2) for n in range(3)]
+    elif case == "grid2_window":
+        runs = [(windowed_builtin("grid2_window", r), 1, 1) for r in (2, 3)]
+    elif case == "int_window":
+        runs = [(windowed_builtin("int_window", 10), 3, n) for n in range(3)]
+    else:
+        P = assert_presentation_matches_reference(rp2_subdivision(), 1, 1, rng, monkeypatch)
+        assert P.group == FGAbGroup(0, (2,))
+        gen = P.generator_chains()[0]
+        assert P.class_coordinates(gen) == (1,)
+        assert P.class_coordinates([2 * x for x in gen]) == (0,)
+        assert P.class_coordinates([-3 * x for x in gen]) == (1,)
+        return
+    for X, k, n in runs:
+        assert_presentation_matches_reference(X, k, n, rng, monkeypatch)
+
+
+def test_presentation_matches_dense_reference_on_random_spaces(monkeypatch):
+    rng = random.Random(43)
+    for _ in range(40):
+        X = random_explicit_space(rng, max_points=10, max_pairs=18)
+        for k, n in [(1, 0), (1, 1), (1, 2), (2, 1)]:
+            assert_presentation_matches_reference(X, k, n, rng, monkeypatch)
 
 
 # ------------------------------------------------------------- induced maps
