@@ -68,8 +68,9 @@ def greedy_net(X: BornCoarseSpace, k: int) -> list:
     net = _net_over_order(X.points, X.coarse.graph(k))
     # both halves of the net contract are cheap to re-check exactly
     for i, d in enumerate(net):
+        ball = X.coarse.ball(k, d)
         for e in net[i + 1:]:
-            if X.coarse.related_at(k, d, e):
+            if e in ball:
                 raise CoverError(f"net separation violated by {d!r}, {e!r}")
     if X.coarse.thicken(k, net) != frozenset(X.points):
         raise CoverError("net fails to cover the space")
@@ -380,13 +381,19 @@ class AsdimReport(Record):
 
 
 def _net_over_order(order, g):
-    """Points of order not related at the scale of g to any point taken before them."""
+    """Points of order not related at the scale of g to any point taken before them.
+
+    The relation is symmetric, so a point is related to an earlier net point
+    exactly when it lies in that point's neighbour set: the union of those
+    sets is kept as the covered set.
+    """
     index = {p: i for i, p in enumerate(g.points)}
-    net = []
+    net, covered = [], set()
     for x in order:
         i = index[x]
-        if all(i not in g.sets[index[d]] for d in net):
+        if i not in covered:
             net.append(x)
+            covered.update(g.sets[i])
     return net
 
 
@@ -397,12 +404,16 @@ def asdim_upper_bound(X: BornCoarseSpace, scale_list: Sequence[int],
     The search rotates the greedy net's start point; the nerve dimension of a
     cover is one less than the largest number of members through a single
     point.  The value is a search result, not a certificate, and is relative
-    to the window.
+    to the window.  An empty scale list and a budget below 1 are refused.
     """
+    scales = [int(k) for k in scale_list]
+    if not scales:
+        raise CoverError("at least one scale is required")
+    if search_budget < 1:
+        raise CoverError(f"search_budget must be >= 1, got {search_budget}")
     points = list(X.points)
     per_scale = {}
-    for k in scale_list:
-        k = int(k)
+    for k in scales:
         g = X.coarse.graph(k)
         best = None
         for r in range(max(1, min(search_budget, len(points)))):

@@ -264,14 +264,20 @@ class CoarseStructure:
     where G is the union of the generators; equivalently all pairs at hop
     distance <= k in the symmetrized generator graph.
 
-    The filtration is stored once, as a hop-distance table in index space:
-    for each point a dict {index: hop distance} in breadth-first order, plus
-    the offsets where each breadth-first layer ends, so the ball of radius k
-    is a prefix of the dict, and closure_at(k) is read off the table in one
-    pass (one pair per prefix entry, no ball sets).  The table grows in place
-    one layer at a time, only as deep as the largest scale asked for so far;
-    stabilized_at is set when a layer adds nothing, and is the largest hop
-    distance between related points.
+    The filtration is a hop-distance table in index space: for each point a
+    dict {index: hop distance} in breadth-first order, plus the offsets where
+    each breadth-first layer ends, so the ball of radius k is a prefix of the
+    dict, and closure_at(k) is read off the table in one pass (one pair per
+    prefix entry, no ball sets).  The table grows in place one layer at a
+    time, only as deep as the largest scale asked for so far.
+
+    stabilized_at, where the filtration stops growing, is the largest
+    eccentricity of a coarse component; stabilization() bounds it from a few
+    breadth-first searches per component, unless the table already holds it.
+    From then on each component is a clique at every scale >= stabilized_at,
+    so closure_at, ball, related_at and graph read the components there.
+    hop_rows() and distance() grow the whole table, and refuse if the depth
+    where it stops growing disagrees with the bound-derived stabilized_at.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -295,11 +301,13 @@ class CoarseStructure:
         self._ends = [[1] for _ in ground]
         self._front = [[i] for i in range(len(ground))]
         self._depth = 0
+        # (comp, components) of the scale-1 graph, once stabilization() has read them
+        self._components = None
 
     def _grow(self, k: int):
         """Extend every breadth-first search to depth k, or until a layer adds nothing."""
         adj = self._adj
-        while self._depth < k and self.stabilized_at is None:
+        while self._depth < k and self._front is not None:
             d = self._depth + 1
             grew = False
             for i, front in enumerate(self._front):
@@ -315,32 +323,47 @@ class CoarseStructure:
                 grew = grew or bool(nxt)
             self._depth = d
             if not grew:
-                self.stabilized_at = d - 1
                 self._front = None
+                if self.stabilized_at is None:
+                    self.stabilized_at = d - 1
+                elif self.stabilized_at != d - 1:
+                    raise CoarseError(f"the hop table stabilizes at scale {d - 1}, but the "
+                                      f"eccentricity bounds give {self.stabilized_at}")
 
-    def _scale(self, k: int) -> int:
-        """Validate k, grow the table to it, and cap it at the stabilization scale."""
+    def _scale(self, k: int) -> Optional[int]:
+        """Validate k; None from a bound-derived stabilization scale up, where the
+        components answer, else k (capped at a scale the table found) with the table grown to it."""
         if k < 0:
             raise BadScales(f"scale-index must be >= 0, got {k}")
+        if self.stabilized_at is not None and k >= self.stabilized_at:
+            return None if self._components is not None else self.stabilized_at
         self._grow(k)
-        if self.stabilized_at is not None and k > self.stabilized_at:
-            return self.stabilized_at
-        return k
+        return k if self.stabilized_at is None else min(k, self.stabilized_at)
 
     def closure_at(self, k: int) -> Entourage:
         k = self._scale(k)
-        if k not in self.cached_closures:
+        key = self.stabilized_at if k is None else k
+        if key not in self.cached_closures:
             pts = self.ground.points
-            self.cached_closures[k] = Entourage._unchecked(self.ground, frozenset(
-                [(pts[j], y) for y, dist, ends in zip(pts, self._dist, self._ends)
-                 for j in itertools.islice(dist, ends[k])]))
-        return self.cached_closures[k]
+            if k is None:
+                comps = [[pts[i] for i in c] for c in self._components[1]]
+                pairs = itertools.chain.from_iterable(itertools.product(c, c) for c in comps)
+            else:
+                pairs = [(pts[j], y) for y, dist, ends in zip(pts, self._dist, self._ends)
+                         for j in itertools.islice(dist, ends[k])]
+            self.cached_closures[key] = Entourage._unchecked(self.ground, frozenset(pairs))
+        return self.cached_closures[key]
 
     def ball(self, k: int, x) -> frozenset:
         i = self.ground.index(x)
-        end = self._ends[i][self._scale(k)]
+        k = self._scale(k)
+        if k is None:
+            comp, components = self._components
+            members = components[comp[i]]
+        else:
+            members = itertools.islice(self._dist[i], self._ends[i][k])
         pts = self.ground.points
-        return frozenset([pts[j] for j in itertools.islice(self._dist[i], end)])
+        return frozenset([pts[j] for j in members])
 
     def thicken(self, k: int, B: Iterable) -> frozenset:
         """closure_at(k)[B]: a breadth-first search of k steps from all of B at once."""
@@ -362,38 +385,82 @@ class CoarseStructure:
         return frozenset([pts[i] for i in seen])
 
     def graph(self, k: int) -> ScaleGraph:
-        """The scale-k relation as an index-space graph, built afresh from the table."""
+        """The scale-k relation as an index-space graph, built afresh from the table or the components."""
         k = self._scale(k)
+        if k is None:
+            comp, components = self._components
+            return ScaleGraph(self.ground.points, [set(components[c]) for c in comp])
         return ScaleGraph(self.ground.points, [set(itertools.islice(dist, ends[k]))
                                                for dist, ends in zip(self._dist, self._ends)])
 
     def stabilization(self) -> int:
-        """Least s with closure_at(s) == closure_at(s+1); finite spaces always stabilize."""
-        # every hop distance is < |X|, so layer |X| adds nothing
-        self._grow(len(self.ground) + 1)
+        """Least s with closure_at(s) == closure_at(s+1): the largest eccentricity of a coarse component.
+
+        The components are those of graph(1); finite spaces always stabilize.
+        """
+        if self.stabilized_at is None:
+            g = self.graph(1)
+            self._components = g.comp, g.components
+            self.stabilized_at = max(map(self._diameter, g.components), default=0)
         return self.stabilized_at
 
+    def _diameter(self, members: list) -> int:
+        """The largest eccentricity e in one component (Takes & Kosters, BoundingDiameters).
+
+        A search from v bounds every w by max(d(v,w), e(v) - d(v,w)) <= e(w) <= e(v) + d(v,w).
+        Searches alternate between the candidate with the largest upper and the smallest lower
+        bound, ties to the least index; a candidate whose upper bound is at most the largest
+        lower bound (a known e among them) is dropped, and the bounds meet when none is left.
+        """
+        adj = self._adj
+        cand = {w: (0, len(members) - 1) for w in members}
+        best, high = 0, True
+        while cand:
+            if high:
+                v = max(cand, key=lambda w: cand[w][1])
+            else:
+                v = min(cand, key=lambda w: cand[w][0])
+            high = not high
+            dist, front, d = {v: 0}, [v], 0
+            while front:
+                d, nxt = d + 1, []
+                for u in front:
+                    for w in adj[u]:
+                        if w not in dist:
+                            dist[w] = d
+                            nxt.append(w)
+                front = nxt
+            e = d - 1
+            cand = {w: (max(lo, dist[w], e - dist[w]), min(hi, e + dist[w]))
+                    for w, (lo, hi) in cand.items()}
+            best = max(best, *(lo for lo, _ in cand.values()))
+            cand = {w: b for w, b in cand.items() if b[1] > best}
+        return best
+
     def hop_rows(self, k: Optional[int] = None) -> list:
-        """The table itself, grown to scale k (to stabilization when k is None).
+        """The table itself, grown to scale k, or until a layer adds nothing when k is None
+        or at least the stabilization scale.
 
         Row i is {j: hop distance} in breadth-first order, so distances never
         decrease along a row; it may run past k.  Callers must not change it.
         """
-        if k is None:
-            self.stabilization()
-        else:
-            self._scale(k)
+        if k is None or self._scale(k) is None:
+            # every hop distance is < |X|, so layer |X| adds nothing
+            self._grow(len(self.ground) + 1)
         return self._dist
 
     def distance(self, x, y) -> Optional[int]:
         """Hop distance between x and y in the generator graph; None across components."""
         i, j = self.ground.index(x), self.ground.index(y)
-        self.stabilization()
+        self.hop_rows()
         return self._dist[j].get(i)
 
     def related_at(self, k: int, x, y) -> bool:
         i, j = self.ground.index(x), self.ground.index(y)
         k = self._scale(k)
+        if k is None:
+            comp = self._components[0]
+            return comp[i] == comp[j]
         d = self._dist[j].get(i)
         return d is not None and d <= k
 
@@ -616,9 +683,9 @@ def closure_at(space: BornCoarseSpace, k: int) -> Entourage:
 
 
 def is_U_bounded(space: BornCoarseSpace, k: int, B: Iterable) -> bool:
-    """True iff B x B is contained in closure_at(k)."""
+    """True iff B x B is contained in closure_at(k): B lies in the ball around each of its points."""
     B = space.ground.check_subset(B)
-    return all(space.coarse.related_at(k, x, y) for x in B for y in B)
+    return all(B <= space.coarse.ball(k, x) for x in B)
 
 
 def coarse_components(space: BornCoarseSpace) -> list:

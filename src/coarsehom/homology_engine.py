@@ -697,8 +697,8 @@ def _colimit_groups(X, d_max):
     stabilization scale.  A component that is not a clique means a fault in
     stabilization: refused, naming the least unrelated pair.
     """
+    rows = X.coarse.hop_rows()  # first, so stabilization() reuses the full table's scale
     stab = X.coarse.stabilization()
-    rows = X.coarse.hop_rows()
     pts = X.points
     components = 0
     seen = [False] * len(rows)
@@ -726,8 +726,8 @@ def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP):
 
     The stabilized value is read off the scale graph and builds no complex.
     """
-    stab = X.coarse.stabilization()
     groups = _colimit_groups(X, d_max)
+    stab = X.coarse.stabilization()
     warnings = []
     if X.window_tag is not None:
         warnings.append(

@@ -526,6 +526,23 @@ def _hop_distances(points, edges):
     return dist
 
 
+def largest_eccentricity(points, edges):
+    """Largest hop distance between two points of one component, by BFS from every point."""
+    return max((d for row in _hop_distances(points, edges).values() for d in row.values()), default=0)
+
+
+def net_over_order_scan(order, g):
+    """A greedy net by scanning the net taken so far: x joins unless some earlier
+    net point d has x in g.sets[d].  g is any object with .points and .sets."""
+    index = {p: i for i, p in enumerate(g.points)}
+    net = []
+    for x in order:
+        i = index[x]
+        if all(i not in g.sets[index[d]] for d in net):
+            net.append(x)
+    return net
+
+
 def controlled_tuples_reference(points, edges, k, n):
     """Degree-n controlled tuples at scale k by brute force, in lex order of ground indices.
 

@@ -21,7 +21,7 @@ from coarsehom import (
     make_explicit_space,
     windowed_builtin,
 )
-from coarsehom import homology_engine
+from coarsehom import coarsification, homology_engine
 from coarsehom.coarsification import (
     AntiCechPrefix,
     CertificateFailed,
@@ -96,6 +96,26 @@ def test_net_separated_and_covering_random():
         for d in net:
             covered |= rel[d]
         assert covered == set(X.points)
+
+
+def test_net_separation_refusal_names_the_first_related_pair(monkeypatch):
+    # a planted net that is not separated: (3, 4) is the first related pair, (4, 5) the second
+    monkeypatch.setattr(coarsification, "_net_over_order", lambda order, g: [0, 3, 4, 5])
+    with pytest.raises(CoverError) as e:
+        greedy_net(path_space(6), 1)
+    assert str(e.value) == "net separation violated by 3, 4"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_covered_set_net_matches_the_scan(data):
+    n = data.draw(st.integers(1, 14))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    X = make_explicit_space(list(range(n)), [edges], [list(range(n))])
+    g = X.coarse.graph(data.draw(st.integers(0, 4)))
+    r = data.draw(st.integers(0, n - 1))
+    order = list(X.points[r:] + X.points[:r])
+    assert coarsification._net_over_order(order, g) == oracles.net_over_order_scan(order, g)
 
 
 # --------------------------------------------------------- cover_from_net
@@ -430,6 +450,20 @@ def test_asdim_integer_window():
 def test_asdim_point():
     rep = asdim_upper_bound(POINT, [1, 2])
     assert rep.upper_bound == 0
+
+
+def test_asdim_refuses_an_empty_scale_list():
+    for scales in ([], iter([])):
+        with pytest.raises(CoverError) as e:
+            asdim_upper_bound(HEX, scales)
+        assert str(e.value) == "at least one scale is required"
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_asdim_refuses_a_budget_below_one(budget):
+    with pytest.raises(CoverError) as e:
+        asdim_upper_bound(HEX, [1], search_budget=budget)
+    assert str(e.value) == f"search_budget must be >= 1, got {budget}"
 
 
 def test_asdim_grid_reports_search_result():

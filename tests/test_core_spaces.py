@@ -11,6 +11,7 @@ from coarsehom import (
     BadScales,
     BornologyDoesNotCover,
     CoarseError,
+    CoarseStructure,
     Entourage,
     GroundSet,
     IncompatibleStructures,
@@ -33,6 +34,7 @@ from coarsehom import (
     windowed_builtin,
 )
 
+import oracles
 from genspaces import random_explicit_space
 from oracles import bfs_distance_pairs, union_find_components
 
@@ -180,16 +182,19 @@ def test_negative_scale_refusal_names_the_value(k):
 
 
 def test_stabilization_memory_stays_small():
-    X = windowed_builtin("int_window", 100)
-    tracemalloc.start()
-    try:
-        s = X.coarse.stabilization()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert s == 200
-    assert peak < 16 * 2**20
-    assert X.closure_at(s).pairs == frozenset((a, b) for a in X.points for b in X.points)
+    # the bound searches hold a few rows at a time; the full hop table of
+    # either window takes several MiB
+    for name, r, stab in (("int_window", 100, 200), ("grid2_window", 8, 32)):
+        X = windowed_builtin(name, r)
+        tracemalloc.start()
+        try:
+            s = X.coarse.stabilization()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s == stab
+        assert peak < 2**20, name
+        assert X.closure_at(s).pairs == frozenset((a, b) for a in X.points for b in X.points)
 
 
 def test_closure_memory_stays_small():
@@ -252,6 +257,62 @@ def test_closure_matches_bfs_oracle(data):
         for y in pts:
             hops = next((s for s in range(stab + 1) if (x, y) in oracle[s]), None)
             assert X.coarse.distance(x, y) == hops
+
+
+@st.composite
+def small_spaces(draw, max_points):
+    n = draw(st.integers(1, max_points))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return make_explicit_space(list(range(n)), [edges], [list(range(n))])
+
+
+stabilizing_spaces = st.one_of(
+    small_spaces(16),
+    st.integers(0, 2**32).map(lambda seed: random_explicit_space(random.Random(seed))),
+    small_spaces(40),
+    st.lists(small_spaces(10), min_size=1, max_size=3).map(coproduct),
+    st.tuples(small_spaces(6), small_spaces(6)).map(lambda xy: product_p(*xy)),
+    st.builds(windowed_builtin, st.just("int_window"), st.integers(1, 60)),
+    st.builds(windowed_builtin, st.just("grid2_window"), st.integers(1, 5)),
+    st.builds(windowed_builtin, st.just("half_line"), st.integers(1, 60)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stabilizing_spaces)
+def test_bound_stabilization_matches_lockstep_and_bfs(X):
+    edges = [pair for g in X.coarse.generators for pair in g.pairs]
+    stab = X.coarse.stabilization()
+    assert stab == oracles.largest_eccentricity(X.points, edges)
+    # the same structure grown in lockstep until a layer adds nothing
+    table = CoarseStructure(X.ground, X.coarse.generators)
+    rows = table.hop_rows()
+    assert table._depth - 1 == stab == max(d for row in rows for d in row.values())
+    # from stabilization on, the components answer, and they agree with the table
+    pts = X.points
+    for k in range(stab, stab + 3):
+        near = [{j for j, d in row.items() if d <= k} for row in rows]
+        assert X.closure_at(k).pairs == {(pts[j], pts[i]) for i, nb in enumerate(near) for j in nb}
+        for i, x in enumerate(pts):
+            assert X.coarse.ball(k, x) == {pts[j] for j in near[i]}
+            assert [X.coarse.related_at(k, x, y) for y in pts] == [j in near[i] for j in range(len(pts))]
+        g = X.coarse.graph(k)
+        assert g.sets == near and g.nbrs == [sorted(nb) for nb in near]
+        assert {frozenset(pts[i] for i in c) for c in g.components} == union_find_components(pts, edges)
+    assert X.coarse._depth <= 1  # stabilization read graph(1); no query above grew the table
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_hop_table_refuses_a_planted_bound_fault(monkeypatch, off):
+    diameter = CoarseStructure._diameter
+    monkeypatch.setattr(CoarseStructure, "_diameter", lambda self, members: diameter(self, members) + off)
+    for call in (lambda X: X.coarse.hop_rows(), lambda X: X.coarse.distance(0, 5)):
+        X = path_space(5)
+        assert X.coarse.stabilization() == 5 + off
+        with pytest.raises(CoarseError) as e:
+            call(X)
+        assert str(e.value) == ("the hop table stabilizes at scale 5, but the eccentricity "
+                                f"bounds give {5 + off}")
 
 
 @settings(max_examples=40, deadline=None)
@@ -327,6 +388,26 @@ def test_is_U_bounded():
     assert not is_U_bounded(X, 1, {0, 2})
     assert is_U_bounded(X, 2, {0, 2})
     assert is_U_bounded(X, 0, set())
+
+
+def test_is_U_bounded_matches_pairwise_oracle():
+    rng = random.Random(31)
+    for _ in range(20):
+        X = random_explicit_space(rng, max_points=15, max_pairs=30)
+        pts = X.points
+        edges = [pair for g in X.coarse.generators for pair in g.pairs]
+        for k in range(X.coarse.stabilization() + 2):
+            rel = bfs_distance_pairs(pts, edges, k)
+            for _ in range(6):
+                B = set(rng.sample(pts, rng.randint(0, len(pts))))
+                assert is_U_bounded(X, k, B) == all((x, y) in rel for x in B for y in B)
+    # one member far from the rest: bounded without it, unbounded with it
+    X = path_space(6)
+    assert is_U_bounded(X, 2, {0, 1, 2})
+    assert not is_U_bounded(X, 2, {0, 1, 2, 6})
+    assert not is_U_bounded(X, 5, {0, 6}) and is_U_bounded(X, 6, {0, 6})
+    with pytest.raises(UnknownPoint):
+        is_U_bounded(X, 1, {0, 99})
 
 
 def test_compatibility_invariant_on_random_spaces():
