@@ -466,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--subset", required=True, help="JSON list naming the complementary subset")
     p.add_argument("--family-base", required=True, help="JSON list naming the thickening base")
-    p.add_argument("--family-depth", type=int, required=True)
+    p.add_argument("--family-depth", type=_count, required=True)
     p.add_argument("--scale", type=int, default=1)
     p.add_argument("--max-dim", type=_count, default=2)
 
@@ -474,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--family", help="JSON list of nested member lists")
     p.add_argument("--family-base", help="JSON list; thickenings up to --family-depth")
-    p.add_argument("--family-depth", type=int, default=0)
+    p.add_argument("--family-depth", type=_count, default=0)
     p.add_argument("--phi", required=True, help="JSON list, one scale per member, non-increasing")
     p.add_argument("--scale", type=int, required=True, help="base closure scale")
 

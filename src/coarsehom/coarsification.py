@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .core_spaces import (
-    BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage, FrozenRecord, Record, is_U_bounded,
+    BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage, FrozenRecord, Record, _as_fraction, is_U_bounded,
 )
 from .homology_engine import (
     DEFAULT_BASIS_CAP,
@@ -494,7 +494,7 @@ def uniform_decomposition_check(X: BornCoarseSpace, Y, Z,
     Z = X.ground.check_subset(Z)
     if Y | Z != frozenset(X.points):
         raise NotADecomposition("the two parts must cover the space")
-    rs = [Fraction(r) for r in radii]
+    rs = [_as_fraction(r) for r in radii]
     if any(r <= 0 for r in rs) or any(b >= a for a, b in zip(rs, rs[1:])):
         raise CoarseError("radii must be positive and strictly decreasing")
     meet = Y & Z

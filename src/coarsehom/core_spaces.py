@@ -220,34 +220,15 @@ class ScaleGraph:
     """The scale-k relation as an index-space graph over a ground order.
 
     nbrs[i] is the sorted list of the points related to point i (i itself
-    included), sets[i] the same as a set; comp[i] is the component of i and
-    components lists each component's members in order, components ordered
-    by least member.
+    included), sets[i] the same as a set.
     """
 
-    __slots__ = ("points", "nbrs", "sets", "comp", "components")
+    __slots__ = ("points", "nbrs", "sets")
 
     def __init__(self, points: Sequence, sets: list):
         self.points = tuple(points)
         self.sets = sets
         self.nbrs = [sorted(s) for s in sets]
-        comp = [-1] * len(sets)
-        components = []
-        for start in range(len(sets)):
-            if comp[start] >= 0:
-                continue
-            cid = comp[start] = len(components)
-            members, stack = [], [start]
-            while stack:
-                v = stack.pop()
-                members.append(v)
-                for w in self.nbrs[v]:
-                    if comp[w] < 0:
-                        comp[w] = cid
-                        stack.append(w)
-            components.append(sorted(members))
-        self.comp = comp
-        self.components = components
 
     def restrict(self, subset) -> "ScaleGraph":
         """The induced graph on the points in subset, in ambient order."""
@@ -271,13 +252,15 @@ class CoarseStructure:
     prefix entry, no ball sets).  The table grows in place one layer at a
     time, only as deep as the largest scale asked for so far.
 
-    stabilized_at, where the filtration stops growing, is the largest
-    eccentricity of a coarse component; stabilization() bounds it from a few
-    breadth-first searches per component, unless the table already holds it.
-    From then on each component is a clique at every scale >= stabilized_at,
-    so closure_at, ball, related_at and graph read the components there.
-    hop_rows() and distance() grow the whole table, and refuse if the depth
-    where it stops growing disagrees with the bound-derived stabilized_at.
+    The coarse components are found once, by one breadth-first search per
+    component, and stored.  stabilized_at, where the filtration stops
+    growing, is the largest eccentricity of a component; only
+    stabilization() sets it, from a few breadth-first searches per component
+    under eccentricity bounds, and only when asked.  From a known
+    stabilized_at on each component is a clique, so closure_at, ball,
+    related_at and graph read the components there.  When the table stops
+    growing (hop_rows() and distance() grow all of it), its depth is checked
+    against stabilized_at, and a mismatch is refused.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -301,8 +284,38 @@ class CoarseStructure:
         self._ends = [[1] for _ in ground]
         self._front = [[i] for i in range(len(ground))]
         self._depth = 0
-        # (comp, components) of the scale-1 graph, once stabilization() has read them
-        self._components = None
+        # (comp, members) of the coarse components, once _components() has found them
+        self._comps = None
+
+    def _bfs(self, sources, k: Optional[int] = None) -> dict:
+        """{index: hops from the nearest source} out to k hops (all the way when k is None),
+        in breadth-first order."""
+        adj = self._adj
+        dist = dict.fromkeys(sources, 0)
+        front, d = list(dist), 0
+        while front and d != k:
+            d, nxt = d + 1, []
+            for v in front:
+                for w in adj[v]:
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+            front = nxt
+        return dist
+
+    def _components(self):
+        """(comp, members): members[c] lists the c-th coarse component in index order,
+        components ordered by least member, and comp[i] is the component of i."""
+        if self._comps is None:
+            comp, members = [-1] * len(self._adj), []
+            for start in range(len(comp)):
+                if comp[start] < 0:
+                    found = sorted(self._bfs([start]))
+                    for i in found:
+                        comp[i] = len(members)
+                    members.append(found)
+            self._comps = comp, members
+        return self._comps
 
     def _grow(self, k: int):
         """Extend every breadth-first search to depth k, or until a layer adds nothing."""
@@ -324,21 +337,19 @@ class CoarseStructure:
             self._depth = d
             if not grew:
                 self._front = None
-                if self.stabilized_at is None:
-                    self.stabilized_at = d - 1
-                elif self.stabilized_at != d - 1:
+                self.stabilization()
+                if self.stabilized_at != d - 1:
                     raise CoarseError(f"the hop table stabilizes at scale {d - 1}, but the "
                                       f"eccentricity bounds give {self.stabilized_at}")
 
     def _scale(self, k: int) -> Optional[int]:
-        """Validate k; None from a bound-derived stabilization scale up, where the
-        components answer, else k (capped at a scale the table found) with the table grown to it."""
+        """Validate k; None from a known stabilization scale up, where the components
+        answer, else k with the table grown to it."""
         if k < 0:
             raise BadScales(f"scale-index must be >= 0, got {k}")
-        if self.stabilized_at is not None and k >= self.stabilized_at:
-            return None if self._components is not None else self.stabilized_at
-        self._grow(k)
-        return k if self.stabilized_at is None else min(k, self.stabilized_at)
+        if self.stabilized_at is None or k < self.stabilized_at:
+            self._grow(k)  # a table that stops growing below k has set stabilized_at
+        return None if self.stabilized_at is not None and k >= self.stabilized_at else k
 
     def closure_at(self, k: int) -> Entourage:
         k = self._scale(k)
@@ -346,7 +357,7 @@ class CoarseStructure:
         if key not in self.cached_closures:
             pts = self.ground.points
             if k is None:
-                comps = [[pts[i] for i in c] for c in self._components[1]]
+                comps = [[pts[i] for i in c] for c in self._components()[1]]
                 pairs = itertools.chain.from_iterable(itertools.product(c, c) for c in comps)
             else:
                 pairs = [(pts[j], y) for y, dist, ends in zip(pts, self._dist, self._ends)
@@ -358,50 +369,36 @@ class CoarseStructure:
         i = self.ground.index(x)
         k = self._scale(k)
         if k is None:
-            comp, components = self._components
-            members = components[comp[i]]
+            comp, members = self._components()
+            found = members[comp[i]]
         else:
-            members = itertools.islice(self._dist[i], self._ends[i][k])
+            found = itertools.islice(self._dist[i], self._ends[i][k])
         pts = self.ground.points
-        return frozenset([pts[j] for j in members])
+        return frozenset([pts[j] for j in found])
 
     def thicken(self, k: int, B: Iterable) -> frozenset:
         """closure_at(k)[B]: a breadth-first search of k steps from all of B at once."""
         if k < 0:
             raise BadScales(f"scale-index must be >= 0, got {k}")
-        seen = {self.ground.index(b) for b in B}
-        front = list(seen)
-        for _ in range(k):
-            nxt = []
-            for v in front:
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if not nxt:
-                break
-            front = nxt
-        pts = self.ground.points
-        return frozenset([pts[i] for i in seen])
+        index, pts = self.ground.index, self.ground.points
+        return frozenset([pts[i] for i in self._bfs({index(b) for b in B}, k)])
 
     def graph(self, k: int) -> ScaleGraph:
         """The scale-k relation as an index-space graph, built afresh from the table or the components."""
         k = self._scale(k)
         if k is None:
-            comp, components = self._components
-            return ScaleGraph(self.ground.points, [set(components[c]) for c in comp])
+            comp, members = self._components()
+            return ScaleGraph(self.ground.points, [set(members[c]) for c in comp])
         return ScaleGraph(self.ground.points, [set(itertools.islice(dist, ends[k]))
                                                for dist, ends in zip(self._dist, self._ends)])
 
     def stabilization(self) -> int:
         """Least s with closure_at(s) == closure_at(s+1): the largest eccentricity of a coarse component.
 
-        The components are those of graph(1); finite spaces always stabilize.
+        Found once, from eccentricity bounds (_diameter); finite spaces always stabilize.
         """
         if self.stabilized_at is None:
-            g = self.graph(1)
-            self._components = g.comp, g.components
-            self.stabilized_at = max(map(self._diameter, g.components), default=0)
+            self.stabilized_at = max(map(self._diameter, self._components()[1]), default=0)
         return self.stabilized_at
 
     def _diameter(self, members: list) -> int:
@@ -412,7 +409,6 @@ class CoarseStructure:
         bound, ties to the least index; a candidate whose upper bound is at most the largest
         lower bound (a known e among them) is dropped, and the bounds meet when none is left.
         """
-        adj = self._adj
         cand = {w: (0, len(members) - 1) for w in members}
         best, high = 0, True
         while cand:
@@ -421,16 +417,8 @@ class CoarseStructure:
             else:
                 v = min(cand, key=lambda w: cand[w][0])
             high = not high
-            dist, front, d = {v: 0}, [v], 0
-            while front:
-                d, nxt = d + 1, []
-                for u in front:
-                    for w in adj[u]:
-                        if w not in dist:
-                            dist[w] = d
-                            nxt.append(w)
-                front = nxt
-            e = d - 1
+            dist = self._bfs([v])
+            e = next(reversed(dist.values()))  # breadth-first order: the last is the farthest
             cand = {w: (max(lo, dist[w], e - dist[w]), min(hi, e + dist[w]))
                     for w, (lo, hi) in cand.items()}
             best = max(best, *(lo for lo, _ in cand.values()))
@@ -455,11 +443,15 @@ class CoarseStructure:
         self.hop_rows()
         return self._dist[j].get(i)
 
+    def component(self, x) -> int:
+        """The index of the coarse component of x, components ordered by least member."""
+        return self._components()[0][self.ground.index(x)]
+
     def related_at(self, k: int, x, y) -> bool:
         i, j = self.ground.index(x), self.ground.index(y)
         k = self._scale(k)
         if k is None:
-            comp = self._components[0]
+            comp = self._components()[0]
             return comp[i] == comp[j]
         d = self._dist[j].get(i)
         return d is not None and d <= k
@@ -694,8 +686,8 @@ def coarse_components(space: BornCoarseSpace) -> list:
     Classes come back in canonical order (least member first), each class
     sorted by the point order.
     """
-    g = space.coarse.graph(1)
-    return [[g.points[i] for i in members] for members in g.components]
+    pts = space.points
+    return [[pts[i] for i in members] for members in space.coarse._components()[1]]
 
 
 def product_p(X: BornCoarseSpace, Y: BornCoarseSpace) -> BornCoarseSpace:

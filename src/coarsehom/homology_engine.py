@@ -23,8 +23,9 @@ increasing tuple, and a tuple with distinct entries maps to the sorted
 simplex with the sign of the sorting permutation.  `basis_cap` keeps its
 meaning there, a bound on tuples per degree, read off the clique counts.
 At stabilization each coarse component is a clique, hence a cone: the colimit
-is Z^(components) in degree 0 and 0 above, read off the hop-distance table,
-nothing built.
+is Z^(components) in degree 0 and 0 above, counted off the stored coarse
+components once the hop-distance table confirms each is a clique; nothing is
+built.
 
 Groups are read off one sparse elimination kernel in two phases.  The unit
 phase takes ±1 pivots from a heap of rows keyed on length, each in its
@@ -52,7 +53,7 @@ from itertools import islice
 from math import comb
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .core_spaces import BigFamilyPrefix, CoarseError, FrozenRecord, Record, ScaleGraph
+from .core_spaces import BigFamilyPrefix, CoarseError, FrozenRecord, Record, ScaleGraph, coarse_components
 
 if TYPE_CHECKING:  # annotations only: `morphisms` loads when a map is first used
     from .morphisms import SpaceMap
@@ -690,27 +691,22 @@ def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
 
 
 def _colimit_groups(X, d_max):
-    """Groups 0..d_max at stabilization, where each component is a clique, so a cone.
+    """Groups 0..d_max at stabilization, where each coarse component is a clique, so a
+    cone: Z^(components) in degree 0 and 0 above, counted off the stored components.
 
     Grown to stabilization, row i of the hop table holds the whole component
     of i, so a component is a clique when no row reaches past the
     stabilization scale.  A component that is not a clique means a fault in
     stabilization: refused, naming the least unrelated pair.
     """
-    rows = X.coarse.hop_rows()  # first, so stabilization() reuses the full table's scale
     stab = X.coarse.stabilization()
     pts = X.points
-    components = 0
-    seen = [False] * len(rows)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(X.coarse.hop_rows()):
         if next(reversed(row.values())) > stab:  # distances never decrease along a row
             j = min(j for j, dist in row.items() if dist > stab)
             raise HomologyError(f"{pts[i]!r} and {pts[j]!r} share a component but "
                                 f"are unrelated at the stabilization scale {stab}")
-        if not seen[i]:
-            components += 1
-            for j in row:
-                seen[j] = True
+    components = len(coarse_components(X))
     return [FGAbGroup(0 if n else components) for n in range(d_max + 1)]
 
 

@@ -162,14 +162,18 @@ class MorphismReport(Record):
 
 
 def _least_containing_scale(space: BornCoarseSpace, pairs) -> Optional[int]:
-    """Least k with all pairs inside closure_at(k): their largest hop distance, or None."""
-    worst = 0
+    """Least k with all pairs inside closure_at(k): their largest hop distance, or None
+    when a pair spans two coarse components.
+
+    One k rises through the pairs, so the table grows only as deep as the answer.
+    """
+    coarse, k = space.coarse, 0
     for x, y in pairs:
-        d = space.coarse.distance(x, y)
-        if d is None:
+        if coarse.component(x) != coarse.component(y):
             return None
-        worst = max(worst, d)
-    return worst
+        while not coarse.related_at(k, x, y):
+            k += 1
+    return k
 
 
 def _uncontrolled_pair(f: SpaceMap, k) -> Optional[tuple]:
@@ -179,11 +183,11 @@ def _uncontrolled_pair(f: SpaceMap, k) -> Optional[tuple]:
     second, so the witness does not depend on how sets happen to iterate.
     """
     g = f.source.coarse.graph(k)
-    pts, distance = g.points, f.target.coarse.distance
+    pts, component = g.points, f.target.coarse.component
     for i, nb in enumerate(g.nbrs):
-        fx = f(pts[i])
+        c = component(f(pts[i]))
         for j in nb:
-            if distance(fx, f(pts[j])) is None:
+            if component(f(pts[j])) != c:
                 return pts[i], pts[j]
     return None
 

@@ -505,7 +505,7 @@ def reference_presentation(c, d_n, d_next):
             class_coordinates, len(wcols))
 
 
-def _hop_distances(points, edges):
+def hop_distances(points, edges):
     """{p: {q: hop distance}} in the symmetrized generator graph, by BFS from every point."""
     adj = {p: set() for p in points}
     for a, b in edges:
@@ -528,7 +528,7 @@ def _hop_distances(points, edges):
 
 def largest_eccentricity(points, edges):
     """Largest hop distance between two points of one component, by BFS from every point."""
-    return max((d for row in _hop_distances(points, edges).values() for d in row.values()), default=0)
+    return max((d for row in hop_distances(points, edges).values() for d in row.values()), default=0)
 
 
 def net_over_order_scan(order, g):
@@ -550,7 +550,7 @@ def controlled_tuples_reference(points, edges, k, n):
     when no two adjacent entries are equal and every two entries are within
     hop distance k in the symmetrized generator graph.
     """
-    dist = _hop_distances(points, edges)
+    dist = hop_distances(points, edges)
     out = []
     for t in product(range(len(points)), repeat=n + 1):
         if any(a == b for a, b in zip(t, t[1:])):
@@ -570,7 +570,7 @@ def flasque_reference(points, edges, table, tested, scale_cap, iter_cap):
     (condition, explanation, witness).
     """
     order = {p: i for i, p in enumerate(points)}
-    dist = _hop_distances(points, edges)
+    dist = hop_distances(points, edges)
 
     def least_scale(pairs):
         worst = 0
@@ -615,7 +615,7 @@ def _closure_scan(source, target, table, k):
     """(largest target distance or None, least escaping pair) over closure_at(k) of source."""
     points, edges, _ = source
     order = {p: i for i, p in enumerate(points)}
-    dsrc, dtgt = _hop_distances(points, edges), _hop_distances(target[0], target[1])
+    dsrc, dtgt = hop_distances(points, edges), hop_distances(target[0], target[1])
     pairs = sorted(((x, y) for x in points for y, d in dsrc[x].items() if d <= k),
                    key=lambda xy: (order[xy[0]], order[xy[1]]))
     worst = 0
@@ -642,7 +642,7 @@ def closure_scan_morphism(source, target, table):
     at the least scale that has one.
     """
     points, edges, bounded = source
-    stable = max((d for row in _hop_distances(points, edges).values() for d in row.values()),
+    stable = max((d for row in hop_distances(points, edges).values() for d in row.values()),
                  default=0)
     shift, witness = {}, None
     for k in range(stable + 1):

@@ -391,6 +391,13 @@ def test_negative_budget_is_refused(capsys):
                         "--budget", capsys)
 
 
+def test_negative_family_depth_is_refused(capsys):
+    for cmd in (["mv-check", "--space", "hexagon", "--subset", '["0"]', "--family-base", '["1"]'],
+                ["hybrid", "--space", "hexagon", "--family-base", '["0"]', "--phi", "[0]",
+                 "--scale", "1"]):
+        assert_flag_refused(cmd + ["--family-depth", "-1"], "--family-depth", capsys)
+
+
 def test_mv_check_command(tmp_path, capsys):
     sp = write_space(tmp_path, "iw.json", {"kind": "builtin", "name": "int_window", "radius": 20})
     rep, code, _ = run_quiet([

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from coarsehom import (
     CoarseError,
+    InvalidMetric,
     make_big_family,
     make_explicit_space,
     windowed_builtin,
@@ -557,3 +558,12 @@ def test_udecomp_refusals():
     Y = make_explicit_space([0, 1], [[(0, 1)]], [[0, 1]])
     with pytest.raises(CoarseError):
         uniform_decomposition_check(Y, [0], [1], [1])
+
+
+def test_udecomp_refuses_float_radii():
+    # exact rational input is the contract: 0.1 is no radius, 1/10 is
+    X = windowed_builtin("half_line", 20)
+    with pytest.raises(InvalidMetric):
+        uniform_decomposition_check(X, range(0, 11), range(10, 21), [0.1])
+    rep = uniform_decomposition_check(X, range(0, 11), range(10, 21), ["3/2", Fraction(1), "1/10"])
+    assert rep.radii == (Fraction(3, 2), Fraction(1), Fraction(1, 10))

@@ -298,8 +298,21 @@ def test_bound_stabilization_matches_lockstep_and_bfs(X):
             assert [X.coarse.related_at(k, x, y) for y in pts] == [j in near[i] for j in range(len(pts))]
         g = X.coarse.graph(k)
         assert g.sets == near and g.nbrs == [sorted(nb) for nb in near]
-        assert {frozenset(pts[i] for i in c) for c in g.components} == union_find_components(pts, edges)
-    assert X.coarse._depth <= 1  # stabilization read graph(1); no query above grew the table
+    assert {frozenset(c) for c in coarse_components(X)} == union_find_components(pts, edges)
+    assert X.coarse._depth == 0  # no query above grew the table
+
+
+def test_components_and_stabilization_grow_no_table():
+    # the components come from one search each, stabilization from the bounds
+    cases = [(lambda: windowed_builtin("int_window", 200), 1, 400),
+             (lambda: windowed_builtin("grid2_window", 6), 1, 24),
+             (lambda: coproduct([path_space(4), path_space(7)]), 2, 7)]
+    for make, count, stab in cases:
+        X = make()
+        assert len(coarse_components(X)) == count and X.coarse._depth == 0
+        assert X.coarse.stabilization() == stab and X.coarse._depth == 0
+        X = make()
+        assert X.coarse.stabilization() == stab and X.coarse._depth == 0
 
 
 @pytest.mark.parametrize("off", [-1, 1])
@@ -443,13 +456,14 @@ def test_components_match_union_find_oracle():
         X = random_explicit_space(rng, max_points=30, max_pairs=60)
         edges = [p for g in X.coarse.generators for p in g.pairs]
         expect = union_find_components(X.points, edges)
-        got = {frozenset(c) for c in coarse_components(X)}
-        assert got == expect
-        for k in (1, 2, X.coarse.stabilization() + 1):
-            g = X.coarse.graph(k)
-            assert {frozenset(g.points[i] for i in c) for c in g.components} == expect
-            assert all(g.comp[i] == c for c, members in enumerate(g.components) for i in members)
-        assert X.coarse.graph(0).components == [[i] for i in range(len(X))]
+        comps = coarse_components(X)
+        assert {frozenset(c) for c in comps} == expect
+        # canonical order: each class in point order, classes by least member
+        assert all(c == X.ground.sorted(c) for c in comps)
+        assert [c[0] for c in comps] == X.ground.sorted(c[0] for c in comps)
+        assert [X.coarse.component(x) for x in X.points] == [
+            next(n for n, c in enumerate(comps) if x in c) for x in X.points]
+        assert X.coarse._depth == 0
 
 
 # ---------------------------------------------------------------- constructions

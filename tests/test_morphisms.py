@@ -225,6 +225,32 @@ def test_shift_close_to_identity():
     assert are_close(translate_map(X, 1), identity_map(X)) == 1
 
 
+def test_are_close_grows_the_table_only_to_the_answer():
+    X = windowed_builtin("int_window", 200)
+    assert are_close(identity_map(X), translate_map(X, 1)) == 1
+    assert X.coarse._depth <= 1
+
+
+@st.composite
+def sparse_spaces(draw, max_points=14):
+    """A space on 0..n-1 with at most n generator pairs, so usually several components."""
+    n = draw(st.integers(1, max_points))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    return make_explicit_space(list(range(n)), [edges], [list(range(n))]), edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_are_close_matches_bfs_oracle(data):
+    X, _ = data.draw(sparse_spaces())
+    Y, edges = data.draw(sparse_spaces())
+    image = st.lists(st.integers(0, len(Y) - 1), min_size=len(X), max_size=len(X))
+    f, g = (SpaceMap(X, Y, dict(zip(X.points, data.draw(image)))) for _ in range(2))
+    hops = oracles.hop_distances(Y.points, edges)
+    dists = [hops[f(x)].get(g(x)) for x in X.points]
+    assert are_close(f, g) == (None if None in dists else max(dists))
+
+
 def test_far_constants_not_close():
     Y = two_clusters()
     f = constant_map(POINT, Y, 0)
