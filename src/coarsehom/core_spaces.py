@@ -284,8 +284,9 @@ class CoarseStructure:
         self._ends = [[1] for _ in ground]
         self._front = [[i] for i in range(len(ground))]
         self._depth = 0
-        # (comp, members) of the coarse components, once _components() has found them
-        self._comps = None
+        # (comp, members) of the coarse components, once _components() has found them, and
+        # the search that found each, until stabilization() opens _diameter with it
+        self._comps = self._opening = None
 
     def _bfs(self, sources, k: Optional[int] = None) -> dict:
         """{index: hops from the nearest source} out to k hops (all the way when k is None),
@@ -307,13 +308,15 @@ class CoarseStructure:
         """(comp, members): members[c] lists the c-th coarse component in index order,
         components ordered by least member, and comp[i] is the component of i."""
         if self._comps is None:
-            comp, members = [-1] * len(self._adj), []
+            comp, members, self._opening = [-1] * len(self._adj), [], []
             for start in range(len(comp)):
                 if comp[start] < 0:
-                    found = sorted(self._bfs([start]))
+                    dist = self._bfs([start])
+                    found = sorted(dist)
                     for i in found:
                         comp[i] = len(members)
                     members.append(found)
+                    self._opening.append(dist)
             self._comps = comp, members
         return self._comps
 
@@ -398,32 +401,34 @@ class CoarseStructure:
         Found once, from eccentricity bounds (_diameter); finite spaces always stabilize.
         """
         if self.stabilized_at is None:
-            self.stabilized_at = max(map(self._diameter, self._components()[1]), default=0)
+            self._components()
+            self.stabilized_at = max(map(self._diameter, self._opening), default=0)
+            self._opening = None
         return self.stabilized_at
 
-    def _diameter(self, members: list) -> int:
-        """The largest eccentricity e in one component (Takes & Kosters, BoundingDiameters).
+    def _diameter(self, dist: dict) -> int:
+        """The largest eccentricity e in one component (Takes & Kosters, BoundingDiameters),
+        given dist, the component pass's search from its least member.
 
         A search from v bounds every w by max(d(v,w), e(v) - d(v,w)) <= e(w) <= e(v) + d(v,w).
         Searches alternate between the candidate with the largest upper and the smallest lower
         bound, ties to the least index; a candidate whose upper bound is at most the largest
         lower bound (a known e among them) is dropped, and the bounds meet when none is left.
+        All upper bounds start equal, so the first search is from the least member: dist.
         """
-        cand = {w: (0, len(members) - 1) for w in members}
-        best, high = 0, True
-        while cand:
-            if high:
-                v = max(cand, key=lambda w: cand[w][1])
-            else:
-                v = min(cand, key=lambda w: cand[w][0])
-            high = not high
-            dist = self._bfs([v])
+        cand = {w: (0, len(dist) - 1) for w in sorted(dist)}
+        best, high = 0, False
+        while True:
             e = next(reversed(dist.values()))  # breadth-first order: the last is the farthest
             cand = {w: (max(lo, dist[w], e - dist[w]), min(hi, e + dist[w]))
                     for w, (lo, hi) in cand.items()}
             best = max(best, *(lo for lo, _ in cand.values()))
             cand = {w: b for w, b in cand.items() if b[1] > best}
-        return best
+            if not cand:
+                return best
+            v = max(cand, key=lambda w: cand[w][1]) if high else min(cand, key=lambda w: cand[w][0])
+            high = not high
+            dist = self._bfs([v])
 
     def hop_rows(self, k: Optional[int] = None) -> list:
         """The table itself, grown to scale k, or until a layer adds nothing when k is None

@@ -4,28 +4,28 @@ Chains in degree n are Z-linear combinations of (n+1)-tuples of points whose
 entries are pairwise related at a chosen scale; tuples with two equal adjacent
 entries are normalized away.  This controlled-tuple complex is the definition,
 and it serves every chain-level certificate: presentations, induced maps,
-prisms, the swindle, relative homology and the excision check.  One builder
-makes every tuple complex, absolute or the quotient by the tuples inside a
-subset: one depth-first enumerator gives each basis in lex order, and one
-loop grows bases and boundaries a degree at a time.  Boundaries, chain maps
-and prism blocks are `IntMatrix` values: a shape and one dict {column: int}
-per row, with Python ints, so no entry can overflow.  Every identity the
-module claims (complex identity, prism identity, swindle identity) is
-verified as an exact matrix equation, never numerically.  A space keeps the
-tuple complexes and presentations built on it, so each is built once per
-scale (and degree) and shared read-only by later callers.
+prisms and the swindle.  One builder makes it: one depth-first enumerator
+gives each basis in lex order, and one loop grows bases and boundaries a
+degree at a time.  Boundaries, chain maps and prism blocks are `IntMatrix`
+values: a shape and one dict {column: int} per row, with Python ints, so no
+entry can overflow.  Every identity the module claims (complex identity,
+prism identity, swindle identity) is verified as an exact matrix equation,
+never numerically.  A space keeps the tuple complexes and presentations
+built on it, so each is built once per scale (and degree) and shared
+read-only by later callers.
 
-Groups alone (`homology_at_scale`, hence the per-scale colimit table) come
-from the clique complex of the same scale graph, which is chain-equivalent
-to the tuple complex (ordered against oriented chains, Munkres, Elements of
-Algebraic Topology, section 13) and far smaller: a simplex maps to its
-increasing tuple, and a tuple with distinct entries maps to the sorted
-simplex with the sign of the sorting permutation.  `basis_cap` keeps its
-meaning there, a bound on tuples per degree, read off the clique counts.
-At stabilization each coarse component is a clique, hence a cone: the colimit
-is Z^(components) in degree 0 and 0 above, counted off the stored coarse
-components once the hop-distance table confirms each is a clique; nothing is
-built.
+Answers that need no basis (`homology_at_scale`, hence the per-scale
+colimit table, `relative_homology` and the excision check `mv_check`) come
+from the clique complex of the same scale graph, chain-equivalent to the
+tuple complex (Munkres, Elements of Algebraic Topology, section 13: a simplex
+maps to its increasing tuple, a tuple with distinct entries to its sorted
+simplex with the sign of the sort) and far smaller; relative to Y it loses
+the simplices wholly in Y, as the quotient loses the tuples whose vertex
+sets are.  `basis_cap` still bounds the (quotient's) tuples per degree,
+read off the clique counts.  At stabilization each coarse component is a
+clique, hence a cone: the colimit is Z^(components) in degree 0 and 0
+above, counted off the stored coarse components once the hop-distance
+table confirms each is a clique; nothing is built.
 
 Groups are read off one sparse elimination kernel in two phases.  The unit
 phase takes ±1 pivots from a heap of rows keyed on length, each in its
@@ -209,12 +209,10 @@ def _iter_controlled(g: ScaleGraph, n):
             yield (i,)
 
 
-def _controlled_basis(g, n, basis_cap, scale, inside=None):
-    """Degree-n index tuples in lex order, less those wholly in the point mask inside."""
+def _controlled_basis(g, n, basis_cap, scale):
+    """Degree-n index tuples in lex order."""
     basis = []
     for t in _iter_controlled(g, n):
-        if inside is not None and all(inside[i] for i in t):
-            continue
         if basis_cap is not None and len(basis) >= basis_cap:
             raise DegreeCapExceeded(n, scale, basis_cap)
         basis.append(t)
@@ -242,7 +240,8 @@ def _faces(t, n):
 
 
 def _boundary_from_lists(basis_n, index_prev, n, inside=None):
-    """Matrix of the alternating face sum on normalized index tuples; faces wholly inside are 0."""
+    """Matrix of the alternating face sum on normalized index tuples; with a point mask
+    inside, a face wholly in it is 0, and any other face must be in index_prev."""
     rows: List[Dict[int, int]] = [{} for _ in index_prev]
     for col, t in enumerate(basis_n):
         for face, sign in _faces(t, n):
@@ -251,17 +250,14 @@ def _boundary_from_lists(basis_n, index_prev, n, inside=None):
     return IntMatrix((len(index_prev), len(basis_n)), rows)
 
 
-def _extend(g, bases, boundaries, d_max, basis_cap, scale, inside=None):
-    """Grow index bases and boundaries (boundaries[n] = d_n, [0] None) in place through d_max.
-
-    Every tuple complex is built here: absolute, or with a point mask inside
-    the quotient by the tuples wholly in it.
-    """
+def _extend(g, bases, boundaries, d_max, basis_cap, scale):
+    """Grow index bases and boundaries (boundaries[n] = d_n, [0] None) in place through d_max:
+    the one builder of tuple complexes."""
     for n in range(len(bases), d_max + 1):
-        basis = _controlled_basis(g, n, basis_cap, scale, inside)
+        basis = _controlled_basis(g, n, basis_cap, scale)
         if n:
             index_prev = {t: i for i, t in enumerate(bases[n - 1])}
-            boundaries.append(_boundary_from_lists(basis, index_prev, n, inside))
+            boundaries.append(_boundary_from_lists(basis, index_prev, n))
         bases.append(basis)
 
 
@@ -669,14 +665,22 @@ def _homology_groups(dims, boundaries: Sequence[Optional[IntMatrix]]):
     return [FGAbGroup(c - ranks[n] - ranks[n + 1], torsion[n + 1]) for n, c in enumerate(dims)]
 
 
-def _clique_groups(X, k, d_max, basis_cap, tuples=False):
-    """Groups 0..d_max of the scale-k clique complex, built through d_max + 1 and checked."""
-    g = X.coarse.graph(k)
-    K = SimplicialComplex(list(g.points), _cliques(g, d_max + 1, basis_cap, k, tuples))
-    boundaries = [None] + [K.boundary(n) for n in range(1, d_max + 2)]
+def _clique_chains(g: ScaleGraph, d_max, cap, scale, tuples=False, Y=None):
+    """Simplices and boundaries ([0] None) through d_max of the clique complex of g, less the
+    simplices wholly in the points Y when given (relative chains), checked to be a complex."""
+    inside = None if Y is None else [p in Y for p in g.points]
+    simplices = _cliques(g, d_max, cap, scale, tuples, inside)
+    boundaries = [None] + [_boundary_from_lists(simplices[n], {s: i for i, s in enumerate(simplices[n - 1])},
+                                                n, inside) for n in range(1, d_max + 1)]
     if not _is_complex(boundaries):
         raise HomologyError("boundary matrices fail the complex identity")
-    return _homology_groups([len(s) for s in K.simplices[:d_max + 1]], boundaries)
+    return simplices, boundaries
+
+
+def _clique_groups(X, k, d_max, basis_cap, tuples=False, Y=None):
+    """Groups 0..d_max of the scale-k clique complex (relative to Y when given), built through d_max + 1."""
+    simplices, boundaries = _clique_chains(X.coarse.graph(k), d_max + 1, basis_cap, k, tuples, Y)
+    return _homology_groups([len(s) for s in simplices[:d_max + 1]], boundaries)
 
 
 def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
@@ -1036,15 +1040,6 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
 # ------------------------------------------------- relative homology
 
 
-def _quotient_complex(g, Y, d_max, basis_cap, scale):
-    """Named bases and boundaries of C(g)/C(Y) through d_max: tuples wholly in Y are dropped."""
-    inside = [p in Y for p in g.points]
-    bases, boundaries = [], [None]
-    _extend(g, bases, boundaries, d_max, basis_cap, scale, inside)
-    pts = g.points
-    return [[tuple(pts[i] for i in t) for t in b] for b in bases], boundaries
-
-
 class RelativeHomology(Record):
     def __init__(self, groups, prefix_index, member, scale, warnings=None):
         self.groups = groups
@@ -1055,11 +1050,11 @@ class RelativeHomology(Record):
 
 
 def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
-    """Homology of C(X)/C(Y_m) for the last family member Y_m (finite-prefix stand-in)."""
+    """Homology of C(X)/C(Y_m) for the last family member Y_m (finite-prefix stand-in), on
+    relative clique chains; basis_cap bounds the quotient's tuples in each degree."""
     m = len(family.members) - 1
     Y = family.members[m]
-    bases, mats = _quotient_complex(X.coarse.graph(k), Y, d_max + 1, basis_cap, k)
-    groups = _homology_groups([len(b) for b in bases[:d_max + 1]], mats)
+    groups = _clique_groups(X, k, d_max, basis_cap, tuples=True, Y=Y)
     warnings = [f"relative to prefix member Y_{m} (finite-prefix stand-in for the colimit)"]
     if X.window_tag is not None:
         warnings.append("window-relative values")
@@ -1088,8 +1083,10 @@ class ExcisionReport(Record):
 
 
 def _quotient_presentations(g, Y, k, d_max, basis_cap):
-    """Named quotient bases through d_max + 1 and presentations through d_max."""
-    bases, mats = _quotient_complex(g, Y, d_max + 1, basis_cap, k)
+    """Relative clique chains of g less Y: bases named in the order of g through d_max + 1,
+    and presentations through d_max."""
+    simplices, mats = _clique_chains(g, d_max + 1, basis_cap, k, True, Y)
+    bases = [[tuple(g.points[i] for i in s) for s in level] for level in simplices]
     pres = [_presentation_from_complex(bases[n], mats[n] if n else None, mats[n + 1], n, k)
             for n in range(d_max + 1)]
     return bases, pres
@@ -1108,39 +1105,29 @@ def _surjective_over_Z(matrix, target: HomologyPresentation):
 def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     """Excision shadow: compare H(Z, Z∩Y_m) with H(X, Y_m) through the inclusion."""
     Zset = X.ground.check_subset(Z)
-    i0 = None
-    for i, Y in enumerate(family.members):
-        if Zset | Y == frozenset(X.points):
-            i0 = i
-            break
+    i0 = next((i for i, Y in enumerate(family.members) if Zset | Y == frozenset(X.points)), None)
     if i0 is None:
         missing = sorted(frozenset(X.points) - (Zset | family.members[-1]))[:3]
-        raise NotComplementary(
-            f"no family member completes Z to X; sample uncovered points {missing}"
-        )
+        raise NotComplementary(f"no family member completes Z to X; sample uncovered points {missing}")
     m = family.witness.get((i0, k))
     if m is None:
         raise PrefixTooShort(i0, k)
     Ym = family.members[m]
     g = X.coarse.graph(k)
     bases_full, pres_full = _quotient_presentations(g, Ym, k, d_max, basis_cap)
-    zg = g.restrict(Zset)
-    bases_sub, pres_sub = _quotient_presentations(zg, Ym, k, d_max, basis_cap)
-
+    bases_sub, pres_sub = _quotient_presentations(g.restrict(Zset), Ym, k, d_max, basis_cap)
     bijection = bases_sub == bases_full
     iso = []
     for src, tgt in zip(pres_sub, pres_full):
         if src.group != tgt.group:
             iso.append(False)
             continue
-        # the inclusion of chains: each tuple of Z goes to the same tuple of X
+        # the inclusion of chains: each simplex of Z goes to the same simplex of X
         incl = IntMatrix((len(tgt.basis), len(src.basis)), [{} for _ in tgt.basis])
         for c, t in enumerate(src.basis):
             incl.rows[tgt.index[t]][c] = 1
         iso.append(_surjective_over_Z(_on_homology(incl, src, tgt), tgt))
-    warnings = [
-        f"complementary member index {i0}, quotient taken at prefix index {m}",
-    ]
+    warnings = [f"complementary member index {i0}, quotient taken at prefix index {m}"]
     if X.window_tag is not None:
         warnings.append("window-relative values")
     return ExcisionReport(k, d_max, i0, m, [p.group for p in pres_sub],
@@ -1198,15 +1185,16 @@ def _tuple_count(clique_counts, n):
                for m, c in enumerate(clique_counts[:L], 1))
 
 
-def _cliques(g: ScaleGraph, d_max, cap, scale, tuples=False):
+def _cliques(g: ScaleGraph, d_max, cap, scale, tuples=False, inside=None):
     """Strictly increasing index tuples spanning cliques, by dimension, each in lex order.
 
     Built one dimension at a time, each simplex extended by the later common
-    neighbours of its vertices.  cap bounds the simplices built so far; with
-    tuples it bounds instead the controlled tuples of each degree (counted by
-    _tuple_count), refused at the least degree past it before the next
-    dimension is built.  Either way a level stops growing once it alone is
-    past the cap.
+    neighbours of its vertices; with a point mask inside, those wholly in it are
+    grown from but neither kept nor counted.  cap bounds the simplices kept so
+    far; with tuples it bounds instead the controlled tuples of each degree not
+    wholly inside (_tuple_count of the kept cliques), refused at the least
+    degree past it before the next dimension is built.  Without a mask a level
+    stops growing once it alone is past the cap.
     """
     # a negative cap refuses the first simplex, as a cap of 0 does
     limit = None if cap is None else max(cap, 0)
@@ -1219,14 +1207,15 @@ def _cliques(g: ScaleGraph, d_max, cap, scale, tuples=False):
         if dim == 0:
             grown = ((i,) for i in range(len(sets)))
         else:
-            grown = (s + (j,) for s in out[-1] for j in later[s[-1]]
+            grown = (s + (j,) for s in level for j in later[s[-1]]
                      if all(j in sets[i] for i in s[:-1]))
         room = None if limit is None else limit - (0 if tuples else built)
-        level = list(grown if room is None else islice(grown, room + 1))
-        if room is not None and len(level) > room:
+        level = list(grown if room is None or inside is not None else islice(grown, room + 1))
+        kept = level if inside is None else [s for s in level if not all(inside[i] for i in s)]
+        if room is not None and len(kept) > room:
             raise DegreeCapExceeded(dim, scale, cap, unit)
-        out.append(level)
-        built += len(level)
+        out.append(kept)
+        built += len(kept)
         if tuples and limit is not None and _tuple_count([len(lv) for lv in out], dim) > limit:
             raise DegreeCapExceeded(dim, scale, cap, unit)
     return out

@@ -561,6 +561,45 @@ def controlled_tuples_reference(points, edges, k, n):
     return out
 
 
+def quotient_tuples_reference(points, edges, k, n, Y, Z=None):
+    """Degree-n basis of C(Z)/C(Z ∩ Y) at scale k, in lex order of ground indices.
+
+    The controlled tuples of the whole space (by brute force) with every
+    entry in Z (all points when Z is None), less those with every entry in Y.
+    """
+    Y = set(Y)
+    return [t for t in controlled_tuples_reference(points, edges, k, n)
+            if (Z is None or set(Z).issuperset(t)) and not Y.issuperset(t)]
+
+
+def quotient_boundary_reference(basis_n, basis_prev, Y):
+    """Sparse rows of the alternating face sum from basis_n to basis_prev, by brute force.
+
+    Every deletion is tried; a face with two equal adjacent entries or with
+    every entry in Y is zero in the quotient.
+    """
+    Y = set(Y)
+    index = {t: i for i, t in enumerate(basis_prev)}
+    rows = [{} for _ in basis_prev]
+    for col, t in enumerate(basis_n):
+        for i in range(len(t)):
+            face = t[:i] + t[i + 1:]
+            if any(a == b for a, b in zip(face, face[1:])) or Y.issuperset(face):
+                continue
+            row = rows[index[face]]
+            row[col] = row.get(col, 0) + (-1) ** i
+    return [{j: v for j, v in row.items() if v} for row in rows]
+
+
+def relative_homology_reference(points, edges, k, d_max, Y, Z=None):
+    """H_0..H_d_max of the quotient tuple complex C(Z)/C(Z ∩ Y) at scale k, built through
+    d_max + 1.  Returns (groups as [(free_rank, [torsion])], bases by degree)."""
+    bases = [quotient_tuples_reference(points, edges, k, n, Y, Z) for n in range(d_max + 2)]
+    boundaries = [None] + [quotient_boundary_reference(bases[n], bases[n - 1], Y)
+                           for n in range(1, d_max + 2)]
+    return sparse_chain_homology([len(b) for b in bases], boundaries, d_max), bases
+
+
 def flasque_reference(points, edges, table, tested, scale_cap, iter_cap):
     """The flasqueness verdict on a window, with condition 2 as a union over all powers.
 

@@ -315,6 +315,23 @@ def test_components_and_stabilization_grow_no_table():
         assert X.coarse.stabilization() == stab and X.coarse._depth == 0
 
 
+def test_stabilization_reuses_the_component_search(monkeypatch):
+    # the first bounded search starts from the least member, as the component
+    # pass's search does, so it is taken over: per component one search fewer
+    # than searching again (path: 2 -> 1; cliques of 1, 3, 5 points: 2 + 4 + 6 -> 1 + 3 + 5)
+    calls = []
+    bfs = CoarseStructure._bfs
+    monkeypatch.setattr(CoarseStructure, "_bfs", lambda self, *a: calls.append(a) or bfs(self, *a))
+    cliques = [make_explicit_space(list(range(m)), [[(a, b) for a in range(m) for b in range(a)]],
+                                   [list(range(m))]) for m in (1, 3, 5)]
+    for X, searches, stab in [(path_space(9), 1, 9), (coproduct(cliques), 9, 1)]:
+        calls.clear()
+        assert X.coarse.stabilization() == stab
+        assert len(calls) == searches
+        assert X.coarse.stabilization() == stab and len(calls) == searches
+        assert X.coarse._opening is None  # the opening searches are not kept past stabilization
+
+
 @pytest.mark.parametrize("off", [-1, 1])
 def test_hop_table_refuses_a_planted_bound_fault(monkeypatch, off):
     diameter = CoarseStructure._diameter

@@ -200,11 +200,16 @@ def test_tuple_order_matches_brute_force_oracle():
         pts = list(X.points)
         edges = [pair for E in X.coarse.generators for pair in E.pairs]
         Y = frozenset(pts[::2])
-        quotient = homology_engine._quotient_complex(X.coarse.graph(k), Y, 3, None, k)[0]
+        relative = homology_engine._cliques(X.coarse.graph(k), 3, None, k, inside=[p in Y for p in pts])
         for n in range(4):
             want = oracles.controlled_tuples_reference(pts, edges, k, n)
             assert controlled_tuples(X, k, n) == want, (pts, edges, k, n)
-            assert quotient[n] == [t for t in want if not Y.issuperset(t)], (pts, edges, k, n)
+            # the relative n-simplices are the quotient's increasing tuples, named in
+            # ground order, and their counts give the quotient's tuple count
+            quotient = oracles.quotient_tuples_reference(pts, edges, k, n, Y)
+            increasing = [t for t in quotient if all(pts.index(a) < pts.index(b) for a, b in zip(t, t[1:]))]
+            assert [tuple(pts[i] for i in s) for s in relative[n]] == increasing, (pts, edges, k, n)
+            assert homology_engine._tuple_count([len(lv) for lv in relative], n) == len(quotient)
 
 
 def test_planted_sign_flip_fails_the_complex_identity(monkeypatch):
@@ -1123,6 +1128,154 @@ def test_mv_prefix_too_short():
     with pytest.raises(PrefixTooShort) as e:
         mv_check(X, list(range(6, 21)), fam, 1, 1)
     assert e.value.member_index == 0 and e.value.scale == 1
+
+
+# ------------------------------------ relative routes against the tuple quotient
+
+def relative_reference(X, k, d_max, Y, Z=None):
+    """The oracle's quotient groups as FGAbGroups, and its named quotient bases."""
+    edges = [pair for E in X.coarse.generators for pair in E.pairs]
+    raw, bases = oracles.relative_homology_reference(list(X.points), edges, k, d_max, Y, Z)
+    return [FGAbGroup(f, tuple(t)) for f, t in raw], bases
+
+
+def relative_mismatches(X, k, d_max, Y, fam, Z):
+    """What relative_homology(X, Y) and mv_check(X, Z, fam) get wrong against the oracle."""
+    wrong = []
+    if relative_homology(X, make_big_family(X, [Y]), k, d_max).groups != relative_reference(X, k, d_max, Y)[0]:
+        wrong.append("relative")
+    rep = mv_check(X, Z, fam, k, d_max)
+    Ym = fam.members[rep.prefix_index]
+    full, full_bases = relative_reference(X, k, d_max, Ym)
+    sub, sub_bases = relative_reference(X, k, d_max, Ym, Z)
+    if (rep.groups_full, rep.groups_sub) != (full, sub):
+        wrong.append("mv groups")
+    # a quotient tuple lies in Z exactly when its simplex does
+    if rep.basis_bijection != (full_bases == sub_bases):
+        wrong.append("mv bijection")
+    # equal complexes make the inclusion the identity; an isomorphism keeps the group
+    if (rep.basis_bijection and not rep.all_iso) or any(iso and a != b for iso, a, b in zip(rep.iso, sub, full)):
+        wrong.append("mv iso")
+    return wrong
+
+
+def rp2_excision_case():
+    X = rp2_subdivision()
+    v = X.points[0]
+    return X, frozenset([v]), big_family_generated(X, [v], 2), X.points
+
+
+def test_relative_routes_match_quotient_oracle():
+    rng = random.Random(83)
+    X = path_space(6)
+    cases = [(X, 1, 2, frozenset({0, 1}), big_family_generated(X, [0], 6), list(range(2, 7)))]
+    while len(cases) < 30:
+        X = random_explicit_space(rng, max_points=9, max_pairs=16)
+        pts = list(X.points)
+        A = [p for p in pts if rng.random() < 0.4]
+        Z = [p for p in pts if p not in A or rng.random() < 0.3]
+        cases.append((X, rng.randint(1, 2), rng.randint(1, 2), frozenset(p for p in pts if rng.random() < 0.5),
+                      big_family_generated(X, A, len(pts) + 2), Z))
+    for X, k, d_max, Y, fam, Z in cases:
+        assert relative_mismatches(X, k, d_max, Y, fam, Z) == [], (list(X.points), k, d_max, Y, Z)
+    # torsion: RP^2 relative to one vertex, and to the star of that vertex
+    X, Y, fam, Z = rp2_excision_case()
+    assert relative_mismatches(X, 1, 1, Y, fam, Z) == []
+    assert relative_homology(X, make_big_family(X, [Y]), 1, 1).groups == [ZERO, FGAbGroup(0, (2,))]
+    rep = mv_check(X, Z, fam, 1, 1)
+    assert rep.groups_full == rep.groups_sub == [ZERO, FGAbGroup(0, (2,))] and rep.all_iso
+
+
+def test_relative_routes_enumerate_no_tuple(monkeypatch):
+    def no_tuples(*args):
+        raise AssertionError("a controlled tuple was enumerated")
+
+    monkeypatch.setattr(homology_engine, "_iter_controlled", no_tuples)
+    X = path_space(20)
+    fam = big_family_generated(X, [0], 12)
+    assert all(g.trivial for g in relative_homology(X, fam, 1, 2).groups)
+    rep = mv_check(X, list(range(8, 21)), fam, 1, 2)
+    assert rep.iso == [True, True, True] and rep.basis_bijection
+    X, Y, fam, Z = rp2_excision_case()
+    assert relative_homology(X, make_big_family(X, [Y]), 1, 1).groups == [ZERO, FGAbGroup(0, (2,))]
+    assert mv_check(X, Z, fam, 1, 1).all_iso
+
+
+def quotient_refusal(X, k, top, cap, Y):
+    """(degree, message) of the least degree through top whose quotient tuples pass cap, by the oracle."""
+    edges = [pair for E in X.coarse.generators for pair in E.pairs]
+    for n in range(top + 1):
+        if len(oracles.quotient_tuples_reference(list(X.points), edges, k, n, Y)) > cap:
+            return n, (f"basis in degree {n} at scale {k} exceeds the cap of {cap} tuples; "
+                       "raise basis_cap to proceed")
+    return None
+
+
+def lollipop(m, tail):
+    """A clique on 0..m-1 with a path from m-1 out to m-1+tail."""
+    pts = list(range(m + tail))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)] + [(i, i + 1) for i in range(m - 1, m + tail - 1)]
+    return make_explicit_space(pts, [pairs], [pts])
+
+
+def test_relative_cap_refusal_matches_quotient_count():
+    # Y_1 holds the clique and one path point: almost all of X's tuples, few of the quotient's
+    X = lollipop(7, 8)
+    fam = big_family_generated(X, range(7), 1)
+    Z = list(range(6, 15))
+    assert fam.witness[(0, 1)] == 1
+    # the quotient has 7, 14, 14, 14 tuples in degrees 0..3, X itself 15, 58, 268, 1528
+    for cap, degree in ((5, 0), (10, 1), (14, None), (50, None), (1527, None)):
+        want = quotient_refusal(X, 1, 3, cap, fam.members[1])
+        assert (want and want[0]) == degree
+        assert cap_outcome(lambda: relative_homology(X, fam, 1, 2, cap)) == want
+        assert cap_outcome(lambda: mv_check(X, Z, fam, 1, 2, cap)) == want
+        # a cap on X's own tuples would refuse every one
+        assert cap_outcome(lambda: chain_complex(X, 1, 3, cap)) is not None
+    # seeded sweep: both routes refuse where the oracle's quotient count does, or answer
+    rng = random.Random(89)
+    refused = answered = 0
+    for _ in range(16):
+        X = random_explicit_space(rng, max_points=9, max_pairs=18)
+        pts = list(X.points)
+        A = [p for p in pts if rng.random() < 0.3]
+        fam = big_family_generated(X, A, len(pts) + 2)
+        k, d_max = rng.randint(1, 2), rng.randint(1, 2)
+        rep = mv_check(X, pts, fam, k, d_max, None)  # the member mv_check quotients by
+        rel_fam = make_big_family(X, [fam.members[rep.prefix_index]])
+        for cap in (0, 4, 12, 40, 150):
+            want = quotient_refusal(X, k, d_max + 1, cap, fam.members[rep.prefix_index])
+            assert cap_outcome(lambda: relative_homology(X, rel_fam, k, d_max, cap)) == want
+            assert cap_outcome(lambda: mv_check(X, pts, fam, k, d_max, cap)) == want
+            refused += want is not None
+            answered += want is None
+    assert refused > 15 and answered > 15
+
+
+def test_planted_relative_face_faults_are_caught(monkeypatch):
+    build = homology_engine._boundary_from_lists
+    X = path_space(4)
+    fam = big_family_generated(X, [0], 4)
+    Y, Z = frozenset({0}), list(range(1, 5))
+    assert relative_mismatches(X, 1, 1, Y, fam, Z) == []
+
+    # a face wholly in Y kept: it is neither indexed nor masked, so the lookup refuses it
+    monkeypatch.setattr(homology_engine, "_boundary_from_lists",
+                        lambda basis_n, index_prev, n, inside=None: build(basis_n, index_prev, n))
+    with pytest.raises(KeyError):
+        relative_homology(X, make_big_family(X, [Y]), 1, 1)
+    with pytest.raises(KeyError):
+        mv_check(X, Z, fam, 1, 1)
+
+    # a face outside Y dropped: the vertex 1 is masked in boundaries only
+    def drops_vertex_1(basis_n, index_prev, n, inside=None):
+        if inside is not None:
+            inside = [True if i == 1 else x for i, x in enumerate(inside)]
+        return build(basis_n, index_prev, n, inside)
+
+    monkeypatch.setattr(homology_engine, "_boundary_from_lists", drops_vertex_1)
+    wrong = relative_mismatches(X, 1, 1, Y, fam, Z)
+    assert "relative" in wrong and "mv groups" in wrong
 
 
 # ------------------------------------------------------------ clique backend
