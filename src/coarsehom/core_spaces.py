@@ -46,6 +46,12 @@ class BadScales(CoarseError):
     pass
 
 
+def check_scale(k: int):
+    """Refuse a negative scale index."""
+    if k < 0:
+        raise BadScales(f"scale-index must be >= 0, got {k}")
+
+
 class Record:
     """Equality and repr over the fields that __init__ sets, in that order.
 
@@ -148,7 +154,9 @@ class Entourage:
     """A finite set of ordered point pairs over a ground set.
 
     The frozenset of pairs is the whole representation; compose builds the
-    left-neighbour index it needs for that one call.
+    left-neighbour index it needs for that one call.  A closure of a
+    CoarseStructure is a ClosureView, which answers len and membership
+    without the pair set and builds it on the first read of pairs.
     """
 
     __slots__ = ("ground", "pairs")
@@ -162,13 +170,6 @@ class Entourage:
                 raise UnknownPoint(f"pair ({x!r}, {y!r}) leaves the ground set")
             ps.add((x, y))
         self.pairs = frozenset(ps)
-
-    @classmethod
-    def _unchecked(cls, ground: GroundSet, pairs: frozenset) -> "Entourage":
-        """Wrap pairs already known to lie in ground, without checking them."""
-        U = object.__new__(cls)
-        U.ground, U.pairs = ground, pairs
-        return U
 
     def __contains__(self, pair):
         return pair in self.pairs
@@ -207,9 +208,56 @@ class Entourage:
     def restrict(self, A: frozenset) -> "Entourage":
         return Entourage(self.ground, (p for p in self.pairs if p[0] in A and p[1] in A))
 
-    def neighbours(self, x) -> frozenset:
-        """Points y with (y, x) in U; equals the ball around x once symmetric."""
-        return frozenset([y for y, z in self.pairs if z == x])
+
+class ClosureView(Entourage):
+    """A read-only closure_at(k) of a CoarseStructure, answered from what the structure stores.
+
+    Below the stabilization scale rows is the hop table (dist, ends) and k the scale:
+    (x, y) is a pair when y's row reaches x within k hops, and the size is the sum of
+    the rows' ball sizes ends[i][k].  From the stabilization scale on rows is the
+    components (comp, members) and k is None: (x, y) is a pair when x and y share a
+    component, and the size is the sum of |C|^2.  The pair frozenset is built once, on
+    the first read of pairs, and so also by ==, hash, <=, compose and the rest.
+
+    The view holds the structure's lists but never the structure, so a structure and
+    its cached closures make no reference cycle, and reference counting frees them.
+    """
+
+    __slots__ = ("_k", "_rows", "_built")
+
+    def __init__(self, ground: GroundSet, k: Optional[int], rows: tuple):
+        self.ground, self._k, self._rows, self._built = ground, k, rows, None
+
+    @property
+    def pairs(self) -> frozenset:
+        if self._built is None:
+            pts = self.ground.points
+            if self._k is None:
+                comps = [[pts[i] for i in c] for c in self._rows[1]]
+                pairs = itertools.chain.from_iterable(itertools.product(c, c) for c in comps)
+            else:
+                pairs = [(pts[j], y) for y, dist, ends in zip(pts, *self._rows)
+                         for j in itertools.islice(dist, ends[self._k])]
+            self._built = frozenset(pairs)
+        return self._built
+
+    def __len__(self):
+        if self._k is None:
+            return sum(len(c) ** 2 for c in self._rows[1])
+        return sum(ends[self._k] for ends in self._rows[1])
+
+    def __contains__(self, pair):
+        hash(pair)  # an unhashable value raises TypeError, as it does in a frozenset
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        index = self.ground._index
+        i, j = index.get(pair[0]), index.get(pair[1])
+        if i is None or j is None:
+            return False
+        if self._k is None:
+            return self._rows[0][i] == self._rows[0][j]
+        d = self._rows[0][j].get(i)
+        return d is not None and d <= self._k
 
 
 def diagonal(ground: GroundSet) -> Entourage:
@@ -248,19 +296,21 @@ class CoarseStructure:
     The filtration is a hop-distance table in index space: for each point a
     dict {index: hop distance} in breadth-first order, plus the offsets where
     each breadth-first layer ends, so the ball of radius k is a prefix of the
-    dict, and closure_at(k) is read off the table in one pass (one pair per
-    prefix entry, no ball sets).  The table grows in place one layer at a
-    time, only as deep as the largest scale asked for so far.
+    dict.  closure_at(k) is a ClosureView over the table: its size and
+    membership are read off the rows, and its pair set is built (one pair per
+    prefix entry, no ball sets) only when a caller reads pairs.  The table
+    grows in place one layer at a time, only as deep as the largest scale
+    asked for so far.
 
     The coarse components are found once, by one breadth-first search per
     component, and stored.  stabilized_at, where the filtration stops
     growing, is the largest eccentricity of a component; only
     stabilization() sets it, from a few breadth-first searches per component
     under eccentricity bounds, and only when asked.  From a known
-    stabilized_at on each component is a clique, so closure_at, ball,
-    related_at and graph read the components there.  When the table stops
-    growing (hop_rows() and distance() grow all of it), its depth is checked
-    against stabilized_at, and a mismatch is refused.
+    stabilized_at on each component is a clique, so closure_at (a view over
+    the components), ball, related_at and graph read the components there.
+    When the table stops growing (hop_rows() and distance() grow all of it),
+    its depth is checked against stabilized_at, and a mismatch is refused.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -269,7 +319,7 @@ class CoarseStructure:
         for g in self.generators:
             if g.ground is not ground and g.ground != ground:
                 raise UnknownPoint("generator defined over a different ground set")
-        self.cached_closures: dict[int, Entourage] = {}
+        self.cached_closures: dict[int, ClosureView] = {}
         self.stabilized_at: Optional[int] = None
         adj = [set() for _ in ground]
         for g in self.generators:
@@ -348,24 +398,19 @@ class CoarseStructure:
     def _scale(self, k: int) -> Optional[int]:
         """Validate k; None from a known stabilization scale up, where the components
         answer, else k with the table grown to it."""
-        if k < 0:
-            raise BadScales(f"scale-index must be >= 0, got {k}")
+        check_scale(k)
         if self.stabilized_at is None or k < self.stabilized_at:
             self._grow(k)  # a table that stops growing below k has set stabilized_at
         return None if self.stabilized_at is not None and k >= self.stabilized_at else k
 
-    def closure_at(self, k: int) -> Entourage:
+    def closure_at(self, k: int) -> ClosureView:
+        """The scale-k closure as a view over the table, or over the components from the
+        stabilization scale on; one view per scale, cached."""
         k = self._scale(k)
         key = self.stabilized_at if k is None else k
         if key not in self.cached_closures:
-            pts = self.ground.points
-            if k is None:
-                comps = [[pts[i] for i in c] for c in self._components()[1]]
-                pairs = itertools.chain.from_iterable(itertools.product(c, c) for c in comps)
-            else:
-                pairs = [(pts[j], y) for y, dist, ends in zip(pts, self._dist, self._ends)
-                         for j in itertools.islice(dist, ends[k])]
-            self.cached_closures[key] = Entourage._unchecked(self.ground, frozenset(pairs))
+            rows = self._components() if k is None else (self._dist, self._ends)
+            self.cached_closures[key] = ClosureView(self.ground, k, rows)
         return self.cached_closures[key]
 
     def ball(self, k: int, x) -> frozenset:
@@ -381,8 +426,7 @@ class CoarseStructure:
 
     def thicken(self, k: int, B: Iterable) -> frozenset:
         """closure_at(k)[B]: a breadth-first search of k steps from all of B at once."""
-        if k < 0:
-            raise BadScales(f"scale-index must be >= 0, got {k}")
+        check_scale(k)
         index, pts = self.ground.index, self.ground.points
         return frozenset([pts[i] for i in self._bfs({index(b) for b in B}, k)])
 

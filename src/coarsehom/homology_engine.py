@@ -53,7 +53,8 @@ from itertools import islice
 from math import comb
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .core_spaces import BigFamilyPrefix, CoarseError, FrozenRecord, Record, ScaleGraph, coarse_components
+from .core_spaces import (BigFamilyPrefix, CoarseError, FrozenRecord, Record, ScaleGraph, check_scale,
+                          coarse_components)
 
 if TYPE_CHECKING:  # annotations only: `morphisms` loads when a map is first used
     from .morphisms import SpaceMap
@@ -1104,6 +1105,7 @@ def _surjective_over_Z(matrix, target: HomologyPresentation):
 
 def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     """Excision shadow: compare H(Z, Z∩Y_m) with H(X, Y_m) through the inclusion."""
+    check_scale(k)
     Zset = X.ground.check_subset(Z)
     i0 = next((i for i, Y in enumerate(family.members) if Zset | Y == frozenset(X.points)), None)
     if i0 is None:

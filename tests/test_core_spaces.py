@@ -1,7 +1,9 @@
 """Core space model: construction, closures, thickenings, components, unions."""
 
+import gc
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from coarsehom import (
     make_big_family,
     make_explicit_space,
     mixed_union,
+    mv_check,
     product_p,
     semidirect,
     subspace,
@@ -172,9 +175,12 @@ def test_scale_queries_refuse_bad_input():
 @pytest.mark.parametrize("k", [-1, -7])
 def test_negative_scale_refusal_names_the_value(k):
     X = windowed_builtin("int_window", 3)
+    # Y_3 = -3..0 completes Z to X; no member completes Z_far
+    family, Z, Z_far = big_family_generated(X, {-3}, 3), range(0, 4), range(2, 4)
     calls = {"ball": lambda: X.coarse.ball(k, 0), "closure_at": lambda: closure_at(X, k),
              "related_at": lambda: X.coarse.related_at(k, 0, 1), "thicken": lambda: thicken(X, k, {0}),
-             "graph": lambda: X.coarse.graph(k)}
+             "graph": lambda: X.coarse.graph(k), "mv_check": lambda: mv_check(X, Z, family, k, 1),
+             "mv_check far": lambda: mv_check(X, Z_far, family, k, 1)}
     for name, call in calls.items():
         with pytest.raises(BadScales) as e:
             call()
@@ -198,18 +204,78 @@ def test_stabilization_memory_stays_small():
 
 
 def test_closure_memory_stays_small():
-    X = windowed_builtin("grid2_window", 8)
-    s = X.coarse.stabilization()
-    tracemalloc.start()
-    try:
-        U = X.closure_at(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 15 * 2**20
+    # a stabilized closure answers its size and a membership from the components;
+    # the pair set of grid2_window(12) alone takes about 40 MiB
+    for r in (12, 8):
+        X = windowed_builtin("grid2_window", r)
+        s = X.coarse.stabilization()
+        tracemalloc.start()
+        try:
+            U = X.closure_at(s)
+            size, corners = len(U), ((-r, -r), (r, r)) in U
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, r
+        assert size == len(X.points) ** 2 and corners
     full = frozenset((a, b) for comp in coarse_components(X) for a in comp for b in comp)
     edges = [pair for g in X.coarse.generators for pair in g.pairs]
     assert U.pairs == full == frozenset(bfs_distance_pairs(X.points, edges, s))
+
+
+def test_a_space_whose_closures_were_asked_is_freed_by_reference_counting():
+    # a closure view holds the structure's lists, not the structure: no reference cycle
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        X = windowed_builtin("int_window", 5)
+        for k in (1, 2, 12):  # two table views, then (stabilized at 10) a component view
+            U = X.closure_at(k)
+            assert len(U) == len(U.pairs) and (0, 1) in U
+        structure = weakref.ref(X.coarse)
+        del X, U
+        assert structure() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class PairSubclass(tuple):
+    pass
+
+
+def answer(container, value):
+    """value in container, or the type of the error it raises."""
+    try:
+        return value in container
+    except Exception as e:
+        return type(e)
+
+
+def test_closure_view_answers_as_its_pair_set():
+    # seeded: len and membership on the view equal the same questions on its pair
+    # set, at every scale through s + 1, asked before and after stabilization()
+    rng = random.Random(1717)
+    for _ in range(40):
+        seed = rng.randrange(2**32)
+        X = random_explicit_space(random.Random(seed), max_points=14, max_pairs=30)
+        s = X.coarse.stabilization()
+        pts = X.points
+        edges = [pair for g in X.coarse.generators for pair in g.pairs]
+        others = [(len(pts), 0), (0, -1), ("a", "b"), (0,), (0, 0, 0), PairSubclass((0, 0)),
+                  PairSubclass((0, len(pts))), [0, 0], ([0], 0), 0, None, "00"]
+        for stabilized_first in (False, True):
+            Y = random_explicit_space(random.Random(seed), max_points=14, max_pairs=30)
+            if stabilized_first:
+                Y.coarse.stabilization()
+            for k in range(s + 2):
+                U = Y.closure_at(k)
+                values = [(x, y) for x in pts for y in pts] + others
+                seen = (len(U), [answer(U, v) for v in values])
+                pairs = frozenset(U.pairs)
+                assert seen == (len(pairs), [answer(pairs, v) for v in values]), (seed, k)
+                assert answer(U, [0, 0]) is TypeError
+                assert pairs == bfs_distance_pairs(pts, edges, k), (seed, k)
 
 
 def test_path_closure_stabilizes():
@@ -393,8 +459,6 @@ def test_entourage_algebra_matches_set_oracles(data):
     assert U.inverse().pairs == {(y, x) for x, y in P}
     assert U.union(V).pairs == P | Q
     assert U.restrict(A).pairs == {(x, y) for x, y in P if x in A and y in A}
-    for p in pts:
-        assert U.neighbours(p) == {x for x, y in P if y == p}
     assert U.is_symmetric() == all((y, x) in P for x, y in P)
     assert U.contains_diagonal() == all((p, p) in P for p in pts)
     assert (U <= V) == (P <= Q)
