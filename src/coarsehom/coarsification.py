@@ -477,7 +477,15 @@ class UniformDecompositionReport(Record):
 
 def _metric_thicken(X, S, r: Fraction):
     m = X.metric
-    return {x for x in X.points if any(m(x, s) <= r for s in S)}
+    rn, rd = r.numerator, r.denominator
+    thick = set()
+    for x in X.points:
+        for s in S:
+            d = m(x, s)
+            if d.numerator * rd <= rn * d.denominator:
+                thick.add(x)
+                break
+    return thick
 
 
 def uniform_decomposition_check(X: BornCoarseSpace, Y, Z,
@@ -486,7 +494,8 @@ def uniform_decomposition_check(X: BornCoarseSpace, Y, Z,
     U_r[Y] n U_r[Z] <= U_s[Y n Z], or a recorded failure at r.
 
     Only the listed radii are inspected, so success certifies a finite prefix
-    of the decreasing filtration, nothing more.
+    of the decreasing filtration, nothing more.  In U_r[S] = {x : d(x, s) <= r
+    for some s in S}, d <= r is the integer cross-product dn*rd <= rn*dd.
     """
     if X.metric is None:
         raise CoarseError("a metric filtration is required for uniform checks")

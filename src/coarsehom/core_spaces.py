@@ -87,11 +87,14 @@ class FrozenRecord(Record):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # 'x', '1/0'
+            pass
+    elif isinstance(value, float):
         # floats are rejected: exact rational input is part of the contract
         raise InvalidMetric("distances and scales must be rational (int, Fraction or 'p/q'), not float")
     raise InvalidMetric(f"cannot interpret {value!r} as a rational number")
@@ -636,20 +639,25 @@ def from_metric(points, dist, scales) -> BornCoarseSpace:
     """Metric space with entourage generators U_r = {(x, y) : d(x, y) < r}.
 
     The inequality is strict.  The bornology is maximal (every subset is
-    bounded), recorded as the single generator X.
+    bounded), recorded as the single generator X.  Each rational is read once
+    as (numerator, denominator); the zero, sign and symmetry checks and d < r
+    (as dn*rd < rn*dd) are exact integer comparisons.
     """
     ground = GroundSet(points)
     n = len(ground)
     rows = [[_as_fraction(v) for v in row] for row in dist]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidMetric(f"distance matrix must be {n}x{n}")
+    nd = [[(v.numerator, v.denominator) for v in row] for row in rows]
+    # row-major; an entry left of the diagonal was checked as its mirror
     for i in range(n):
-        if rows[i][i] != 0:
+        row = nd[i]
+        if row[i][0]:
             raise InvalidMetric("distance matrix must have zero diagonal")
-        for j in range(n):
-            if rows[i][j] < 0:
+        for j in range(i + 1, n):
+            if row[j][0] < 0:
                 raise NegativeDistance(f"d({points[i]!r},{points[j]!r}) = {rows[i][j]} < 0")
-            if rows[i][j] != rows[j][i]:
+            if row[j] != nd[j][i]:
                 raise NonSymmetricMatrix(f"d({points[i]!r},{points[j]!r}) != d({points[j]!r},{points[i]!r})")
     rs = [_as_fraction(r) for r in scales]
     if any(r <= 0 for r in rs) or any(b <= a for a, b in zip(rs, rs[1:])):
@@ -657,13 +665,13 @@ def from_metric(points, dist, scales) -> BornCoarseSpace:
     pts = ground.points
     gens = []
     for r in rs:
-        pairs = [
+        rn, rd = r.numerator, r.denominator
+        gens.append(Entourage(ground, [
             (pts[i], pts[j])
             for i in range(n)
-            for j in range(n)
-            if i != j and rows[i][j] < r
-        ]
-        gens.append(Entourage(ground, pairs))
+            for j, (dn, dd) in enumerate(nd[i])
+            if i != j and dn * rd < rn * dd
+        ]))
     coarse = CoarseStructure(ground, gens)
     bornology = Bornology(ground, [frozenset(pts)] if n else [])
     lookup = {(pts[i], pts[j]): rows[i][j] for i in range(n) for j in range(n)}

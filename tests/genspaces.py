@@ -1,6 +1,7 @@
 """Deterministic pseudo-random space generator shared by the test suite."""
 
 import random
+from fractions import Fraction
 
 from coarsehom import make_explicit_space
 
@@ -65,3 +66,46 @@ def random_capped_space(rng: random.Random, max_points=40, max_pairs=120, comp_c
         gens[i % n_gens].append(pair)
     gens = [g for g in gens if g]
     return make_explicit_space(points, gens, [points]), pairs
+
+
+# rationals in (0, 4] with denominators 1..6
+RATIONAL_GRID = sorted({Fraction(a, q) for q in range(1, 7) for a in range(1, 4 * q + 1)})
+
+
+def spell_rational(rng: random.Random, v: Fraction):
+    """v as a Fraction, an int (when integral) or a 'p/q' string, often not in lowest terms."""
+    c = rng.randrange(3)
+    if c == 0:
+        return v
+    if c == 1 and v.denominator == 1:
+        return int(v)
+    m = rng.randint(1, 3)
+    return f"{v.numerator * m}/{v.denominator * m}"
+
+
+def random_metric_document(rng: random.Random, faults=(), max_points=7):
+    """(points, dist, scales) for from_metric: a symmetric rational matrix and scales.
+
+    Entries have denominators 1..6; about a third equal a scale, so the
+    strict d < r decides them.  Each entry is spelled independently of its
+    mirror, so equal values arrive as e.g. '3/6' and Fraction(1, 2).  Each
+    name in faults plants one defect at a random place: "negative" (both
+    sides of a pair), "asymmetric" (one side of a pair), "diagonal".
+    """
+    n = rng.randint(2 if faults else 1, max_points)
+    points = rng.sample(range(100), n)
+    scales = sorted(rng.sample(RATIONAL_GRID, rng.randint(1, 3)))
+    vals = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            vals[i][j] = vals[j][i] = rng.choice(scales) if rng.random() < 0.35 else rng.choice(RATIONAL_GRID)
+    for fault in faults:
+        i, j = rng.sample(range(n), 2)
+        if fault == "negative":
+            vals[i][j] = vals[j][i] = -rng.choice(RATIONAL_GRID)
+        elif fault == "asymmetric":
+            vals[i][j] = vals[j][i] + Fraction(1, rng.randint(1, 6))
+        else:
+            vals[i][i] = rng.choice(RATIONAL_GRID)
+    dist = [[spell_rational(rng, v) for v in row] for row in vals]
+    return points, dist, [spell_rational(rng, r) for r in scales]

@@ -8,6 +8,7 @@ pairs, bornology generators.
 """
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -693,3 +694,78 @@ def closure_scan_morphism(source, target, table):
     proper_witness = next((B for B in target[2] if not {x for x in points if table[x] in B} <= covered),
                           None)
     return witness is None, proper_witness is None, shift, witness, proper_witness
+
+
+def _rational_reference(value):
+    """A rational as from_metric reads it, or the error it raises, as (name, message)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(value, float):
+        return ("InvalidMetric",
+                "distances and scales must be rational (int, Fraction or 'p/q'), not float")
+    return ("InvalidMetric", f"cannot interpret {value!r} as a rational number")
+
+
+def metric_space_reference(points, dist, scales):
+    """from_metric by Fraction operators over every entry, row by row.
+
+    Returns ("space", generator pair sets, distance lookup), or the first
+    error as (error name, message), found in the order the rules are stated:
+    entries, shape, then each row's diagonal, signs and symmetry, then scales.
+    """
+    n = len(points)
+    rows = []
+    for row in dist:
+        rows.append([])
+        for v in row:
+            fr = _rational_reference(v)
+            if isinstance(fr, tuple):
+                return fr
+            rows[-1].append(fr)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        return ("InvalidMetric", f"distance matrix must be {n}x{n}")
+    for i in range(n):
+        if rows[i][i] != 0:
+            return ("InvalidMetric", "distance matrix must have zero diagonal")
+        for j in range(n):
+            if rows[i][j] < 0:
+                return ("NegativeDistance", f"d({points[i]!r},{points[j]!r}) = {rows[i][j]} < 0")
+            if rows[i][j] != rows[j][i]:
+                return ("NonSymmetricMatrix",
+                        f"d({points[i]!r},{points[j]!r}) != d({points[j]!r},{points[i]!r})")
+    rs = []
+    for r in scales:
+        fr = _rational_reference(r)
+        if isinstance(fr, tuple):
+            return fr
+        rs.append(fr)
+    if any(r <= 0 for r in rs) or any(b <= a for a, b in zip(rs, rs[1:])):
+        return ("BadScales", "scales must be positive and strictly increasing")
+    gens = [frozenset((points[i], points[j]) for i in range(n) for j in range(n)
+                      if i != j and rows[i][j] < r) for r in rs]
+    lookup = {(points[i], points[j]): rows[i][j] for i in range(n) for j in range(n)}
+    return ("space", gens, lookup)
+
+
+def uniform_assignments_reference(points, d, Y, Z, radii):
+    """For each radius r, the least listed s with U_r[Y] & U_r[Z] <= U_s[Y & Z], or None.
+
+    d is the distance as a function returning Fractions, radii Fractions in
+    decreasing order, U_r[S] = {x : d(x, s) <= r for some s in S}.
+    """
+    def ball(S, r):
+        return {x for x in points if any(d(x, s) <= r for s in S)}
+
+    meet = set(Y) & set(Z)
+    out = []
+    for r in radii:
+        overlap = ball(Y, r) & ball(Z, r)
+        out.append((r, next((s for s in sorted(radii) if overlap <= ball(meet, s)), None)))
+    return tuple(out)

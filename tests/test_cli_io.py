@@ -486,6 +486,54 @@ def test_missing_space_file_is_parse_error(capsys):
     assert code == 2
 
 
+# ------------------------------------------------------------ parser
+
+
+TOP_HELP_COMMANDS = [
+    ("components", "coarse components at the stabilized scale"),
+    ("homology", "homology at a scale or at the colimit"),
+    ("qhomology", "coarsified homology over measure complexes"),
+    ("nerve", "nerve of the greedy ball cover at a scale"),
+    ("anti-cech", "anti-Cech prefix over increasing scales"),
+    ("telescope", "coarsening telescope over an anti-Cech prefix"),
+    ("asdim", "asymptotic dimension upper-bound search"),
+    ("check-morphism", "controlled/proper verdict for a map"),
+    ("close", "closeness verdict for two maps"),
+    ("equivalence", "coarse-equivalence verdict for f and g"),
+    ("flasque", "flasqueness certificate for a self-map"),
+    ("mv-check", "two-set excision comparison"),
+    ("hybrid", "hybrid relation from a family and phi"),
+    ("udecomp", "uniform decomposition certificate over listed radii"),
+    ("snf", "Smith normal form of an integer matrix file"),
+]
+
+
+def test_top_level_help_lists_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    run(["--help"])
+    out = capsys.readouterr().out
+    assert out == cli_io._build_parser().format_help()
+    assert out.startswith("usage: coarsehom [-h]\n                 " + "|".join(cli_io.COMMANDS))
+    assert "\n".join(f"    {name:<20}{text}" for name, text in TOP_HELP_COMMANDS) in out
+
+
+@pytest.mark.parametrize("command", cli_io.COMMANDS)
+def test_one_subcommand_parser_speaks_like_the_full_parser(command, monkeypatch, capsys):
+    # run() registers only the named subcommand; its help and usage errors
+    # must be the bytes the parser of all fifteen prints
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    build = cli_io._build_parser
+    monkeypatch.setattr(cli_io, "_build_parser", lambda command=None: built.append(command) or build(command))
+    for tail in (["--help"], ["--format", "xml"], ["--no-such-flag"]):
+        with pytest.raises(SystemExit) as e:
+            build().parse_args([command, *tail])
+        want = capsys.readouterr()
+        _, code = run([command, *tail])
+        assert capsys.readouterr() == want and code == (e.value.code or 2)
+    assert built == [command] * 3
+
+
 # ------------------------------------------------------------ determinism
 
 

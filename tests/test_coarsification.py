@@ -18,6 +18,7 @@ import oracles
 from coarsehom import (
     CoarseError,
     InvalidMetric,
+    from_metric,
     make_big_family,
     make_explicit_space,
     windowed_builtin,
@@ -44,7 +45,7 @@ from coarsehom.coarsification import (
 )
 from coarsehom.coarsification import _maximal_cliques
 from coarsehom.homology_engine import DegreeCapExceeded, FGAbGroup, SimplicialComplex, rips_complex
-from genspaces import random_explicit_space
+from genspaces import RATIONAL_GRID, random_explicit_space, random_metric_document, spell_rational
 
 Z = FGAbGroup(1)
 ZERO = FGAbGroup(0)
@@ -567,3 +568,48 @@ def test_udecomp_refuses_float_radii():
         uniform_decomposition_check(X, range(0, 11), range(10, 21), [0.1])
     rep = uniform_decomposition_check(X, range(0, 11), range(10, 21), ["3/2", Fraction(1), "1/10"])
     assert rep.radii == (Fraction(3, 2), Fraction(1), Fraction(1, 10))
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", True])
+def test_udecomp_refuses_malformed_and_boolean_radii(bad):
+    X = windowed_builtin("half_line", 20)
+    with pytest.raises(InvalidMetric, match=f"cannot interpret {bad!r} as a rational number"):
+        uniform_decomposition_check(X, range(0, 11), range(10, 21), [2, bad])
+
+
+def _random_parts(rng, points):
+    """Two parts covering points: a scatter (each point in Y, Z or both) or an overlapping split."""
+    if rng.random() < 0.5:
+        c = [rng.randrange(3) for _ in points]
+        return [p for p, k in zip(points, c) if k != 1], [p for p, k in zip(points, c) if k != 0]
+    b = rng.randrange(len(points))
+    a = rng.randrange(b, len(points))
+    return points[:a + 1], points[b:]
+
+
+def test_udecomp_matches_the_fraction_oracle():
+    # seeded differential sweep on windows (integer distances, so integral
+    # radii land on them) and on rational metric spaces with denominators 1..6
+    rng = random.Random(18)
+    found = {True: 0, False: 0}
+    for case in range(240):
+        if case % 2:
+            points, dist, scales = random_metric_document(rng)
+            X = from_metric(points, dist, scales)
+            lookup = oracles.metric_space_reference(points, dist, scales)[2]
+            d = lambda x, y: lookup[(x, y)]
+        else:
+            name = rng.choice(["half_line", "int_window", "grid2_window"])
+            X = windowed_builtin(name, rng.randint(1, 2 if name == "grid2_window" else 8))
+            if name == "grid2_window":
+                d = lambda x, y: Fraction(abs(x[0] - y[0]) + abs(x[1] - y[1]))
+            else:
+                d = lambda x, y: Fraction(abs(x - y))
+        Y, Zp = _random_parts(rng, X.points)
+        radii = sorted(rng.sample(RATIONAL_GRID, rng.randint(1, 4)), reverse=True)
+        rep = uniform_decomposition_check(X, Y, Zp, [spell_rational(rng, r) for r in radii])
+        want = oracles.uniform_assignments_reference(X.points, d, Y, Zp, radii)
+        assert rep.radii == tuple(radii) and rep.assignments == want, (X, Y, Zp, radii)
+        for _, s in want:
+            found[s is not None] += 1
+    assert min(found.values()) > 50

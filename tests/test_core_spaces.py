@@ -17,6 +17,7 @@ from coarsehom import (
     Entourage,
     GroundSet,
     IncompatibleStructures,
+    InvalidMetric,
     NonSymmetricMatrix,
     UnknownPoint,
     big_family_generated,
@@ -38,7 +39,7 @@ from coarsehom import (
 )
 
 import oracles
-from genspaces import random_explicit_space
+from genspaces import random_explicit_space, random_metric_document
 from oracles import bfs_distance_pairs, union_find_components
 
 
@@ -117,6 +118,45 @@ def test_metric_rational_scales():
     assert X.coarse.generators[0].pairs == frozenset()
     Y = from_metric([0, 1], [[0, Fraction(3, 2)], [Fraction(3, 2), 0]], ["7/4"])
     assert (0, 1) in Y.coarse.generators[0].pairs
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", " ", True, False])
+def test_metric_refuses_malformed_and_boolean_entries(bad):
+    # a malformed string or a boolean is no distance and no scale
+    with pytest.raises(InvalidMetric, match=f"cannot interpret {bad!r} as a rational number"):
+        from_metric([0, 1], [[0, bad], [bad, 0]], [2])
+    with pytest.raises(InvalidMetric, match=f"cannot interpret {bad!r} as a rational number"):
+        from_metric([0, 1], [[0, 1], [1, 0]], [bad])
+
+
+def test_metric_equal_values_in_other_spellings_are_symmetric():
+    X = from_metric(["a", "b"], [[0, "3/6"], [Fraction(1, 2), "0/4"]], ["2/4", 1])
+    assert [g.pairs for g in X.coarse.generators] == [frozenset(), frozenset({("a", "b"), ("b", "a")})]
+    assert X.metric("a", "b") == Fraction(1, 2) and type(X.metric("b", "a")) is Fraction
+
+
+def test_from_metric_matches_the_fraction_oracle():
+    # seeded differential sweep; a quarter of the cases are valid, the rest
+    # carry planted defects whose first one (row by row) must be the one named
+    rng = random.Random(18)
+    plans = ((), ("negative",), ("asymmetric",), ("diagonal",), ("negative", "asymmetric", "diagonal"))
+    outcomes, ties = set(), 0
+    for case in range(300):
+        points, dist, scales = random_metric_document(rng, plans[case % len(plans)])
+        want = oracles.metric_space_reference(points, dist, scales)
+        outcomes.add(want[0])
+        try:
+            X = from_metric(points, dist, scales)
+        except CoarseError as e:
+            assert (type(e).__name__, str(e)) == want, (points, dist, scales)
+            continue
+        assert want[0] == "space", (points, dist, scales)
+        assert [g.pairs for g in X.coarse.generators] == want[1]
+        for (x, y), d in want[2].items():
+            assert type(X.metric(x, y)) is Fraction and X.metric(x, y) == d
+        ties += sum(d == r for d in want[2].values() for r in map(Fraction, scales))
+    assert outcomes == {"space", "NegativeDistance", "NonSymmetricMatrix", "InvalidMetric"}
+    assert ties > 100  # entries equal to a scale, where d < r is decided by the strict inequality
 
 
 # ---------------------------------------------------------------- builtins
