@@ -50,12 +50,10 @@ def _as_rational(value, field_name) -> Fraction:
         raise ParseError("booleans are not rationals", field_name)
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        # shortest decimal repr, then exact decimal-string conversion
-        return Fraction(repr(value))
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
         try:
-            return Fraction(value)
+            # a float (JSON also reads NaN and Infinity) by its shortest decimal repr, then exactly
+            return Fraction(repr(value) if isinstance(value, float) else value)
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad rational {value!r}: {e}", field_name)
     raise ParseError(f"bad rational {value!r}", field_name)
@@ -695,8 +693,10 @@ def _cmd_udecomp(args, rep: Report):
     rep.input_digest["space"] = dig
     Y = _match_subset(X, _json_flag(args.part_y, "part-y"), "part-y")
     Z = _match_subset(X, _json_flag(args.part_z, "part-z"), "part-z")
-    radii = [_as_rational(r, "radii") for r in _json_flag(args.radii, "radii")]
-    out = uniform_decomposition_check(X, Y, Z, radii)
+    radii = _json_flag(args.radii, "radii")
+    if not isinstance(radii, list):
+        raise ParseError("radii must be a JSON list", "radii")
+    out = uniform_decomposition_check(X, Y, Z, [_as_rational(r, "radii") for r in radii])
     rep.results = {
         "ok": out.ok,
         "assignments": [
@@ -845,7 +845,7 @@ def run(argv: Sequence[str]) -> Tuple[Report, int]:
     try:
         args = parser.parse_args(parse)
     except SystemExit as e:
-        return Report(command=" ".join(argv)), (e.code if e.code else 2)
+        return Report(command=" ".join(argv)), e.code
     rep = Report(command=" ".join(argv))
     code = 0
     try:

@@ -507,16 +507,12 @@ def uniform_decomposition_check(X: BornCoarseSpace, Y, Z,
     if any(r <= 0 for r in rs) or any(b >= a for a, b in zip(rs, rs[1:])):
         raise CoarseError("radii must be positive and strictly decreasing")
     meet = Y & Z
-    ascending = sorted(rs)
+    meets = [(s, _metric_thicken(X, meet, s)) for s in sorted(rs)]
     rows = []
     ok = True
     for r in rs:
         overlap = _metric_thicken(X, Y, r) & _metric_thicken(X, Z, r)
-        found = None
-        for s in ascending:
-            if overlap <= _metric_thicken(X, meet, s):
-                found = s
-                break
+        found = next((s for s, thick in meets if overlap <= thick), None)
         rows.append((r, found))
         ok = ok and found is not None
     notes = ["finite-prefix certificate over the listed radii only"]

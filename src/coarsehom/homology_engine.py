@@ -42,8 +42,12 @@ sparse rows with sparse transforms, and swaps only permute positions.
 `smith_normal_form` makes its result dense; a presentation keeps its
 transforms sparse, each in the orientation it is read in, so class
 coordinates cost in proportion to the nonzeros a chain touches.  One
-pushforward carries generator chains along a chain map onto homology, for
-induced maps and the excision inclusion alike.
+pushforward carries generator chains along a chain map onto homology for
+induced maps.  Excision needs none: when Z and a family member Y_i0 cover X
+and closure_at(k)[Y_i0] lies in Y_m, every scale-k simplex not wholly in Y_m
+lies in Z, so the relative clique complexes of (X, Y_m) and (Z, Z∩Y_m) are
+equal and the inclusion is the identity; `mv_check` checks that equality and
+reads the groups once.
 """
 
 from __future__ import annotations
@@ -1053,6 +1057,8 @@ class RelativeHomology(Record):
 def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     """Homology of C(X)/C(Y_m) for the last family member Y_m (finite-prefix stand-in), on
     relative clique chains; basis_cap bounds the quotient's tuples in each degree."""
+    if not family.members:
+        raise HomologyError("the big family has no member to take homology relative to")
     m = len(family.members) - 1
     Y = family.members[m]
     groups = _clique_groups(X, k, d_max, basis_cap, tuples=True, Y=Y)
@@ -1083,57 +1089,40 @@ class ExcisionReport(Record):
         return all(self.iso)
 
 
-def _quotient_presentations(g, Y, k, d_max, basis_cap):
-    """Relative clique chains of g less Y: bases named in the order of g through d_max + 1,
-    and presentations through d_max."""
-    simplices, mats = _clique_chains(g, d_max + 1, basis_cap, k, True, Y)
-    bases = [[tuple(g.points[i] for i in s) for s in level] for level in simplices]
-    pres = [_presentation_from_complex(bases[n], mats[n] if n else None, mats[n + 1], n, k)
-            for n in range(d_max + 1)]
-    return bases, pres
-
-
-def _surjective_over_Z(matrix, target: HomologyPresentation):
-    """Whether the columns of matrix, in target generator coordinates, generate the target."""
-    width = len(matrix[0]) if matrix else 0
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    for i, d in enumerate(target.group.torsion):  # torsion generators come first: d_i e_i = 0
-        rows[i][width + i] = d
-    r, facs = _sparse_invariants(rows)
-    return r == target.generator_count and all(d == 1 for d in facs)
-
-
 def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
-    """Excision shadow: compare H(Z, Z∩Y_m) with H(X, Y_m) through the inclusion."""
+    """Excision shadow: compare H(Z, Z∩Y_m) with H(X, Y_m) through the inclusion.
+
+    With Z ∪ Y_i0 = X and closure_at(k)[Y_i0] ⊆ Y_m, a scale-k simplex of X with a
+    vertex v outside Y_m has v in Z, and a vertex w outside Z would lie in Y_i0 and
+    put v in Y_m; so both relative clique complexes hold the same simplices and the
+    inclusion is the identity.  A false witness that breaks this is refused with the
+    first simplex of X's complex, in its order, that is missing from Z's.
+    """
     check_scale(k)
     Zset = X.ground.check_subset(Z)
     i0 = next((i for i, Y in enumerate(family.members) if Zset | Y == frozenset(X.points)), None)
     if i0 is None:
-        missing = sorted(frozenset(X.points) - (Zset | family.members[-1]))[:3]
+        missing = sorted(frozenset(X.points) - Zset.union(*family.members[-1:]))[:3]
         raise NotComplementary(f"no family member completes Z to X; sample uncovered points {missing}")
     m = family.witness.get((i0, k))
     if m is None:
         raise PrefixTooShort(i0, k)
     Ym = family.members[m]
     g = X.coarse.graph(k)
-    bases_full, pres_full = _quotient_presentations(g, Ym, k, d_max, basis_cap)
-    bases_sub, pres_sub = _quotient_presentations(g.restrict(Zset), Ym, k, d_max, basis_cap)
-    bijection = bases_sub == bases_full
-    iso = []
-    for src, tgt in zip(pres_sub, pres_full):
-        if src.group != tgt.group:
-            iso.append(False)
-            continue
-        # the inclusion of chains: each simplex of Z goes to the same simplex of X
-        incl = IntMatrix((len(tgt.basis), len(src.basis)), [{} for _ in tgt.basis])
-        for c, t in enumerate(src.basis):
-            incl.rows[tgt.index[t]][c] = 1
-        iso.append(_surjective_over_Z(_on_homology(incl, src, tgt), tgt))
+    # X's relative simplices first, so a cap refusal is X's; Z's relative complex is the
+    # subcomplex of X's on the simplices in Z, so the two are equal when every one is in Z
+    for level in _cliques(g, d_max + 1, basis_cap, k, True, [p in Ym for p in g.points]):
+        for t in level:
+            s = tuple(g.points[i] for i in t)
+            if not Zset.issuperset(s):
+                raise HomologyError(f"simplex {s} of the relative complex of X at scale {k} does not lie "
+                                    f"in Z; the witness ({i0}, {k}) -> {m} is false")
+    simplices, boundaries = _clique_chains(g.restrict(Zset), d_max + 1, basis_cap, k, True, Ym)
+    groups = _homology_groups([len(s) for s in simplices[:d_max + 1]], boundaries)
     warnings = [f"complementary member index {i0}, quotient taken at prefix index {m}"]
     if X.window_tag is not None:
         warnings.append("window-relative values")
-    return ExcisionReport(k, d_max, i0, m, [p.group for p in pres_sub],
-                          [p.group for p in pres_full], iso, bijection, warnings)
+    return ExcisionReport(k, d_max, i0, m, groups, list(groups), [True] * (d_max + 1), True, warnings)
 
 
 # ----------------------------------------------------- rips backend

@@ -84,6 +84,31 @@ def test_parse_rejections(doc, needle):
     assert needle in str(exc.value)
 
 
+@pytest.mark.parametrize("field,doc,radii", [
+    ("distances", {"kind": "metric", "points": ["a", "b"], "distances": [[], [float("nan")]], "scales": [1]},
+     None),
+    ("scales", {"kind": "metric", "points": ["a", "b"], "distances": [[], [1]], "scales": [float("inf")]}, None),
+    ("scales", {"kind": "metric", "points": ["a", "b"], "distances": [[], [1]], "scales": [-float("inf")]}, None),
+    ("radii", {"kind": "builtin", "name": "int_window", "radius": 3}, "[NaN]"),
+])
+def test_non_finite_json_numbers_are_parse_errors(tmp_path, capsys, field, doc, radii):
+    # JSON text may spell NaN and Infinity; they are no rationals
+    sp = write_space(tmp_path, "s.json", doc)
+    argv = (["components", "--space", str(sp)] if radii is None else
+            ["udecomp", "--space", str(sp), "--part-y", "[-3, -2, -1, 0]", "--part-z", "[0, 1, 2, 3]",
+             "--radii", radii])
+    _, code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("parse error: bad rational") and f"(field {field})" in err
+
+
+@pytest.mark.parametrize("radii", ["3", '"32"', "{}"])
+def test_udecomp_radii_must_be_a_list(capsys, radii):
+    # a JSON string would otherwise be read as one radius per character
+    _, code = run(["udecomp", "--space", "hexagon", "--part-y", "[]", "--part-z", "[]", "--radii", radii])
+    assert code == 2 and "parse error: radii must be a JSON list (field radii)" in capsys.readouterr().err
+
+
 def test_parse_rejects_bad_json_text():
     with pytest.raises(ParseError):
         parse_space("{not json")
@@ -530,8 +555,15 @@ def test_one_subcommand_parser_speaks_like_the_full_parser(command, monkeypatch,
             build().parse_args([command, *tail])
         want = capsys.readouterr()
         _, code = run([command, *tail])
-        assert capsys.readouterr() == want and code == (e.value.code or 2)
+        assert capsys.readouterr() == want and code == e.value.code
     assert built == [command] * 3
+
+
+def test_help_exits_zero_and_a_usage_error_two(capsys):
+    assert run(["--help"])[1] == 0
+    assert run(["homology", "--help"])[1] == 0
+    assert run(["homology", "--format", "xml"])[1] == 2
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------ determinism

@@ -543,6 +543,18 @@ def test_udecomp_split_path():
     assert any("finite-prefix" in n for n in rep.notes)
 
 
+def test_udecomp_thickens_each_set_once_per_radius(monkeypatch):
+    # U_s[Y n Z] does not depend on r: three meets and three (Y, Z) pairs, none twice
+    calls = []
+    thicken = coarsification._metric_thicken
+    monkeypatch.setattr(coarsification, "_metric_thicken",
+                        lambda X, S, r: calls.append((frozenset(S), r)) or thicken(X, S, r))
+    X = windowed_builtin("int_window", 30)
+    rep = uniform_decomposition_check(X, range(-30, 1), range(0, 31), [3, 2, 1])
+    assert rep.ok and rep.assignments == tuple((Fraction(r), Fraction(r)) for r in (3, 2, 1))
+    assert len(calls) == len(set(calls)) == 9
+
+
 def test_udecomp_empty_meet_fails():
     X = windowed_builtin("half_line", 20)
     rep = uniform_decomposition_check(X, range(0, 11), range(11, 21), [2, 1])

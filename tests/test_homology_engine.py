@@ -53,7 +53,7 @@ from coarsehom.homology_engine import (
     swindle_identity_check,
     verify_complex_identity,
 )
-from coarsehom.core_spaces import CoarseStructure
+from coarsehom.core_spaces import BigFamilyPrefix, CoarseStructure
 from coarsehom.morphisms import SpaceMap, constant_map, identity_map, translate_map
 from genspaces import random_explicit_space
 
@@ -1128,6 +1128,42 @@ def test_mv_prefix_too_short():
     with pytest.raises(PrefixTooShort) as e:
         mv_check(X, list(range(6, 21)), fam, 1, 1)
     assert e.value.member_index == 0 and e.value.scale == 1
+
+
+def test_mv_refuses_a_false_witness_with_the_simplex_outside_Z():
+    # closure_at(1)[Y_0] = -5..1 is not in Y_0, so the witness (0, 1) -> 0 is false
+    X = windowed_builtin("int_window", 5)
+    members = (frozenset(range(-5, 1)), frozenset(range(-5, 2)))
+    fam = BigFamilyPrefix(members, {(0, 1): 0})
+    with pytest.raises(HomologyError, match=r"simplex \(0, 1\) of the relative complex"):
+        mv_check(X, range(1, 6), fam, 1, 1)
+    # with 0 in Z the two relative complexes are still equal, so it answers
+    rep = mv_check(X, range(0, 6), fam, 1, 1)
+    assert rep.iso == [True, True] and rep.basis_bijection
+    assert rep.groups_sub == rep.groups_full == [ZERO, ZERO]
+
+
+def test_mv_reads_the_groups_without_presentations(monkeypatch):
+    def no_presentation(*args):
+        raise AssertionError("a presentation or a pushforward was built")
+
+    monkeypatch.setattr(homology_engine, "_presentation_from_complex", no_presentation)
+    monkeypatch.setattr(homology_engine, "_on_homology", no_presentation)
+    X = path_space(20)
+    rep = mv_check(X, list(range(8, 21)), big_family_generated(X, [0], 12), 1, 2)
+    assert rep.iso == [True, True, True] and rep.basis_bijection
+    X, _, fam, Z = rp2_excision_case()
+    rep = mv_check(X, Z, fam, 1, 1)
+    assert rep.groups_full == rep.groups_sub == [ZERO, FGAbGroup(0, (2,))] and rep.all_iso
+
+
+def test_empty_family_is_refused():
+    X = path_space(6)
+    fam = make_big_family(X, [])
+    with pytest.raises(NotComplementary, match=r"sample uncovered points \[0, 1, 2\]"):
+        mv_check(X, [3, 4, 5, 6], fam, 1, 1)
+    with pytest.raises(HomologyError, match="no member"):
+        relative_homology(X, fam, 1, 1)
 
 
 # ------------------------------------ relative routes against the tuple quotient
