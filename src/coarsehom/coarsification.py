@@ -17,8 +17,8 @@ from .homology_engine import (
     DEFAULT_BASIS_CAP,
     DegreeCapExceeded,
     SimplicialComplex,
-    _clique_groups,
     _colimit_groups,
+    rips_complex,
 )
 
 
@@ -241,6 +241,8 @@ class NerveComplex(SimplicialComplex):
 
 
 def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> NerveComplex:
+    if d_max < 0:
+        raise ValueError("degree must be >= 0")
     members = cover.members
     simplices: List[List[tuple]] = [[] for _ in range(d_max + 1)]
     total = 0
@@ -298,7 +300,7 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
             f"window-relative: computed over the {X.window_tag.name} window "
             f"of radius {X.window_tag.radius}"
         )
-    table = {int(k): _clique_groups(X, int(k), d_max, basis_cap) for k in scale_list}
+    table = {int(k): rips_complex(X, int(k), d_max + 1, basis_cap).homology(d_max) for k in scale_list}
     terminal = _colimit_groups(X, d_max)
     return CoarsificationReport(d_max, table, X.coarse.stabilization(), terminal, tuple(notes))
 

@@ -689,16 +689,17 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
     """
     if radius < 1:
         raise CoarseError("radius must be >= 1")
+    frac = [Fraction(d) for d in range(4 * radius + 1)]  # every distance in the window, made once
     if name == "half_line":
         pts = list(range(radius + 1))
         adj = [(t, t + 1) for t in range(radius)]
         born = [frozenset(range(n + 1)) for n in range(radius + 1)]
-        metric = UniformMetric(lambda x, y: Fraction(abs(x - y)), "unit metric on the half line")
+        metric = UniformMetric(lambda x, y: frac[abs(x - y)], "unit metric on the half line")
     elif name == "int_window":
         pts = list(range(-radius, radius + 1))
         adj = [(t, t + 1) for t in range(-radius, radius)]
         born = [frozenset(range(-n, n + 1)) for n in range(radius + 1)]
-        metric = UniformMetric(lambda x, y: Fraction(abs(x - y)), "unit metric on the integers")
+        metric = UniformMetric(lambda x, y: frac[abs(x - y)], "unit metric on the integers")
     elif name == "grid2_window":
         pts = [(a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)]
         adj = []
@@ -712,7 +713,7 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
             for n in range(2 * radius + 1)
         ]
         metric = UniformMetric(
-            lambda x, y: Fraction(abs(x[0] - y[0]) + abs(x[1] - y[1])), "l1 metric on the plane grid"
+            lambda x, y: frac[abs(x[0] - y[0]) + abs(x[1] - y[1])], "l1 metric on the plane grid"
         )
     else:
         raise CoarseError(f"unknown builtin {name!r}; expected half_line, int_window or grid2_window")
@@ -837,8 +838,8 @@ def subspace(X: BornCoarseSpace, A: Iterable) -> BornCoarseSpace:
 class BigFamilyPrefix(Record):
     """Finite prefix Y_0 subset ... subset Y_m of a big family.
 
-    witness[(i, k)] = least j <= m with closure_at(k)[Y_i] subset Y_j; pairs
-    with no such j are absent, never guessed.
+    witness[(i, k)] = least j <= m with closure_at(k)[Y_i] subset Y_j (in closed
+    form for a generated family); pairs with no such j are absent, never guessed.
     """
 
     def __init__(self, members, witness):
@@ -850,28 +851,22 @@ class BigFamilyPrefix(Record):
 
 
 def big_family_generated(X: BornCoarseSpace, A: Iterable, depth: int) -> BigFamilyPrefix:
-    """Members Y_i = closure_at(i)[A] for i = 0..depth.
+    """Members Y_i = closure_at(i)[A] for i = 0..depth, each one step thicker than the last.
 
-    For these members closure_at(k)[Y_i] equals Y_{i+k}, so the witness map is
-    total wherever i + k <= depth.
+    closure_at(k)[Y_i] = Y_{i+k}, and the members grow strictly up to the least s with
+    Y_s = Y_{s+1}, so the witness is min(i + k, s); with no s <= depth it is i + k,
+    kept where i + k <= depth.
     """
     if depth < 0:
         raise CoarseError("depth must be >= 0")
-    A = X.ground.check_subset(A)
-    members = tuple(thicken(X, i, A) for i in range(depth + 1))
-    witness = {}
-    for i in range(depth + 1):
-        for k in range(depth + 1):
-            # exact: composing closures adds scale indices
-            if i + k <= depth:
-                witness[(i, k)] = i + k
-            else:
-                target = thicken(X, k, members[i])
-                for j in range(depth + 1):
-                    if target <= members[j]:
-                        witness[(i, k)] = j
-                        break
-    return BigFamilyPrefix(members, witness)
+    Y = [X.ground.check_subset(A)]
+    while len(Y) < depth + 2 and (len(Y) < 2 or Y[-1] != Y[-2]):
+        Y.append(thicken(X, 1, Y[-1]))
+    s = len(Y) - 2 if Y[-1] == Y[-2] else None
+    Y += Y[-1:] * (depth + 1 - len(Y))
+    witness = {(i, k): min(i + k, depth if s is None else s)
+               for i in range(depth + 1) for k in range(depth + 1) if s is not None or i + k <= depth}
+    return BigFamilyPrefix(tuple(Y[:depth + 1]), witness)
 
 
 def make_big_family(X: BornCoarseSpace, members: Sequence[Iterable], scale_cap: int = 4) -> BigFamilyPrefix:

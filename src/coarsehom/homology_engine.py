@@ -22,7 +22,9 @@ maps to its increasing tuple, a tuple with distinct entries to its sorted
 simplex with the sign of the sort) and far smaller; relative to Y it loses
 the simplices wholly in Y, as the quotient loses the tuples whose vertex
 sets are.  `basis_cap` still bounds the (quotient's) tuples per degree,
-read off the clique counts.  At stabilization each coarse component is a
+read off the clique counts.  Clique, relative, excision, Rips, nerve and
+telescope complexes take one route from a simplex list to groups, which
+checks d∘d = 0 exactly.  At stabilization each coarse component is a
 clique, hence a cone: the colimit is Z^(components) in degree 0 and 0
 above, counted off the stored coarse components once the hop-distance
 table confirms each is a clique; nothing is built.
@@ -655,37 +657,32 @@ class FGAbGroup(FrozenRecord):
         return " + ".join(parts) if parts else "0"
 
 
-def _homology_groups(dims, boundaries: Sequence[Optional[IntMatrix]]):
-    """H_0..H_{len(dims)-1} of a complex, reducing each boundary exactly once.
+def _simplicial_groups(simplices: Sequence[List[tuple]], d_max, inside=None):
+    """Groups 0..d_max from simplices by dimension (increasing index tuples; relative chains,
+    less those wholly in the point mask inside, when given): the one route to groups.
 
-    dims[n] is the rank of C_n; boundaries[n] is d_n for n = 1..len(dims)
-    (None where the complex has no such map; boundaries[0] is ignored).
+    Boundaries are built through d_max + 1, or as far as the complex reaches, 0 past
+    that, checked to compose to zero and each reduced once.
     H_n = Z^(c_n - rank d_n - rank d_{n+1}) + the torsion of d_{n+1}.
     """
-    ranks, torsion = [0], [()]
-    for d in boundaries[1:len(dims) + 1]:
-        r, facs = _sparse_invariants([dict(row) for row in d.rows]) if d is not None else (0, [])
-        ranks.append(r)
-        torsion.append(tuple(f for f in facs if f >= 2))
+    boundaries = [None] + [_boundary_from_lists(simplices[n], {s: i for i, s in enumerate(simplices[n - 1])},
+                                                n, inside) for n in range(1, min(d_max + 2, len(simplices)))]
+    if not _is_complex(boundaries):
+        raise HomologyError("boundary matrices fail the complex identity")
+    ranks, torsion = [0] * (d_max + 2), [()] * (d_max + 2)
+    for n, d in enumerate(boundaries[1:], 1):
+        ranks[n], facs = _sparse_invariants(d.rows)  # built here, so reduced in place
+        torsion[n] = tuple(f for f in facs if f >= 2)
+    dims = [len(level) for level in simplices[:d_max + 1]] + [0] * (d_max + 1 - len(simplices))
     return [FGAbGroup(c - ranks[n] - ranks[n + 1], torsion[n + 1]) for n, c in enumerate(dims)]
 
 
-def _clique_chains(g: ScaleGraph, d_max, cap, scale, tuples=False, Y=None):
-    """Simplices and boundaries ([0] None) through d_max of the clique complex of g, less the
-    simplices wholly in the points Y when given (relative chains), checked to be a complex."""
+def _clique_groups(X, k, d_max, basis_cap, Y=None):
+    """Groups 0..d_max of the scale-k clique complex (relative to Y when given), built through
+    d_max + 1 with basis_cap counting the (quotient's) tuples of each degree."""
+    g = X.coarse.graph(k)
     inside = None if Y is None else [p in Y for p in g.points]
-    simplices = _cliques(g, d_max, cap, scale, tuples, inside)
-    boundaries = [None] + [_boundary_from_lists(simplices[n], {s: i for i, s in enumerate(simplices[n - 1])},
-                                                n, inside) for n in range(1, d_max + 1)]
-    if not _is_complex(boundaries):
-        raise HomologyError("boundary matrices fail the complex identity")
-    return simplices, boundaries
-
-
-def _clique_groups(X, k, d_max, basis_cap, tuples=False, Y=None):
-    """Groups 0..d_max of the scale-k clique complex (relative to Y when given), built through d_max + 1."""
-    simplices, boundaries = _clique_chains(X.coarse.graph(k), d_max + 1, basis_cap, k, tuples, Y)
-    return _homology_groups([len(s) for s in simplices[:d_max + 1]], boundaries)
+    return _simplicial_groups(_cliques(g, d_max + 1, basis_cap, k, True, inside), d_max, inside)
 
 
 def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
@@ -696,7 +693,7 @@ def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     bounds the tuple basis of each degree, as in chain_complex, and is
     refused at the same degree with the same message.
     """
-    return _clique_groups(X, k, d_max, basis_cap, tuples=True)
+    return _clique_groups(X, k, d_max, basis_cap)
 
 
 def _colimit_groups(X, d_max):
@@ -1061,7 +1058,7 @@ def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BA
         raise HomologyError("the big family has no member to take homology relative to")
     m = len(family.members) - 1
     Y = family.members[m]
-    groups = _clique_groups(X, k, d_max, basis_cap, tuples=True, Y=Y)
+    groups = _clique_groups(X, k, d_max, basis_cap, Y)
     warnings = [f"relative to prefix member Y_{m} (finite-prefix stand-in for the colimit)"]
     if X.window_tag is not None:
         warnings.append("window-relative values")
@@ -1109,16 +1106,17 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
         raise PrefixTooShort(i0, k)
     Ym = family.members[m]
     g = X.coarse.graph(k)
-    # X's relative simplices first, so a cap refusal is X's; Z's relative complex is the
-    # subcomplex of X's on the simplices in Z, so the two are equal when every one is in Z
-    for level in _cliques(g, d_max + 1, basis_cap, k, True, [p in Ym for p in g.points]):
+    inside = [p in Ym for p in g.points]
+    # Z's relative complex is the subcomplex of X's on the simplices in Z, so the two are
+    # equal, and so are their groups, when every simplex of X's is in Z
+    simplices = _cliques(g, d_max + 1, basis_cap, k, True, inside)
+    for level in simplices:
         for t in level:
             s = tuple(g.points[i] for i in t)
             if not Zset.issuperset(s):
                 raise HomologyError(f"simplex {s} of the relative complex of X at scale {k} does not lie "
                                     f"in Z; the witness ({i0}, {k}) -> {m} is false")
-    simplices, boundaries = _clique_chains(g.restrict(Zset), d_max + 1, basis_cap, k, True, Ym)
-    groups = _homology_groups([len(s) for s in simplices[:d_max + 1]], boundaries)
+    groups = _simplicial_groups(simplices, d_max, inside)
     warnings = [f"complementary member index {i0}, quotient taken at prefix index {m}"]
     if X.window_tag is not None:
         warnings.append("window-relative values")
@@ -1152,10 +1150,7 @@ class SimplicialComplex(Record):
         Degree d is exact for the complex as built; build through d+1 when the
         complex is a truncation of something deeper (skeleton homology otherwise).
         """
-        dims = [len(self.simplices[n]) if n <= self.dim_built else 0 for n in range(d_max + 1)]
-        boundaries = [None] + [self.boundary(n) if n <= self.dim_built else None
-                               for n in range(1, d_max + 2)]
-        return _homology_groups(dims, boundaries)
+        return _simplicial_groups(self.simplices, d_max)
 
     def betti(self, d_max):
         return [g.free_rank for g in self.homology(d_max)]
@@ -1217,6 +1212,8 @@ def rips_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP, points=None):
 
     With points given, uses the relation induced on that subset (in ambient order).
     """
+    if d_max < 0:
+        raise ValueError("degree must be >= 0")
     g = X.coarse.graph(k)
     if points is not None:
         g = g.restrict(X.ground.check_subset(points))

@@ -296,6 +296,36 @@ def test_nerve_cap():
                             "raise basis_cap to proceed")
 
 
+def test_negative_degree_is_refused():
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        nerve(cover_from_net(HEX, 1), -1)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        rips_complex(windowed_builtin("int_window", 3), 1, -1)
+
+
+def test_planted_boundary_sign_fault_is_refused(monkeypatch):
+    # five members around the hexagon, consecutive triples sharing a point: the nerve has 2-simplices
+    around = Cover(tuple(frozenset((i + j) % 6 for j in range(3)) for i in range(5)))
+    half_line = anti_cech(windowed_builtin("half_line", 12), [1, 2, 4])
+    rips, nv = rips_complex(HEX, 2, 2), nerve(around, 2)
+    tele, _ = coarsening_space(half_line, 1)
+    for K in (rips, nv, tele):
+        assert K.simplices[2] and K.homology(1)
+    build = homology_engine._boundary_from_lists
+
+    def flips_one_sign(basis_n, index_prev, n, inside=None):
+        # the first edge lies on a triangle in each complex, so d_1 d_2 = 0 fails
+        d = build(basis_n, index_prev, n, inside)
+        if n == 1:
+            d.rows[0][0] = -d.rows[0][0]
+        return d
+
+    monkeypatch.setattr(homology_engine, "_boundary_from_lists", flips_one_sign)
+    for answer in (lambda: rips.homology(1), lambda: nv.homology(1), lambda: coarsening_space(half_line, 1)):
+        with pytest.raises(homology_engine.HomologyError, match="complex identity"):
+            answer()
+
+
 def test_uncapped_nerve_and_telescope_match_the_default_cap():
     X = windowed_builtin("half_line", 6)
     cover = cover_from_net(X, 1)

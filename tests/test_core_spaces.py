@@ -677,6 +677,44 @@ def test_big_family_empty_and_zero_depth():
     assert fam0.members == (frozenset({1}),)
 
 
+def big_family_mismatch(X, A, depth):
+    """big_family_generated against the brute-force oracle: None when they agree."""
+    edges = [pair for E in X.coarse.generators for pair in E.pairs]
+    fam = big_family_generated(X, A, depth)
+    want = oracles.big_family_reference(list(X.points), edges, frozenset(A), depth)
+    return None if (fam.members, fam.witness) == want else (fam.members, fam.witness, want)
+
+
+def test_big_family_witnesses_match_the_least_member_oracle():
+    # at depth 14 the thickenings of the column a = -3 cover grid2_window(3) from index 6,
+    # so (0, 10) and (5, 12) both name the least member holding everything, 6
+    G = windowed_builtin("grid2_window", 3)
+    column = [p for p in G.points if p[0] == -3]
+    fam = big_family_generated(G, column, 14)
+    assert fam.witness[(0, 10)] == fam.witness[(5, 12)] == 6
+    cases = [(G, column, 14), (path_space(4), set(), 3), (path_space(4), {2}, 0),
+             (path_space(6), {0}, 3), (path_space(6), {0}, 6), (path_space(6), {0}, 9)]
+    rng = random.Random(20)
+    for _ in range(20):
+        X = windowed_builtin(rng.choice(["half_line", "int_window", "grid2_window"]), rng.randint(1, 3))
+        cases.append((X, rng.sample(X.points, rng.randint(0, 2)), rng.randint(0, 8)))
+    for _ in range(20):
+        X = random_explicit_space(rng, max_points=12, max_pairs=16)
+        cases.append((X, rng.sample(X.points, rng.randint(0, min(3, len(X)))), rng.randint(0, 6)))
+    for X, A, depth in cases:
+        assert big_family_mismatch(X, A, depth) is None, (X.points, A, depth)
+
+
+def test_windowed_metrics_are_exact_integer_distances():
+    for name in ("half_line", "int_window", "grid2_window"):
+        X = windowed_builtin(name, 3)
+        for x in X.points:
+            for y in X.points:
+                d = X.metric(x, y)
+                want = abs(x[0] - y[0]) + abs(x[1] - y[1]) if name == "grid2_window" else abs(x - y)
+                assert type(d) is Fraction and d == want, (name, x, y, d)
+
+
 def test_make_big_family_validates_nesting():
     X = path_space(3)
     with pytest.raises(CoarseError):

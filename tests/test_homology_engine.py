@@ -1303,13 +1303,14 @@ def test_planted_relative_face_faults_are_caught(monkeypatch):
     with pytest.raises(KeyError):
         mv_check(X, Z, fam, 1, 1)
 
-    # a face outside Y dropped: the vertex 1 is masked in boundaries only
-    def drops_vertex_1(basis_n, index_prev, n, inside=None):
+    # a face outside Y dropped: the vertex at index 2, outside Y and Y_m = {0, 1}, is masked
+    # in boundaries only
+    def drops_vertex_2(basis_n, index_prev, n, inside=None):
         if inside is not None:
-            inside = [True if i == 1 else x for i, x in enumerate(inside)]
+            inside = [True if i == 2 else x for i, x in enumerate(inside)]
         return build(basis_n, index_prev, n, inside)
 
-    monkeypatch.setattr(homology_engine, "_boundary_from_lists", drops_vertex_1)
+    monkeypatch.setattr(homology_engine, "_boundary_from_lists", drops_vertex_2)
     wrong = relative_mismatches(X, 1, 1, Y, fam, Z)
     assert "relative" in wrong and "mv groups" in wrong
 
