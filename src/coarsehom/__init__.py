@@ -24,22 +24,27 @@ _LAYERS = {
         "certify_flasque_generalized", "check_equivalence", "check_homotopy", "check_morphism",
         "constant_map", "cylinder", "identity_map", "inclusion_map", "translate_map",
     ),
+    "covers": (
+        "AntiCechPrefix", "AsdimReport", "CertificateFailed", "Cover", "CoverError", "NotACover",
+        "NotADecomposition", "PhiNotDecreasing", "UniformDecompositionReport", "anti_cech",
+        "asdim_upper_bound", "check_cover", "cover_from_net", "greedy_net", "hybrid_entourage",
+        "uniform_decomposition_check",
+    ),
     "homology_engine": (
-        "DEFAULT_BASIS_CAP", "DEFAULT_DEGREE_CAP", "ChainComplexAtScale", "DegreeCapExceeded",
-        "ExcisionReport", "FGAbGroup", "HomologyError", "HomologyPresentation", "InducedMap",
-        "IntMatrix", "NotClose", "NotComplementary", "NotControlledAtScale", "PrefixTooShort",
-        "PrismResult", "RelativeHomology", "SNFResult", "SimplicialComplex",
-        "StabilizationReport", "WindowTooSmall", "boundary_matrix", "chain_complex",
-        "controlled_tuples", "homology_at_scale", "homology_colimit", "homology_presentation",
-        "induced_map", "mv_check", "prism", "relative_homology", "rips_complex",
-        "smith_normal_form", "swindle_identity_check", "verify_complex_identity",
+        "DEFAULT_BASIS_CAP", "DEFAULT_DEGREE_CAP", "DegreeCapExceeded", "ExcisionReport", "FGAbGroup",
+        "HomologyError", "IntMatrix", "NotComplementary", "PrefixTooShort", "RelativeHomology",
+        "SNFResult", "SimplicialComplex", "StabilizationReport", "homology_at_scale",
+        "homology_colimit", "mv_check", "relative_homology", "rips_complex", "smith_normal_form",
+    ),
+    "chain_maps": (
+        "ChainComplexAtScale", "HomologyPresentation", "InducedMap", "NotClose",
+        "NotControlledAtScale", "PrismResult", "WindowTooSmall", "boundary_matrix", "chain_complex",
+        "controlled_tuples", "homology_presentation", "induced_map", "prism",
+        "swindle_identity_check", "verify_complex_identity",
     ),
     "coarsification": (
-        "AntiCechPrefix", "AsdimReport", "CertificateFailed", "CoarsificationReport", "Cover",
-        "CoverError", "NerveComplex", "NotACover", "NotADecomposition", "PhiNotDecreasing",
-        "TelescopeComplex", "UniformDecompositionReport", "anti_cech", "asdim_upper_bound",
-        "check_cover", "coarsening_space", "coarsify_homology", "cover_from_net", "greedy_net",
-        "hybrid_entourage", "nerve", "uniform_decomposition_check",
+        "CoarsificationReport", "NerveComplex", "TelescopeComplex", "coarsening_space",
+        "coarsify_homology", "nerve",
     ),
     "cli_io": (
         "ParseError", "Report", "UnknownCommand", "emit_space", "emit_space_text",

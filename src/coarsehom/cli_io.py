@@ -493,7 +493,8 @@ def _cmd_qhomology(args, rep: Report):
 
 
 def _cmd_nerve(args, rep: Report):
-    from .coarsification import cover_from_net, nerve
+    from .coarsification import nerve
+    from .covers import cover_from_net
 
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
@@ -512,7 +513,7 @@ def _cmd_nerve(args, rep: Report):
 
 
 def _cmd_anti_cech(args, rep: Report):
-    from .coarsification import anti_cech
+    from .covers import anti_cech
 
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
@@ -527,7 +528,8 @@ def _cmd_anti_cech(args, rep: Report):
 
 
 def _cmd_telescope(args, rep: Report):
-    from .coarsification import anti_cech, coarsening_space
+    from .coarsification import coarsening_space
+    from .covers import anti_cech
 
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
@@ -543,7 +545,7 @@ def _cmd_telescope(args, rep: Report):
 
 
 def _cmd_asdim(args, rep: Report):
-    from .coarsification import asdim_upper_bound
+    from .covers import asdim_upper_bound
 
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
@@ -662,7 +664,7 @@ def _cmd_mv_check(args, rep: Report):
 
 
 def _cmd_hybrid(args, rep: Report):
-    from .coarsification import hybrid_entourage
+    from .covers import hybrid_entourage
 
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig
@@ -687,7 +689,7 @@ def _cmd_hybrid(args, rep: Report):
 
 
 def _cmd_udecomp(args, rep: Report):
-    from .coarsification import uniform_decomposition_check
+    from .covers import uniform_decomposition_check
 
     X, dig = _resolve_space(args.space)
     rep.input_digest["space"] = dig

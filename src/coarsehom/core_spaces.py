@@ -52,6 +52,12 @@ def check_scale(k: int):
         raise BadScales(f"scale-index must be >= 0, got {k}")
 
 
+def check_degree(n: int):
+    """Refuse a negative degree."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+
+
 class Record:
     """Equality and repr over the fields that __init__ sets, in that order.
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from coarsehom import make_explicit_space
 
@@ -109,3 +110,28 @@ def random_metric_document(rng: random.Random, faults=(), max_points=7):
             vals[i][i] = rng.choice(RATIONAL_GRID)
     dist = [[spell_rational(rng, v) for v in row] for row in vals]
     return points, dist, [spell_rational(rng, r) for r in scales]
+
+
+def moore_space(p):
+    """Flag-complex Moore space M(Z/p, 1), p >= 2, with H = [Z, Z/p, 0] at scale 1.
+
+    A disk: a centre c, a ring r_0..r_{3p-1} around it and a 3p-gon rim whose
+    vertex i is glued to a_(i mod 3), so the rim wraps p times onto the
+    triangle a_0 a_1 a_2.  The two rim neighbours of each ring vertex go to
+    distinct a's, so the glued triangles form a simplicial complex.  It is not
+    a flag complex (a_0 a_1 a_2 is an empty triangle), so the space is its
+    barycentric subdivision: one point per face and a pair per proper face
+    inclusion, whose scale-1 clique complex is the subdivision.
+    """
+    n = 3 * p
+    ring = [f"r{i}" for i in range(n)]
+    rim = [f"a{i % 3}" for i in range(n)]
+    triangles = []
+    for i in range(n):
+        j = (i + 1) % n
+        triangles += [(rim[i], rim[j], ring[i]), (rim[j], ring[i], ring[j]), ("c", ring[i], ring[j])]
+    faces = sorted({f for t in triangles for size in (1, 2, 3) for f in combinations(sorted(t), size)})
+    names = ["-".join(f) for f in faces]
+    pairs = [(names[a], names[b]) for a, fa in enumerate(faces) for b, fb in enumerate(faces)
+             if len(fa) < len(fb) and set(fa) <= set(fb)]
+    return make_explicit_space(names, [pairs], [names])

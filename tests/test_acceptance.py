@@ -19,25 +19,27 @@ from coarsehom import (
     windowed_builtin,
 )
 from coarsehom.cli_io import run
-from coarsehom.coarsification import (
+from coarsehom.chain_maps import (
+    chain_complex,
+    induced_map,
+    prism,
+    swindle_identity_check,
+    verify_complex_identity,
+)
+from coarsehom.coarsification import nerve
+from coarsehom.covers import (
     asdim_upper_bound,
     cover_from_net,
     greedy_net,
-    nerve,
 )
 from coarsehom.homology_engine import (
     FGAbGroup,
     PrefixTooShort,
-    chain_complex,
     homology_at_scale,
     homology_colimit,
-    induced_map,
     mv_check,
-    prism,
     rips_complex,
     smith_normal_form,
-    swindle_identity_check,
-    verify_complex_identity,
 )
 from coarsehom.morphisms import FlasqueCertificate, SpaceMap, certify_flasque
 

@@ -694,7 +694,12 @@ def test_homology_layers_load_no_maps():
     # morphisms loads inside the functions that take a map, on their first call
     base = {"coarsehom", "coarsehom.core_spaces", "coarsehom.homology_engine"}
     assert loaded_modules("import coarsehom.homology_engine") == base
+    assert loaded_modules("import coarsehom.chain_maps") == base | {"coarsehom.chain_maps"}
     assert loaded_modules("import coarsehom.coarsification") == base | {"coarsehom.coarsification"}
+
+
+def test_covers_load_no_homology():
+    assert loaded_modules("import coarsehom.covers") == {"coarsehom", "coarsehom.core_spaces", "coarsehom.covers"}
 
 
 def test_each_subcommand_loads_only_its_layer(tmp_path):
@@ -702,7 +707,8 @@ def test_each_subcommand_loads_only_its_layer(tmp_path):
     mat = tmp_path / "m.json"
     mat.write_text("[[2, 4], [-6, 6]]")
     hl = ["--space", str(sp)]
-    hom, coars, maps = {"homology_engine"}, {"homology_engine", "coarsification"}, {"morphisms"}
+    hom, maps, covers = {"homology_engine"}, {"morphisms"}, {"covers"}
+    coars = hom | {"coarsification"}
     runs = {  # argv, and the layers it loads besides cli_io and core_spaces
         "components": (["components", "--space", "hexagon"], set()),
         "homology": (["homology", "--space", "hexagon", "--scale", "1"], hom),
@@ -710,14 +716,14 @@ def test_each_subcommand_loads_only_its_layer(tmp_path):
         "mv-check": (["mv-check", *hl, "--subset", json.dumps(list(range(8, 21))),
                       "--family-base", "[0]", "--family-depth", "10", "--scale", "1"], hom),
         "qhomology": (["qhomology", "--space", "hexagon", "--scales", "1"], coars),
-        "nerve": (["nerve", "--space", "hexagon", "--scale", "1"], coars),
-        "anti-cech": (["anti-cech", *hl, "--scales", "1,2"], coars),
-        "telescope": (["telescope", *hl, "--scales", "1,2"], coars),
-        "asdim": (["asdim", *hl, "--scales", "2"], coars),
+        "nerve": (["nerve", "--space", "hexagon", "--scale", "1"], covers | coars),
+        "anti-cech": (["anti-cech", *hl, "--scales", "1,2"], covers),
+        "telescope": (["telescope", *hl, "--scales", "1,2"], covers | coars),
+        "asdim": (["asdim", *hl, "--scales", "2"], covers),
         "hybrid": (["hybrid", *hl, "--family", "[[0, 1, 2, 3]]", "--phi", "[0]", "--scale", "1"],
-                   coars),
+                   covers),
         "udecomp": (["udecomp", *hl, "--part-y", json.dumps(list(range(11))),
-                     "--part-z", json.dumps(list(range(10, 21))), "--radii", '["2", "1"]'], coars),
+                     "--part-z", json.dumps(list(range(10, 21))), "--radii", '["2", "1"]'], covers),
         "check-morphism": (["check-morphism", "--map", str(mp)], maps),
         "close": (["close", "--map", str(mp), "--map", str(idp)], maps),
         "equivalence": (["equivalence", "--map", str(mp), "--map", str(idp)], maps),
@@ -743,4 +749,4 @@ def test_public_names_resolve_on_first_use():
     ])
     # the star import binds every name, so it loads every layer and the command line
     assert loaded_modules(code) == {"coarsehom"} | {f"coarsehom.{m}" for m in (
-        "core_spaces", "morphisms", "homology_engine", "coarsification", "cli_io")}
+        "core_spaces", "morphisms", "covers", "homology_engine", "chain_maps", "coarsification", "cli_io")}

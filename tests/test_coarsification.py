@@ -23,8 +23,9 @@ from coarsehom import (
     make_explicit_space,
     windowed_builtin,
 )
-from coarsehom import coarsification, homology_engine
-from coarsehom.coarsification import (
+from coarsehom import chain_maps, covers, homology_engine
+from coarsehom.coarsification import coarsening_space, coarsify_homology, nerve
+from coarsehom.covers import (
     AntiCechPrefix,
     CertificateFailed,
     Cover,
@@ -32,18 +33,15 @@ from coarsehom.coarsification import (
     NotACover,
     NotADecomposition,
     PhiNotDecreasing,
+    _maximal_cliques,
     anti_cech,
     asdim_upper_bound,
     check_cover,
-    coarsening_space,
-    coarsify_homology,
     cover_from_net,
     greedy_net,
     hybrid_entourage,
-    nerve,
     uniform_decomposition_check,
 )
-from coarsehom.coarsification import _maximal_cliques
 from coarsehom.homology_engine import DegreeCapExceeded, FGAbGroup, SimplicialComplex, rips_complex
 from genspaces import RATIONAL_GRID, random_explicit_space, random_metric_document, spell_rational
 
@@ -102,7 +100,7 @@ def test_net_separated_and_covering_random():
 
 def test_net_separation_refusal_names_the_first_related_pair(monkeypatch):
     # a planted net that is not separated: (3, 4) is the first related pair, (4, 5) the second
-    monkeypatch.setattr(coarsification, "_net_over_order", lambda order, g: [0, 3, 4, 5])
+    monkeypatch.setattr(covers, "_net_over_order", lambda order, g: [0, 3, 4, 5])
     with pytest.raises(CoverError) as e:
         greedy_net(path_space(6), 1)
     assert str(e.value) == "net separation violated by 3, 4"
@@ -117,7 +115,7 @@ def test_covered_set_net_matches_the_scan(data):
     g = X.coarse.graph(data.draw(st.integers(0, 4)))
     r = data.draw(st.integers(0, n - 1))
     order = list(X.points[r:] + X.points[:r])
-    assert coarsification._net_over_order(order, g) == oracles.net_over_order_scan(order, g)
+    assert covers._net_over_order(order, g) == oracles.net_over_order_scan(order, g)
 
 
 # --------------------------------------------------------- cover_from_net
@@ -296,13 +294,6 @@ def test_nerve_cap():
                             "raise basis_cap to proceed")
 
 
-def test_negative_degree_is_refused():
-    with pytest.raises(ValueError, match="degree must be >= 0"):
-        nerve(cover_from_net(HEX, 1), -1)
-    with pytest.raises(ValueError, match="degree must be >= 0"):
-        rips_complex(windowed_builtin("int_window", 3), 1, -1)
-
-
 def test_planted_boundary_sign_fault_is_refused(monkeypatch):
     # five members around the hexagon, consecutive triples sharing a point: the nerve has 2-simplices
     around = Cover(tuple(frozenset((i + j) % 6 for j in range(3)) for i in range(5)))
@@ -421,7 +412,7 @@ def test_coarsified_terminal_enumerates_nothing(name, radius, monkeypatch):
         raise AssertionError("the terminal value enumerated a complex")
 
     monkeypatch.setattr(homology_engine, "_cliques", refuse)
-    monkeypatch.setattr(homology_engine, "_iter_controlled", refuse)
+    monkeypatch.setattr(chain_maps, "_iter_controlled", refuse)
     rep = coarsify_homology(X, [], 2)
     assert rep.terminal == [Z, ZERO, ZERO]
 
@@ -576,8 +567,8 @@ def test_udecomp_split_path():
 def test_udecomp_thickens_each_set_once_per_radius(monkeypatch):
     # U_s[Y n Z] does not depend on r: three meets and three (Y, Z) pairs, none twice
     calls = []
-    thicken = coarsification._metric_thicken
-    monkeypatch.setattr(coarsification, "_metric_thicken",
+    thicken = covers._metric_thicken
+    monkeypatch.setattr(covers, "_metric_thicken",
                         lambda X, S, r: calls.append((frozenset(S), r)) or thicken(X, S, r))
     X = windowed_builtin("int_window", 30)
     rep = uniform_decomposition_check(X, range(-30, 1), range(0, 31), [3, 2, 1])

@@ -1,4 +1,4 @@
-"""Chain-level homology engine: tuple bases, exact Smith forms, homology
+"""Homology engine and chain maps: tuple bases, exact Smith forms, homology
 groups and presentations, induced maps, prisms, the shift swindle, relative
 and two-set comparison reports, and the clique-complex backend.
 
@@ -21,41 +21,48 @@ from hypothesis import strategies as st
 
 import oracles
 from coarsehom import (
+    anti_cech,
     big_family_generated,
+    coarsening_space,
+    coarsify_homology,
     coproduct,
+    cover_from_net,
     make_big_family,
     make_explicit_space,
+    nerve,
     subspace,
     windowed_builtin,
 )
-from coarsehom import homology_engine
+from coarsehom import chain_maps, homology_engine
+from coarsehom.chain_maps import (
+    NotClose,
+    WindowTooSmall,
+    boundary_matrix,
+    chain_complex,
+    controlled_tuples,
+    homology_presentation,
+    induced_map,
+    prism,
+    swindle_identity_check,
+    verify_complex_identity,
+)
 from coarsehom.homology_engine import (
     DegreeCapExceeded,
     FGAbGroup,
     HomologyError,
     IntMatrix,
-    NotClose,
     NotComplementary,
     PrefixTooShort,
-    WindowTooSmall,
-    boundary_matrix,
-    chain_complex,
-    controlled_tuples,
     homology_at_scale,
     homology_colimit,
-    homology_presentation,
-    induced_map,
     mv_check,
-    prism,
     relative_homology,
     rips_complex,
     smith_normal_form,
-    swindle_identity_check,
-    verify_complex_identity,
 )
 from coarsehom.core_spaces import BigFamilyPrefix, CoarseStructure
 from coarsehom.morphisms import SpaceMap, constant_map, identity_map, translate_map
-from genspaces import random_explicit_space
+from genspaces import moore_space, random_explicit_space
 
 Z = FGAbGroup(1)
 ZERO = FGAbGroup(0)
@@ -213,7 +220,7 @@ def test_tuple_order_matches_brute_force_oracle():
 
 
 def test_planted_sign_flip_fails_the_complex_identity(monkeypatch):
-    build = homology_engine._boundary_from_lists
+    build = chain_maps._boundary_from_lists
 
     def flipped(basis_n, index_prev, n, *rest):
         M = build(basis_n, index_prev, n, *rest)
@@ -226,7 +233,7 @@ def test_planted_sign_flip_fails_the_complex_identity(monkeypatch):
     # a hexagon of its own: complexes stored on HEX by earlier tests never
     # reach the patched builder
     hexagon = cycle_space(6)
-    monkeypatch.setattr(homology_engine, "_boundary_from_lists", flipped)
+    monkeypatch.setattr(chain_maps, "_boundary_from_lists", flipped)
     for d_max in (2, 3):  # d_1 d_2 is the first product either check takes
         assert not verify_complex_identity(hexagon, 1, d_max)
     with pytest.raises(HomologyError, match="complex identity"):
@@ -418,6 +425,41 @@ def test_rp2_subdivision_has_two_torsion(monkeypatch):
     assert homology_at_scale(X, 1, 2) == expected
     assert rips_complex(X, 1, 3).homology(2) == expected
     assert any(residual_sizes)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_moore_space_has_p_torsion(p, monkeypatch):
+    X = moore_space(p)
+    residual = homology_engine._residual_pivots
+    residual_sizes = []
+    monkeypatch.setattr(homology_engine, "_residual_pivots",
+                        lambda rows: residual_sizes.append(len(rows)) or residual(rows))
+    expected = [Z, FGAbGroup(0, (p,)), ZERO]
+    assert homology_at_scale(X, 1, 2) == expected
+    assert any(residual_sizes)  # the unit phase alone never yields a factor p
+    assert [homology_presentation(X, 1, n).group for n in range(3)] == expected
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_planted_face_sign_flip_changes_a_moore_group(p, monkeypatch):
+    def flip_first_edge(build):
+        def flipped(basis_n, index_prev, n, *rest):
+            d = build(basis_n, index_prev, n, *rest)
+            if n == 1:  # one face of the first edge: its boundary becomes v + w
+                row = next(r for r in d.rows if 0 in r)
+                row[0] = -row[0]
+            return d
+        return flipped
+
+    X = moore_space(p)
+    for module in (homology_engine, chain_maps):
+        monkeypatch.setattr(module, "_boundary_from_lists", flip_first_edge(module._boundary_from_lists))
+    # through degree 0 the complex ends at d_1, so no d∘d product sees the fault: H_0 = Z/2, not Z
+    assert homology_at_scale(X, 1, 0) == [FGAbGroup(0, (2,))]
+    assert homology_presentation(X, 1, 0).group == FGAbGroup(0, (2,))
+    # one degree up, d_1 d_2 sees it
+    with pytest.raises(HomologyError, match="complex identity"):
+        homology_at_scale(X, 1, 1)
 
 
 # -------------------------------------------------------- homology_at_scale
@@ -666,10 +708,10 @@ def assert_presentation_matches_reference(X, k, n, rng, monkeypatch):
         oracles.reference_presentation(len(cc.bases[n]), d_n.tolist() if n else None,
                                        d_next.tolist()))
     widths = []
-    smith = homology_engine._smith
-    monkeypatch.setattr(homology_engine, "_smith",
+    smith = chain_maps._smith
+    monkeypatch.setattr(chain_maps, "_smith",
                         lambda S, width, **track: widths.append(width) or smith(S, width, **track))
-    P = homology_engine._presentation_from_complex(cc.bases[n], d_n, d_next, n, k)
+    P = chain_maps._presentation_from_complex(cc.bases[n], d_n, d_next, n, k)
     monkeypatch.undo()
     # the image is reduced with each distinct nonzero column once
     assert widths[-1] == image_columns
@@ -728,9 +770,9 @@ def test_identity_induces_identity():
 
 
 def test_self_map_at_its_own_scale_builds_one_presentation(monkeypatch):
-    build = homology_engine._presentation_from_complex
+    build = chain_maps._presentation_from_complex
     scales = []
-    monkeypatch.setattr(homology_engine, "_presentation_from_complex",
+    monkeypatch.setattr(chain_maps, "_presentation_from_complex",
                         lambda *args: scales.append(args[4]) or build(*args))
     hexagon = cycle_space(6)  # fresh, so no presentation is stored on it yet
     rotate = SpaceMap(hexagon, hexagon, {i: (i + 1) % 6 for i in hexagon.points})
@@ -774,7 +816,7 @@ def test_uncontrolled_witness_is_least_failing_pair():
     pts = list("abcdef")
     X = make_explicit_space(pts, [[("e", "f"), ("d", "c"), ("a", "b")]], [pts])
     D = make_explicit_space(pts, [], [pts])
-    with pytest.raises(homology_engine.NotControlledAtScale) as e:
+    with pytest.raises(chain_maps.NotControlledAtScale) as e:
         induced_map(SpaceMap(X, D, {p: p for p in pts}), 1, 0)
     assert e.value.witness == ("a", "b")
 
@@ -783,7 +825,7 @@ def test_refusals_name_the_witness_pair_and_the_scales():
     Y = make_explicit_space([0, 1, 2], [[(0, 1)]], [[0, 1, 2]])
     g = SpaceMap(Y, Y, {0: 0, 1: 2, 2: 2})  # (0, 1) goes to the unrelated (0, 2)
     for call in (lambda: prism(g, g, 1, 0), lambda: swindle_identity_check(Y, g, [], 1, k=1, n=0)):
-        with pytest.raises(homology_engine.NotControlledAtScale) as e:
+        with pytest.raises(chain_maps.NotControlledAtScale) as e:
             call()
         assert e.value.witness == (0, 1)
         assert str(e.value) == "map is not controlled at scale 1; witness pair (0, 1)"
@@ -850,9 +892,9 @@ def test_repeated_presentation_is_the_same_object():
 
 
 def test_other_scale_or_cap_builds_anew(monkeypatch):
-    build = homology_engine._presentation_from_complex
+    build = chain_maps._presentation_from_complex
     calls = []
-    monkeypatch.setattr(homology_engine, "_presentation_from_complex",
+    monkeypatch.setattr(chain_maps, "_presentation_from_complex",
                         lambda *args: calls.append(args[3:]) or build(*args))
     X = cycle_space(7)
     for k, cap in ((1, DEFAULT_CAP), (1, DEFAULT_CAP), (2, DEFAULT_CAP), (1, 500), (2, DEFAULT_CAP)):
@@ -868,7 +910,7 @@ def test_refused_call_refuses_again():
         assert (e.value.degree, e.value.cap) == (2, 40)
     with pytest.raises(DegreeCapExceeded):
         chain_complex(X, 1, 2, basis_cap=40)
-    assert homology_engine._store(X).complexes == {}
+    assert chain_maps._store(X).complexes == {}
     assert chain_complex(X, 1, 1, basis_cap=40).dims() == [6, 30]
     with pytest.raises(DegreeCapExceeded):
         chain_complex(X, 1, 2, basis_cap=40)
@@ -894,9 +936,9 @@ def test_prefix_of_a_stored_complex_equals_a_fresh_build():
 
 
 def test_close_pair_builds_two_presentations(monkeypatch):
-    build = homology_engine._presentation_from_complex
+    build = chain_maps._presentation_from_complex
     calls = []
-    monkeypatch.setattr(homology_engine, "_presentation_from_complex",
+    monkeypatch.setattr(chain_maps, "_presentation_from_complex",
                         lambda *args: calls.append(args[3:]) or build(*args))
     X = windowed_builtin("half_line", 12)
     f, g = identity_map(X), translate_map(X, 1)
@@ -905,7 +947,7 @@ def test_close_pair_builds_two_presentations(monkeypatch):
     mg = induced_map(g, 1, 1, target_scale=pr.target_scale).matrix
     assert pr.verified and mf == mg
     assert calls == [(1, 1), (1, 2)]
-    assert sorted(homology_engine._store(X).complexes) == [(1, DEFAULT_CAP), (2, DEFAULT_CAP)]
+    assert sorted(chain_maps._store(X).complexes) == [(1, DEFAULT_CAP), (2, DEFAULT_CAP)]
 
 
 def test_store_goes_with_its_space():
@@ -971,8 +1013,8 @@ def summed_swindle(X, f, B, J, k=1, n=1):
     hit = B & powers[J].image()
     if hit:
         raise WindowTooSmall(J, min(hit))
-    K0 = max([k] + [homology_engine._controlled_shift(p, k) for p in powers])
-    K1 = max(K0, homology_engine._controlled_shift(f, K0))
+    K0 = max([k] + [chain_maps._controlled_shift(p, k) for p in powers])
+    K1 = max(K0, chain_maps._controlled_shift(f, K0))
 
     def chain(p, src, tgt):
         index = {t: i for i, t in enumerate(tgt)}
@@ -1024,10 +1066,10 @@ def test_summed_chain_map_counts_every_power():
     for deg in range(3):
         basis = controlled_tuples(X, 1, deg)
         index = {t: i for i, t in enumerate(basis)}
-        S = homology_engine._chain_map_matrix(basis, index, *powers)
-        summed = homology_engine._chain_map_matrix(basis, index, powers[0])
+        S = chain_maps._chain_map_matrix(basis, index, *powers)
+        summed = chain_maps._chain_map_matrix(basis, index, powers[0])
         for p in powers[1:]:
-            summed = summed + homology_engine._chain_map_matrix(basis, index, p)
+            summed = summed + chain_maps._chain_map_matrix(basis, index, p)
         assert (S.shape, S.rows) == (summed.shape, summed.rows)
         if deg == 0:
             assert [S.rows[10][x] for x in range(11)] == [min(13, 3 + x) for x in range(11)]
@@ -1147,8 +1189,8 @@ def test_mv_reads_the_groups_without_presentations(monkeypatch):
     def no_presentation(*args):
         raise AssertionError("a presentation or a pushforward was built")
 
-    monkeypatch.setattr(homology_engine, "_presentation_from_complex", no_presentation)
-    monkeypatch.setattr(homology_engine, "_on_homology", no_presentation)
+    monkeypatch.setattr(chain_maps, "_presentation_from_complex", no_presentation)
+    monkeypatch.setattr(chain_maps, "_on_homology", no_presentation)
     X = path_space(20)
     rep = mv_check(X, list(range(8, 21)), big_family_generated(X, [0], 12), 1, 2)
     assert rep.iso == [True, True, True] and rep.basis_bijection
@@ -1226,7 +1268,7 @@ def test_relative_routes_enumerate_no_tuple(monkeypatch):
     def no_tuples(*args):
         raise AssertionError("a controlled tuple was enumerated")
 
-    monkeypatch.setattr(homology_engine, "_iter_controlled", no_tuples)
+    monkeypatch.setattr(chain_maps, "_iter_controlled", no_tuples)
     X = path_space(20)
     fam = big_family_generated(X, [0], 12)
     assert all(g.trivial for g in relative_homology(X, fam, 1, 2).groups)
@@ -1474,9 +1516,44 @@ def test_homology_at_scale_enumerates_no_tuple(monkeypatch):
     def no_tuples(*args):
         raise AssertionError("a controlled tuple was enumerated")
 
-    monkeypatch.setattr(homology_engine, "_iter_controlled", no_tuples)
+    monkeypatch.setattr(chain_maps, "_iter_controlled", no_tuples)
     assert homology_at_scale(HEX, 2, 2) == [Z, ZERO, Z]
     assert homology_colimit(windowed_builtin("half_line", 4), 2)[0] == [Z, ZERO, ZERO]
     with pytest.raises(DegreeCapExceeded) as e:
         homology_at_scale(windowed_builtin("int_window", 10), 3, 2, basis_cap=500)
     assert (e.value.degree, e.value.scale, e.value.cap) == (3, 3, 500)
+
+
+# ------------------------------------------------------------------ degrees
+
+PATH8 = path_space(8)
+PATH8_FAMILY = big_family_generated(PATH8, [0], 6)
+HALF30 = windowed_builtin("half_line", 30)
+
+# every entry that takes a degree, as a call with that degree
+DEGREE_ENTRIES = {
+    "controlled_tuples": lambda n: controlled_tuples(PATH8, 1, n),
+    "chain_complex": lambda n: chain_complex(PATH8, 1, n),
+    "verify_complex_identity": lambda n: verify_complex_identity(PATH8, 1, n),
+    "homology_presentation": lambda n: homology_presentation(PATH8, 1, n),
+    "induced_map": lambda n: induced_map(identity_map(HEX), 1, n),
+    "prism": lambda n: prism(identity_map(HEX), identity_map(HEX), 1, n),
+    "swindle_identity_check": lambda n: swindle_identity_check(HALF30, translate_map(HALF30, 1), [], J=3, n=n),
+    "homology_at_scale": lambda n: homology_at_scale(PATH8, 1, n),
+    "homology_colimit": lambda n: homology_colimit(PATH8, n),
+    "relative_homology": lambda n: relative_homology(PATH8, PATH8_FAMILY, 1, n),
+    "mv_check": lambda n: mv_check(PATH8, range(4, 9), PATH8_FAMILY, 1, n),
+    "rips_complex": lambda n: rips_complex(PATH8, 1, n),
+    "SimplicialComplex.homology": lambda n: rips_complex(PATH8, 1, 1).homology(n),
+    "nerve": lambda n: nerve(cover_from_net(PATH8, 1), n),
+    "coarsify_homology": lambda n: coarsify_homology(PATH8, [1], n),
+    "coarsening_space": lambda n: coarsening_space(anti_cech(PATH8, [1, 2]), n),
+}
+
+
+@pytest.mark.parametrize("entry", DEGREE_ENTRIES)
+def test_negative_degree_is_refused(entry):
+    call = DEGREE_ENTRIES[entry]
+    call(0)  # the same call answers in degree 0
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        call(-1)

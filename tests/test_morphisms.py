@@ -19,8 +19,8 @@ from coarsehom import (
     subspace,
     windowed_builtin,
 )
+from coarsehom.chain_maps import _shift_at
 from coarsehom.core_spaces import BornCoarseSpace, Bornology, CoarseStructure, GroundSet, WindowTag
-from coarsehom.homology_engine import _shift_at
 from coarsehom.morphisms import (
     Cylinder,
     CylinderMismatch,
