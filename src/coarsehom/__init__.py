@@ -47,7 +47,7 @@ _LAYERS = {
         "coarsify_homology", "nerve",
     ),
     "cli_io": (
-        "ParseError", "Report", "UnknownCommand", "emit_space", "emit_space_text",
+        "ParseError", "Report", "emit_space", "emit_space_text",
         "parse_map_file", "parse_space", "run",
     ),
 }

@@ -108,8 +108,7 @@ def _extend(g, bases, boundaries, d_max, basis_cap, scale):
     for n in range(len(bases), d_max + 1):
         basis = _controlled_basis(g, n, basis_cap, scale)
         if n:
-            index_prev = {t: i for i, t in enumerate(bases[n - 1])}
-            boundaries.append(_boundary_from_lists(basis, index_prev, n))
+            boundaries.append(_boundary_from_lists(basis, bases[n - 1], n))
         bases.append(basis)
 
 

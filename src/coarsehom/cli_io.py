@@ -38,10 +38,6 @@ class ParseError(Exception):
         super().__init__(f"{message}{where}")
 
 
-class UnknownCommand(Exception):
-    pass
-
-
 # ------------------------------------------------------------ rationals
 
 
@@ -150,9 +146,11 @@ def _parse_builtin(doc) -> BornCoarseSpace:
 
 
 def emit_space(X: BornCoarseSpace) -> dict:
-    """Canonical document for a space; parse_space(emit_space(X)) rebuilds it."""
-    if X.window_tag is not None:
-        return {"kind": "builtin", "name": X.window_tag.name, "radius": X.window_tag.radius}
+    """Canonical document for a space; parse_space(emit_space(X)) rebuilds it.  A builtin
+    document is written only for a space on all the points of its window, in order."""
+    tag = X.window_tag
+    if tag is not None and X.points == tag.points:
+        return {"kind": "builtin", "name": tag.name, "radius": tag.radius}
     metric_doc = _try_emit_metric(X)
     if metric_doc is not None:
         return metric_doc
@@ -233,12 +231,12 @@ def _resolve_space(ref: str) -> Tuple[BornCoarseSpace, str]:
 
 
 def _match_point(X, raw, field_name):
-    if raw in X.ground:
-        return raw
-    if isinstance(raw, list):
-        cand = tuple(raw)
+    cand = tuple(raw) if isinstance(raw, list) else raw  # JSON spells a grid point as a list
+    try:
         if cand in X.ground:
             return cand
+    except TypeError:  # unhashable: a JSON object, or a list holding one
+        pass
     by_token = {str(p): p for p in X.points}
     if str(raw) in by_token:
         return by_token[str(raw)]
@@ -430,9 +428,7 @@ def _parse_scales(text, field_name="scales"):
 # ----------------------------------------------------------- subcommands
 
 
-def _cmd_components(args, rep: Report):
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
+def _cmd_components(args, rep: Report, X):
     comps = coarse_components(X)
     rep.results = {
         "count": len(comps),
@@ -448,14 +444,12 @@ def _window_warning(X, rep):
         )
 
 
-def _cmd_homology(args, rep: Report):
+def _cmd_homology(args, rep: Report, X):
     from .homology_engine import (DEFAULT_BASIS_CAP, DEFAULT_DEGREE_CAP, homology_at_scale,
                                   homology_colimit)
 
     max_dim = DEFAULT_DEGREE_CAP if args.max_dim is None else args.max_dim
     basis_cap = DEFAULT_BASIS_CAP if args.basis_cap is None else args.basis_cap
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     if args.colimit == (args.scale is not None):
         raise ParseError("give exactly one of --scale or --colimit", "scale")
     if args.colimit:
@@ -477,11 +471,9 @@ def _cmd_homology(args, rep: Report):
         _window_warning(X, rep)
 
 
-def _cmd_qhomology(args, rep: Report):
+def _cmd_qhomology(args, rep: Report, X):
     from .coarsification import coarsify_homology
 
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     scales = _parse_scales(args.scales) if args.scales.strip() else []
     out = coarsify_homology(X, scales, args.max_dim)
     rep.results = {
@@ -492,12 +484,10 @@ def _cmd_qhomology(args, rep: Report):
     rep.warnings.extend(out.notes)
 
 
-def _cmd_nerve(args, rep: Report):
+def _cmd_nerve(args, rep: Report, X):
     from .coarsification import nerve
     from .covers import cover_from_net
 
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     cov = cover_from_net(X, args.scale)
     nv = nerve(cov, args.max_dim + 1)
     rep.results = {
@@ -512,11 +502,9 @@ def _cmd_nerve(args, rep: Report):
     _window_warning(X, rep)
 
 
-def _cmd_anti_cech(args, rep: Report):
+def _cmd_anti_cech(args, rep: Report, X):
     from .covers import anti_cech
 
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     pre = anti_cech(X, _parse_scales(args.scales))
     rep.results = {
         "scales": list(pre.scales),
@@ -527,12 +515,10 @@ def _cmd_anti_cech(args, rep: Report):
     _window_warning(X, rep)
 
 
-def _cmd_telescope(args, rep: Report):
+def _cmd_telescope(args, rep: Report, X):
     from .coarsification import coarsening_space
     from .covers import anti_cech
 
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     pre = anti_cech(X, _parse_scales(args.scales))
     tele, groups = coarsening_space(pre, args.max_dim)
     rep.results = {
@@ -544,11 +530,9 @@ def _cmd_telescope(args, rep: Report):
     _window_warning(X, rep)
 
 
-def _cmd_asdim(args, rep: Report):
+def _cmd_asdim(args, rep: Report, X):
     from .covers import asdim_upper_bound
 
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     out = asdim_upper_bound(X, _parse_scales(args.scales), args.budget)
     rep.results = {
         "per_scale": {str(k): v for k, v in out.per_scale.items()},
@@ -608,11 +592,9 @@ def _cmd_equivalence(args, rep: Report):
     }
 
 
-def _cmd_flasque(args, rep: Report):
+def _cmd_flasque(args, rep: Report, X):
     from .morphisms import FlasqueRefusal, certify_flasque
 
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     f, digs = parse_map_file(args.map)
     rep.input_digest.update(digs)
     if f.source is not X and f.source != X:
@@ -641,11 +623,9 @@ def _cmd_flasque(args, rep: Report):
     rep.warnings.extend(out.warnings)
 
 
-def _cmd_mv_check(args, rep: Report):
+def _cmd_mv_check(args, rep: Report, X):
     from .homology_engine import mv_check
 
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     Z = _match_subset(X, _json_flag(args.subset, "subset"), "subset")
     base = _match_subset(X, _json_flag(args.family_base, "family-base"), "family-base")
     fam = big_family_generated(X, base, args.family_depth)
@@ -663,11 +643,9 @@ def _cmd_mv_check(args, rep: Report):
     rep.warnings.extend(out.warnings)
 
 
-def _cmd_hybrid(args, rep: Report):
+def _cmd_hybrid(args, rep: Report, X):
     from .covers import hybrid_entourage
 
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     if (args.family is None) == (args.family_base is None):
         raise ParseError("give exactly one of --family or --family-base", "family")
     if args.family is not None:
@@ -688,11 +666,9 @@ def _cmd_hybrid(args, rep: Report):
     _window_warning(X, rep)
 
 
-def _cmd_udecomp(args, rep: Report):
+def _cmd_udecomp(args, rep: Report, X):
     from .covers import uniform_decomposition_check
 
-    X, dig = _resolve_space(args.space)
-    rep.input_digest["space"] = dig
     Y = _match_subset(X, _json_flag(args.part_y, "part-y"), "part-y")
     Z = _match_subset(X, _json_flag(args.part_z, "part-z"), "part-z")
     radii = _json_flag(args.radii, "radii")
@@ -742,7 +718,8 @@ def _cmd_snf(args, rep: Report):
     }
 
 
-# command -> (handler, help, takes --space, its own flags as (flag, add_argument keywords))
+# command -> (handler, help, takes --space, its own flags as (flag, add_argument keywords));
+# run resolves --space and passes the space to the handler after the report
 _SUBCOMMANDS = {
     "components": (_cmd_components, "coarse components at the stabilized scale", True, ()),
     "homology": (_cmd_homology, "homology at a scale or at the colimit", True, (
@@ -851,7 +828,12 @@ def run(argv: Sequence[str]) -> Tuple[Report, int]:
     rep = Report(command=" ".join(argv))
     code = 0
     try:
-        _SUBCOMMANDS[args.command][0](args, rep)
+        handler, _, space, _ = _SUBCOMMANDS[args.command]
+        if space:
+            X, rep.input_digest["space"] = _resolve_space(args.space)
+            handler(args, rep, X)
+        else:
+            handler(args, rep)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return rep, 2

@@ -9,8 +9,9 @@ components, thickenings) is reported in that order.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 
@@ -219,14 +220,14 @@ class Entourage:
 
 
 class ClosureView(Entourage):
-    """A read-only closure_at(k) of a CoarseStructure, answered from what the structure stores.
+    """A read-only closure_at(k) of a CoarseStructure: row(i), rows(), related(i, j) and len
+    are the one read of what the structure stores.
 
-    Below the stabilization scale rows is the hop table (dist, ends) and k the scale:
-    (x, y) is a pair when y's row reaches x within k hops, and the size is the sum of
-    the rows' ball sizes ends[i][k].  From the stabilization scale on rows is the
-    components (comp, members) and k is None: (x, y) is a pair when x and y share a
-    component, and the size is the sum of |C|^2.  The pair frozenset is built once, on
-    the first read of pairs, and so also by ==, hash, <=, compose and the rest.
+    Below the stabilization scale rows is the hop table (dist, ends) and k the scale: row i
+    is the prefix of dist[i] within k hops.  From it on rows is the components (comp,
+    members) and k is None: row i is the component of i.  The pair frozenset is built from
+    the rows once, on the first read of pairs, and so also by ==, hash, <=, compose and
+    the rest.
 
     The view holds the structure's lists but never the structure, so a structure and
     its cached closures make no reference cycle, and reference counting frees them.
@@ -237,17 +238,33 @@ class ClosureView(Entourage):
     def __init__(self, ground: GroundSet, k: Optional[int], rows: tuple):
         self.ground, self._k, self._rows, self._built = ground, k, rows, None
 
+    def row(self, i: int):
+        """The indices related to point i."""
+        if self._k is None:
+            comp, members = self._rows
+            return members[comp[i]]
+        dist, ends = self._rows
+        return islice(dist[i], ends[i][self._k])
+
+    def rows(self):
+        """Every row, in index order."""
+        if self._k is None:
+            comp, members = self._rows
+            return map(members.__getitem__, comp)
+        dist, ends = self._rows
+        return map(islice, dist, map(itemgetter(self._k), ends))
+
+    def related(self, i: int, j: int) -> bool:
+        """Whether points i and j are related."""
+        if self._k is None:
+            return self._rows[0][i] == self._rows[0][j]
+        return self._rows[0][j].get(i, self._k + 1) <= self._k
+
     @property
     def pairs(self) -> frozenset:
         if self._built is None:
             pts = self.ground.points
-            if self._k is None:
-                comps = [[pts[i] for i in c] for c in self._rows[1]]
-                pairs = itertools.chain.from_iterable(itertools.product(c, c) for c in comps)
-            else:
-                pairs = [(pts[j], y) for y, dist, ends in zip(pts, *self._rows)
-                         for j in itertools.islice(dist, ends[self._k])]
-            self._built = frozenset(pairs)
+            self._built = frozenset([(pts[j], y) for y, row in zip(pts, self.rows()) for j in row])
         return self._built
 
     def __len__(self):
@@ -261,12 +278,7 @@ class ClosureView(Entourage):
             return False
         index = self.ground._index
         i, j = index.get(pair[0]), index.get(pair[1])
-        if i is None or j is None:
-            return False
-        if self._k is None:
-            return self._rows[0][i] == self._rows[0][j]
-        d = self._rows[0][j].get(i)
-        return d is not None and d <= self._k
+        return i is not None and j is not None and self.related(i, j)
 
 
 def diagonal(ground: GroundSet) -> Entourage:
@@ -285,7 +297,7 @@ class ScaleGraph:
     def __init__(self, points: Sequence, sets: list):
         self.points = tuple(points)
         self.sets = sets
-        self.nbrs = [sorted(s) for s in sets]
+        self.nbrs = list(map(sorted, sets))
 
     def restrict(self, subset) -> "ScaleGraph":
         """The induced graph on the points in subset, in ambient order."""
@@ -305,11 +317,8 @@ class CoarseStructure:
     The filtration is a hop-distance table in index space: for each point a
     dict {index: hop distance} in breadth-first order, plus the offsets where
     each breadth-first layer ends, so the ball of radius k is a prefix of the
-    dict.  closure_at(k) is a ClosureView over the table: its size and
-    membership are read off the rows, and its pair set is built (one pair per
-    prefix entry, no ball sets) only when a caller reads pairs.  The table
-    grows in place one layer at a time, only as deep as the largest scale
-    asked for so far.
+    dict.  The table grows in place one layer at a time, only as deep as the
+    largest scale asked for so far.
 
     The coarse components are found once, by one breadth-first search per
     component, and stored.  stabilized_at, where the filtration stops
@@ -317,9 +326,9 @@ class CoarseStructure:
     stabilization() sets it, from a few breadth-first searches per component
     under eccentricity bounds, and only when asked.  From a known
     stabilized_at on each component is a clique, so closure_at (a view over
-    the components), ball, related_at and graph read the components there.
-    When the table stops growing (hop_rows() and distance() grow all of it),
-    its depth is checked against stabilized_at, and a mismatch is refused.
+    the components) reads them there; ball, graph and related_at read the
+    view.  When the table stops growing (hop_rows() and distance() grow all
+    of it), its depth is checked against stabilized_at, and a mismatch is refused.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -414,24 +423,21 @@ class CoarseStructure:
 
     def closure_at(self, k: int) -> ClosureView:
         """The scale-k closure as a view over the table, or over the components from the
-        stabilization scale on; one view per scale, cached."""
-        k = self._scale(k)
-        key = self.stabilized_at if k is None else k
-        if key not in self.cached_closures:
-            rows = self._components() if k is None else (self._dist, self._ends)
-            self.cached_closures[key] = ClosureView(self.ground, k, rows)
-        return self.cached_closures[key]
+        stabilization scale on; one view per scale, cached under every k that asked for it."""
+        view = self.cached_closures.get(k)
+        if view is None:
+            s = self._scale(k)
+            key = self.stabilized_at if s is None else s
+            view = self.cached_closures.get(key)
+            if view is None:
+                view = ClosureView(self.ground, s, self._components() if s is None else (self._dist, self._ends))
+            self.cached_closures[k] = self.cached_closures[key] = view
+        return view
 
     def ball(self, k: int, x) -> frozenset:
         i = self.ground.index(x)
-        k = self._scale(k)
-        if k is None:
-            comp, members = self._components()
-            found = members[comp[i]]
-        else:
-            found = itertools.islice(self._dist[i], self._ends[i][k])
         pts = self.ground.points
-        return frozenset([pts[j] for j in found])
+        return frozenset([pts[j] for j in self.closure_at(k).row(i)])
 
     def thicken(self, k: int, B: Iterable) -> frozenset:
         """closure_at(k)[B]: a breadth-first search of k steps from all of B at once."""
@@ -440,13 +446,8 @@ class CoarseStructure:
         return frozenset([pts[i] for i in self._bfs({index(b) for b in B}, k)])
 
     def graph(self, k: int) -> ScaleGraph:
-        """The scale-k relation as an index-space graph, built afresh from the table or the components."""
-        k = self._scale(k)
-        if k is None:
-            comp, members = self._components()
-            return ScaleGraph(self.ground.points, [set(members[c]) for c in comp])
-        return ScaleGraph(self.ground.points, [set(itertools.islice(dist, ends[k]))
-                                               for dist, ends in zip(self._dist, self._ends)])
+        """The scale-k relation as an index-space graph, built afresh from the rows of closure_at(k)."""
+        return ScaleGraph(self.ground.points, list(map(set, self.closure_at(k).rows())))
 
     def stabilization(self) -> int:
         """Least s with closure_at(s) == closure_at(s+1): the largest eccentricity of a coarse component.
@@ -507,12 +508,7 @@ class CoarseStructure:
 
     def related_at(self, k: int, x, y) -> bool:
         i, j = self.ground.index(x), self.ground.index(y)
-        k = self._scale(k)
-        if k is None:
-            comp = self._components()[0]
-            return comp[i] == comp[j]
-        d = self._dist[j].get(i)
-        return d is not None and d <= k
+        return self.closure_at(k).related(i, j)
 
 
 class Bornology:
@@ -556,6 +552,15 @@ class WindowTag(FrozenRecord):
     def __init__(self, name, radius):
         vars(self).update(name=name, radius=radius)
 
+    @property
+    def points(self) -> tuple:
+        """The points of the builtin window the tag names, in its order; () for no builtin.
+        A subspace or a cylinder keeps its window's tag, for its reports, but not these points."""
+        span = range(-self.radius, self.radius + 1)
+        if self.name == "grid2_window":
+            return tuple((a, b) for a in span for b in span)
+        return {"half_line": tuple(span[self.radius:]), "int_window": tuple(span)}.get(self.name, ())
+
 
 class UniformMetric(FrozenRecord):
     """Rational point metric backing the uniform (small-scale) structure."""
@@ -589,7 +594,7 @@ class BornCoarseSpace:
         return self.coarse.closure_at(k)
 
     def thicken(self, k: int, B: Iterable) -> frozenset:
-        return thicken(self, k, B)
+        return self.coarse.thicken(k, B)
 
     @property
     def points(self):
@@ -695,19 +700,20 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
     """
     if radius < 1:
         raise CoarseError("radius must be >= 1")
+    tag = WindowTag(name, radius)
+    pts = tag.points
+    if not pts:
+        raise CoarseError(f"unknown builtin {name!r}; expected half_line, int_window or grid2_window")
     frac = [Fraction(d) for d in range(4 * radius + 1)]  # every distance in the window, made once
     if name == "half_line":
-        pts = list(range(radius + 1))
         adj = [(t, t + 1) for t in range(radius)]
         born = [frozenset(range(n + 1)) for n in range(radius + 1)]
         metric = UniformMetric(lambda x, y: frac[abs(x - y)], "unit metric on the half line")
     elif name == "int_window":
-        pts = list(range(-radius, radius + 1))
         adj = [(t, t + 1) for t in range(-radius, radius)]
         born = [frozenset(range(-n, n + 1)) for n in range(radius + 1)]
         metric = UniformMetric(lambda x, y: frac[abs(x - y)], "unit metric on the integers")
-    elif name == "grid2_window":
-        pts = [(a, b) for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)]
+    else:
         adj = []
         for a, b in pts:
             if a + 1 <= radius:
@@ -721,12 +727,10 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
         metric = UniformMetric(
             lambda x, y: frac[abs(x[0] - y[0]) + abs(x[1] - y[1])], "l1 metric on the plane grid"
         )
-    else:
-        raise CoarseError(f"unknown builtin {name!r}; expected half_line, int_window or grid2_window")
     ground = GroundSet(pts)
     coarse = CoarseStructure(ground, [Entourage(ground, adj)])
     bornology = Bornology(ground, born)
-    return BornCoarseSpace(ground, coarse, bornology, window_tag=WindowTag(name, radius), metric=metric)
+    return BornCoarseSpace(ground, coarse, bornology, window_tag=tag, metric=metric)
 
 
 def thicken(space: BornCoarseSpace, k: int, B: Iterable) -> frozenset:
@@ -820,10 +824,9 @@ def free_union(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
 
 
 def mixed_union(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
-    """Coarse structure of the coproduct with the free-union bornology."""
-    cp = coproduct(spaces)
-    fu = free_union(spaces)
-    return BornCoarseSpace(cp.ground, cp.coarse, fu.bornology)
+    """Coarse structure of the coproduct with the free-union bornology, which on finitely
+    many factors is the coproduct's: so the coproduct itself."""
+    return coproduct(spaces)
 
 
 def subspace(X: BornCoarseSpace, A: Iterable) -> BornCoarseSpace:

@@ -158,15 +158,16 @@ def _faces(t, n):
         yield t[:i] + t[i + 1:], 1 if i % 2 == 0 else -1
 
 
-def _boundary_from_lists(basis_n, index_prev, n, inside=None):
-    """Matrix of the alternating face sum on normalized index tuples; with a point mask
-    inside, a face wholly in it is 0, and any other face must be in index_prev."""
-    rows: List[Dict[int, int]] = [{} for _ in index_prev]
+def _boundary_from_lists(basis_n, basis_prev, n, inside=None):
+    """Matrix of the alternating face sum on normalized index tuples, from basis_n to basis_prev;
+    with a point mask inside, a face wholly in it is 0, and any other face must be in basis_prev."""
+    index_prev = {t: i for i, t in enumerate(basis_prev)}
+    rows: List[Dict[int, int]] = [{} for _ in basis_prev]
     for col, t in enumerate(basis_n):
         for face, sign in _faces(t, n):
             if inside is None or not all(inside[i] for i in face):
                 rows[index_prev[face]][col] = sign
-    return IntMatrix((len(index_prev), len(basis_n)), rows)
+    return IntMatrix((len(basis_prev), len(basis_n)), rows)
 
 
 def _is_complex(boundaries: Sequence[Optional[IntMatrix]]):
@@ -484,8 +485,8 @@ def _simplicial_groups(simplices: Sequence[List[tuple]], d_max, inside=None):
     that, checked to compose to zero and each reduced once.
     H_n = Z^(c_n - rank d_n - rank d_{n+1}) + the torsion of d_{n+1}.
     """
-    boundaries = [None] + [_boundary_from_lists(simplices[n], {s: i for i, s in enumerate(simplices[n - 1])},
-                                                n, inside) for n in range(1, min(d_max + 2, len(simplices)))]
+    boundaries = [None] + [_boundary_from_lists(simplices[n], simplices[n - 1], n, inside)
+                           for n in range(1, min(d_max + 2, len(simplices)))]
     if not _is_complex(boundaries):
         raise HomologyError("boundary matrices fail the complex identity")
     ranks, torsion = [0] * (d_max + 2), [()] * (d_max + 2)
@@ -666,8 +667,7 @@ class SimplicialComplex(Record):
         if n < 1 or n > self.dim_built:
             raise ValueError("degree out of the built range")
         # increasing simplices never repeat an entry, so every face is kept
-        index_prev = {s: i for i, s in enumerate(self.simplices[n - 1])}
-        return _boundary_from_lists(self.simplices[n], index_prev, n)
+        return _boundary_from_lists(self.simplices[n], self.simplices[n - 1], n)
 
     def homology(self, d_max):
         """Groups in degrees 0..d_max.
@@ -701,33 +701,37 @@ def _cliques(g: ScaleGraph, d_max, cap, scale, tuples=False, inside=None):
     """Strictly increasing index tuples spanning cliques, by dimension, each in lex order.
 
     Built one dimension at a time, each simplex extended by the later common
-    neighbours of its vertices; with a point mask inside, those wholly in it are
-    grown from but neither kept nor counted.  cap bounds the simplices kept so
-    far; with tuples it bounds instead the controlled tuples of each degree not
-    wholly inside (_tuple_count of the kept cliques), refused at the least
-    degree past it before the next dimension is built.  Without a mask a level
-    stops growing once it alone is past the cap.
+    neighbours of its vertices; with a point mask inside, the points outside it
+    come first in that order, so only simplices not wholly inside are grown, each
+    from its first point outside, and each level is sorted back into increasing
+    tuples.  cap bounds the simplices kept so far; with tuples it bounds instead
+    the controlled tuples of each degree not wholly inside (_tuple_count of the
+    cliques), refused at the least degree past it before the next dimension is
+    built.  A level stops growing once it alone is past the cap.
     """
     # a negative cap refuses the first simplex, as a cap of 0 does
     limit = None if cap is None else max(cap, 0)
     unit = "tuples" if tuples else "simplices"
-    sets = g.sets
-    later = [[j for j in nb if j > i] for i, nb in enumerate(g.nbrs)]
+    sets, n = g.sets, len(g.sets)
+    if inside is None:
+        starts, later = range(n), [[j for j in nb if j > i] for i, nb in enumerate(g.nbrs)]
+    else:
+        key, starts = [i + n * x for i, x in enumerate(inside)], [i for i in range(n) if not inside[i]]
+        later = [[j for j in nb if key[j] > key[i]] for i, nb in enumerate(g.nbrs)]
     out: List[List[tuple]] = []
     built = 0
     for dim in range(d_max + 1):
         if dim == 0:
-            grown = ((i,) for i in range(len(sets)))
+            grown = ((i,) for i in starts)
         else:
             grown = (s + (j,) for s in level for j in later[s[-1]]
                      if all(j in sets[i] for i in s[:-1]))
         room = None if limit is None else limit - (0 if tuples else built)
-        level = list(grown if room is None or inside is not None else islice(grown, room + 1))
-        kept = level if inside is None else [s for s in level if not all(inside[i] for i in s)]
-        if room is not None and len(kept) > room:
+        level = list(grown if room is None else islice(grown, room + 1))
+        if room is not None and len(level) > room:
             raise DegreeCapExceeded(dim, scale, cap, unit)
-        out.append(kept)
-        built += len(kept)
+        out.append(level if inside is None else sorted(tuple(sorted(s)) for s in level))
+        built += len(level)
         if tuples and limit is not None and _tuple_count([len(lv) for lv in out], dim) > limit:
             raise DegreeCapExceeded(dim, scale, cap, unit)
     return out

@@ -19,7 +19,6 @@ from .core_spaces import (
     GroundSet,
     Record,
     UnknownPoint,
-    thicken,
 )
 
 
@@ -118,6 +117,7 @@ def translate_map(X: BornCoarseSpace, delta) -> SpaceMap:
     """
     if X.window_tag is None:
         raise CoarseError("translate_map expects a windowed builtin space")
+    _check_window_points(X, "translate_map")
     name, r = X.window_tag.name, X.window_tag.radius
     tbl = {}
     clamped = set()
@@ -316,10 +316,20 @@ class FlasqueRefusal(Record):
         return False
 
 
+def _check_window_points(X: BornCoarseSpace, use: str):
+    """Refuse X unless its points are points of the builtin window its tag names."""
+    window = frozenset(X.window_tag.points)
+    bad = next((p for p in X.ground.points if window and p not in window), None)
+    if bad is not None:
+        raise CoarseError(f"{use} needs points of the {X.window_tag.name}({X.window_tag.radius}) "
+                          f"window, and {bad!r} is not one: this space carries only the window's tag")
+
+
 def _margin_generators(X: BornCoarseSpace, margin: Optional[int]):
     """Bornology generators small enough to escape within the window."""
     if X.window_tag is None or margin is None:
         return tuple(X.bornology.generators)
+    _check_window_points(X, "a flasqueness margin")
     r = X.window_tag.radius
     name = X.window_tag.name
     if name == "grid2_window":
@@ -394,6 +404,7 @@ def certify_flasque(
         )
     if margin is None:
         margin = X.window_tag.radius // 2
+    tested = _margin_generators(X, margin)
 
     warnings = [
         f"window-relative: all statements hold on the {X.window_tag.name}({X.window_tag.radius}) window only"
@@ -408,7 +419,6 @@ def certify_flasque(
     cond2 = {k: _least_containing_scale(X, _orbit(f, X.closure_at(k).pairs, iter_cap))
              for k in range(scale_cap + 1)}
 
-    tested = _margin_generators(X, margin)
     images = [frozenset(X.points)]  # images[j] = f^j(X), grown as the generators need
     cond3 = {}
     for B in tested:
@@ -485,6 +495,7 @@ def certify_flasque_generalized(
         )
     if margin is None:
         margin = X.window_tag.radius // 2
+    tested = _margin_generators(X, margin)
     warnings = (
         f"window-relative: checked a prefix of {len(maps)} maps on the "
         f"{X.window_tag.name}({X.window_tag.radius}) window",
@@ -502,7 +513,6 @@ def certify_flasque_generalized(
             pairs.update((fj(x), fj(y)) for x, y in X.closure_at(k).pairs)
         cond3[k] = _least_containing_scale(X, pairs)
 
-    tested = _margin_generators(X, margin)
     cond4 = {}
     for B in tested:
         stable_from = None

@@ -135,3 +135,13 @@ def moore_space(p):
     pairs = [(names[a], names[b]) for a, fa in enumerate(faces) for b, fb in enumerate(faces)
              if len(fa) < len(fb) and set(fa) <= set(fb)]
     return make_explicit_space(names, [pairs], [names])
+
+
+def suspension(X):
+    """The suspension of X's scale-1 clique complex: two apexes, each related to every point
+    of X and not to each other, so reduced H_(n+1) of the suspension is reduced H_n of X."""
+    pts = list(X.points)
+    apexes = [("apex", 0), ("apex", 1)]
+    pairs = [pair for E in X.coarse.generators for pair in E.pairs]
+    pairs += [(a, p) for a in apexes for p in pts]
+    return make_explicit_space(pts + apexes, [pairs], [pts + apexes])

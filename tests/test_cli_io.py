@@ -159,6 +159,19 @@ def test_emit_explicit_when_bornology_is_not_maximal():
     assert emit_space(X)["kind"] == "explicit"
 
 
+def test_derived_window_spaces_emit_their_own_points():
+    X = cs.windowed_builtin("int_window", 5)
+    assert emit_space(cs.subspace(X, X.points)) == {"kind": "builtin", "name": "int_window", "radius": 5}
+    S = cs.subspace(X, [0, 1, 2])
+    assert emit_space(S)["kind"] == "explicit"
+    assert parse_space(emit_space_text(S)).points == ("0", "1", "2")
+    from coarsehom.morphisms import cylinder
+
+    C = cylinder(X, lambda x: 0, lambda x: 1).space
+    assert emit_space(C)["kind"] == "explicit"
+    assert len(parse_space(emit_space_text(C)).points) == len(C.points) == 22
+
+
 # ---------------------------------------------------------------- map files
 
 
@@ -492,6 +505,73 @@ def test_snf_rejects_ragged_rows(tmp_path, capsys, text):
 
 
 # ------------------------------------------------------------ exit codes
+
+
+def grid_points(radius):
+    return [[a, b] for a in range(-radius, radius + 1) for b in range(-radius, radius + 1)]
+
+
+def test_grid_points_given_as_json_lists(tmp_path, capsys):
+    sp = write_space(tmp_path, "g2.json", {"kind": "builtin", "name": "grid2_window", "radius": 2})
+    pts = grid_points(2)
+    rep, code, _ = run_quiet([
+        "mv-check", "--space", str(sp),
+        "--subset", json.dumps([p for p in pts if p[0] >= 0]),
+        "--family-base", json.dumps([p for p in pts if p[0] < 0]), "--family-depth", "4",
+        "--max-dim", "1"], capsys)
+    assert code == 0
+    assert (rep.results["complement_index"], rep.results["prefix_index"]) == (0, 1)
+    assert rep.results["iso"] == [True, True]
+    rep, code, _ = run_quiet(["hybrid", "--space", str(sp), "--family", json.dumps([pts]),
+                              "--phi", "[0]", "--scale", "1"], capsys)
+    assert code == 0
+    assert rep.results["pair_count"] == 25 + 2 * 40  # the diagonal and both orientations of 40 edges
+    assert rep.results["pairs"][:2] == [["(-2, -2)", "(-2, -2)"], ["(-2, -2)", "(-2, -1)"]]
+
+
+def test_points_given_as_string_tokens(tmp_path, capsys):
+    sp = write_space(tmp_path, "iw.json", {"kind": "builtin", "name": "int_window", "radius": 5})
+
+    def mv(subset, base):
+        return run_quiet(["mv-check", "--space", str(sp), "--subset", json.dumps(subset),
+                          "--family-base", json.dumps(base), "--family-depth", "8", "--max-dim", "1"],
+                         capsys)
+
+    by_value, by_token = mv(list(range(6)), [-5]), mv([str(i) for i in range(6)], ["-5"])
+    assert by_value[1] == by_token[1] == 0
+    assert by_value[0].results == by_token[0].results
+    assert by_token[0].results["complement_index"] == 4
+
+
+@pytest.mark.parametrize("flag, value, point", [
+    ("--subset", "[99]", "99"), ("--family-base", "[[1, 2]]", "[1, 2]"),
+    ("--family", '[[{"a": 1}]]', "{'a': 1}")])
+def test_unknown_point_is_a_parse_error_naming_the_field(flag, value, point, tmp_path, capsys):
+    sp = write_space(tmp_path, "iw.json", {"kind": "builtin", "name": "int_window", "radius": 5})
+    if flag == "--family":
+        argv = ["hybrid", "--space", str(sp), "--family", value, "--phi", "[0]", "--scale", "1"]
+    else:
+        argv = ["mv-check", "--space", str(sp), "--subset", "[1]", "--family-base", "[-5]",
+                "--family-depth", "8", flag, value]
+    rep, code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and rep.results == {}
+    assert captured.err == f"parse error: {point} names no point of the space (field {flag[2:]})\n"
+
+
+def test_flasque_refuses_a_map_on_another_space(tmp_path, capsys):
+    _, mp, _ = shift_fixture(tmp_path)
+    rep, code, out = run_quiet(["flasque", "--space", "hexagon", "--map", str(mp)], capsys)
+    assert code == 1
+    assert rep.refusals == [{"error": "CoarseError", "detail": "the map's source differs from --space"}]
+    assert "refusal [CoarseError]: the map's source differs from --space" in out.splitlines()
+
+
+def test_non_integer_count_is_a_usage_error(capsys):
+    rep, code = run(["homology", "--space", "hexagon", "--scale", "1", "--max-dim", "x"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and rep.results == {}
+    assert "argument --max-dim: invalid int value: 'x'" in captured.err
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -202,6 +202,17 @@ def test_thicken_examples():
         thicken(X, 1, {9})
 
 
+def test_space_thicken_is_the_structure_thickening():
+    X = windowed_builtin("int_window", 6)
+    for k, B in ((0, {0}), (1, {0}), (2, {-6, 6}), (9, {3})):
+        assert X.thicken(k, B) == X.coarse.thicken(k, B) == thicken(X, k, B)
+    assert X.thicken(2, {-6, 6}) == {-6, -5, -4, 4, 5, 6}
+    with pytest.raises(BadScales, match="got -1"):
+        X.thicken(-1, {0})
+    with pytest.raises(UnknownPoint):
+        X.thicken(1, {99})
+
+
 def test_scale_queries_refuse_bad_input():
     X = windowed_builtin("int_window", 3)
     with pytest.raises(CoarseError, match="scale-index must be >= 0"):

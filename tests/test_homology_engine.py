@@ -62,7 +62,7 @@ from coarsehom.homology_engine import (
 )
 from coarsehom.core_spaces import BigFamilyPrefix, CoarseStructure
 from coarsehom.morphisms import SpaceMap, constant_map, identity_map, translate_map
-from genspaces import moore_space, random_explicit_space
+from genspaces import moore_space, random_explicit_space, suspension
 
 Z = FGAbGroup(1)
 ZERO = FGAbGroup(0)
@@ -217,6 +217,30 @@ def test_tuple_order_matches_brute_force_oracle():
             increasing = [t for t in quotient if all(pts.index(a) < pts.index(b) for a, b in zip(t, t[1:]))]
             assert [tuple(pts[i] for i in s) for s in relative[n]] == increasing, (pts, edges, k, n)
             assert homology_engine._tuple_count([len(lv) for lv in relative], n) == len(quotient)
+
+
+def test_relative_cliques_grow_only_from_points_outside_y():
+    # relative to all points but a corner, only the simplices through the corner are built:
+    # the membership tests are a small share of the full clique build's, where they were all of it
+    g = windowed_builtin("grid2_window", 4).coarse.graph(3)
+    inside = [i != 0 for i in range(len(g.points))]
+
+    def build(mask):
+        calls = []
+
+        class CountingSet(set):
+            def __contains__(self, j):
+                calls.append(j)
+                return super().__contains__(j)
+
+        g.sets = [CountingSet(s) for s in g.sets]
+        return homology_engine._cliques(g, 3, None, 3, True, mask), len(calls)
+
+    full, full_calls = build(None)
+    relative, relative_calls = build(inside)
+    assert [len(level) for level in relative] == [1, 9, 28, 42]
+    assert relative == [[s for s in level if 0 in s] for level in full]
+    assert relative_calls * 20 < full_calls
 
 
 def test_planted_sign_flip_fails_the_complex_identity(monkeypatch):
@@ -427,9 +451,10 @@ def test_rp2_subdivision_has_two_torsion(monkeypatch):
     assert any(residual_sizes)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_moore_space_has_p_torsion(p, monkeypatch):
     X = moore_space(p)
+    assert len(X.points) == 24 * p + 7
     residual = homology_engine._residual_pivots
     residual_sizes = []
     monkeypatch.setattr(homology_engine, "_residual_pivots",
@@ -438,6 +463,13 @@ def test_moore_space_has_p_torsion(p, monkeypatch):
     assert homology_at_scale(X, 1, 2) == expected
     assert any(residual_sizes)  # the unit phase alone never yields a factor p
     assert [homology_presentation(X, 1, n).group for n in range(3)] == expected
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_suspended_moore_space_has_p_torsion_one_degree_up(p):
+    X = suspension(moore_space(p))
+    assert len(X.points) == len(moore_space(p).points) + 2
+    assert homology_at_scale(X, 1, 3) == [Z, ZERO, FGAbGroup(0, (p,)), ZERO]
 
 
 @pytest.mark.parametrize("p", [2, 3])

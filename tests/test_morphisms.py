@@ -2,6 +2,7 @@
 flasqueness certificates, cylinders and homotopies."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -20,7 +21,7 @@ from coarsehom import (
     windowed_builtin,
 )
 from coarsehom.chain_maps import _shift_at
-from coarsehom.core_spaces import BornCoarseSpace, Bornology, CoarseStructure, GroundSet, WindowTag
+from coarsehom.core_spaces import BornCoarseSpace, Bornology, ClosureView, CoarseStructure, GroundSet, WindowTag
 from coarsehom.morphisms import (
     Cylinder,
     CylinderMismatch,
@@ -203,10 +204,10 @@ def test_one_pass_shift_table_matches_closure_scan_on_random_maps(data):
 def test_check_morphism_never_builds_a_closure(monkeypatch):
     maps = list(shift_table_sweep(random.Random(5)))  # cylinders are built before the patch
 
-    def refuse(self, k):
-        raise AssertionError("closure_at called")
+    def refuse(self):
+        raise AssertionError("a closure's pair set was built")
 
-    monkeypatch.setattr(CoarseStructure, "closure_at", refuse)
+    monkeypatch.setattr(ClosureView, "pairs", property(refuse))
     for f in maps:
         check_morphism(f)
         _shift_at(f, 2)
@@ -329,6 +330,25 @@ def test_flasque_refuses_finite_space():
     out = certify_flasque(X, identity_map(X))
     assert isinstance(out, FlasqueRefusal)
     assert out.condition == "NotWindowed"
+
+
+@pytest.mark.parametrize("name, radius", [("int_window", 6), ("half_line", 6), ("grid2_window", 2)])
+def test_cylinder_keeps_the_window_tag_but_not_its_points(name, radius):
+    X = windowed_builtin(name, radius)
+    C = cylinder(X, lambda x: 0, lambda x: 1).space
+    assert C.window_tag == X.window_tag
+    corner = f"{C.points[0]!r} is not one: this space carries only the window's tag"
+    with pytest.raises(CoarseError, match=re.escape(f"translate_map needs points of the {name}({radius}) "
+                                                    f"window, and {corner}")):
+        translate_map(C, 1 if name != "grid2_window" else (1, 0))
+    for certify in (certify_flasque, certify_flasque_generalized):
+        f = identity_map(C)
+        with pytest.raises(CoarseError, match=re.escape(f"a flasqueness margin needs points of the "
+                                                        f"{name}({radius}) window, and {corner}")):
+            certify(C, f) if certify is certify_flasque else certify(C, [f, f])
+    # a subspace keeps window points, so its margins are read as before
+    S = subspace(X, X.points[:len(X.points) // 2])
+    assert isinstance(certify_flasque(S, identity_map(S)), FlasqueRefusal)
 
 
 def test_flasque_refuses_identity_on_window():
