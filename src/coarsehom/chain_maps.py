@@ -339,11 +339,11 @@ def _presentation_from_complex(basis, d_n, d_next, degree, scale):
 
 
 def _shift_at(f: SpaceMap, k):
-    """Least target scale holding the image of closure_at(k), or None if there is none."""
-    from .morphisms import _shift_table
+    """Least target scale holding the image of closure_at(k), or None if there is none: one
+    rising pass over the image pairs of the source's closure rows, listed before it rises."""
+    from .morphisms import _image_pairs, _images, _least_containing_scale
 
-    shift, fail = _shift_table(f, k)
-    return None if fail is not None else shift[len(shift) - 1]
+    return _least_containing_scale(f.target, _image_pairs(_images(f), f.source.closure_at(k)))
 
 
 def _controlled_shift(f: SpaceMap, k):
@@ -356,16 +356,25 @@ def _controlled_shift(f: SpaceMap, k):
     return shift
 
 
+def _tuple_map(basis_src, index_tgt, images):
+    """The one builder of chain-level maps: column t, from basis_src into the basis indexed by
+    index_tgt, sums the (image tuple, sign) terms images(t).  An image with two equal adjacent
+    entries is 0, and terms that land on one tuple add up, so they can cancel."""
+    rows: List[Dict[int, int]] = [{} for _ in index_tgt]
+    for col, t in enumerate(basis_src):
+        for img, sign in images(t):
+            if all(a != b for a, b in zip(img, img[1:])):
+                row = rows[index_tgt[img]]
+                row[col] = v = row.get(col, 0) + sign
+                if not v:
+                    del row[col]
+    return IntMatrix((len(index_tgt), len(basis_src)), rows)
+
+
 def _chain_map_matrix(basis_src, index_tgt, *maps: SpaceMap):
     """The sum of the chain maps of maps, from basis_src into the basis indexed by index_tgt."""
-    rows: List[Dict[int, int]] = [{} for _ in index_tgt]
-    for f in maps:
-        for col, t in enumerate(basis_src):
-            img = tuple(f(x) for x in t)
-            if all(img[i] != img[i + 1] for i in range(len(img) - 1)):
-                row = rows[index_tgt[img]]
-                row[col] = row.get(col, 0) + 1
-    return IntMatrix((len(index_tgt), len(basis_src)), rows)
+    tables = [f.table.__getitem__ for f in maps]
+    return _tuple_map(basis_src, index_tgt, lambda t: [(tuple(map(get, t)), 1) for get in tables])
 
 
 class InducedMap(Record):
@@ -440,20 +449,12 @@ def prism(f: SpaceMap, g: SpaceMap, k, n, basis_cap=DEFAULT_BASIS_CAP):
     src_cc = chain_complex(f.source, k, n, basis_cap)
     tgt_cc = chain_complex(f.target, kt, n + 1, basis_cap)
     tgt_index = [{t: i for i, t in enumerate(b)} for b in tgt_cc.bases]
-    hmats: Dict[int, IntMatrix] = {}
-    for m in range(n + 1):
-        rows: List[Dict[int, int]] = [{} for _ in tgt_cc.bases[m + 1]]
-        for col, t in enumerate(src_cc.bases[m]):
-            fx = [f(x) for x in t]
-            gx = [g(x) for x in t]
-            for i in range(m + 1):
-                pr = tuple(fx[: i + 1]) + tuple(gx[i:])
-                if all(pr[a] != pr[a + 1] for a in range(len(pr) - 1)):
-                    row = rows[tgt_index[m + 1][pr]]
-                    row[col] = row.get(col, 0) + (1 if i % 2 == 0 else -1)
-        # two prism terms can meet in one tuple and cancel
-        rows = [{j: v for j, v in row.items() if v} for row in rows]
-        hmats[m] = IntMatrix((len(rows), len(src_cc.bases[m])), rows)
+
+    def terms(t):  # h(t) = sum over i of (-1)^i (f t_0, ..., f t_i, g t_i, ..., g t_m)
+        fx, gx = tuple(map(f, t)), tuple(map(g, t))
+        return [(fx[:i + 1] + gx[i:], -1 if i % 2 else 1) for i in range(len(t))]
+
+    hmats = {m: _tuple_map(src_cc.bases[m], tgt_index[m + 1], terms) for m in range(n + 1)}
     verified = True
     for m in range(n + 1):
         F = _chain_map_matrix(src_cc.bases[m], tgt_index[m], f)
@@ -477,11 +478,11 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
     WindowTooSmall).  It then holds by telescoping to -C(f^(J+1)), so the exact
     matrix equation checks the chain-map code: False means a fault there.
     """
-    from .morphisms import SpaceMap
+    from .morphisms import identity_map
 
     check_degree(n)
     Bset = X.ground.check_subset(B)
-    ident = SpaceMap(X, X, {p: p for p in X.points})
+    ident = identity_map(X)
     powers = [ident]
     for _ in range(J):
         powers.append(f.compose(powers[-1]))
@@ -493,9 +494,7 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
     K0 = max([k] + [_controlled_shift(p, k) for p in powers])
     K1 = max(K0, _controlled_shift(f, K0))
     for deg in range(n + 1):
-        basis_k = controlled_tuples(X, k, deg, basis_cap)
-        basis_K0 = controlled_tuples(X, K0, deg, basis_cap) if K0 != k else basis_k
-        basis_K1 = controlled_tuples(X, K1, deg, basis_cap) if K1 != K0 else basis_K0
+        basis_k, basis_K0, basis_K1 = (chain_complex(X, s, deg, basis_cap).bases[deg] for s in (k, K0, K1))
         idx_K0 = {t: i for i, t in enumerate(basis_K0)}
         idx_K1 = {t: i for i, t in enumerate(basis_K1)}
         S = _chain_map_matrix(basis_k, idx_K0, *powers)

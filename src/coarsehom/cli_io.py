@@ -146,11 +146,18 @@ def _parse_builtin(doc) -> BornCoarseSpace:
 
 
 def emit_space(X: BornCoarseSpace) -> dict:
-    """Canonical document for a space; parse_space(emit_space(X)) rebuilds it.  A builtin
-    document is written only for a space on all the points of its window, in order."""
+    """Canonical document for a space.  A builtin document is written only for a space on
+    all the points of its window, in order.  Explicit and metric documents name each point p
+    by str(p), so parse_space(emit_space(X)) rebuilds X on those tokens as its points:
+    subspace(int_window(5), [0, 1, 2]) comes back on ('0', '1', '2').  Two points that
+    share a token are refused, naming both."""
     tag = X.window_tag
     if tag is not None and X.points == tag.points:
         return {"kind": "builtin", "name": tag.name, "radius": tag.radius}
+    first = {}
+    for p in X.points:
+        if first.setdefault(str(p), p) is not p:
+            raise CoarseError(f"points {first[str(p)]!r} and {p!r} are both written {str(p)!r} in a document")
     metric_doc = _try_emit_metric(X)
     if metric_doc is not None:
         return metric_doc
@@ -602,10 +609,8 @@ def _cmd_flasque(args, rep: Report, X):
     out = certify_flasque(X, f, scale_cap=args.scale_cap, iter_cap=args.iter_cap)
     if isinstance(out, FlasqueRefusal):
         detail = f"{out.condition}: {out.explanation}"
-        if isinstance(out.witness, frozenset):  # a bounded generator, in ground order
+        if out.witness is not None:  # condition 3's bounded generator, in ground order
             detail += f"; witness [{', '.join(map(str, X.ground.sorted(out.witness)))}]"
-        elif out.witness is not None:  # a pair of points
-            detail += f"; witness ({', '.join(map(str, out.witness))})"
         rep.refusals.append({"error": "FlasqueRefusal", "detail": detail})
         return
     rep.results = {

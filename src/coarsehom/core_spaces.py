@@ -326,9 +326,10 @@ class CoarseStructure:
     stabilization() sets it, from a few breadth-first searches per component
     under eccentricity bounds, and only when asked.  From a known
     stabilized_at on each component is a clique, so closure_at (a view over
-    the components) reads them there; ball, graph and related_at read the
-    view.  When the table stops growing (hop_rows() and distance() grow all
-    of it), its depth is checked against stabilized_at, and a mismatch is refused.
+    the components) reads them there; ball, graph, related_at and the map
+    routes read the view, so a map grows its target's table only to its scale
+    shift.  hop_rows() and distance() grow all of it; when it stops growing,
+    its depth is checked against stabilized_at, and a mismatch is refused.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -484,16 +485,13 @@ class CoarseStructure:
             high = not high
             dist = self._bfs([v])
 
-    def hop_rows(self, k: Optional[int] = None) -> list:
-        """The table itself, grown to scale k, or until a layer adds nothing when k is None
-        or at least the stabilization scale.
+    def hop_rows(self) -> list:
+        """The whole table, grown until a layer adds nothing (every hop distance is < |X|).
 
         Row i is {j: hop distance} in breadth-first order, so distances never
-        decrease along a row; it may run past k.  Callers must not change it.
+        decrease along a row.  Callers must not change it.
         """
-        if k is None or self._scale(k) is None:
-            # every hop distance is < |X|, so layer |X| adds nothing
-            self._grow(len(self.ground) + 1)
+        self._grow(len(self.ground) + 1)
         return self._dist
 
     def distance(self, x, y) -> Optional[int]:
@@ -830,7 +828,7 @@ def mixed_union(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
 
 
 def subspace(X: BornCoarseSpace, A: Iterable) -> BornCoarseSpace:
-    """Generators restricted to A x A, bornology generators intersected with A."""
+    """Generators restricted to A x A; bornology generators met with A, each distinct nonempty one once."""
     A = X.ground.check_subset(A)
     pts = [p for p in X.ground.points if p in A]
     ground = GroundSet(pts)
@@ -838,7 +836,7 @@ def subspace(X: BornCoarseSpace, A: Iterable) -> BornCoarseSpace:
         Entourage(ground, (pair for pair in g.pairs if pair[0] in A and pair[1] in A))
         for g in X.coarse.generators
     ]
-    born_gens = [B & A for B in X.bornology.generators if B & A]
+    born_gens = [C for C in dict.fromkeys(B & A for B in X.bornology.generators) if C]
     return BornCoarseSpace(
         ground, CoarseStructure(ground, gens), Bornology(ground, born_gens), window_tag=X.window_tag, metric=X.metric
     )

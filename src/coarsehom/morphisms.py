@@ -161,19 +161,36 @@ class MorphismReport(Record):
         return self.controlled and self.proper
 
 
-def _least_containing_scale(space: BornCoarseSpace, pairs) -> Optional[int]:
-    """Least k with all pairs inside closure_at(k): their largest hop distance, or None
-    when a pair spans two coarse components.
+def _least_containing_scale(space: BornCoarseSpace, pairs, k: int = 0) -> Optional[int]:
+    """Least scale from k on whose closure holds every index pair of pairs, or None when a
+    pair spans two coarse components: the one route from pairs to a containing scale.
 
-    One k rises through the pairs, so the table grows only as deep as the answer.
+    Each pair asks the scale view's related(i, j); a refused pair compares the stored
+    component ids, then raises the scale until it is related.  So the table grows only as
+    deep as the answer; as a view's rows grow with it, pairs read off one are listed first.
     """
-    coarse, k = space.coarse, 0
-    for x, y in pairs:
-        if coarse.component(x) != coarse.component(y):
-            return None
-        while not coarse.related_at(k, x, y):
+    coarse = space.coarse
+    comp = coarse._components()[0]
+    related = coarse.closure_at(k).related
+    for i, j in pairs:
+        while not related(i, j):
+            if comp[i] != comp[j]:
+                return None
             k += 1
+            related = coarse.closure_at(k).related
     return k
+
+
+def _images(f: SpaceMap) -> list:
+    """The target index of f's image of each source point, in source index order."""
+    index = f.target.ground.index
+    return [index(y) for y in map(f.table.__getitem__, f.source.ground.points)]
+
+
+def _image_pairs(img: list, view) -> list:
+    """The images under img of the index pairs i < j of a closure view, listed: closures are
+    symmetric and hold the diagonal, so these decide a containing scale."""
+    return [(img[i], img[j]) for i, row in enumerate(view.rows()) for j in row if j > i]
 
 
 def _uncontrolled_pair(f: SpaceMap, k) -> Optional[tuple]:
@@ -182,57 +199,45 @@ def _uncontrolled_pair(f: SpaceMap, k) -> Optional[tuple]:
     Pairs are scanned in ground-index order of the first point, then of the
     second, so the witness does not depend on how sets happen to iterate.
     """
-    g = f.source.coarse.graph(k)
-    pts, component = g.points, f.target.coarse.component
-    for i, nb in enumerate(g.nbrs):
-        c = component(f(pts[i]))
-        for j in nb:
-            if component(f(pts[j])) != c:
-                return pts[i], pts[j]
-    return None
+    img, comp, pts = _images(f), f.target.coarse._components()[0], f.source.points
+    return next(((pts[i], pts[j]) for i, nb in enumerate(f.source.coarse.graph(k).nbrs)
+                 for j in nb if comp[img[i]] != comp[img[j]]), None)
 
 
-def _shift_table(f: SpaceMap, k: Optional[int] = None):
-    """One pass over the source's hop-distance table, up to scale k (all of it when None).
+def _shift_table(f: SpaceMap):
+    """One walk over the source's whole hop-distance table, one hop layer at a time.
 
-    Returns (shift, fail).  fail is the least hop distance of a source pair
-    whose image is related at no scale, or None.  shift[d], for each hop
-    distance d read below fail, is the least target scale holding the image
-    of closure_at(d): the running maximum over d' <= d of the largest target
-    distance of an image pair at hop distance d'.
+    Returns (shift, fail).  shift[d] is the least target scale holding the image of
+    closure_at(d): layer d's image pairs raise it from shift[d - 1], so the target's
+    table grows only as deep as the largest shift.  fail is the least hop distance of a
+    source pair whose images lie in two components, or None; shift stops below it.
     """
-    index = f.target.ground.index
-    img = [index(f.table[p]) for p in f.source.ground.points]
-    target_rows = f.target.coarse.hop_rows()
-    worst, fail = {}, None
-    stop = float("inf") if k is None else k + 1
-    for i, row in enumerate(f.source.coarse.hop_rows(k)):
-        near = target_rows[img[i]]
+    coarse, img = f.source.coarse, _images(f)
+    rows = coarse.hop_rows()  # grown whole, so it has stabilization() + 1 layers
+    layers = [[] for _ in range(coarse.stabilization() + 1)]
+    for i, row in enumerate(rows):
+        a = img[i]
         for j, d in row.items():
-            if d >= stop:  # rows run in breadth-first order
-                break
-            e = near.get(img[j])
-            if e is None:
-                fail = stop = d
-            elif e > worst.get(d, -1):
-                worst[d] = e
-    shift, run = {}, 0
-    for d in range(max(worst, default=0) + 1 if fail is None else fail):
-        run = max(run, worst.get(d, 0))
-        shift[d] = run
-    return shift, fail
+            if j > i:  # the table and every closure are symmetric
+                layers[d].append((a, img[j]))
+    shift, k = {}, 0
+    for d, pairs in enumerate(layers):
+        k = _least_containing_scale(f.target, pairs, k)
+        if k is None:
+            return shift, d
+        shift[d] = k
+    return shift, None
 
 
 def check_morphism(f: SpaceMap) -> MorphismReport:
     """Decide controlled and proper against the target's stabilized filtration.
 
-    Controlledness takes one pass over the source's hop-distance table
-    (`_shift_table`): each related pair at hop distance d raises the largest
-    target distance recorded for d, and scale_shift[k] is the running maximum
-    over d <= k, for every k up to the source's stabilization scale.  The
-    least d with an image pair related at no scale is the first failing
-    scale: the map is not controlled, the witness is the least such pair of
-    closure_at(d), and scale_shift holds the scales below d.
+    Controlledness takes one walk over the source's hop-distance table
+    (`_shift_table`): the image pairs of hop layer d raise the target scale from
+    scale_shift[d - 1] to scale_shift[d], for every d up to the source's
+    stabilization scale.  The least d with an image pair related at no scale is
+    the first failing scale: the map is not controlled, the witness is the least
+    such pair of closure_at(d), and scale_shift holds the scales below d.
     """
     src, tgt = f.source, f.target
     shift, fail = _shift_table(f)
@@ -253,8 +258,7 @@ def are_close(f: SpaceMap, g: SpaceMap) -> Optional[int]:
     """Least k with (f(x), g(x)) in the target's closure_at(k) for all x."""
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("closeness needs equal sources and targets")
-    pairs = [(f(x), g(x)) for x in f.source.ground.points]
-    return _least_containing_scale(f.target, pairs)
+    return _least_containing_scale(f.target, zip(_images(f), _images(g)))
 
 
 class EquivalenceReport(Record):
@@ -343,17 +347,17 @@ def _margin_generators(X: BornCoarseSpace, margin: Optional[int]):
     return tuple(B for B in X.bornology.generators if inside(B))
 
 
-def _orbit(f: SpaceMap, pairs, steps: int) -> set:
-    """The pairs (f^j x, f^j y) for (x, y) in pairs and j <= steps: a breadth-first walk.
+def _orbit(img: list, view, steps: int) -> set:
+    """The index pairs (f^m x, f^m y) for x < y related in view and m <= steps, img holding f
+    on indices: the half of the orbit that decides its containing scale, walked breadth-first.
 
     Each step maps only the pairs first reached by the one before, and the
     walk stops early once a step reaches nothing new.
     """
-    table = f.table
-    seen = set(pairs)
+    seen = set(_image_pairs(range(len(img)), view))
     front = seen
     for _ in range(steps):
-        front = {(table[x], table[y]) for x, y in front} - seen
+        front = {(img[x], img[y]) for x, y in front} - seen
         if not front:
             break
         seen |= front
@@ -416,7 +420,8 @@ def certify_flasque(
     if k1 is None:
         return FlasqueRefusal("condition 1", "f is not close to the identity on the window")
 
-    cond2 = {k: _least_containing_scale(X, _orbit(f, X.closure_at(k).pairs, iter_cap))
+    img = _images(f)
+    cond2 = {k: _least_containing_scale(X, _orbit(img, X.closure_at(k), iter_cap))
              for k in range(scale_cap + 1)}
 
     images = [frozenset(X.points)]  # images[j] = f^j(X), grown as the generators need
@@ -501,32 +506,24 @@ def certify_flasque_generalized(
         f"{X.window_tag.name}({X.window_tag.radius}) window",
     )
 
-    consec = [(fj(x), fk(x)) for fj, fk in zip(maps, maps[1:]) for x in X.ground.points]
-    k2 = _least_containing_scale(X, consec)
+    imgs = [_images(m) for m in maps]
+    k2 = _least_containing_scale(X, (p for a, b in zip(imgs, imgs[1:]) for p in zip(a, b)))
     if k2 is None:
         return FlasqueRefusal("condition 2", "consecutive maps are not uniformly close on the window")
 
     cond3 = {}
     for k in range(scale_cap + 1):
         pairs = set()
-        for fj in maps:
-            pairs.update((fj(x), fj(y)) for x, y in X.closure_at(k).pairs)
+        for img in imgs:
+            pairs.update(_image_pairs(img, X.closure_at(k)))
         cond3[k] = _least_containing_scale(X, pairs)
 
-    cond4 = {}
-    for B in tested:
-        stable_from = None
-        for j in range(len(maps)):
-            if all(not (maps[i].image() & B) for i in range(j, len(maps))):
-                stable_from = j
-                break
-        if stable_from is None:
-            return FlasqueRefusal(
-                "condition 4",
-                "no tail of the prefix avoids the bounded generator",
-                B,
-            )
-        cond4[B] = stable_from
+    images, cond4 = [m.image() for m in maps], {}
+    for B in tested:  # the tail avoiding B starts past the last map that meets it
+        j = next((i + 1 for i in reversed(range(len(maps))) if images[i] & B), 0)
+        if j == len(maps):
+            return FlasqueRefusal("condition 4", "no tail of the prefix avoids the bounded generator", B)
+        cond4[B] = j
 
     return GeneralizedFlasqueCertificate(
         len(maps), X.window_tag.radius, k2, cond3, cond4, scale_cap, tested, warnings

@@ -1,6 +1,7 @@
 """Document parsing, report rendering, and the command-line surface."""
 
 import json
+import re
 import os
 import subprocess
 import sys
@@ -109,6 +110,54 @@ def test_udecomp_radii_must_be_a_list(capsys, radii):
     assert code == 2 and "parse error: radii must be a JSON list (field radii)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "metric", "points": ["a", "b"], "distances": [[], [True]], "scales": [1]},
+     "booleans are not rationals (field distances)"),
+    ([["a"]], "document must be a JSON object"),
+    ({"kind": "explicit", "points": ["a"], "entourages": {}, "bornology": [["a"]]},
+     "entourages must be a list of pair lists (field entourages)"),
+    ({"kind": "explicit", "points": ["a"], "entourages": ["a"], "bornology": [["a"]]},
+     "entourage 0 is not a pair list (field entourages)"),
+    ({"kind": "explicit", "points": ["a"], "entourages": [[["a"]]], "bornology": [["a"]]},
+     "entourage 0 holds a non-pair ['a'] (field entourages)"),
+    ({"kind": "metric", "points": ["a", "b", "c"], "distances": [[], [1], [1]], "scales": [1]},
+     "row 2 must have exactly 2 entries (field distances)"),
+    ({"kind": "builtin", "name": 3, "radius": 2}, "builtin name must be a string (field name)"),
+])
+def test_malformed_document_exits_two_naming_the_field(doc, message, tmp_path, capsys):
+    rep, code = run(["components", "--space", str(write_space(tmp_path, "s.json", doc))])
+    captured = capsys.readouterr()
+    assert (code, captured.out, rep.results) == (2, "", {})
+    assert captured.err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("case", ["subset not a list", "bad flag JSON", "unreadable map", "unknown source token",
+                                  "unreadable matrix", "matrix not a list", "hybrid without a family"])
+def test_malformed_flag_or_file_exits_two_naming_the_field(case, tmp_path, capsys):
+    sp = str(write_space(tmp_path, "iw.json", {"kind": "builtin", "name": "int_window", "radius": 5}))
+    mv = ["mv-check", "--space", sp, "--family-base", "[-5]", "--family-depth", "8"]
+    missing = str(tmp_path / "missing")
+    bad_map, matrix = tmp_path / "bad.map", tmp_path / "m.json"
+    bad_map.write_text(f"{sp}\n{sp}\n99 -> 0\n")
+    matrix.write_text('{"rows": [[1]]}')
+    argv, message = {
+        "subset not a list": (mv + ["--subset", '{"a": 1}'], "subset must be a JSON list (field subset)"),
+        "bad flag JSON": (mv + ["--subset", "[1"], "bad JSON in --subset: Expecting ',' delimiter: "
+                                                     "line 1 column 3 (char 2) (field subset)"),
+        "unreadable map": (["check-morphism", "--map", missing], f"cannot read map {missing!r}: "),
+        "unknown source token": (["check-morphism", "--map", str(bad_map)], "'99' names no source point"),
+        "unreadable matrix": (["snf", "--matrix", missing], f"cannot read matrix {missing!r}: "),
+        "matrix not a list": (["snf", "--matrix", str(matrix)], "matrix must be a JSON list of rows (field matrix)"),
+        "hybrid without a family": (["hybrid", "--space", sp, "--phi", "[0]", "--scale", "1"],
+                                    "give exactly one of --family or --family-base (field family)"),
+    }[case]
+    rep, code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, rep.results) == (2, "", {})
+    assert captured.err.startswith(f"parse error: {message}")
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+
+
 def test_parse_rejects_bad_json_text():
     with pytest.raises(ParseError):
         parse_space("{not json")
@@ -170,6 +219,24 @@ def test_derived_window_spaces_emit_their_own_points():
     C = cylinder(X, lambda x: 0, lambda x: 1).space
     assert emit_space(C)["kind"] == "explicit"
     assert len(parse_space(emit_space_text(C)).points) == len(C.points) == 22
+
+
+def test_emit_names_points_by_their_tokens():
+    S = cs.subspace(cs.windowed_builtin("int_window", 5), [0, 1, 2])
+    doc = emit_space(S)
+    assert doc["bornology"] == [["0"], ["0", "1"], ["0", "1", "2"]]
+    back = parse_space(doc)
+    assert back.points == ("0", "1", "2") and back.bornology.generators == tuple(
+        frozenset(B) for B in doc["bornology"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cs.make_explicit_space([1, "1"], [[(1, "1")]], [[1, "1"]]),
+    lambda: cs.from_metric([1, "1"], [[0, 1], [1, 0]], [2]),
+], ids=["explicit", "metric"])
+def test_emit_refuses_two_points_written_alike(make):
+    with pytest.raises(cs.CoarseError, match=re.escape("points 1 and '1' are both written '1'")):
+        emit_space(make())
 
 
 # ---------------------------------------------------------------- map files
@@ -455,6 +522,16 @@ def test_hybrid_command_whole_space_member(capsys):
         "--phi", "[0]", "--scale", "1"], capsys)
     assert code == 0
     assert rep.results["pair_count"] == 18  # closure at 1: diagonal plus oriented edges
+
+
+def test_hybrid_command_from_a_family_base(capsys):
+    # Y_0 = {0}, Y_1 = its 1-thickening {5, 0, 1}; phi(0) = 1 keeps every closure pair,
+    # phi(1) = 0 keeps only the diagonal and the pairs inside Y_1
+    rep, code, _ = run_quiet(["hybrid", "--space", "hexagon", "--family-base", '["0"]',
+                              "--family-depth", "1", "--phi", "[1, 0]", "--scale", "1"], capsys)
+    assert code == 0 and rep.refusals == []
+    assert rep.results["pair_count"] == 10
+    assert [p for p in rep.results["pairs"] if p[0] != p[1]] == [["0", "1"], ["0", "5"], ["1", "0"], ["5", "0"]]
 
 
 def test_hybrid_refuses_increasing_phi(tmp_path, capsys):

@@ -669,6 +669,13 @@ def test_subspace():
     assert coarse_components(empty) == []
 
 
+def test_subspace_keeps_the_first_of_equal_bornology_generators():
+    X = windowed_builtin("int_window", 5)  # generators [-i, i] for i = 0..5
+    S = subspace(X, [2, 0, 1])
+    assert S.bornology.generators == (frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2}))
+    assert subspace(X, [5]).bornology.generators == (frozenset({5}),)  # empty meets are dropped
+
+
 # ---------------------------------------------------------------- big families
 
 def test_big_family_generated_path():

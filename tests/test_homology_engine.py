@@ -902,6 +902,34 @@ def test_prism_refuses_far_maps():
         prism(constant_map(X, X, 0), constant_map(X, X, 50), 1, 1)
 
 
+def test_prism_refuses_maps_that_are_not_parallel():
+    X, Y = windowed_builtin("half_line", 6), windowed_builtin("half_line", 7)
+    with pytest.raises(NotClose, match="prism needs a parallel pair of maps"):
+        prism(identity_map(X), identity_map(Y), 1, 1)
+
+
+def test_prism_with_a_planted_sign_flip_is_not_verified(monkeypatch):
+    X = windowed_builtin("half_line", 10)
+    f, g = identity_map(X), translate_map(X, 1)
+    assert prism(f, g, 1, 1).verified
+    build, planted = chain_maps._tuple_map, []
+
+    def flip_one_prism_term(basis_src, index_tgt, images):
+        def terms(t):
+            out = images(t)
+            for i, (img, sign) in enumerate(out):
+                # a prism term is one entry longer than its tuple; chain-map terms are not
+                if not planted and len(img) == len(t) + 1 and img[0] != img[1]:
+                    planted.append(img)
+                    out[i] = (img, -sign)
+            return out
+        return build(basis_src, index_tgt, terms)
+
+    monkeypatch.setattr(chain_maps, "_tuple_map", flip_one_prism_term)
+    assert prism(f, g, 1, 1).verified is False
+    assert planted == [(0, 1)]
+
+
 def test_close_maps_agree_on_homology():
     X = windowed_builtin("half_line", 12)
     f, g = identity_map(X), translate_map(X, 1)

@@ -20,8 +20,9 @@ from coarsehom import (
     subspace,
     windowed_builtin,
 )
-from coarsehom.chain_maps import _shift_at
-from coarsehom.core_spaces import BornCoarseSpace, Bornology, ClosureView, CoarseStructure, GroundSet, WindowTag
+from coarsehom.chain_maps import _controlled_shift, _shift_at, induced_map, prism, swindle_identity_check
+from coarsehom.core_spaces import (BornCoarseSpace, Bornology, ClosureView, CoarseStructure, GroundSet,
+                                   UnknownPoint, WindowTag)
 from coarsehom.morphisms import (
     Cylinder,
     CylinderMismatch,
@@ -211,6 +212,38 @@ def test_check_morphism_never_builds_a_closure(monkeypatch):
     for f in maps:
         check_morphism(f)
         _shift_at(f, 2)
+
+
+def test_controlled_shift_grows_the_target_table_only_to_the_answer():
+    f = inclusion_map(windowed_builtin("int_window", 5), windowed_builtin("int_window", 200))
+    assert _controlled_shift(f, 1) == 1
+    assert f.target.coarse._depth <= 2
+
+
+def test_check_morphism_grows_the_target_table_only_past_its_largest_shift():
+    f = inclusion_map(windowed_builtin("int_window", 5), windowed_builtin("int_window", 200))
+    rep = check_morphism(f)
+    assert rep.is_morphism and rep.scale_shift == {d: d for d in range(11)}
+    assert f.target.coarse._depth <= max(rep.scale_shift.values()) + 1
+
+
+def test_no_map_route_reads_a_whole_target_table(monkeypatch):
+    read = []
+    hop_rows = CoarseStructure.hop_rows
+    monkeypatch.setattr(CoarseStructure, "hop_rows", lambda self: read.append(self) or hop_rows(self))
+    H, W = windowed_builtin("half_line", 8), windowed_builtin("int_window", 30)
+    f, shift = inclusion_map(H, W), translate_map(H, 1)
+    check_morphism(f)
+    _shift_at(f, 2)
+    induced_map(f, 1, 1)
+    prism(f, f, 1, 1)
+    assert read and all(c is H.coarse for c in read)  # only check_morphism's walk over its source
+    read.clear()
+    are_close(shift, identity_map(H))
+    swindle_identity_check(H, shift, [0, 1], 6)
+    certify_flasque(H, shift)
+    certify_flasque_generalized(H, [shift.power(j) for j in range(8)])
+    assert read == []
 
 
 # ---------------------------------------------------------------- closeness
@@ -423,6 +456,8 @@ def test_generalized_from_plain_witness():
     cert = certify_flasque_generalized(X, maps)
     assert isinstance(cert, GeneralizedFlasqueCertificate)
     assert cert.cond2_scale == 1
+    # the union over the powers f^0..f^39 is the plain certificate's orbit of 39 steps
+    assert cert.cond3_table == certify_flasque(X, f, iter_cap=39).cond2_table
 
 
 def test_generalized_refuses_constant_family():
@@ -441,6 +476,85 @@ def test_generalized_shift_family():
     # each tested [0, n] is avoided from iterate n+1 on
     for B, j in cert.cond4_table.items():
         assert j == max(B) + 1
+
+
+def two_window_ends():
+    """int_window(10) kept at its two ends: window points in two coarse components."""
+    return subspace(windowed_builtin("int_window", 10), [-10, -9, 9, 10])
+
+
+def test_flasque_refuses_a_map_far_from_the_identity():
+    S = two_window_ends()
+    out = certify_flasque(S, constant_map(S, S, 10))
+    assert isinstance(out, FlasqueRefusal)
+    assert (out.condition, out.explanation, out.witness) == (
+        "condition 1", "f is not close to the identity on the window", None)
+
+
+def empty_space():
+    g = GroundSet([])
+    return BornCoarseSpace(g, CoarseStructure(g, []), Bornology(g, []))
+
+
+def test_flasque_certifies_the_empty_space():
+    E = empty_space()
+    cert = certify_flasque(E, identity_map(E))
+    assert isinstance(cert, FlasqueCertificate)
+    assert (cert.window, cert.cond1_scale, cert.cond2_table, cert.cond3_table, cert.tested_generators,
+            cert.warnings) == (None, 0, {}, {}, (), ("empty space",))
+    cert = certify_flasque_generalized(E, [identity_map(E)])
+    assert isinstance(cert, GeneralizedFlasqueCertificate)
+    assert (cert.maps_checked, cert.cond3_table, cert.warnings) == (1, {}, ("empty space",))
+
+
+def test_generalized_flasque_refusals():
+    X = windowed_builtin("half_line", 10)
+    f = translate_map(X, 1)
+    with pytest.raises(CoarseError, match=re.escape("need at least one map (f_0 = id)")):
+        certify_flasque_generalized(X, [])
+    with pytest.raises(SourceTargetMismatch, match="generalized flasqueness needs self-maps of X"):
+        certify_flasque_generalized(X, [identity_map(X), inclusion_map(X, windowed_builtin("half_line", 12))])
+    out = certify_flasque_generalized(X, [f, f])
+    assert (out.condition, out.explanation) == ("condition 1", "f_0 is not the identity")
+    P = path_space(3)
+    assert certify_flasque_generalized(P, [identity_map(P)]).condition == "NotWindowed"
+    S = two_window_ends()
+    out = certify_flasque_generalized(S, [identity_map(S), constant_map(S, S, 10)])
+    assert isinstance(out, FlasqueRefusal)
+    assert (out.condition, out.explanation) == (
+        "condition 2", "consecutive maps are not uniformly close on the window")
+
+
+# ------------------------------------------------------- map-layer refusals
+
+def test_space_map_refusals():
+    X, Y = path_space(2), path_space(3)
+    with pytest.raises(UnknownPoint, match="source point 9 unknown"):
+        SpaceMap(X, Y, {9: 0})
+    with pytest.raises(UnknownPoint, match="target point 9 unknown"):
+        SpaceMap(X, Y, {0: 9})
+    with pytest.raises(CoarseError, match="point 0 assigned twice"):
+        SpaceMap(X, Y, [(0, 0), (0, 1)])
+    with pytest.raises(CoarseError, match="map not total; first missing point 1"):
+        SpaceMap(X, Y, {0: 0, 2: 2})
+
+
+def test_compose_power_and_equivalence_refuse_mismatched_ends():
+    f = inclusion_map(path_space(2), path_space(3))
+    with pytest.raises(SourceTargetMismatch, match="compose: inner target differs from outer source"):
+        f.compose(f)
+    with pytest.raises(SourceTargetMismatch, match="power: source and target differ"):
+        f.power(2)
+    with pytest.raises(SourceTargetMismatch, match=re.escape("check_equivalence needs f: X -> X'")):
+        check_equivalence(f, f)
+
+
+def test_cylinder_refuses_ends_on_the_wrong_side():
+    X = path_space(2)
+    with pytest.raises(CoarseError, match=re.escape("p_minus(1) = 1 must be nonpositive")):
+        cylinder(X, {0: 0, 1: 1, 2: 0}, lambda x: 0)
+    with pytest.raises(CoarseError, match=re.escape("p_plus(2) = -1 must be nonnegative")):
+        cylinder(X, lambda x: 0, {0: 0, 1: 0, 2: -1})
 
 
 # ---------------------------------------------------------------- cylinders
