@@ -437,7 +437,7 @@ def prism(f: SpaceMap, g: SpaceMap, k, n, basis_cap=DEFAULT_BASIS_CAP):
     from .morphisms import are_close
 
     check_degree(n)
-    if f.source is not g.source or f.target is not g.target:
+    if f.source != g.source or f.target != g.target:
         raise NotClose("prism needs a parallel pair of maps")
     c = are_close(f, g)
     if c is None:

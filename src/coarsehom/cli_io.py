@@ -237,23 +237,25 @@ def _resolve_space(ref: str) -> Tuple[BornCoarseSpace, str]:
     return parse_space(blob.decode("utf-8")), _digest(blob)
 
 
-def _match_point(X, raw, field_name):
-    cand = tuple(raw) if isinstance(raw, list) else raw  # JSON spells a grid point as a list
-    try:
-        if cand in X.ground:
-            return cand
-    except TypeError:  # unhashable: a JSON object, or a list holding one
-        pass
-    by_token = {str(p): p for p in X.points}
-    if str(raw) in by_token:
-        return by_token[str(raw)]
-    raise ParseError(f"{raw!r} names no point of the space", field_name)
-
-
 def _match_subset(X, raw_list, field_name):
+    """The points raw_list names, each by itself or by its token; the token map is built on the first miss."""
     if not isinstance(raw_list, list):
         raise ParseError(f"{field_name} must be a JSON list", field_name)
-    return [_match_point(X, r, field_name) for r in raw_list]
+    out, by_token = [], None
+    for raw in raw_list:
+        cand = tuple(raw) if isinstance(raw, list) else raw  # JSON spells a grid point as a list
+        try:
+            if cand in X.ground:
+                out.append(cand)
+                continue
+        except TypeError:  # unhashable: a JSON object, or a list holding one
+            pass
+        if by_token is None:
+            by_token = {str(p): p for p in X.points}
+        if str(raw) not in by_token:
+            raise ParseError(f"{raw!r} names no point of the space", field_name)
+        out.append(by_token[str(raw)])
+    return out
 
 
 def _json_flag(text, field_name):

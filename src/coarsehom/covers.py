@@ -5,9 +5,15 @@ covers, which needs no homology.
 Certificates on covers are verified, never trusted: a bound scale means every
 member was checked to be bounded at that scale, and a Lebesgue scale means
 every bounded subset at that scale was checked to land inside some member.
+That check has two routes on the scale graph (_verify_lebesgue): every ball
+inside a member suffices, and otherwise a search for a clique in no member
+decides.  The exact route keeps its note "lebesgue verified via maximal
+bounded-set enumeration", since every maximal bounded set lying in a member
+is what it certifies, so reports do not change with the search.
 """
 
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .core_spaces import (
@@ -58,63 +64,63 @@ class Cover(FrozenRecord):
 
 def greedy_net(X: BornCoarseSpace, k: int) -> list:
     """Separated covering subset, grown greedily in canonical point order."""
-    net = _net_over_order(X.points, X.coarse.graph(k))
+    pts = X.points
+    net = [pts[i] for i in _net_over_order(range(len(pts)), X.coarse.graph(k).sets)]
     # both halves of the net contract are cheap to re-check exactly
     for i, d in enumerate(net):
         ball = X.coarse.ball(k, d)
         for e in net[i + 1:]:
             if e in ball:
                 raise CoverError(f"net separation violated by {d!r}, {e!r}")
-    if X.coarse.thicken(k, net) != frozenset(X.points):
+    if X.coarse.thicken(k, net) != frozenset(pts):
         raise CoverError("net fails to cover the space")
     return net
 
 
-def _ball_lebesgue(X, s, members) -> Optional[str]:
-    """Ball route: every scale-s ball inside some member certifies the scale.
+def _uncovered_clique(later, owners) -> Optional[tuple]:
+    """The first clique of a graph that no member holds, or None when every clique lies in one.
 
-    Sufficient because a bounded set lies in the ball around any of its points;
-    failure is not conclusive (balls are twice as wide as bounded sets).
+    later[v] is the set of neighbours of v with a larger index, and owners[v]
+    the members (index sets) that hold v.  Cliques grow in increasing index
+    order over later neighbours, carrying the members that hold the clique so
+    far; a branch is skipped when one of them holds the clique and all its
+    candidates, since a member that holds a clique holds all its subsets.
     """
-    for x in X.points:
-        ball = X.coarse.ball(s, x)
-        if not any(ball <= m for m in members):
-            return None
-    return "lebesgue verified via ball containment (sufficient for symmetric relations)"
-
-
-def _maximal_cliques(adj):
-    """Maximal cliques of the graph on 0..len(adj)-1 with neighbour sets adj (no self-loops).
-
-    Bron–Kerbosch with Tomita pivoting on an explicit stack of (clique,
-    candidates, excluded); an isolated vertex is a singleton clique.
-    """
-    stack = [([], set(range(len(adj))), set())] if adj else []
+    stack = [((v,), later[v], owners[v]) for v in reversed(range(len(later)))]
     while stack:
-        clique, cand, excl = stack.pop()
-        if not cand:
-            if not excl:
-                yield clique
+        clique, cand, holders = stack.pop()
+        if not holders:
+            return clique
+        if any(cand <= m for m in holders):
             continue
-        pivot = max(cand | excl, key=lambda u: len(cand & adj[u]))
-        for v in cand - adj[pivot]:
-            stack.append((clique + [v], cand & adj[v], excl & adj[v]))
-            cand.remove(v)
-            excl.add(v)
-
-
-def _exact_lebesgue(X, s, members) -> Optional[str]:
-    """Exact route: maximal bounded sets are maximal cliques of the scale-s graph."""
-    pts = X.points
-    for clique in _maximal_cliques([nb - {v} for v, nb in enumerate(X.coarse.graph(s).sets)]):
-        cset = frozenset(pts[i] for i in clique)
-        if not any(cset <= m for m in members):
-            return None
-    return "lebesgue verified via maximal bounded-set enumeration"
+        stack.extend((clique + (w,), cand & later[w], [m for m in holders if w in m])
+                     for w in sorted(cand, reverse=True))
+    return None
 
 
 def _verify_lebesgue(X, s, members) -> Optional[str]:
-    return _ball_lebesgue(X, s, members) or _exact_lebesgue(X, s, members)
+    """A note naming the route that certified s as a Lebesgue scale of members, or None.
+
+    Both routes read the scale-s graph in index space.  The ball route runs
+    first: every scale-s ball inside some member suffices, because a bounded
+    set lies in the ball around any of its points, but its failure is not
+    conclusive (balls are twice as wide as bounded sets).  The exact route
+    decides: a scale-s bounded set is a clique of the graph, so s is a
+    Lebesgue scale exactly when _uncovered_clique finds none.
+    """
+    index = X.ground.index
+    sets = X.coarse.graph(s).sets
+    owners = [[] for _ in sets]
+    for m in members:
+        held = {index(p) for p in m}
+        for v in held:
+            owners[v].append(held)
+    if all(any(ball <= m for m in owners[v]) for v, ball in enumerate(sets)):
+        return "lebesgue verified via ball containment (sufficient for symmetric relations)"
+    later = [{j for j in nb if j > v} for v, nb in enumerate(sets)]
+    if _uncovered_clique(later, owners) is None:
+        return "lebesgue verified via maximal bounded-set enumeration"
+    return None
 
 
 def cover_from_net(X: BornCoarseSpace, k: int) -> Cover:
@@ -235,20 +241,18 @@ class AsdimReport(Record):
         self.notes = notes
 
 
-def _net_over_order(order, g):
-    """Points of order not related at the scale of g to any point taken before them.
+def _net_over_order(order, sets):
+    """Indices of order not related at the scale of the neighbour sets to any index taken before them.
 
-    The relation is symmetric, so a point is related to an earlier net point
-    exactly when it lies in that point's neighbour set: the union of those
+    The relation is symmetric, so an index is related to an earlier net index
+    exactly when it lies in that index's neighbour set: the union of those
     sets is kept as the covered set.
     """
-    index = {p: i for i, p in enumerate(g.points)}
     net, covered = [], set()
-    for x in order:
-        i = index[x]
+    for i in order:
         if i not in covered:
-            net.append(x)
-            covered.update(g.sets[i])
+            net.append(i)
+            covered.update(sets[i])
     return net
 
 
@@ -266,19 +270,17 @@ def asdim_upper_bound(X: BornCoarseSpace, scale_list: Sequence[int],
         raise CoverError("at least one scale is required")
     if search_budget < 1:
         raise CoverError(f"search_budget must be >= 1, got {search_budget}")
-    points = list(X.points)
+    n = len(X.points)
     per_scale = {}
     for k in scales:
-        g = X.coarse.graph(k)
+        sets = X.coarse.graph(k).sets
         best = None
-        for r in range(max(1, min(search_budget, len(points)))):
-            order = points[r:] + points[:r]
-            net = _net_over_order(order, g)
-            depth = {p: 0 for p in points}
-            for d in net:
-                for p in X.coarse.ball(k, d):
-                    depth[p] += 1
-            dim = max(depth.values()) - 1
+        for r in range(max(1, min(search_budget, n))):
+            depth = [0] * n
+            for d in _net_over_order(chain(range(r, n), range(r)), sets):
+                for j in sets[d]:
+                    depth[j] += 1
+            dim = max(depth) - 1
             best = dim if best is None else min(best, dim)
             if best == 0:
                 break

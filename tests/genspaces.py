@@ -130,6 +130,37 @@ def moore_space(p):
     for i in range(n):
         j = (i + 1) % n
         triangles += [(rim[i], rim[j], ring[i]), (rim[j], ring[i], ring[j]), ("c", ring[i], ring[j])]
+    return subdivision(triangles)
+
+
+def klein_bottle_triangles():
+    """A Klein bottle as 18 triangles on 9 vertices v_ij.
+
+    A 3 x 3 grid of squares, each cut along a diagonal into two triangles.
+    Columns close up as a circle; the top row is glued to the bottom one with
+    the columns reversed (i -> -i), which makes the surface non-orientable.
+    Distinct triangles have distinct vertex sets and each edge lies on
+    exactly two.
+    """
+    def v(i, j):
+        return f"v{(-i if j >= 3 else i) % 3}{j % 3}"
+
+    triangles = []
+    for i in range(3):
+        for j in range(3):
+            triangles += [(v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1))]
+    return triangles
+
+
+def klein_bottle():
+    """Flag-complex Klein bottle, 54 points, with H = [Z, Z + Z/2, 0] at scale 1: the
+    barycentric subdivision of klein_bottle_triangles(), as in moore_space."""
+    return subdivision(klein_bottle_triangles())
+
+
+def subdivision(triangles):
+    """Barycentric subdivision of the simplicial complex the triangles span (vertices are
+    strings): one point per face, named by its vertices, and a pair per proper face inclusion."""
     faces = sorted({f for t in triangles for size in (1, 2, 3) for f in combinations(sorted(t), size)})
     names = ["-".join(f) for f in faces]
     pairs = [(names[a], names[b]) for a, fa in enumerate(faces) for b, fb in enumerate(faces)

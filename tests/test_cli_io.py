@@ -620,6 +620,28 @@ def test_points_given_as_string_tokens(tmp_path, capsys):
     assert by_token[0].results["complement_index"] == 4
 
 
+class PointReadCounter:
+    """A space whose reads of .points are counted; _match_subset reads only .ground and .points."""
+
+    def __init__(self, X):
+        self.ground, self._points, self.reads = X.ground, X.points, 0
+
+    @property
+    def points(self):
+        self.reads += 1
+        return self._points
+
+
+def test_every_point_of_a_large_window_matched_by_token():
+    X = cs.windowed_builtin("int_window", 1000)
+    counted = PointReadCounter(X)
+    assert cli_io._match_subset(counted, [str(p) for p in X.points], "subset") == list(X.points)
+    assert counted.reads == 1  # one token map for 2,001 tokens
+    counted = PointReadCounter(X)
+    assert cli_io._match_subset(counted, list(X.points), "subset") == list(X.points)
+    assert counted.reads == 0  # no entry missed, so no token map
+
+
 @pytest.mark.parametrize("flag, value, point", [
     ("--subset", "[99]", "99"), ("--family-base", "[[1, 2]]", "[1, 2]"),
     ("--family", '[[{"a": 1}]]', "{'a': 1}")])

@@ -33,7 +33,6 @@ from coarsehom.covers import (
     NotACover,
     NotADecomposition,
     PhiNotDecreasing,
-    _maximal_cliques,
     anti_cech,
     asdim_upper_bound,
     check_cover,
@@ -114,8 +113,9 @@ def test_covered_set_net_matches_the_scan(data):
     X = make_explicit_space(list(range(n)), [edges], [list(range(n))])
     g = X.coarse.graph(data.draw(st.integers(0, 4)))
     r = data.draw(st.integers(0, n - 1))
-    order = list(X.points[r:] + X.points[:r])
-    assert covers._net_over_order(order, g) == oracles.net_over_order_scan(order, g)
+    order = list(range(r, n)) + list(range(r))
+    got = [g.points[i] for i in covers._net_over_order(order, g.sets)]
+    assert got == oracles.net_over_order_scan([g.points[i] for i in order], g)
 
 
 # --------------------------------------------------------- cover_from_net
@@ -154,32 +154,71 @@ def test_cover_never_mixes_far_components():
         assert len({comp[p] for p in m}) == 1
 
 
-# ------------------------------------------------------ maximal cliques
+# ------------------------------------------------------ uncovered cliques
 
 @st.composite
-def small_graphs(draw):
+def graphs_with_members(draw):
     n = draw(st.integers(1, 10))
     pairs = list(combinations(range(n), 2))
     edges = draw(st.one_of(st.just(pairs), st.lists(st.sampled_from(pairs), unique=True)
                            if pairs else st.just([])))
-    return n, edges
+    members = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=6))
+    return n, edges, members
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_graphs())
-@example((4, []))  # isolated vertices only
-@example((6, list(combinations(range(6), 2))))  # complete graph
-@example((5, [(0, 1), (1, 2), (0, 2), (2, 3)]))  # a triangle, a tail and an isolated vertex
-def test_maximal_cliques_match_brute_force(graph):
-    n, edges = graph
-    adj = [set() for _ in range(n)]
+COMPLETE_5 = list(combinations(range(5), 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_members())
+@example((0, [], []))  # no vertices: nothing to hold
+@example((4, [], [frozenset({0, 1}), frozenset({2, 3})]))  # isolated vertices only, all held
+@example((5, COMPLETE_5, [frozenset(range(5))]))  # complete graph, held whole
+@example((5, COMPLETE_5, [frozenset(range(4)), frozenset(range(1, 5))]))  # complete graph, no member holds it
+@example((4, [(0, 1), (1, 2)], [frozenset({0, 1}), frozenset({1, 2})]))  # vertex 3 in no member
+# 3 is a later neighbour of 1 but not of 0: (0, 1) has no candidates, and (0, 1, 3) is no clique
+@example((4, [(0, 1), (0, 2), (1, 3)], [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 3})]))
+def test_uncovered_clique_matches_maximal_cliques(case):
+    n, edges, members = case
+    later = [set() for _ in range(n)]
     for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    got = [frozenset(c) for c in _maximal_cliques(adj)]
-    assert all(len(c) > 0 for c in got)
-    assert len(got) == len(set(got))  # each clique exactly once
-    assert set(got) == oracles.maximal_cliques(range(n), edges)
+        later[a].add(b)
+    got = covers._uncovered_clique(later, [[m for m in members if v in m] for v in range(n)])
+    held = all(any(c <= m for m in members) for c in oracles.maximal_cliques(range(n), edges))
+    assert (got is None) == held
+    if got is not None:
+        assert len(got) > 0 and all(b in later[a] for a, b in combinations(got, 2))
+        assert not any(set(got) <= m for m in members)
+
+
+def test_lebesgue_matches_the_bounded_set_scan():
+    # a scale is a Lebesgue scale of a family exactly when every scale-k clique lies in a member;
+    # the family is the maximal cliques with a point dropped from a few, so both routes and both
+    # answers occur
+    rng = random.Random(29)
+    for _ in range(40):
+        X = random_explicit_space(rng, max_points=10, max_pairs=14)
+        pts = list(X.points)
+        k = rng.randint(1, 2)
+        edges = [(a, b) for a, b in X.closure_at(k).pairs if a != b]
+        family = [set(c) for c in sorted(map(sorted, oracles.maximal_cliques(pts, edges)))]
+        for m in family:
+            if len(m) > 1 and rng.random() < 0.15:
+                m.discard(rng.choice(sorted(m)))
+        family += [{p} for p in pts if not any(p in m for m in family)]
+        cov = check_cover(X, family, 0, k)
+        want = all(any(c <= m for m in family) for c in oracles.clique_complex(pts, edges, len(pts)))
+        assert (cov.lebesgue_scale == k) == want
+
+
+def test_exact_route_certifies_what_balls_cannot():
+    # inner scale-1 balls of the path 0-1-2-3-4 have three points, each edge member two
+    cov = check_cover(path_space(4), [[0, 1], [1, 2], [2, 3], [3, 4]], 1, 1)
+    assert cov.lebesgue_scale == 1
+    assert cov.notes == ("lebesgue verified via maximal bounded-set enumeration",)
+    cov = check_cover(path_space(4), [[0, 1], [1, 2], [2, 3], [3, 4]], 1, 2)
+    assert cov.lebesgue_scale is None
+    assert cov.notes[-1] == "some scale-2 bounded set fits in no member"
 
 
 # ------------------------------------------------------------ check_cover

@@ -61,8 +61,10 @@ from coarsehom.homology_engine import (
     smith_normal_form,
 )
 from coarsehom.core_spaces import BigFamilyPrefix, CoarseStructure
-from coarsehom.morphisms import SpaceMap, constant_map, identity_map, translate_map
-from genspaces import moore_space, random_explicit_space, suspension
+from coarsehom.morphisms import SpaceMap, are_close, constant_map, identity_map, translate_map
+from genspaces import (
+    klein_bottle, klein_bottle_triangles, moore_space, random_explicit_space, subdivision, suspension,
+)
 
 Z = FGAbGroup(1)
 ZERO = FGAbGroup(0)
@@ -429,13 +431,8 @@ RP2_TRIANGLES = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
 
 
 def rp2_subdivision():
-    """Barycentric subdivision of RP^2: one point per face, a pair per proper face inclusion."""
-    faces = sorted({f for t in RP2_TRIANGLES for size in (1, 2, 3)
-                    for f in combinations(sorted(t), size)})
-    names = ["".join(map(str, f)) for f in faces]
-    pairs = [(names[a], names[b]) for a, fa in enumerate(faces) for b, fb in enumerate(faces)
-             if len(fa) < len(fb) and set(fa) <= set(fb)]
-    return make_explicit_space(names, [pairs], [names])
+    """Barycentric subdivision of RP^2, 31 points."""
+    return subdivision([tuple(map(str, t)) for t in RP2_TRIANGLES])
 
 
 def test_rp2_subdivision_has_two_torsion(monkeypatch):
@@ -462,6 +459,22 @@ def test_moore_space_has_p_torsion(p, monkeypatch):
     expected = [Z, FGAbGroup(0, (p,)), ZERO]
     assert homology_at_scale(X, 1, 2) == expected
     assert any(residual_sizes)  # the unit phase alone never yields a factor p
+    assert [homology_presentation(X, 1, n).group for n in range(3)] == expected
+
+
+def test_klein_bottle_has_a_free_and_a_two_torsion_one_cycle(monkeypatch):
+    X = klein_bottle()
+    assert len(X.points) == 54
+    # the independent route: sympy's Smith form on the triangles that X subdivides
+    assert oracles.simplicial_homology(klein_bottle_triangles(), 2) == [(1, []), (1, [2]), (0, [])]
+    residual = homology_engine._residual_pivots
+    residual_sizes = []
+    monkeypatch.setattr(homology_engine, "_residual_pivots",
+                        lambda rows: residual_sizes.append(len(rows)) or residual(rows))
+    expected = [Z, FGAbGroup(1, (2,)), ZERO]
+    assert homology_at_scale(X, 1, 2) == expected
+    assert rips_complex(X, 1, 3).homology(2) == expected
+    assert any(residual_sizes)  # the unit phase alone never yields the factor 2
     assert [homology_presentation(X, 1, n).group for n in range(3)] == expected
 
 
@@ -906,6 +919,14 @@ def test_prism_refuses_maps_that_are_not_parallel():
     X, Y = windowed_builtin("half_line", 6), windowed_builtin("half_line", 7)
     with pytest.raises(NotClose, match="prism needs a parallel pair of maps"):
         prism(identity_map(X), identity_map(Y), 1, 1)
+
+
+def test_prism_accepts_a_parallel_pair_on_equal_spaces_built_apart():
+    # ends are compared by value, as are_close and compose do: two builds of half_line(6) are one space
+    X, X2 = windowed_builtin("half_line", 6), windowed_builtin("half_line", 6)
+    f, g = identity_map(X), translate_map(X2, 1)
+    assert X is not X2 and are_close(f, g) == 1
+    assert prism(f, g, 1, 1).verified
 
 
 def test_prism_with_a_planted_sign_flip_is_not_verified(monkeypatch):
