@@ -288,23 +288,29 @@ def diagonal(ground: GroundSet) -> Entourage:
 class ScaleGraph:
     """The scale-k relation as an index-space graph over a ground order.
 
-    nbrs[i] is the sorted list of the points related to point i (i itself
-    included), sets[i] the same as a set.
+    sets[i] is the set of the points related to point i (i itself included),
+    nbrs[i] the same as a sorted list, sorted on the first read of nbrs.
     """
 
-    __slots__ = ("points", "nbrs", "sets")
+    __slots__ = ("points", "sets", "_nbrs")
 
     def __init__(self, points: Sequence, sets: list):
         self.points = tuple(points)
         self.sets = sets
-        self.nbrs = list(map(sorted, sets))
+        self._nbrs = None
+
+    @property
+    def nbrs(self) -> list:
+        if self._nbrs is None:
+            self._nbrs = list(map(sorted, self.sets))
+        return self._nbrs
 
     def restrict(self, subset) -> "ScaleGraph":
         """The induced graph on the points in subset, in ambient order."""
         keep = [i for i, p in enumerate(self.points) if p in subset]
         new = {old: i for i, old in enumerate(keep)}
         return ScaleGraph([self.points[i] for i in keep],
-                          [{new[j] for j in self.nbrs[i] if j in new} for i in keep])
+                          [{new[j] for j in self.sets[i] if j in new} for i in keep])
 
 
 class CoarseStructure:

@@ -64,14 +64,16 @@ class Cover(FrozenRecord):
 
 def greedy_net(X: BornCoarseSpace, k: int) -> list:
     """Separated covering subset, grown greedily in canonical point order."""
-    pts = X.points
-    net = [pts[i] for i in _net_over_order(range(len(pts)), X.coarse.graph(k).sets)]
-    # both halves of the net contract are cheap to re-check exactly
-    for i, d in enumerate(net):
-        ball = X.coarse.ball(k, d)
-        for e in net[i + 1:]:
-            if e in ball:
-                raise CoverError(f"net separation violated by {d!r}, {e!r}")
+    pts, sets = X.points, X.coarse.graph(k).sets
+    taken = _net_over_order(range(len(pts)), sets)
+    # both halves of the net contract are cheap to re-check exactly; the net is in
+    # increasing index order, so a later net point is a larger net index in the ball
+    in_net = set(taken)
+    for i in taken:
+        later = [j for j in sets[i] if j > i and j in in_net]
+        if later:
+            raise CoverError(f"net separation violated by {pts[i]!r}, {pts[min(later)]!r}")
+    net = [pts[i] for i in taken]
     if X.coarse.thicken(k, net) != frozenset(pts):
         raise CoverError("net fails to cover the space")
     return net
@@ -216,11 +218,15 @@ def anti_cech(X: BornCoarseSpace, scale_list: Sequence[int]) -> AntiCechPrefix:
                 i, f"scale {s} is not a Lebesgue scale of the cover at scale {scales[i + 1]}"
             )
         certificates.append(s)
+        # the first member of the next cover that holds m holds any one point of m, so
+        # only the members holding that point are scanned, in increasing index
+        bigs, owners = covers[i + 1].members, {}
+        for t, big in enumerate(bigs):
+            for p in big:
+                owners.setdefault(p, []).append(t)
         kappa = []
         for j, m in enumerate(covers[i].members):
-            target = next(
-                (t for t, big in enumerate(covers[i + 1].members) if m <= big), None
-            )
+            target = next((t for t in owners.get(next(iter(m)), ()) if m <= bigs[t]), None)
             if target is None:
                 raise CertificateFailed(i, f"member {j} fits in no member of the next cover")
             kappa.append(target)

@@ -26,7 +26,15 @@ that column with exact row operations; only the rows that never offer a
 unit reach the residual phase, the Smith form that presentations use, run
 without transforms.  Each boundary of a complex is reduced once: its rank
 serves H_{n-1} and H_n, and its invariant factors give the torsion of
-H_{n-1}.
+H_{n-1}.  A built d_1 whose every column is -1, +1 or a single ±1 is an
+incidence matrix, so a union-find spanning forest gives its rank, with no
+torsion; any other d_1 goes to the kernel.  Each higher d_n drops the rows
+at the unit-pivot columns of d_{n-1} (the forest edges for n = 2) before it
+is reduced: the pivot block is unimodular and d_{n-1} d_n = 0, so those rows
+are integer combinations of the kept ones, and rank and torsion do not
+change (the compression of Bauer, Kerber and Reininghaus, Clear and
+Compress, 2014).  d∘d is checked on the full matrices, a row of the product
+at a time, never stored.
 
 The `snf` command and the presentations of `chain_maps` share one Smith
 form with transforms, whose pivot is the least |nonzero| entry, ties
@@ -171,8 +179,23 @@ def _boundary_from_lists(basis_n, basis_prev, n, inside=None):
 
 
 def _is_complex(boundaries: Sequence[Optional[IntMatrix]]):
-    """Whether d_{n-1} d_n = 0 exactly for boundaries[n] = d_n, n >= 1."""
-    return not any(boundaries[n - 1] @ boundaries[n] for n in range(2, len(boundaries)))
+    """Whether d_{n-1} d_n = 0 exactly for boundaries[n] = d_n, n >= 1.
+
+    Each row of a product is summed and tested, never stored; the first
+    nonzero row settles it.
+    """
+    for n in range(2, len(boundaries)):
+        below, rows = boundaries[n - 1], boundaries[n].rows
+        if below.shape[1] != len(rows):
+            raise ValueError(f"cannot multiply {below.shape} by {boundaries[n].shape}")
+        for row in below.rows:
+            acc: Dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                return False
+    return True
 
 
 # ------------------------------------------------------------ exact SNF
@@ -378,7 +401,8 @@ def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
 
 
 def _sparse_invariants(rows: List[Dict[int, int]]):
-    """Rank and invariant factors (with 1s) of a sparse integer matrix, destructive on rows.
+    """Rank, invariant factors (with 1s) and unit-pivot columns of a sparse integer matrix,
+    destructive on rows.
 
     Unit phase: rows wait in a heap keyed on (length, generation); a popped
     row whose generation is current offers its ±1 entry in the sparsest
@@ -387,6 +411,8 @@ def _sparse_invariants(rows: List[Dict[int, int]]):
     row without touching any other).  Every row the operation changed gets a
     new generation and goes back on the heap, so stale entries are skipped.
     Residual phase: the rows that never offered a unit go to the Smith form.
+    The pivot rows and columns of the unit phase meet in a triangular block
+    with ±1 diagonal, so that block of the input is unimodular.
     """
     col_index: Dict[int, set] = {}
     for i, row in enumerate(rows):
@@ -395,7 +421,7 @@ def _sparse_invariants(rows: List[Dict[int, int]]):
     gen = [0] * len(rows)
     heap = [(len(row), 0, i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    units = 0
+    pivots = []
     while heap:
         length, g, r = heapq.heappop(heap)
         if g != gen[r] or length == 0:
@@ -433,10 +459,10 @@ def _sparse_invariants(rows: List[Dict[int, int]]):
             if not s:
                 del col_index[j]
         rows[r] = {}
-        units += 1
+        pivots.append(c)
     rest = [row for row in rows if row]
     facs = _residual_pivots(rest) if rest else []
-    return units + len(facs), [1] * units + facs
+    return len(pivots) + len(facs), [1] * len(pivots) + facs, pivots
 
 
 def _residual_pivots(rows: List[Dict[int, int]]):
@@ -477,12 +503,50 @@ class FGAbGroup(FrozenRecord):
         return " + ".join(parts) if parts else "0"
 
 
+def _forest_columns(d: IntMatrix) -> Optional[List[int]]:
+    """The columns of d_1 that a spanning forest takes, or None when d_1 is no incidence matrix.
+
+    Each column must be -1, +1 (an edge) or a single ±1 (an edge to a masked
+    vertex, joined at one root past the last row).  Then the edges that
+    union-find merges number rank d_1, with no torsion, and they and the
+    non-root vertex of each tree meet in a unimodular block.
+    """
+    m, n = d.shape
+    plus, minus = [m] * n, [m] * n  # per column, the row of its +1 and of its -1
+    for i, row in enumerate(d.rows):
+        for j, v in row.items():
+            if v == 1 and plus[j] == m:
+                plus[j] = i
+            elif v == -1 and minus[j] == m:
+                minus[j] = i
+            else:
+                return None
+    parent = list(range(m + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    forest = []
+    for j, a, b in zip(range(n), plus, minus):
+        if a == b:  # an empty column
+            return None
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+            forest.append(j)
+    return forest
+
+
 def _simplicial_groups(simplices: Sequence[List[tuple]], d_max, inside=None):
     """Groups 0..d_max from simplices by dimension (increasing index tuples; relative chains,
     less those wholly in the point mask inside, when given): the one route to groups.
 
     Boundaries are built through d_max + 1, or as far as the complex reaches, 0 past
-    that, checked to compose to zero and each reduced once.
+    that, checked to compose to zero and each reduced once: d_1 by a spanning forest
+    when it is an incidence matrix, every other one by the kernel, less the rows at
+    the unit-pivot columns of the boundary below.
     H_n = Z^(c_n - rank d_n - rank d_{n+1}) + the torsion of d_{n+1}.
     """
     boundaries = [None] + [_boundary_from_lists(simplices[n], simplices[n - 1], n, inside)
@@ -490,8 +554,13 @@ def _simplicial_groups(simplices: Sequence[List[tuple]], d_max, inside=None):
     if not _is_complex(boundaries):
         raise HomologyError("boundary matrices fail the complex identity")
     ranks, torsion = [0] * (d_max + 2), [()] * (d_max + 2)
-    for n, d in enumerate(boundaries[1:], 1):
-        ranks[n], facs = _sparse_invariants(d.rows)  # built here, so reduced in place
+    pivots, start = [], 1  # unit-pivot columns of the boundary below, first boundary to reduce
+    if len(boundaries) > 1 and (forest := _forest_columns(boundaries[1])) is not None:
+        ranks[1], pivots, start = len(forest), forest, 2
+    for n in range(start, len(boundaries)):
+        drop = set(pivots)  # the rows built here are reduced in place
+        ranks[n], facs, pivots = _sparse_invariants([row for i, row in enumerate(boundaries[n].rows)
+                                                     if i not in drop])
         torsion[n] = tuple(f for f in facs if f >= 2)
     dims = [len(level) for level in simplices[:d_max + 1]] + [0] * (d_max + 1 - len(simplices))
     return [FGAbGroup(c - ranks[n] - ranks[n + 1], torsion[n + 1]) for n, c in enumerate(dims)]

@@ -306,6 +306,31 @@ def sparse_chain_homology(dims, boundaries, max_degree):
             for n in range(max_degree + 1)]
 
 
+def full_boundary_groups(simplices, d_max, kernel, inside=None):
+    """Groups 0..d_max of a simplicial complex with every full boundary reduced by kernel.
+
+    simplices: increasing index tuples by dimension; with a point mask inside,
+    the relative chains, so none lies wholly in it.  Each boundary is built
+    here from the alternating face sum, a face wholly in inside dropped, and
+    handed whole to kernel(rows) -> (rank, invariant factors, ...), rows a
+    list of dicts {column: value}: no spanning forest and no row dropped.
+    Returns [(free_rank, [torsion coefficients >= 2]), ...].
+    """
+    levels = list(simplices) + [[]] * (d_max + 2 - len(simplices))
+    ranks, torsion = [0] * (d_max + 2), [[]] * (d_max + 2)
+    for n in range(1, d_max + 2):
+        index = {s: i for i, s in enumerate(levels[n - 1])}
+        rows = [{} for _ in levels[n - 1]]
+        for j, s in enumerate(levels[n]):
+            for i in range(n + 1):
+                face = s[:i] + s[i + 1:]
+                if inside is None or not all(inside[v] for v in face):
+                    rows[index[face]][j] = (-1) ** i
+        ranks[n], facs = kernel(rows)[:2]
+        torsion[n] = [f for f in facs if f >= 2]
+    return [(len(levels[n]) - ranks[n] - ranks[n + 1], torsion[n + 1]) for n in range(d_max + 1)]
+
+
 def smith_invariant_factors(rows):
     """Nonzero invariant factors, 1s included, ascending, via sympy's Smith form."""
     if not rows or not rows[0]:

@@ -25,6 +25,7 @@ from coarsehom import (
 )
 from coarsehom import chain_maps, covers, homology_engine
 from coarsehom.coarsification import coarsening_space, coarsify_homology, nerve
+from coarsehom.core_spaces import ScaleGraph
 from coarsehom.covers import (
     AntiCechPrefix,
     CertificateFailed,
@@ -103,6 +104,16 @@ def test_net_separation_refusal_names_the_first_related_pair(monkeypatch):
     with pytest.raises(CoverError) as e:
         greedy_net(path_space(6), 1)
     assert str(e.value) == "net separation violated by 3, 4"
+
+
+def test_covers_never_sort_neighbour_lists(monkeypatch):
+    # covers read the scale graph's sets only, so no neighbour list is sorted for them
+    monkeypatch.setattr(ScaleGraph, "nbrs", property(lambda g: pytest.fail("nbrs read")))
+    X = windowed_builtin("int_window", 30)
+    assert greedy_net(X, 2) == list(range(-30, 31, 3))
+    cover_from_net(X, 2)
+    anti_cech(X, [1, 2, 4])
+    asdim_upper_bound(X, [1, 2])
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,6 +293,17 @@ def test_anti_cech_longer_chain_containments():
     for i, kappa in enumerate(pre.refinements):
         for j, m in enumerate(pre.covers[i].members):
             assert m <= pre.covers[i + 1].members[kappa[j]]
+
+
+def test_anti_cech_refinement_is_the_least_containing_member():
+    # kappa scans only the members holding one point of m: the full scan must agree
+    for X, scales in [(windowed_builtin("int_window", 100), [1, 2, 4, 8, 16]),
+                      (windowed_builtin("half_line", 30), [1, 2, 4]), (path_space(20), [1, 3])]:
+        pre = anti_cech(X, scales)
+        for i, kappa in enumerate(pre.refinements):
+            bigs = pre.covers[i + 1].members
+            assert list(kappa) == [min(t for t, big in enumerate(bigs) if m <= big)
+                                   for m in pre.covers[i].members]
 
 
 # ------------------------------------------------------------------ nerve

@@ -13,6 +13,7 @@ import json
 import random
 import tracemalloc
 import weakref
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -385,10 +386,12 @@ def planted_torsion_matrices(draw):
 
 
 def assert_kernel_matches_sympy(A):
-    rank, facs = homology_engine._sparse_invariants(
+    rank, facs, pivots = homology_engine._sparse_invariants(
         [{j: v for j, v in enumerate(row) if v} for row in A])
     expected = oracles.smith_invariant_factors(A)
     assert (rank, facs) == (len(expected), expected)
+    # unit pivots sit in distinct columns, one factor 1 each
+    assert len(set(pivots)) == len(pivots) <= facs.count(1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -417,12 +420,59 @@ def test_snf_bit_identical_to_reference(A):
 
 
 def test_homology_reduces_each_boundary_once(monkeypatch):
-    kernel = homology_engine._sparse_invariants
-    calls = []
+    kernel, forest = homology_engine._sparse_invariants, homology_engine._forest_columns
+    rows_reduced, forests = [], []
     monkeypatch.setattr(homology_engine, "_sparse_invariants",
-                        lambda rows: calls.append(len(rows)) or kernel(rows))
-    assert homology_at_scale(HEX, 1, 2) == [Z, Z, ZERO]
-    assert len(calls) == 3
+                        lambda rows: rows_reduced.append(len(rows)) or kernel(rows))
+    monkeypatch.setattr(homology_engine, "_forest_columns", lambda d: forests.append(d.shape) or forest(d))
+    # d_1 by the forest, d_2 and d_3 by the kernel, each less the rows at the pivots below:
+    # the hexagon's 6 edges less a 5-edge spanning tree; at k = 2 the octahedron's
+    # 12 edges less 5, then its 8 triangles less the 7 unit pivots of d_2
+    for k, groups, shape, rows in [(1, [Z, Z, ZERO], (6, 6), [1, 0]), (2, [Z, ZERO, Z], (6, 12), [7, 1])]:
+        rows_reduced.clear()
+        forests.clear()
+        assert homology_at_scale(HEX, k, 2) == groups
+        assert forests == [shape] and rows_reduced == rows
+
+
+def assert_groups_match_full_boundaries(simplices, d_max, inside=None):
+    want = oracles.full_boundary_groups(simplices, d_max, homology_engine._sparse_invariants, inside)
+    got = homology_engine._simplicial_groups(simplices, d_max, inside)
+    assert [(g.free_rank, list(g.torsion)) for g in got] == want
+
+
+@st.composite
+def flag_complexes(draw):
+    """Cliques of a random graph through dimension d_max + 1, each level in a random order;
+    with a random point mask, less the cliques wholly in it."""
+    n, d_max = draw(st.integers(1, 9)), draw(st.integers(0, 3))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    inside = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    cliques = oracles.clique_complex(range(n), edges, d_max + 1)
+    levels = [sorted(tuple(sorted(c)) for c in cliques if len(c) == dim + 1
+                     and (inside is None or not all(inside[v] for v in c))) for dim in range(d_max + 2)]
+    return [draw(st.permutations(level)) for level in levels], d_max, inside
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_complexes())
+def test_forest_and_compression_match_full_boundaries_on_flag_complexes(case):
+    assert_groups_match_full_boundaries(*case)
+
+
+def test_planted_late_row_of_a_product_is_refused():
+    # d_1..d_4 of the 4-simplex; one entry planted in the last row of d_2 makes only the
+    # last row of d_2 d_3 nonzero
+    simplices = rips_complex(clique_space(5), 1, 4).simplices
+    boundaries = [None] + [homology_engine._boundary_from_lists(simplices[n], simplices[n - 1], n)
+                           for n in range(1, 5)]
+    assert homology_engine._is_complex(boundaries)
+    last = boundaries[2].rows[-1]
+    column = next(j for j in range(boundaries[2].shape[1]) if j not in last and boundaries[3].rows[j])
+    last[column] = 1
+    product = boundaries[2] @ boundaries[3]
+    assert [i for i, row in enumerate(product.rows) if row] == [len(product.rows) - 1]
+    assert not homology_engine._is_complex(boundaries)
 
 
 # six-vertex real projective plane: every edge lies on exactly two triangles
@@ -505,6 +555,23 @@ def test_planted_face_sign_flip_changes_a_moore_group(p, monkeypatch):
     # one degree up, d_1 d_2 sees it
     with pytest.raises(HomologyError, match="complex identity"):
         homology_at_scale(X, 1, 1)
+
+
+TORSION_SPACES = {"rp2": rp2_subdivision, "klein": klein_bottle,
+                  **{f"moore{p}": partial(moore_space, p) for p in (2, 3, 5)},
+                  **{f"suspended moore{p}": lambda p=p: suspension(moore_space(p)) for p in (2, 3)}}
+
+
+@pytest.mark.parametrize("name", TORSION_SPACES)
+def test_forest_and_compression_match_full_boundaries_with_torsion(name):
+    X = TORSION_SPACES[name]()
+    g = X.coarse.graph(1)
+    rng = random.Random(name)
+    for d_max in range(4):
+        assert_groups_match_full_boundaries(rips_complex(X, 1, d_max + 1).simplices, d_max)
+        inside = [rng.random() < 0.3 for _ in X.points]
+        cliques = homology_engine._cliques(g, d_max + 1, None, 1, False, inside)
+        assert_groups_match_full_boundaries(cliques, d_max, inside)
 
 
 # -------------------------------------------------------- homology_at_scale
