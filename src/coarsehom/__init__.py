@@ -14,8 +14,8 @@ _LAYERS = {
         "CoarseError", "CoarseStructure", "Entourage", "GroundSet", "IncompatibleStructures",
         "InvalidMetric", "NegativeDistance", "NonSymmetricMatrix", "ScaleGraph", "UnknownPoint",
         "WindowTag", "big_family_generated", "closure_at", "coarse_components", "coproduct",
-        "free_union", "from_metric", "is_U_bounded", "make_big_family", "make_explicit_space",
-        "mixed_union", "product_p", "semidirect", "subspace", "thicken", "windowed_builtin",
+        "from_metric", "is_U_bounded", "make_big_family", "make_explicit_space", "product_p",
+        "semidirect", "subspace", "thicken", "windowed_builtin",
     ),
     "morphisms": (
         "Cylinder", "CylinderMismatch", "EquivalenceReport", "FlasqueCertificate",

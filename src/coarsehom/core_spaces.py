@@ -10,6 +10,7 @@ components, thickenings) is reported in that order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -520,24 +521,44 @@ class Bornology:
 
     B is bounded iff B is contained in the union of the generators; with a
     finite generator list this is the downward closed, union closed family
-    they generate.
+    they generate.  The union is what bounded and covers read.  A nested
+    bornology B_0 <= B_1 <= ... is given instead by rank, the least n with p in
+    B_n as a function of the point p, and the whole ground is its union; its
+    generators are made from the ground's points on their first read.
     """
 
-    __slots__ = ("ground", "generators", "_union")
+    __slots__ = ("ground", "_union", "_rank", "_generators")
 
-    def __init__(self, ground: GroundSet, generators: Sequence[Iterable]):
-        self.ground = ground
-        self.generators = tuple(ground.check_subset(g) for g in generators)
-        u = set()
-        for g in self.generators:
-            u |= g
-        self._union = frozenset(u)
+    def __init__(self, ground: GroundSet, generators: Sequence[Iterable] = (), rank=None):
+        self.ground, self._rank = ground, rank
+        if rank is None:
+            self._generators = tuple(ground.check_subset(g) for g in generators)
+            self._union = frozenset().union(*self._generators)
+        else:
+            self._generators, self._union = None, frozenset(ground.points)
+
+    @property
+    def generators(self) -> tuple:
+        if self._generators is None:
+            self._generators = self._balls()
+        return self._generators
+
+    def _balls(self) -> tuple:
+        """B_n = {p : rank(p) <= n} for n = 0 up to the largest rank."""
+        layers = {}
+        for p in self.ground.points:
+            layers.setdefault(self._rank(p), []).append(p)
+        balls, ball = [], set()
+        for n in range(max(layers, default=-1) + 1):
+            ball.update(layers.get(n, ()))
+            balls.append(frozenset(ball))
+        return tuple(balls)
 
     def bounded(self, B: Iterable) -> bool:
         return frozenset(B) <= self._union
 
     def covers(self) -> bool:
-        return self._union >= frozenset(self.ground.points)
+        return len(self._union) == len(self.ground)  # the union lies in the ground
 
     def __eq__(self, other):
         return isinstance(other, Bornology) and set(self.generators) == set(other.generators)
@@ -610,7 +631,7 @@ class BornCoarseSpace:
     def __eq__(self, other):
         if not isinstance(other, BornCoarseSpace):
             return NotImplemented
-        return (
+        return self is other or (
             self.ground == other.ground
             and tuple(g.pairs for g in self.coarse.generators) == tuple(g.pairs for g in other.coarse.generators)
             and self.bornology == other.bornology
@@ -698,9 +719,14 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
     """Finite windows into the standard infinite examples.
 
     half_line(N) is {0..N} with unit-step generators, int_window(N) is {-N..N},
-    grid2_window(N) is {-N..N}^2 with the l^1 metric.  Bornology generators are
-    the graded metric balls around the origin clipped to the window, so bounded
-    sets of every size up to the window are representable.
+    grid2_window(N) is {-N..N}^2 with the l^1 metric.  The bornology is the graded
+    metric balls B_n around the origin clipped to the window, so bounded sets of
+    every size up to the window are representable.  It is held as one rank per
+    point, the least n with p in B_n (p, |p| or |a| + |b|), so a window builds in
+    time and memory linear in its points.  The balls themselves are made on the
+    first read of bornology.generators, which only emission, product_p,
+    coproduct, subspace, cylinder, flasqueness margins and == between distinct
+    spaces ask for.  Each distance's Fraction is made on its first use.
     """
     if radius < 1:
         raise CoarseError("radius must be >= 1")
@@ -708,33 +734,19 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
     pts = tag.points
     if not pts:
         raise CoarseError(f"unknown builtin {name!r}; expected half_line, int_window or grid2_window")
-    frac = [Fraction(d) for d in range(4 * radius + 1)]  # every distance in the window, made once
-    if name == "half_line":
-        adj = [(t, t + 1) for t in range(radius)]
-        born = [frozenset(range(n + 1)) for n in range(radius + 1)]
-        metric = UniformMetric(lambda x, y: frac[abs(x - y)], "unit metric on the half line")
-    elif name == "int_window":
-        adj = [(t, t + 1) for t in range(-radius, radius)]
-        born = [frozenset(range(-n, n + 1)) for n in range(radius + 1)]
-        metric = UniformMetric(lambda x, y: frac[abs(x - y)], "unit metric on the integers")
+    frac = lru_cache(maxsize=None)(Fraction)
+    if name == "grid2_window":
+        adj = [((a, b), (a + 1, b)) for a, b in pts if a < radius]
+        adj += [((a, b), (a, b + 1)) for a, b in pts if b < radius]
+        rank = lambda p: abs(p[0]) + abs(p[1])
+        metric = UniformMetric(lambda x, y: frac(abs(x[0] - y[0]) + abs(x[1] - y[1])), "l1 metric on the plane grid")
     else:
-        adj = []
-        for a, b in pts:
-            if a + 1 <= radius:
-                adj.append(((a, b), (a + 1, b)))
-            if b + 1 <= radius:
-                adj.append(((a, b), (a, b + 1)))
-        born = [
-            frozenset(p for p in pts if abs(p[0]) + abs(p[1]) <= n)
-            for n in range(2 * radius + 1)
-        ]
-        metric = UniformMetric(
-            lambda x, y: frac[abs(x[0] - y[0]) + abs(x[1] - y[1])], "l1 metric on the plane grid"
-        )
+        adj, rank = list(zip(pts, pts[1:])), abs  # a half line's points are >= 0, so |p| = p
+        line = "the half line" if name == "half_line" else "the integers"
+        metric = UniformMetric(lambda x, y: frac(abs(x - y)), f"unit metric on {line}")
     ground = GroundSet(pts)
     coarse = CoarseStructure(ground, [Entourage(ground, adj)])
-    bornology = Bornology(ground, born)
-    return BornCoarseSpace(ground, coarse, bornology, window_tag=tag, metric=metric)
+    return BornCoarseSpace(ground, coarse, Bornology(ground, rank=rank), window_tag=tag, metric=metric)
 
 
 def thicken(space: BornCoarseSpace, k: int, B: Iterable) -> frozenset:
@@ -788,49 +800,15 @@ def semidirect(X: BornCoarseSpace, Y: BornCoarseSpace) -> BornCoarseSpace:
     return BornCoarseSpace(prod.ground, prod.coarse, bornology)
 
 
-def _tagged_union_points(spaces: Sequence[BornCoarseSpace]):
-    pts = []
-    for i, S in enumerate(spaces):
-        pts.extend((i, p) for p in S.ground.points)
-    return pts
-
-
-def _tagged_bornology(ground: GroundSet, spaces: Sequence[BornCoarseSpace]) -> Bornology:
-    return Bornology(ground, [frozenset((i, p) for p in B)
-                              for i, S in enumerate(spaces) for B in S.bornology.generators])
-
-
 def coproduct(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
-    """Disjoint union; per-factor generators, bounded iff bounded in each factor."""
+    """Disjoint union of the points (i, p) of factor i; per-factor generators, bounded iff
+    bounded in each factor."""
     spaces = list(spaces)
-    ground = GroundSet(_tagged_union_points(spaces))
-    gens = []
-    for i, S in enumerate(spaces):
-        for g in S.coarse.generators:
-            gens.append(Entourage(ground, (((i, x), (i, y)) for x, y in g.pairs)))
-    return BornCoarseSpace(ground, CoarseStructure(ground, gens), _tagged_bornology(ground, spaces))
-
-
-def free_union(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
-    """Disjoint union with one generator per family of factor entourages.
-
-    On finitely many factors the coarse structure agrees with the coproduct;
-    the distinction only matters for infinite families, which are out of reach
-    here anyway.
-    """
-    spaces = list(spaces)
-    ground = GroundSet(_tagged_union_points(spaces))
-    pairs = []
-    for i, S in enumerate(spaces):
-        pairs.extend(((i, x), (i, y)) for x, y in S.closure_at(1).pairs)
-    coarse = CoarseStructure(ground, [Entourage(ground, pairs)] if pairs else [])
-    return BornCoarseSpace(ground, coarse, _tagged_bornology(ground, spaces))
-
-
-def mixed_union(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:
-    """Coarse structure of the coproduct with the free-union bornology, which on finitely
-    many factors is the coproduct's: so the coproduct itself."""
-    return coproduct(spaces)
+    ground = GroundSet([(i, p) for i, S in enumerate(spaces) for p in S.ground.points])
+    gens = [Entourage(ground, (((i, x), (i, y)) for x, y in g.pairs))
+            for i, S in enumerate(spaces) for g in S.coarse.generators]
+    born = [frozenset((i, p) for p in B) for i, S in enumerate(spaces) for B in S.bornology.generators]
+    return BornCoarseSpace(ground, CoarseStructure(ground, gens), Bornology(ground, born))
 
 
 def subspace(X: BornCoarseSpace, A: Iterable) -> BornCoarseSpace:

@@ -238,20 +238,21 @@ def check_morphism(f: SpaceMap) -> MorphismReport:
     stabilization scale.  The least d with an image pair related at no scale is
     the first failing scale: the map is not controlled, the witness is the least
     such pair of closure_at(d), and scale_shift holds the scales below d.
+
+    Properness first tests the preimage of the target's bounded union.  Bounded sets
+    are closed under subsets and finite unions, so that preimage is bounded iff every
+    generator's is; only when it is not are the generators scanned for the first one
+    whose preimage is unbounded, the witness.
     """
     src, tgt = f.source, f.target
     shift, fail = _shift_table(f)
     controlled = fail is None
     witness = None if controlled else _uncontrolled_pair(f, fail)
-    proper = True
+    preimage = lambda B: [x for x in src.ground.points if f(x) in B]
     proper_witness = None
-    for B in tgt.bornology.generators:
-        preimage = frozenset(x for x in src.ground.points if f(x) in B)
-        if not src.bornology.bounded(preimage):
-            proper = False
-            proper_witness = B
-            break
-    return MorphismReport(controlled, proper, shift, witness, proper_witness)
+    if not src.bornology.bounded(preimage(tgt.bornology._union)):
+        proper_witness = next(B for B in tgt.bornology.generators if not src.bornology.bounded(preimage(B)))
+    return MorphismReport(controlled, proper_witness is None, shift, witness, proper_witness)
 
 
 def are_close(f: SpaceMap, g: SpaceMap) -> Optional[int]:

@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from coarsehom import (
     BadScales,
+    Bornology,
     BornologyDoesNotCover,
     CoarseError,
     CoarseStructure,
     Entourage,
+    FGAbGroup,
     GroundSet,
     IncompatibleStructures,
     InvalidMetric,
@@ -24,12 +26,11 @@ from coarsehom import (
     closure_at,
     coarse_components,
     coproduct,
-    free_union,
     from_metric,
+    homology_at_scale,
     is_U_bounded,
     make_big_family,
     make_explicit_space,
-    mixed_union,
     mv_check,
     product_p,
     semidirect,
@@ -39,7 +40,7 @@ from coarsehom import (
 )
 
 import oracles
-from genspaces import random_explicit_space, random_metric_document
+from genspaces import moore_space, random_explicit_space, random_metric_document
 from oracles import bfs_distance_pairs, union_find_components
 
 
@@ -626,24 +627,58 @@ def test_product_closure_is_product_of_closures():
         assert prod.closure_at(k).pairs == expected
 
 
-def test_free_union_of_points():
+def test_coproduct_of_points():
     P = make_explicit_space(["*"], [], [["*"]])
-    U = free_union([P] * 4)
+    U = coproduct([P] * 4)
     assert len(U) == 4
     assert len(coarse_components(U)) == 4
     assert U.bornology.bounded(U.points)
 
 
-def test_union_flavours_agree_on_finite_families():
-    rng = random.Random(5)
-    factors = [random_explicit_space(rng, max_points=8, max_pairs=12) for _ in range(3)]
-    cp, fu, mx = coproduct(factors), free_union(factors), mixed_union(factors)
-    s = max(cp.coarse.stabilization(), fu.coarse.stabilization())
-    for k in range(s + 1):
-        assert cp.closure_at(k).pairs == fu.closure_at(k).pairs == mx.closure_at(k).pairs
-    for S in ({(0, factors[0].points[0])}, set(cp.points)):
-        assert cp.bornology.bounded(S) == fu.bornology.bounded(S) == mx.bornology.bounded(S)
-    assert coarse_components(cp) == coarse_components(fu) == coarse_components(mx)
+def eager_window_balls(name, r):
+    """The graded balls around the origin as windowed_builtin once stored them, one frozenset each."""
+    if name == "half_line":
+        return tuple(frozenset(range(n + 1)) for n in range(r + 1))
+    if name == "int_window":
+        return tuple(frozenset(range(-n, n + 1)) for n in range(r + 1))
+    pts = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)]
+    return tuple(frozenset(p for p in pts if abs(p[0]) + abs(p[1]) <= n) for n in range(2 * r + 1))
+
+
+@pytest.mark.parametrize("name", ["half_line", "int_window", "grid2_window"])
+def test_window_generators_read_back_the_eager_balls(name):
+    for r in range(1, 13):
+        assert windowed_builtin(name, r).bornology.generators == eager_window_balls(name, r), r
+
+
+def test_window_reads_answer_without_building_generators(monkeypatch):
+    made = []
+    balls = Bornology._balls
+    monkeypatch.setattr(Bornology, "_balls", lambda self: made.append(self) or balls(self))
+    for name, r, diameter in (("half_line", 40, 40), ("int_window", 30, 60), ("grid2_window", 6, 24)):
+        X = windowed_builtin(name, r)
+        assert X.coarse.stabilization() == diameter
+        assert X.bornology.covers() and X.bornology.bounded(X.points)
+        assert not X.bornology.bounded([X.points[0], "outside"])
+        assert X == X and not X != X
+    assert made == []
+    # the probe sees a read: == between two distinct windows compares their generators
+    assert windowed_builtin("int_window", 3) == windowed_builtin("int_window", 3)
+    assert len(made) == 2
+
+
+def test_coproduct_of_a_torsion_fixture_with_a_window():
+    M, W = moore_space(3), windowed_builtin("int_window", 6)
+    C = coproduct([M, W])
+    hm, hw = homology_at_scale(M, 1, 2), homology_at_scale(W, 1, 2)
+    assert hm == [FGAbGroup(1), FGAbGroup(0, (3,)), FGAbGroup(0)]
+    assert hw == [FGAbGroup(1), FGAbGroup(0), FGAbGroup(0)]
+    assert homology_at_scale(C, 1, 2) == [FGAbGroup(a.free_rank + b.free_rank, a.torsion + b.torsion)
+                                          for a, b in zip(hm, hw)]
+    tagged = [frozenset((0, p) for p in B) for B in M.bornology.generators]
+    tagged += [frozenset((1, p) for p in B) for B in eager_window_balls("int_window", 6)]
+    assert C.bornology.generators == tuple(tagged)
+    assert coarse_components(C) == [[(0, p) for p in M.points], [(1, p) for p in W.points]]
 
 
 def test_semidirect_bornology():

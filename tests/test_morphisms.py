@@ -107,6 +107,32 @@ def test_improper_map_detectable():
     assert rep.proper_witness == frozenset({"*"})
 
 
+def test_proper_witness_is_the_first_generator_with_an_unbounded_preimage():
+    """Properness tests the preimage of the target's bounded union first; the witness is
+    still the first target generator, in order, whose preimage is unbounded."""
+    def generator_scan(f):
+        return next((B for B in f.target.bornology.generators
+                     if not f.source.bornology.bounded([x for x in f.source.points if f(x) in B])), None)
+
+    def space(rng, n):  # point n - 1 lies in no generator, so the bornology never covers
+        g = GroundSet(range(n))
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+        born = [rng.sample(range(n - 1), rng.randint(0, n - 1)) for _ in range(rng.randint(1, 4))]
+        return BornCoarseSpace(g, CoarseStructure(g, [Entourage(g, edges)]), Bornology(g, born))
+
+    rng, verdicts = random.Random(41), Counter()
+    for _ in range(80):
+        X, Y = space(rng, rng.randint(2, 9)), space(rng, rng.randint(2, 9))
+        table = {x: rng.randrange(len(Y) - 1) if X.bornology.bounded([x]) else len(Y) - 1 for x in X.points}
+        if rng.random() < 0.6:  # planted: an unbounded point lands in a bounded generator
+            table[len(X) - 1] = rng.choice(sorted(rng.choice(Y.bornology.generators) or [0]))
+        f = SpaceMap(X, Y, table)
+        rep = check_morphism(f)
+        assert rep.proper_witness == generator_scan(f) and rep.proper == (rep.proper_witness is None), table
+        verdicts[rep.proper] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 10, verdicts
+
+
 def test_controlled_witness_is_least_failing_pair():
     # string points iterate in a different order under every hash seed
     pts = list("abcdef")
