@@ -10,9 +10,23 @@ and far smaller.  That serves `homology_at_scale`, hence the per-scale
 colimit table, `relative_homology` and the excision check `mv_check`;
 relative to Y the complex loses the simplices wholly in Y, as the quotient
 loses the tuples whose vertex sets are.  `basis_cap` still bounds the
-(quotient's) tuples per degree, read off the clique counts.  Clique,
-relative, excision, Rips, nerve and telescope complexes take one route from
-a simplex list to groups, which checks d∘d = 0 exactly.  At stabilization
+(quotient's) tuples per degree, read off the clique counts.
+
+The groups of `homology_at_scale` and `relative_homology` are read off the
+strong-collapse core of the scale graph: a vertex v with N[v] ⊆ N[w] for a
+neighbour w is deleted until none is left, a homotopy equivalence of flag
+complexes (Barmak and Minian, Strong homotopy types, nerves and collapses,
+2012).  Relative to Y, v goes only when it is outside Y or w is inside, so
+X and Y both keep their homotopy types and the relative groups stay.  A
+replay of the deletions on the whole graph refuses a false domination or a
+broken pair rule.  The cap still counts the whole complex's tuples: when
+the degree bound m·c_m <= Σ_v C(deg v, m-1) on the m-cliques leaves no
+room for a refusal, only the core is enumerated; otherwise the whole
+complex is enumerated under the cap first.  `mv_check`, which checks every
+simplex against Z, and `rips_complex`, the independent route the tests
+compare against, stay on the whole complex.  Clique, relative, excision,
+Rips, nerve and telescope complexes take one route from a simplex list to
+groups, which checks d∘d = 0 exactly.  At stabilization
 each coarse component is a clique, hence a cone: the colimit is
 Z^(components) in degree 0 and 0 above, counted off the stored coarse
 components once the hop-distance table confirms each is a clique; nothing
@@ -566,21 +580,97 @@ def _simplicial_groups(simplices: Sequence[List[tuple]], d_max, inside=None):
     return [FGAbGroup(c - ranks[n] - ranks[n + 1], torsion[n + 1]) for n, c in enumerate(dims)]
 
 
+def _core(g: ScaleGraph, inside=None):
+    """The strong-collapse core of g: (induced graph on the survivors, inside restricted to
+    them, the deletions as (v, w) index pairs of g), or (g, inside, []) when nothing goes.
+
+    A vertex v goes when some neighbour w != v has N[v] ⊆ N[w] among the vertices left, and
+    with a point mask only when v is outside it or w inside; the neighbours of each deleted
+    vertex are tested again.  The sets are copied at the first deletion.
+    """
+    sets, n = g.sets, len(g.sets)
+    alive, queued = [True] * n, [True] * n
+    todo, deleted = list(range(n - 1, -1, -1)), []
+    while todo:
+        v = todo.pop()
+        queued[v] = False
+        near = sets[v]
+        for w in near:
+            if w != v and near <= sets[w] and (inside is None or inside[w] or not inside[v]):
+                break
+        else:
+            continue
+        if not deleted:
+            sets = [set(s) for s in sets]
+            near = sets[v]
+        alive[v] = False
+        deleted.append((v, w))
+        for u in near:
+            if u != v:
+                sets[u].discard(v)
+                if not queued[u]:
+                    queued[u] = True
+                    todo.append(u)
+    if not deleted:
+        return g, inside, deleted
+    core = g.restrict({p for p, a in zip(g.points, alive) if a})
+    return core, None if inside is None else [x for x, a in zip(inside, alive) if a], deleted
+
+
+def _check_collapse(g: ScaleGraph, inside, deleted, core: ScaleGraph):
+    """Replays the deletions on the sets of g: each v must be dominated by w among the points
+    left, under the pair rule with a mask, and the survivors must be the points of core."""
+    sets, alive = g.sets, [True] * len(g.sets)
+    for v, w in deleted:
+        pv, pw = g.points[v], g.points[w]
+        if v == w or not (alive[v] and alive[w]) or any(map(alive.__getitem__, sets[v] - sets[w])):
+            raise HomologyError(f"the strong collapse deletes {pv!r} under {pw!r}, which does not dominate it")
+        if inside is not None and inside[v] and not inside[w]:
+            raise HomologyError(f"the strong collapse deletes {pv!r}, a point of Y, under {pw!r}, "
+                                "a point outside Y")
+        alive[v] = False
+    if core.points != tuple(p for p, a in zip(g.points, alive) if a):
+        raise HomologyError("the strong-collapse core is not the points its deletions leave")
+
+
+def _cap_cannot_refuse(g: ScaleGraph, top, cap):
+    """Whether no degree 0..top can have more than cap tuples: an m-clique lies in the
+    neighbourhood of each of its m vertices, so m·c_m <= Σ_v C(deg v, m-1), and
+    _tuple_count grows with the clique counts."""
+    sizes = list(map(len, g.sets))
+    degrees = {d - 1: sizes.count(d) for d in set(sizes)}
+    bounds = [sum(c * comb(d, m - 1) for d, c in degrees.items()) // m for m in range(1, top + 2)]
+    return all(_tuple_count(bounds, n) <= cap for n in range(top + 1))
+
+
 def _clique_groups(X, k, d_max, basis_cap, Y=None):
     """Groups 0..d_max of the scale-k clique complex (relative to Y when given), built through
-    d_max + 1 with basis_cap counting the (quotient's) tuples of each degree."""
+    d_max + 1 on its strong-collapse core, with basis_cap counting the (quotient's) tuples of
+    each degree of the whole complex.
+
+    When the degree bound leaves room for a refusal, the whole complex is enumerated under
+    the cap first, and its simplices are reduced when nothing collapses.
+    """
     g = X.coarse.graph(k)
     inside = None if Y is None else [p in Y for p in g.points]
-    return _simplicial_groups(_cliques(g, d_max + 1, basis_cap, k, True, inside), d_max, inside)
+    simplices = None
+    if basis_cap is not None and not _cap_cannot_refuse(g, d_max + 1, basis_cap):
+        simplices = _cliques(g, d_max + 1, basis_cap, k, True, inside)
+    core, mask, deleted = _core(g, inside)
+    _check_collapse(g, inside, deleted, core)
+    if simplices is None or deleted:
+        simplices = _cliques(core, d_max + 1, None, k, False, mask)
+    return _simplicial_groups(simplices, d_max, mask)
 
 
 def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     """Homology groups of the controlled-tuple complex, degrees 0..d_max.
 
-    Computed on the chain-equivalent clique complex, built through d_max + 1
-    and checked to be a complex exactly; no tuple is enumerated.  basis_cap
-    bounds the tuple basis of each degree, as in chain_complex, and is
-    refused at the same degree with the same message.
+    Computed on the strong-collapse core of the chain-equivalent clique
+    complex, built through d_max + 1 and checked to be a complex exactly; no
+    tuple is enumerated.  basis_cap bounds the tuple basis of each degree of
+    the whole complex, as in chain_complex, and is refused at the same degree
+    with the same message.
     """
     check_degree(d_max)
     return _clique_groups(X, k, d_max, basis_cap)
@@ -646,7 +736,8 @@ class RelativeHomology(Record):
 
 def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     """Homology of C(X)/C(Y_m) for the last family member Y_m (finite-prefix stand-in), on
-    relative clique chains; basis_cap bounds the quotient's tuples in each degree."""
+    relative clique chains of the pair's strong-collapse core; basis_cap bounds the
+    quotient's tuples in each degree."""
     check_degree(d_max)
     if not family.members:
         raise HomologyError("the big family has no member to take homology relative to")

@@ -1481,8 +1481,13 @@ def test_relative_cap_refusal_matches_quotient_count():
 def test_planted_relative_face_faults_are_caught(monkeypatch):
     build = homology_engine._boundary_from_lists
     X = path_space(4)
-    fam = big_family_generated(X, [0], 4)
-    Y, Z = frozenset({0}), list(range(1, 5))
+    assert relative_mismatches(X, 1, 1, frozenset({0}), big_family_generated(X, [0], 4), list(range(1, 5))) == []
+    # the path collapses to the point of Y, so its relative complex is empty and no face fault
+    # reaches a boundary; the hexagon relative to one vertex keeps its whole core
+    X = HEX
+    fam = big_family_generated(X, [0], 6)
+    Y, Z = frozenset({0}), list(range(1, 6))
+    assert homology_engine._core(X.coarse.graph(1), [p in Y for p in X.points])[2] == []
     assert relative_mismatches(X, 1, 1, Y, fam, Z) == []
 
     # a face wholly in Y kept: it is neither indexed nor masked, so the lookup refuses it
@@ -1493,8 +1498,8 @@ def test_planted_relative_face_faults_are_caught(monkeypatch):
     with pytest.raises(KeyError):
         mv_check(X, Z, fam, 1, 1)
 
-    # a face outside Y dropped: the vertex at index 2, outside Y and Y_m = {0, 1}, is masked
-    # in boundaries only
+    # a face outside Y dropped: the vertex at index 2, outside Y and Y_m = {5, 0, 1}, is
+    # masked in boundaries only
     def drops_vertex_2(basis_n, index_prev, n, inside=None):
         if inside is not None:
             inside = [True if i == 2 else x for i, x in enumerate(inside)]
@@ -1670,6 +1675,149 @@ def test_homology_at_scale_enumerates_no_tuple(monkeypatch):
     with pytest.raises(DegreeCapExceeded) as e:
         homology_at_scale(windowed_builtin("int_window", 10), 3, 2, basis_cap=500)
     assert (e.value.degree, e.value.scale, e.value.cap) == (3, 3, 500)
+
+
+# ------------------------------------------------------- strong-collapse core
+
+def full_clique_groups(g, d_max, inside=None):
+    """Groups of the whole clique complex of g (relative to the mask inside), every full
+    boundary reduced: no collapse, no spanning forest, no row dropped."""
+    cliques = homology_engine._cliques(g, d_max + 1, None, 1, False, inside)
+    raw = oracles.full_boundary_groups(cliques, d_max, homology_engine._sparse_invariants, inside)
+    return [FGAbGroup(f, tuple(t)) for f, t in raw]
+
+
+def core_route_mismatches(X, k, d_max, Y):
+    """What homology_at_scale and relative_homology to Y get wrong against the whole complex,
+    and the deletions of the absolute and the relative collapse."""
+    g = X.coarse.graph(k)
+    inside = [p in Y for p in g.points]
+    wrong = []
+    if homology_at_scale(X, k, d_max) != full_clique_groups(g, d_max):
+        wrong.append("absolute")
+    if relative_homology(X, make_big_family(X, [Y]), k, d_max).groups != full_clique_groups(g, d_max, inside):
+        wrong.append("relative")
+    return wrong, len(homology_engine._core(g)[2]), len(homology_engine._core(g, inside)[2])
+
+
+def with_hairs(X, rng, hairs=8):
+    """X with points that collapse away: each hair is related to a point and to one of that
+    point's neighbours, or to the point alone, so its closed neighbourhood lies in the
+    point's, and hairs grow on hairs; the scale-1 groups do not change."""
+    pts = list(X.points)
+    pairs = [pair for E in X.coarse.generators for pair in E.pairs]
+    nbrs = {p: set() for p in pts}
+    for a, b in pairs:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    for i in range(hairs):
+        h, v = f"hair{i}", rng.choice(pts)
+        ends = [v] + ([rng.choice(sorted(nbrs[v], key=str))] if nbrs[v] and rng.random() < 0.7 else [])
+        nbrs[h] = set(ends)
+        for u in ends:
+            nbrs[u].add(h)
+            pairs.append((h, u))
+        pts.append(h)
+    return make_explicit_space(pts, [pairs], [pts])
+
+
+def test_core_matches_full_complex_on_random_spaces():
+    rng = random.Random(97)
+    collapsed = pair_blocked = 0
+    for _ in range(40):
+        X = random_explicit_space(rng, max_points=12, max_pairs=26)
+        Y = frozenset(p for p in X.points if rng.random() < 0.4)
+        k, d_max = rng.randint(1, 2), rng.randint(1, 3)
+        wrong, absolute, relative = core_route_mismatches(X, k, d_max, Y)
+        assert wrong == [], (list(X.points), [sorted(E.pairs) for E in X.coarse.generators], k, d_max, Y)
+        collapsed += relative > 0
+        pair_blocked += relative < absolute
+    # the pair rule leaves more points than the absolute rule in some of them
+    assert collapsed > 20 and pair_blocked > 0
+
+
+@pytest.mark.parametrize("name", TORSION_SPACES)
+def test_core_matches_full_complex_with_torsion(name):
+    X = TORSION_SPACES[name]()
+    rng = random.Random(name)
+    hairy = with_hairs(X, rng)
+    d_max = 3 if name.startswith("suspended") else 2
+    assert homology_at_scale(hairy, 1, d_max) == rips_complex(X, 1, d_max + 1).homology(d_max)
+    for _ in range(3):
+        Y = frozenset(p for p in hairy.points if rng.random() < 0.3)
+        wrong, absolute, relative = core_route_mismatches(hairy, 1, d_max, Y)
+        assert wrong == [] and absolute >= 8 and relative > 0
+
+
+def star_and_cone():
+    """Two pairs whose points of Y are each dominated by a point outside Y only: a star
+    relative to its leaves, and the cone over the hexagon relative to the hexagon."""
+    star = make_explicit_space(list(range(5)), [[(0, i) for i in range(1, 5)]], [list(range(5))])
+    pts = list(range(6)) + ["apex"]
+    cone = make_explicit_space(pts, [[(i, (i + 1) % 6) for i in range(6)] + [(i, "apex") for i in range(6)]], [pts])
+    return [(star, frozenset(range(1, 5)), [ZERO, FGAbGroup(3)]),
+            (cone, frozenset(range(6)), [ZERO, ZERO, Z])]
+
+
+def test_pair_rule_keeps_the_relative_groups():
+    for X, Y, want in star_and_cone():
+        g = X.coarse.graph(1)
+        inside = [p in Y for p in g.points]
+        assert homology_engine._core(g)[2] and homology_engine._core(g, inside)[2] == []
+        assert core_route_mismatches(X, 1, len(want) - 1, Y)[0] == []
+        assert relative_homology(X, make_big_family(X, [Y]), 1, len(want) - 1).groups == want
+
+
+def test_planted_false_domination_is_refused_by_the_replay(monkeypatch):
+    core = homology_engine._core
+
+    def corrupt(fault):
+        monkeypatch.setattr(homology_engine, "_core",
+                            lambda g, inside=None: (lambda c, m, d: (c, m, fault(d)))(*core(g, inside)))
+
+    X = path_space(4)
+    assert core(X.coarse.graph(1))[2] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    # 0 under 2, which is not related to it
+    corrupt(lambda d: [(0, 2)] + d[1:])
+    with pytest.raises(HomologyError, match="deletes 0 under 2, which does not dominate it"):
+        homology_at_scale(X, 1, 1)
+    # 1 under 0, deleted just before
+    corrupt(lambda d: [(0, 1), (1, 0)] + d[2:])
+    with pytest.raises(HomologyError, match="deletes 1 under 0, which does not dominate it"):
+        homology_at_scale(X, 1, 1)
+    # a deletion left out of the record
+    corrupt(lambda d: d[:-1])
+    with pytest.raises(HomologyError, match="not the points its deletions leave"):
+        homology_at_scale(X, 1, 1)
+    # the absolute rule on a pair: a leaf of Y deleted under the centre, outside Y
+    monkeypatch.setattr(homology_engine, "_core", lambda g, inside=None: core(g))
+    X, Y, _ = star_and_cone()[0]
+    with pytest.raises(HomologyError, match="deletes 1, a point of Y, under 0, a point outside Y"):
+        relative_homology(X, make_big_family(X, [Y]), 1, 1)
+
+
+def test_cap_past_the_degree_bound_checks_the_whole_complex(monkeypatch):
+    cliques = homology_engine._cliques
+    built = []
+    monkeypatch.setattr(homology_engine, "_cliques",
+                        lambda g, *rest: built.append((len(g.points), rest[1])) or cliques(g, *rest))
+    # the 12-cycle through degree 2: 24 tuples in degrees 1 and 2, but its degrees bound
+    # 12 edges and 4 triangles, so 48 tuples in degree 2
+    X = cycle_space(12)
+    g = X.coarse.graph(1)
+    assert [homology_engine._tuple_count([12, 12, 0], n) for n in range(3)] == [12, 24, 24]
+    assert [homology_engine._tuple_count([12, 12, 4], n) for n in range(3)] == [12, 24, 48]
+    assert not homology_engine._cap_cannot_refuse(g, 2, 30) and homology_engine._cap_cannot_refuse(g, 2, 48)
+    assert homology_at_scale(X, 1, 1, basis_cap=30) == [Z, Z]
+    assert built == [(12, 30)]  # nothing collapses, so the checked complex is the one reduced
+    assert cap_outcome(lambda: chain_complex(X, 1, 2, 30)) is None
+    assert cap_outcome(lambda: homology_at_scale(X, 1, 1, basis_cap=23)) == cap_outcome(
+        lambda: chain_complex(X, 1, 2, 23)) == (1, "basis in degree 1 at scale 1 exceeds the cap of 23 tuples; "
+                                                   "raise basis_cap to proceed")
+    # within the bound only the core is enumerated: a path collapses to one point
+    built.clear()
+    assert homology_at_scale(path_space(30), 1, 2) == [Z, ZERO, ZERO]
+    assert built == [(1, None)]
 
 
 # ------------------------------------------------------------------ degrees
