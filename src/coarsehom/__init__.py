@@ -43,8 +43,7 @@ _LAYERS = {
         "swindle_identity_check", "verify_complex_identity",
     ),
     "coarsification": (
-        "CoarsificationReport", "NerveComplex", "TelescopeComplex", "coarsening_space",
-        "coarsify_homology", "nerve",
+        "CoarsificationReport", "coarsening_space", "coarsify_homology", "nerve",
     ),
     "cli_io": (
         "ParseError", "Report", "emit_space", "emit_space_text",

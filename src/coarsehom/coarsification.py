@@ -1,9 +1,11 @@
 """Nerves of covers, coarsified homology on measure (clique) complexes, and
 truncated coarsening telescopes.
 
-Covers and anti-Cech prefixes come from `covers`, which loads no homology;
-the complexes here subclass `SimplicialComplex` and take its one checked
-route from simplices to groups.
+Covers and anti-Cech prefixes come from `covers`, which loads no homology.
+Nerves and telescopes are `SimplicialComplex` values and take its one checked
+route from simplices to groups; the measure complexes are clique complexes
+of scale graphs, so their groups take the strong-collapse route of
+`homology_engine`.
 """
 
 from __future__ import annotations
@@ -11,13 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Sequence
 
 from .core_spaces import BornCoarseSpace, Record, check_degree
-from .homology_engine import (
-    DEFAULT_BASIS_CAP,
-    DegreeCapExceeded,
-    SimplicialComplex,
-    _colimit_groups,
-    rips_complex,
-)
+from .homology_engine import DEFAULT_BASIS_CAP, DegreeCapExceeded, SimplicialComplex, _clique_groups, _colimit_groups
 
 if TYPE_CHECKING:  # annotations only: whoever holds a cover has loaded `covers`
     from .covers import AntiCechPrefix, Cover
@@ -26,15 +22,8 @@ if TYPE_CHECKING:  # annotations only: whoever holds a cover has loaded `covers`
 # ------------------------------------------------------------- nerves
 
 
-class NerveComplex(SimplicialComplex):
-    """Nerve of a cover; vertices are member indices."""
-
-    def __init__(self, vertices, simplices, cover):
-        super().__init__(vertices, simplices)
-        self.cover = cover
-
-
-def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> NerveComplex:
+def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> SimplicialComplex:
+    """Nerve of a cover through d_max; vertices are member indices."""
     check_degree(d_max)
     members = cover.members
     simplices: List[List[tuple]] = [[] for _ in range(d_max + 1)]
@@ -56,7 +45,7 @@ def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> Nerve
 
     for i in range(len(members)):
         grow((i,), members[i])
-    return NerveComplex(list(range(len(members))), simplices, cover)
+    return SimplicialComplex(list(range(len(members))), simplices)
 
 
 # -------------------------------------------------- coarsified homology
@@ -79,12 +68,15 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
 
     The measure complex at scale k has a simplex for each support S of a
     bounded probability measure, i.e. each S with S x S inside closure_at(k):
-    it is the clique complex rips_complex(X, k, ...), built through degree
-    d_max + 1 under basis_cap simplices.  For a finite space the exhaustion
-    over bounded subsets collapses at the whole space, so the value at a scale
-    is the plain unreduced homology of that complex; no cofiber towers are
-    involved.  The terminal value comes from the scale graph as in
-    homology_colimit, with no complex built, so it is never capped.
+    it is the clique complex of rips_complex(X, k, ...), and its groups are read
+    as homology_at_scale reads them, on the strong-collapse core built through
+    degree d_max + 1.  basis_cap still counts the whole complex's simplices of
+    degrees 0..d_max + 1, as rips_complex does, and refuses at the same degree
+    with the same message.  For a finite space the exhaustion over bounded
+    subsets collapses at the whole space, so the value at a scale is the plain
+    unreduced homology of that complex; no cofiber towers are involved.  The
+    terminal value comes from the scale graph as in homology_colimit, with no
+    complex built, so it is never capped.
     """
     check_degree(d_max)
     notes = ["bounded exhaustion collapses at the whole finite space; "
@@ -94,7 +86,7 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
             f"window-relative: computed over the {X.window_tag.name} window "
             f"of radius {X.window_tag.radius}"
         )
-    table = {int(k): rips_complex(X, int(k), d_max + 1, basis_cap).homology(d_max) for k in scale_list}
+    table = {k: _clique_groups(X, k, d_max, basis_cap, tuples=False) for k in scale_list}
     terminal = _colimit_groups(X, d_max)
     return CoarsificationReport(d_max, table, X.coarse.stabilization(), terminal, tuple(notes))
 
@@ -102,22 +94,13 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
 # ------------------------------------------------------------ telescope
 
 
-class TelescopeComplex(SimplicialComplex):
-    """Mapping telescope of the nerves along the refinement maps.
-
-    Vertices are (slice, member-index) pairs; each slice spans its nerve as a
-    subcomplex and consecutive slices are joined by prism blocks.
-    """
-
-    def __init__(self, vertices, simplices, prefix):
-        super().__init__(vertices, simplices)
-        self.prefix = prefix
-
-
 def coarsening_space(prefix: AntiCechPrefix, d_max: int,
                      basis_cap: int = DEFAULT_BASIS_CAP):
-    """Truncated coarsening telescope and its homology up to d_max.
+    """Truncated coarsening telescope and its homology up to d_max, as (complex, groups).
 
+    The telescope is the mapping telescope of the nerves along the refinement
+    maps.  Its vertices are (slice, member-index) pairs; each slice spans its
+    nerve as a subcomplex and consecutive slices are joined by prism blocks.
     Prism blocks use the standard ordered triangulation: a nerve simplex
     (v_0 < ... < v_n) in slice i contributes the pieces
     {(i, v_0..v_l), (i+1, kappa v_l .. kappa v_n)} for l = 0..n, with repeats
@@ -160,5 +143,5 @@ def coarsening_space(prefix: AntiCechPrefix, d_max: int,
         simplices[len(s) - 1].append(s)
     for dim_list in simplices:
         dim_list.sort()
-    tele = TelescopeComplex(vertices, simplices, prefix)
+    tele = SimplicialComplex(vertices, simplices)
     return tele, tele.homology(d_max)

@@ -49,7 +49,9 @@ class BadScales(CoarseError):
 
 
 def check_scale(k: int):
-    """Refuse a negative scale index."""
+    """Refuse a scale index that is not an int (a bool, a float, a string) or is negative."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise BadScales(f"scale-index must be an int, got {k!r}")
     if k < 0:
         raise BadScales(f"scale-index must be >= 0, got {k}")
 
@@ -422,9 +424,8 @@ class CoarseStructure:
                                       f"eccentricity bounds give {self.stabilized_at}")
 
     def _scale(self, k: int) -> Optional[int]:
-        """Validate k; None from a known stabilization scale up, where the components
-        answer, else k with the table grown to it."""
-        check_scale(k)
+        """None from a known stabilization scale up, where the components answer, else k
+        with the table grown to it."""
         if self.stabilized_at is None or k < self.stabilized_at:
             self._grow(k)  # a table that stops growing below k has set stabilized_at
         return None if self.stabilized_at is not None and k >= self.stabilized_at else k
@@ -432,6 +433,7 @@ class CoarseStructure:
     def closure_at(self, k: int) -> ClosureView:
         """The scale-k closure as a view over the table, or over the components from the
         stabilization scale on; one view per scale, cached under every k that asked for it."""
+        check_scale(k)  # before the lookup, where 1.0 and True would find the view of 1
         view = self.cached_closures.get(k)
         if view is None:
             s = self._scale(k)
@@ -586,6 +588,18 @@ class WindowTag(FrozenRecord):
             return tuple((a, b) for a in span for b in span)
         return {"half_line": tuple(span[self.radius:]), "int_window": tuple(span)}.get(self.name, ())
 
+    def rank(self, p) -> int:
+        """The least n with p in the graded ball B_n around the origin: |a| + |b| on the grid,
+        |p| on a line (a half line's points are >= 0, so |p| = p)."""
+        return abs(p[0]) + abs(p[1]) if self.name == "grid2_window" else abs(p)
+
+    def clamp(self, p):
+        """The point of the window nearest p in each coordinate."""
+        r = self.radius
+        if self.name == "grid2_window":
+            return (min(max(p[0], -r), r), min(max(p[1], -r), r))
+        return min(max(p, 0 if self.name == "half_line" else -r), r)
+
 
 class UniformMetric(FrozenRecord):
     """Rational point metric backing the uniform (small-scale) structure."""
@@ -738,15 +752,14 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
     if name == "grid2_window":
         adj = [((a, b), (a + 1, b)) for a, b in pts if a < radius]
         adj += [((a, b), (a, b + 1)) for a, b in pts if b < radius]
-        rank = lambda p: abs(p[0]) + abs(p[1])
         metric = UniformMetric(lambda x, y: frac(abs(x[0] - y[0]) + abs(x[1] - y[1])), "l1 metric on the plane grid")
     else:
-        adj, rank = list(zip(pts, pts[1:])), abs  # a half line's points are >= 0, so |p| = p
+        adj = list(zip(pts, pts[1:]))
         line = "the half line" if name == "half_line" else "the integers"
         metric = UniformMetric(lambda x, y: frac(abs(x - y)), f"unit metric on {line}")
     ground = GroundSet(pts)
     coarse = CoarseStructure(ground, [Entourage(ground, adj)])
-    return BornCoarseSpace(ground, coarse, Bornology(ground, rank=rank), window_tag=tag, metric=metric)
+    return BornCoarseSpace(ground, coarse, Bornology(ground, rank=tag.rank), window_tag=tag, metric=metric)
 
 
 def thicken(space: BornCoarseSpace, k: int, B: Iterable) -> frozenset:

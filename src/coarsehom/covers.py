@@ -197,7 +197,7 @@ class AntiCechPrefix(FrozenRecord):
 
 
 def anti_cech(X: BornCoarseSpace, scale_list: Sequence[int]) -> AntiCechPrefix:
-    scales = tuple(int(k) for k in scale_list)
+    scales = tuple(scale_list)
     if not scales:
         raise CoverError("at least one scale is required")
     for i, (a, b) in enumerate(zip(scales, scales[1:])):
@@ -271,7 +271,7 @@ def asdim_upper_bound(X: BornCoarseSpace, scale_list: Sequence[int],
     point.  The value is a search result, not a certificate, and is relative
     to the window.  An empty scale list and a budget below 1 are refused.
     """
-    scales = [int(k) for k in scale_list]
+    scales = list(scale_list)
     if not scales:
         raise CoverError("at least one scale is required")
     if search_budget < 1:

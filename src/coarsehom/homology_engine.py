@@ -6,31 +6,30 @@ groups need none, so they come from the clique complex of the same scale
 graph, chain-equivalent to the tuple complex (Munkres, Elements of
 Algebraic Topology, section 13: a simplex maps to its increasing tuple, a
 tuple with distinct entries to its sorted simplex with the sign of the sort)
-and far smaller.  That serves `homology_at_scale`, hence the per-scale
-colimit table, `relative_homology` and the excision check `mv_check`;
-relative to Y the complex loses the simplices wholly in Y, as the quotient
-loses the tuples whose vertex sets are.  `basis_cap` still bounds the
-(quotient's) tuples per degree, read off the clique counts.
+and far smaller.  Relative to Y the complex loses the simplices wholly in Y,
+as the quotient loses the tuples whose vertex sets are.
 
-The groups of `homology_at_scale` and `relative_homology` are read off the
-strong-collapse core of the scale graph: a vertex v with N[v] ⊆ N[w] for a
-neighbour w is deleted until none is left, a homotopy equivalence of flag
-complexes (Barmak and Minian, Strong homotopy types, nerves and collapses,
-2012).  Relative to Y, v goes only when it is outside Y or w is inside, so
-X and Y both keep their homotopy types and the relative groups stay.  A
-replay of the deletions on the whole graph refuses a false domination or a
-broken pair rule.  The cap still counts the whole complex's tuples: when
-the degree bound m·c_m <= Σ_v C(deg v, m-1) on the m-cliques leaves no
-room for a refusal, only the core is enumerated; otherwise the whole
-complex is enumerated under the cap first.  `mv_check`, which checks every
-simplex against Z, and `rips_complex`, the independent route the tests
-compare against, stay on the whole complex.  Clique, relative, excision,
+Every group of a scale graph takes one route, `_clique_groups`: that of
+`homology_at_scale` (hence the per-scale colimit table), `relative_homology`,
+the excision check `mv_check` and the table of `coarsify_homology`.  It reads
+the groups off the strong-collapse core of the scale graph: a vertex v with
+N[v] ⊆ N[w] for a neighbour w is deleted until none is left, a homotopy
+equivalence of flag complexes (Barmak and Minian, Strong homotopy types,
+nerves and collapses, 2012).  Relative to Y, v goes only when it is outside
+Y or w is inside, so X and Y both keep their homotopy types and the relative
+groups stay.  A replay of the deletions on the whole graph refuses a false
+domination or a broken pair rule.  The cap still counts the whole complex:
+its (quotient's) tuples per degree, or for `coarsify_homology` its
+simplices.  When the degree bound m·c_m <= Σ_v C(deg v, m-1) on the
+m-cliques leaves no room for a refusal, only the core is enumerated;
+otherwise the whole complex is enumerated under the cap first.  Only
+`rips_complex` and `SimplicialComplex.homology`, the reference route the
+tests compare against, reduce a whole clique complex.  Clique, relative,
 Rips, nerve and telescope complexes take one route from a simplex list to
-groups, which checks d∘d = 0 exactly.  At stabilization
-each coarse component is a clique, hence a cone: the colimit is
-Z^(components) in degree 0 and 0 above, counted off the stored coarse
-components once the hop-distance table confirms each is a clique; nothing
-is built.
+groups, which checks d∘d = 0 exactly.  At stabilization each coarse
+component is a clique, hence a cone: the colimit is Z^(components) in
+degree 0 and 0 above, counted off the stored coarse components once the
+hop-distance table confirms each is a clique; nothing is built.
 
 Boundaries are `IntMatrix` values: a shape and one dict {column: int} per
 row, with Python ints, so no entry can overflow.  Groups are read off one
@@ -58,8 +57,9 @@ positions; `smith_normal_form` makes its result dense.  Excision needs no
 presentation: when Z and a family member Y_i0 cover X and
 closure_at(k)[Y_i0] lies in Y_m, every scale-k simplex not wholly in Y_m
 lies in Z, so the relative clique complexes of (X, Y_m) and (Z, Z∩Y_m) are
-equal and the inclusion is the identity; `mv_check` checks that equality
-and reads the groups once.
+equal and the inclusion is the identity; `mv_check` reads the groups once
+and checks that equality on the 1-skeleton, since a simplex not wholly in
+Y_m lies in the closed neighbourhood of each of its vertices outside Y_m.
 """
 
 from __future__ import annotations
@@ -633,29 +633,33 @@ def _check_collapse(g: ScaleGraph, inside, deleted, core: ScaleGraph):
         raise HomologyError("the strong-collapse core is not the points its deletions leave")
 
 
-def _cap_cannot_refuse(g: ScaleGraph, top, cap):
-    """Whether no degree 0..top can have more than cap tuples: an m-clique lies in the
-    neighbourhood of each of its m vertices, so m·c_m <= Σ_v C(deg v, m-1), and
-    _tuple_count grows with the clique counts."""
+def _cap_cannot_refuse(g: ScaleGraph, top, cap, tuples=True):
+    """Whether _cliques(g, top, cap, .., tuples) cannot refuse: an m-clique lies in the
+    neighbourhood of each of its m vertices, so m·c_m <= Σ_v C(deg v, m-1).  Tuples are
+    capped per degree and _tuple_count grows with the clique counts; simplices are capped
+    over degrees 0..top together."""
     sizes = list(map(len, g.sets))
     degrees = {d - 1: sizes.count(d) for d in set(sizes)}
     bounds = [sum(c * comb(d, m - 1) for d, c in degrees.items()) // m for m in range(1, top + 2)]
+    if not tuples:
+        return sum(bounds) <= cap
     return all(_tuple_count(bounds, n) <= cap for n in range(top + 1))
 
 
-def _clique_groups(X, k, d_max, basis_cap, Y=None):
+def _clique_groups(X, k, d_max, basis_cap, Y=None, tuples=True):
     """Groups 0..d_max of the scale-k clique complex (relative to Y when given), built through
-    d_max + 1 on its strong-collapse core, with basis_cap counting the (quotient's) tuples of
-    each degree of the whole complex.
+    d_max + 1 on its strong-collapse core: the one route from a scale graph to its groups.
 
-    When the degree bound leaves room for a refusal, the whole complex is enumerated under
-    the cap first, and its simplices are reduced when nothing collapses.
+    basis_cap counts what _cliques counts on the whole complex: the (quotient's) tuples of
+    each degree, or with tuples false the simplices of degrees 0..d_max + 1 together.  When
+    the degree bound leaves room for a refusal, the whole complex is enumerated under the
+    cap first, and its simplices are reduced when nothing collapses.
     """
     g = X.coarse.graph(k)
     inside = None if Y is None else [p in Y for p in g.points]
     simplices = None
-    if basis_cap is not None and not _cap_cannot_refuse(g, d_max + 1, basis_cap):
-        simplices = _cliques(g, d_max + 1, basis_cap, k, True, inside)
+    if basis_cap is not None and not _cap_cannot_refuse(g, d_max + 1, basis_cap, tuples):
+        simplices = _cliques(g, d_max + 1, basis_cap, k, tuples, inside)
     core, mask, deleted = _core(g, inside)
     _check_collapse(g, inside, deleted, core)
     if simplices is None or deleted:
@@ -777,8 +781,12 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
     With Z ∪ Y_i0 = X and closure_at(k)[Y_i0] ⊆ Y_m, a scale-k simplex of X with a
     vertex v outside Y_m has v in Z, and a vertex w outside Z would lie in Y_i0 and
     put v in Y_m; so both relative clique complexes hold the same simplices and the
-    inclusion is the identity.  A false witness that breaks this is refused with the
-    first simplex of X's complex, in its order, that is missing from Z's.
+    inclusion is the identity.  The groups are read once, on the strong-collapse core
+    as in relative_homology, and the equality is checked on the 1-skeleton: a simplex
+    not wholly in Y_m lies in N[v] for a vertex v of it outside Y_m, so it lies in Z
+    when every such v and every edge at one does.  A false witness is refused with the
+    first simplex of X's relative complex (by dimension, then in lex order) missing
+    from Z's, always a vertex or an edge.
     """
     check_scale(k)
     check_degree(d_max)
@@ -791,18 +799,17 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
     if m is None:
         raise PrefixTooShort(i0, k)
     Ym = family.members[m]
-    g = X.coarse.graph(k)
-    inside = [p in Ym for p in g.points]
-    # Z's relative complex is the subcomplex of X's on the simplices in Z, so the two are
-    # equal, and so are their groups, when every simplex of X's is in Z
-    simplices = _cliques(g, d_max + 1, basis_cap, k, True, inside)
-    for level in simplices:
-        for t in level:
-            s = tuple(g.points[i] for i in t)
-            if not Zset.issuperset(s):
-                raise HomologyError(f"simplex {s} of the relative complex of X at scale {k} does not lie "
-                                    f"in Z; the witness ({i0}, {k}) -> {m} is false")
-    groups = _simplicial_groups(simplices, d_max, inside)
+    groups = _clique_groups(X, k, d_max, basis_cap, Ym)
+    pts, view = X.points, X.coarse.closure_at(k)
+    outside = [i for i, p in enumerate(pts) if p not in Ym]
+    first = next(((i,) for i in outside if pts[i] not in Zset), None)
+    if first is None:  # each vertex outside Y_m is in Z, so an edge leaves Z only at its other end
+        first = min(((min(i, j), max(i, j)) for i in outside for j in view.row(i) if pts[j] not in Zset),
+                    default=None)
+    if first is not None:
+        s = tuple(pts[i] for i in first)
+        raise HomologyError(f"simplex {s} of the relative complex of X at scale {k} does not lie "
+                            f"in Z; the witness ({i0}, {k}) -> {m} is false")
     warnings = [f"complementary member index {i0}, quotient taken at prefix index {m}"]
     if X.window_tag is not None:
         warnings.append("window-relative values")

@@ -115,30 +115,20 @@ def translate_map(X: BornCoarseSpace, delta) -> SpaceMap:
     Clamps are counted on the map so certificates can report boundary
     pollution.
     """
-    if X.window_tag is None:
+    tag = X.window_tag
+    if tag is None:
         raise CoarseError("translate_map expects a windowed builtin space")
-    _check_window_points(X, "translate_map")
-    name, r = X.window_tag.name, X.window_tag.radius
+    if not _check_window_points(X, "translate_map"):
+        raise CoarseError(f"translate_map does not know builtin {tag.name!r}")
+    grid = tag.name == "grid2_window"
     tbl = {}
     clamped = set()
-    if name in ("half_line", "int_window"):
-        lo = 0 if name == "half_line" else -r
-        for t in X.ground.points:
-            s = t + delta
-            c = min(max(s, lo), r)
-            if c != s:
-                clamped.add(t)
-            tbl[t] = c
-    elif name == "grid2_window":
-        da, db = delta
-        for a, b in X.ground.points:
-            s = (a + da, b + db)
-            c = (min(max(s[0], -r), r), min(max(s[1], -r), r))
-            if c != s:
-                clamped.add((a, b))
-            tbl[(a, b)] = c
-    else:
-        raise CoarseError(f"translate_map does not know builtin {name!r}")
+    for t in X.ground.points:
+        s = (t[0] + delta[0], t[1] + delta[1]) if grid else t + delta
+        c = tag.clamp(s)
+        if c != s:
+            clamped.add(t)
+        tbl[t] = c
     f = SpaceMap(X, X, tbl)
     f.clamp_count = len(clamped)
     f.clamped_points = frozenset(clamped)
@@ -321,31 +311,24 @@ class FlasqueRefusal(Record):
         return False
 
 
-def _check_window_points(X: BornCoarseSpace, use: str):
-    """Refuse X unless its points are points of the builtin window its tag names."""
+def _check_window_points(X: BornCoarseSpace, use: str) -> frozenset:
+    """Refuse X unless its points are points of the builtin window its tag names; the
+    window's points, empty for a tag that names no builtin."""
     window = frozenset(X.window_tag.points)
     bad = next((p for p in X.ground.points if window and p not in window), None)
     if bad is not None:
         raise CoarseError(f"{use} needs points of the {X.window_tag.name}({X.window_tag.radius}) "
                           f"window, and {bad!r} is not one: this space carries only the window's tag")
+    return window
 
 
 def _margin_generators(X: BornCoarseSpace, margin: Optional[int]):
-    """Bornology generators small enough to escape within the window."""
-    if X.window_tag is None or margin is None:
+    """Bornology generators small enough to escape within the window; every generator under
+    a tag that names no builtin."""
+    tag = X.window_tag
+    if tag is None or margin is None or not _check_window_points(X, "a flasqueness margin"):
         return tuple(X.bornology.generators)
-    _check_window_points(X, "a flasqueness margin")
-    r = X.window_tag.radius
-    name = X.window_tag.name
-    if name == "grid2_window":
-        inside = lambda B: all(abs(p[0]) + abs(p[1]) <= margin for p in B)
-    elif name == "int_window":
-        inside = lambda B: all(abs(p) <= margin for p in B)
-    elif name == "half_line":
-        inside = lambda B: all(p <= margin for p in B)
-    else:
-        inside = lambda B: True
-    return tuple(B for B in X.bornology.generators if inside(B))
+    return tuple(B for B in X.bornology.generators if all(tag.rank(p) <= margin for p in B))
 
 
 def _orbit(img: list, view, steps: int) -> set:

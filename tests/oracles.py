@@ -646,6 +646,24 @@ def relative_homology_reference(points, edges, k, d_max, Y, Z=None):
     return sparse_chain_homology([len(b) for b in bases], boundaries, d_max), bases
 
 
+def first_simplex_outside(points, edges, k, d_max, Y, Z):
+    """The first simplex of the scale-k clique complex relative to Y, built through d_max + 1,
+    that does not lie in Z, as a tuple of points, or None when every one does.
+
+    The whole-complex scan: simplices by dimension, each dimension in lex order of
+    ground indices, none wholly in Y; a simplex is a set of points pairwise within
+    hop distance k.
+    """
+    related = bfs_distance_pairs(points, edges, k)
+    for size in range(1, d_max + 3):
+        for combo in combinations(range(len(points)), size):
+            s = tuple(points[i] for i in combo)
+            if (not Y.issuperset(s) and not Z.issuperset(s)
+                    and all((a, b) in related for a, b in combinations(s, 2))):
+                return s
+    return None
+
+
 def flasque_reference(points, edges, table, tested, scale_cap, iter_cap):
     """The flasqueness verdict on a window, with condition 2 as a union over all powers.
 

@@ -22,9 +22,12 @@ from coarsehom import (
     InvalidMetric,
     NonSymmetricMatrix,
     UnknownPoint,
+    anti_cech,
+    asdim_upper_bound,
     big_family_generated,
     closure_at,
     coarse_components,
+    coarsify_homology,
     coproduct,
     from_metric,
     homology_at_scale,
@@ -33,6 +36,7 @@ from coarsehom import (
     make_explicit_space,
     mv_check,
     product_p,
+    rips_complex,
     semidirect,
     subspace,
     thicken,
@@ -237,6 +241,32 @@ def test_negative_scale_refusal_names_the_value(k):
         with pytest.raises(BadScales) as e:
             call()
         assert str(e.value) == f"scale-index must be >= 0, got {k}", name
+
+
+W5 = windowed_builtin("int_window", 5)
+W5_FAMILY, W5_Z = big_family_generated(W5, {-5}, 5), range(0, 6)
+
+# every entry that takes a scale index, as a call with that index
+SCALE_ENTRIES = {
+    "ball": lambda k: W5.coarse.ball(k, 0),
+    "thicken": lambda k: thicken(W5, k, {0}),
+    "homology_at_scale": lambda k: homology_at_scale(W5, k, 1),
+    "rips_complex": lambda k: rips_complex(W5, k, 1),
+    "mv_check": lambda k: mv_check(W5, W5_Z, W5_FAMILY, k, 1),
+    "coarsify_homology": lambda k: coarsify_homology(W5, [k], 1),
+    "anti_cech": lambda k: anti_cech(W5, iter([k])),
+    "asdim_upper_bound": lambda k: asdim_upper_bound(W5, iter([k])),
+}
+
+
+@pytest.mark.parametrize("k", [1.9, 1.0, True, "1"])
+@pytest.mark.parametrize("entry", SCALE_ENTRIES)
+def test_scale_index_that_is_no_int_is_refused(entry, k):
+    call = SCALE_ENTRIES[entry]
+    call(1)  # the same call answers at scale 1, and leaves its closure cached
+    with pytest.raises(BadScales) as e:
+        call(k)
+    assert str(e.value) == f"scale-index must be an int, got {k!r}"
 
 
 def test_stabilization_memory_stays_small():

@@ -1356,6 +1356,36 @@ def test_empty_family_is_refused():
         relative_homology(X, fam, 1, 1)
 
 
+def test_mv_one_skeleton_check_matches_the_whole_complex_scan():
+    # hand-built two-member families: Y_0 completes Z to X and the witness (0, k) -> 1 is
+    # true when Y_1 holds closure_at(k)[Y_0], false otherwise; Y_1 need not hold Y_0, so a
+    # vertex outside Y_1 can miss Z too
+    rng = random.Random(131)
+    seen = {"vertex": 0, "edge": 0, "higher": 0, "answered": 0}
+    for _ in range(60):
+        X = random_explicit_space(rng, max_points=9, max_pairs=20)
+        pts = list(X.points)
+        edges = [pair for E in X.coarse.generators for pair in E.pairs]
+        k, d_max = rng.randint(1, 2), rng.randint(1, 2)
+        Y0 = frozenset(p for p in pts if rng.random() < 0.4)
+        Z = frozenset(p for p in pts if p not in Y0 or rng.random() < 0.3)
+        grown = X.coarse.thicken(k, Y0) if rng.random() < 0.5 else Y0
+        Y1 = frozenset(p for p in pts if (p in grown) != (rng.random() < 0.15))
+        fam = BigFamilyPrefix((Y0, Y1), {(0, k): 1})
+        want = oracles.first_simplex_outside(pts, edges, k, d_max, Y1, Z)
+        if want is None:
+            rep = mv_check(X, Z, fam, k, d_max)
+            assert rep.groups_full == rep.groups_sub == relative_reference(X, k, d_max, Y1)[0]
+            seen["answered"] += 1
+            continue
+        with pytest.raises(HomologyError) as e:
+            mv_check(X, Z, fam, k, d_max)
+        assert str(e.value).startswith(f"simplex {want} of the relative complex of X at scale {k} "), (pts, Y1, Z)
+        seen[["vertex", "edge"][len(want) - 1] if len(want) <= 2 else "higher"] += 1
+    # a check that reads only the vertices answers where the scan names an edge
+    assert seen["vertex"] > 5 and seen["edge"] > 5 and seen["answered"] > 5 and seen["higher"] == 0, seen
+
+
 # ------------------------------------ relative routes against the tuple quotient
 
 def relative_reference(X, k, d_max, Y, Z=None):
@@ -1747,6 +1777,50 @@ def test_core_matches_full_complex_with_torsion(name):
         Y = frozenset(p for p in hairy.points if rng.random() < 0.3)
         wrong, absolute, relative = core_route_mismatches(hairy, 1, d_max, Y)
         assert wrong == [] and absolute >= 8 and relative > 0
+
+
+def coarsify_outcome(X, k, d_max, cap=DEFAULT_CAP):
+    """coarsify_homology's groups at k, against rips_complex(X, k, d_max + 1).homology(d_max):
+    each as the groups, or as (degree, message) of a refusal."""
+    def outcome(call):
+        try:
+            return call()
+        except DegreeCapExceeded as e:
+            return e.degree, str(e)
+
+    return (outcome(lambda: coarsify_homology(X, [k], d_max, cap).table[k]),
+            outcome(lambda: rips_complex(X, k, d_max + 1, cap).homology(d_max)))
+
+
+@pytest.mark.parametrize("name", ["rp2", "klein", "moore2", "moore3", "moore5"])
+def test_coarsified_table_matches_the_reference_with_torsion(name):
+    hairy = with_hairs(TORSION_SPACES[name](), random.Random(name))
+    assert homology_engine._core(hairy.coarse.graph(1))[2]  # the core is not the whole complex
+    table, reference = coarsify_outcome(hairy, 1, 2)
+    assert table == reference and reference[1].torsion
+    total = sum(map(len, rips_complex(hairy, 1, 3).simplices))
+    assert coarsify_outcome(hairy, 1, 2, total) == (reference, reference)
+    table, reference = coarsify_outcome(hairy, 1, 2, total - 1)
+    assert table == reference == (2, f"basis in degree 2 at scale 1 exceeds the cap of {total - 1} simplices; "
+                                     "raise basis_cap to proceed")
+
+
+def test_coarsified_table_matches_the_reference_under_a_cap_sweep():
+    rng = random.Random(137)
+    refused = room_answered = 0
+    for _ in range(40):
+        X = random_explicit_space(rng, max_points=11, max_pairs=24)
+        k, d_max = rng.randint(1, 2), rng.randint(0, 2)
+        g = X.coarse.graph(k)
+        total = sum(map(len, rips_complex(X, k, d_max + 1, None).simplices))
+        for cap in (None, 0, total // 2, total - 1, total, total + 3, DEFAULT_CAP):
+            table, reference = coarsify_outcome(X, k, d_max, cap)
+            assert table == reference, (list(X.points), k, d_max, cap)
+            refused += isinstance(reference, tuple)
+            room = cap is not None and not homology_engine._cap_cannot_refuse(g, d_max + 1, cap, False)
+            room_answered += room and not isinstance(reference, tuple)
+    # caps where only the whole count decides: refusals, and answers the bound alone could not give
+    assert refused > 60 and room_answered > 12, (refused, room_answered)
 
 
 def star_and_cone():
