@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -263,6 +263,23 @@ class ClosureView(Entourage):
             return self._rows[0][i] == self._rows[0][j]
         return self._rows[0][j].get(i, self._k + 1) <= self._k
 
+    def row_sets(self) -> list:
+        """Every row as a set of indices, in index order; the rows of one component share
+        one set, so from the stabilization scale on the list holds one set per component."""
+        if self._k is None:
+            comp, members = self._rows
+            return list(map(list(map(set, members)).__getitem__, comp))
+        return list(map(set, self.rows()))
+
+    def square(self, idx: set) -> bool:
+        """Whether idx x idx lies in the closure: idx lies within k hops in the table row of
+        each of its points, or from the stabilization scale on, in one component."""
+        if self._k is None:
+            comp = self._rows[0]
+            return len({comp[i] for i in idx}) <= 1
+        dist, far = self._rows[0], self._k + 1
+        return all(max(map(dist[i].get, idx, repeat(far))) < far for i in idx)
+
     @property
     def pairs(self) -> frozenset:
         if self._built is None:
@@ -292,7 +309,8 @@ class ScaleGraph:
     """The scale-k relation as an index-space graph over a ground order.
 
     sets[i] is the set of the points related to point i (i itself included),
-    nbrs[i] the same as a sorted list, sorted on the first read of nbrs.
+    nbrs[i] the same as a sorted list, sorted on the first read of nbrs.  The
+    points of one component may share one set, so callers must not change them.
     """
 
     __slots__ = ("points", "sets", "_nbrs")
@@ -333,7 +351,8 @@ class CoarseStructure:
     component, and stored.  stabilized_at, where the filtration stops
     growing, is the largest eccentricity of a component; only
     stabilization() sets it, from a few breadth-first searches per component
-    under eccentricity bounds, and only when asked.  From a known
+    under eccentricity bounds, and only when asked; the searches leave an
+    eccentricity bound per point (_fold), which _far_pair reads.  From a known
     stabilized_at on each component is a clique, so closure_at (a view over
     the components) reads them there; ball, graph, related_at and the map
     routes read the view, so a map grows its target's table only to its scale
@@ -365,6 +384,8 @@ class CoarseStructure:
         # (comp, members) of the coarse components, once _components() has found them, and
         # the search that found each, until stabilization() opens _diameter with it
         self._comps = self._opening = None
+        # per point, an upper bound on its eccentricity from the searches of stabilization()
+        self._reach = None
 
     def _bfs(self, sources, k: Optional[int] = None) -> dict:
         """{index: hops from the nearest source} out to k hops (all the way when k is None),
@@ -457,15 +478,18 @@ class CoarseStructure:
 
     def graph(self, k: int) -> ScaleGraph:
         """The scale-k relation as an index-space graph, built afresh from the rows of closure_at(k)."""
-        return ScaleGraph(self.ground.points, list(map(set, self.closure_at(k).rows())))
+        return ScaleGraph(self.ground.points, self.closure_at(k).row_sets())
 
     def stabilization(self) -> int:
         """Least s with closure_at(s) == closure_at(s+1): the largest eccentricity of a coarse component.
 
         Found once, from eccentricity bounds (_diameter); finite spaces always stabilize.
+        Every point's eccentricity bound starts at the size of its component less one, the
+        most hops a shortest path in it can take, and each search lowers it (_fold).
         """
         if self.stabilized_at is None:
-            self._components()
+            comp, members = self._components()
+            self._reach = [len(members[c]) - 1 for c in comp]
             self.stabilized_at = max(map(self._diameter, self._opening), default=0)
             self._opening = None
         return self.stabilized_at
@@ -479,10 +503,13 @@ class CoarseStructure:
         bound, ties to the least index; a candidate whose upper bound is at most the largest
         lower bound (a known e among them) is dropped, and the bounds meet when none is left.
         All upper bounds start equal, so the first search is from the least member: dist.
+        Each search is kept beside the answer as the upper bounds it gives (_fold), so when
+        the bounds meet, every point's stored bound is at most the answer.
         """
         cand = {w: (0, len(dist) - 1) for w in sorted(dist)}
         best, high = 0, False
         while True:
+            self._fold(dist)
             e = next(reversed(dist.values()))  # breadth-first order: the last is the farthest
             cand = {w: (max(lo, dist[w], e - dist[w]), min(hi, e + dist[w]))
                     for w, (lo, hi) in cand.items()}
@@ -493,6 +520,47 @@ class CoarseStructure:
             v = max(cand, key=lambda w: cand[w][1]) if high else min(cand, key=lambda w: cand[w][0])
             high = not high
             dist = self._bfs([v])
+
+    def _fold(self, dist: dict):
+        """Lower each point's stored eccentricity bound to e(v) + d(v, w) through the search
+        dist from its first key v, once dist is checked to be such a search.
+
+        The check: v is at 0, every other point is at least 1 with a neighbour one nearer,
+        and dist holds as many points as v's component.  Following nearer neighbours from w
+        then reaches v in dist[w] hops, so dist[w] >= d(v, w), dist is v's component, and
+        max(dist) >= e(v); by the triangle inequality through v, e(w) <= dist[w] + max(dist).
+        A search that fails the check, or whose max(dist) is at least the size less one
+        that every bound starts at, lowers nothing.
+        """
+        comp, members = self._comps
+        items = iter(dist.items())
+        v, d0 = next(items)
+        e, size = max(dist.values()), len(members[comp[v]])
+        if d0 != 0 or len(dist) != size or e >= size - 1:
+            return
+        adj, get = self._adj, dist.get
+        for w, d in items:
+            if d < 1 or d - 1 not in map(get, adj[w]):
+                return
+        reach = self._reach
+        for w, d in dist.items():
+            if e + d < reach[w]:
+                reach[w] = e + d
+
+    def _far_pair(self, s: int) -> Optional[tuple]:
+        """The least pair (i, j) in ground order of one component more than s hops apart, or None.
+
+        A point whose stored bound is at most s has eccentricity at most s, so only the
+        others are searched, exactly and in ground order; when stabilization() is right,
+        its searches leave no bound above it and none is.
+        """
+        self.stabilization()
+        for i, bound in enumerate(self._reach):
+            if bound > s:
+                far = [j for j, d in self._bfs([i]).items() if d > s]
+                if far:
+                    return i, min(far)
+        return None
 
     def hop_rows(self) -> list:
         """The whole table, grown until a layer adds nothing (every hop distance is < |X|).
@@ -772,9 +840,10 @@ def closure_at(space: BornCoarseSpace, k: int) -> Entourage:
 
 
 def is_U_bounded(space: BornCoarseSpace, k: int, B: Iterable) -> bool:
-    """True iff B x B is contained in closure_at(k): B lies in the ball around each of its points."""
+    """True iff B x B is contained in closure_at(k): B lies in the ball around each of its points,
+    checked on index rows."""
     B = space.ground.check_subset(B)
-    return all(B <= space.coarse.ball(k, x) for x in B)
+    return space.coarse.closure_at(k).square(set(map(space.ground._index.__getitem__, B)))
 
 
 def coarse_components(space: BornCoarseSpace) -> list:

@@ -17,7 +17,8 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .core_spaces import (
-    BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage, FrozenRecord, Record, _as_fraction, is_U_bounded,
+    BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage, FrozenRecord, Record, _as_fraction, check_scale,
+    is_U_bounded,
 )
 
 
@@ -110,11 +111,11 @@ def _verify_lebesgue(X, s, members) -> Optional[str]:
     decides: a scale-s bounded set is a clique of the graph, so s is a
     Lebesgue scale exactly when _uncovered_clique finds none.
     """
-    index = X.ground.index
+    index = X.ground._index.__getitem__
     sets = X.coarse.graph(s).sets
     owners = [[] for _ in sets]
     for m in members:
-        held = {index(p) for p in m}
+        held = set(map(index, m))
         for v in held:
             owners[v].append(held)
     if all(any(ball <= m for m in owners[v]) for v, ball in enumerate(sets)):
@@ -200,6 +201,8 @@ def anti_cech(X: BornCoarseSpace, scale_list: Sequence[int]) -> AntiCechPrefix:
     scales = tuple(scale_list)
     if not scales:
         raise CoverError("at least one scale is required")
+    for k in scales:  # before their order is compared, which a string or a float would break
+        check_scale(k)
     for i, (a, b) in enumerate(zip(scales, scales[1:])):
         if b <= a:
             raise CertificateFailed(i, f"scales must increase, got {a} then {b}")
@@ -306,7 +309,9 @@ def hybrid_entourage(X: BornCoarseSpace, family: BigFamilyPrefix,
 
     A pair survives when, for every family index i, both entries lie in Y_i or
     the pair is phi(i)-small; phi stands in for a cofinal decreasing function
-    into the metric filtration, so it must be non-increasing.
+    into the metric filtration, so it must be non-increasing.  The scan runs in
+    index space, on the members as index sets and on the neighbour sets of one
+    scale graph per distinct phi scale.
     """
     if len(phi) != len(family.members):
         raise CoarseError(
@@ -318,9 +323,12 @@ def hybrid_entourage(X: BornCoarseSpace, family: BigFamilyPrefix,
             raise PhiNotDecreasing(f"phi({i}) = {a} < phi({i + 1}) = {b}")
     if any(v < 0 for v in phi):
         raise CoarseError("phi entries must be nonnegative scale indices")
+    index, pts = X.ground._index, X.points
+    rows = {v: X.coarse.graph(v).sets for v in dict.fromkeys(phi)}
+    tests = [({index[p] for p in Y if p in index}, rows[v]) for Y, v in zip(family.members, phi)]
     pairs = [
-        (a, b) for a, b in X.closure_at(base_k).pairs
-        if all((a in Y and b in Y) or X.coarse.related_at(v, a, b) for Y, v in zip(family.members, phi))
+        (pts[j], pts[i]) for i, row in enumerate(X.closure_at(base_k).rows()) for j in row
+        if all((i in inside and j in inside) or j in near[i] for inside, near in tests)
     ]
     return Entourage(X.ground, pairs)
 

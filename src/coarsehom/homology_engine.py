@@ -28,8 +28,13 @@ tests compare against, reduce a whole clique complex.  Clique, relative,
 Rips, nerve and telescope complexes take one route from a simplex list to
 groups, which checks d∘d = 0 exactly.  At stabilization each coarse
 component is a clique, hence a cone: the colimit is Z^(components) in
-degree 0 and 0 above, counted off the stored coarse components once the
-hop-distance table confirms each is a clique; nothing is built.
+degree 0 and 0 above, counted off the stored coarse components once each
+is certified a clique; nothing is built.  The certificate is the
+breadth-first searches of `stabilization()`: a search from v, checked to
+be one, bounds every w of its component by e(w) <= e(v) + d(v, w), the
+triangle inequality through v, and a component is a clique when each
+point's least bound is at most the stabilization scale.  Only a point
+whose bound is larger is searched exactly; no all-pairs table is grown.
 
 Boundaries are `IntMatrix` values: a shape and one dict {column: int} per
 row, with Python ints, so no entry can overflow.  Groups are read off one
@@ -684,18 +689,19 @@ def _colimit_groups(X, d_max):
     """Groups 0..d_max at stabilization, where each coarse component is a clique, so a
     cone: Z^(components) in degree 0 and 0 above, counted off the stored components.
 
-    Grown to stabilization, row i of the hop table holds the whole component
-    of i, so a component is a clique when no row reaches past the
-    stabilization scale.  A component that is not a clique means a fault in
-    stabilization: refused, naming the least unrelated pair.
+    A component is a clique at the stabilization scale when each of its points has
+    eccentricity at most that scale.  The searches of stabilization() certify it with no
+    table: a search from v, checked to be one, bounds each w by e(w) <= e(v) + d(v, w),
+    the triangle inequality through v.  Only a point whose least bound exceeds the scale
+    is searched exactly, in ground order.  A component that is not a clique means a
+    fault in stabilization: refused, naming the least unrelated pair.
     """
     stab = X.coarse.stabilization()
-    pts = X.points
-    for i, row in enumerate(X.coarse.hop_rows()):
-        if next(reversed(row.values())) > stab:  # distances never decrease along a row
-            j = min(j for j, dist in row.items() if dist > stab)
-            raise HomologyError(f"{pts[i]!r} and {pts[j]!r} share a component but "
-                                f"are unrelated at the stabilization scale {stab}")
+    far = X.coarse._far_pair(stab)
+    if far is not None:
+        pts = X.points
+        raise HomologyError(f"{pts[far[0]]!r} and {pts[far[1]]!r} share a component but "
+                            f"are unrelated at the stabilization scale {stab}")
     components = len(coarse_components(X))
     return [FGAbGroup(0 if n else components) for n in range(d_max + 1)]
 

@@ -572,6 +572,19 @@ def big_family_reference(points, edges, A, depth):
     return tuple(members), witness
 
 
+def colimit_reference(points, edges, scale, d_max):
+    """The colimit at a claimed stabilization scale, by BFS from every point: the least
+    pair (p, q) in point order of one component more than scale hops apart, or, when each
+    component is a clique at that scale, the free ranks per degree (one per component in
+    degree 0, none above)."""
+    dist = hop_distances(points, edges)
+    for p in points:
+        far = [q for q in points if dist[p].get(q, -1) > scale]
+        if far:
+            return p, far[0]
+    return [len(union_find_components(points, edges))] + [0] * d_max
+
+
 def largest_eccentricity(points, edges):
     """Largest hop distance between two points of one component, by BFS from every point."""
     return max((d for row in hop_distances(points, edges).values() for d in row.values()), default=0)

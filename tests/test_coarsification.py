@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from coarsehom import (
+    BadScales,
     CoarseError,
     InvalidMetric,
     from_metric,
@@ -25,7 +26,7 @@ from coarsehom import (
 )
 from coarsehom import chain_maps, covers, homology_engine
 from coarsehom.coarsification import coarsening_space, coarsify_homology, nerve
-from coarsehom.core_spaces import ScaleGraph
+from coarsehom.core_spaces import BigFamilyPrefix, ScaleGraph
 from coarsehom.covers import (
     AntiCechPrefix,
     CertificateFailed,
@@ -280,6 +281,29 @@ def test_anti_cech_refuses_non_increasing_scales():
     assert e.value.pair_index == 0
     with pytest.raises(CertificateFailed):
         anti_cech(X, [2, 2])
+
+
+@pytest.mark.parametrize("scales, text", [
+    ([1, "a"], "scale-index must be an int, got 'a'"),
+    ([2, 1.5], "scale-index must be an int, got 1.5"),
+    ([2, -1], "scale-index must be >= 0, got -1"),
+])
+def test_anti_cech_checks_each_scale_before_their_order(scales, text):
+    # a string or a float is refused as a scale, not compared; a decreasing list that
+    # holds a negative scale is refused for the negative scale
+    with pytest.raises(BadScales) as e:
+        anti_cech(windowed_builtin("int_window", 5), scales)
+    assert str(e.value) == text
+
+
+def test_anti_cech_refuses_a_ball_cover_with_no_lebesgue_scale():
+    # on grid2_window(4) the scale-1 balls are bounded at scale 2, but scale 2 is not a
+    # Lebesgue scale of the scale-2 ball cover
+    with pytest.raises(CertificateFailed) as e:
+        anti_cech(windowed_builtin("grid2_window", 4), [1, 2, 4])
+    assert e.value.pair_index == 0
+    assert str(e.value) == ("anti-Cech certificate failed at pair 0: scale 2 is not a "
+                            "Lebesgue scale of the cover at scale 2")
 
 
 def test_anti_cech_single_scale():
@@ -597,6 +621,31 @@ def test_hybrid_monotone_and_contained():
     hi = hybrid_entourage(X, fam, [3, 2], 3)
     assert set(lo.pairs) <= set(hi.pairs)
     assert set(hi.pairs) <= set(X.closure_at(3).pairs)
+
+
+def test_hybrid_on_index_rows_matches_the_definitional_scan():
+    # seeded explicit spaces and windows, nested members (one with a point outside the
+    # ground, which no pair reaches), phi and base scales through s + 2, so that table
+    # rows and component rows both answer
+    rng = random.Random(29)
+    spaces = [random_explicit_space(rng, max_points=12, max_pairs=24) for _ in range(30)]
+    spaces += [windowed_builtin("int_window", 5), windowed_builtin("grid2_window", 2)]
+    for X in spaces:
+        pts = X.points
+        dist = oracles.hop_distances(pts, [pair for g in X.coarse.generators for pair in g.pairs])
+        s = max((d for row in dist.values() for d in row.values()), default=0)
+        near = {(a, b): dist[a].get(b, s + 3) for a in pts for b in pts}
+        for _ in range(4):
+            members, grown = [], set()
+            for _ in range(rng.randint(1, 4)):
+                grown |= set(rng.sample(pts, rng.randint(0, len(pts))))
+                members.append(frozenset(grown))
+            members[0] |= {"outside"}
+            phi = sorted((rng.randint(0, s + 2) for _ in members), reverse=True)
+            base = rng.randint(0, s + 2)
+            U = hybrid_entourage(X, BigFamilyPrefix(tuple(members), {}), phi, base)
+            assert U.pairs == {(a, b) for (a, b), d in near.items() if d <= base
+                               and all((a in Y and b in Y) or d <= v for Y, v in zip(members, phi))}
 
 
 def test_hybrid_refusals():

@@ -577,6 +577,28 @@ def test_is_U_bounded_matches_pairwise_oracle():
             for _ in range(6):
                 B = set(rng.sample(pts, rng.randint(0, len(pts))))
                 assert is_U_bounded(X, k, B) == all((x, y) in rel for x in B for y in B)
+    # windows and explicit spaces asked on a fresh structure, where the table answers
+    # through the stabilization scale s, and after stabilization(), where the components
+    # answer from s on; components and the whole space are among the subsets
+    spaces = [random_explicit_space(rng, max_points=14, max_pairs=30) for _ in range(20)]
+    spaces += [windowed_builtin("int_window", 5), windowed_builtin("grid2_window", 2),
+               coproduct([path_space(3), windowed_builtin("half_line", 4)])]
+    for X in spaces:
+        pts = X.points
+        edges = [pair for g in X.coarse.generators for pair in g.pairs]
+        dist, s = oracles.hop_distances(pts, edges), oracles.largest_eccentricity(pts, edges)
+        subsets = [set(rng.sample(pts, rng.randint(0, len(pts)))) for _ in range(6)]
+        subsets += [set(c) for c in union_find_components(pts, edges)] + [set(pts)]
+        for stabilized_first in (False, True):
+            Y = subspace(X, pts)
+            if stabilized_first:
+                assert Y.coarse.stabilization() == s
+            for k in range(s + 3):
+                for B in subsets:
+                    assert is_U_bounded(Y, k, B) == all(dist[x].get(y, k + 1) <= k for x in B for y in B)
+                with pytest.raises(UnknownPoint) as e:
+                    is_U_bounded(Y, k, subsets[0] | {-1, "zz", 999})
+                assert str(e.value) == "point 'zz' is not in the ground set"
     # one member far from the rest: bounded without it, unbounded with it
     X = path_space(6)
     assert is_U_bounded(X, 2, {0, 1, 2})

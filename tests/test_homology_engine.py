@@ -11,6 +11,7 @@ import gc
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 import weakref
 from functools import partial
@@ -719,6 +720,132 @@ def test_closed_form_refuses_a_non_clique_component(monkeypatch, short, pair):
         homology_engine._colimit_groups(X, 1)
     assert str(e.value) == (f"{pair} share a component but are unrelated at the "
                             f"stabilization scale {5 - short}")
+
+
+def _plant_in_searches(monkeypatch, X, fault):
+    """Run X's stabilization with every breadth-first search passed through fault."""
+    bfs = CoarseStructure._bfs
+    with monkeypatch.context() as m:
+        m.setattr(CoarseStructure, "_bfs", lambda self, *a: fault(bfs(self, *a)))
+        return X.coarse.stabilization()
+
+
+def _lowered(dist):
+    """The farthest entry one hop nearer than it is."""
+    dist[next(reversed(dist))] -= 1
+    return dist
+
+
+def _farthest_second(dist):
+    """The same distances, the farthest moved next to the source, so the last entry is no
+    longer the eccentricity."""
+    src, far = next(iter(dist)), max(dist, key=dist.get)
+    return {src: 0, far: dist[far], **dist}
+
+
+# the path 2-0-3-1 (diameter 3, least member inside it), the path 0-..-5, and an edge {0, 1}
+# beside the path 5-3-2-4-6-7 (diameter 5, least member 2 of eccentricity 3)
+FAULT_SPACES = {"2031": ([0, 1, 2, 3], [(0, 2), (3, 1), (3, 0)]),
+                "path5": (list(range(6)), [(i, i + 1) for i in range(5)]),
+                "path8": (list(range(8)), [(0, 1), (5, 3), (3, 2), (2, 4), (4, 6), (6, 7)])}
+
+
+@pytest.mark.parametrize("fault, space, planted, pair", [
+    ("lowered", "2031", 2, "1 and 2"),
+    ("lowered", "path5", 4, "0 and 5"),
+    ("lowered", "path8", 4, "5 and 7"),
+    ("misread", "2031", 2, "1 and 2"),
+    ("dropped", "path8", 3, "3 and 7"),
+])
+def test_colimit_certificate_refuses_planted_search_faults(monkeypatch, fault, space, planted, pair):
+    # each fault makes stabilization() answer below the true scale; the certificate reads
+    # the searches it was given, so it must not trust them: a lowered distance has no
+    # neighbour one nearer, a misread eccentricity is not the largest distance, and a
+    # dropped search leaves bounds that only an exact search can settle
+    pts, edges = FAULT_SPACES[space]
+    X = make_explicit_space(pts, [edges], [pts])
+    if fault == "dropped":  # every search after the opening one dropped
+        monkeypatch.setattr(CoarseStructure, "_diameter",
+                            lambda self, dist: self._fold(dist) or max(dist.values()))
+        stab = X.coarse.stabilization()
+    else:
+        stab = _plant_in_searches(monkeypatch, X, _lowered if fault == "lowered" else _farthest_second)
+    assert stab == planted < oracles.largest_eccentricity(pts, edges)
+    want = oracles.colimit_reference(pts, edges, stab, 1)
+    assert f"{want[0]} and {want[1]}" == pair
+    with pytest.raises(HomologyError) as e:
+        homology_engine._colimit_groups(X, 1)
+    assert str(e.value) == f"{pair} share a component but are unrelated at the stabilization scale {planted}"
+
+
+def test_colimit_certificate_settles_dropped_searches_exactly(monkeypatch):
+    # with only each component's opening search kept in the bounds, the scale is still
+    # right: the points whose bound exceeds it are searched exactly and the answer stands
+    fold, bfs, searched = CoarseStructure._fold, CoarseStructure._bfs, []
+    monkeypatch.setattr(CoarseStructure, "_fold", lambda self, dist: next(iter(dist)) == min(dist) and fold(self, dist))
+    for X, want in [(windowed_builtin("grid2_window", 3), [Z]),
+                    (coproduct([path_space(4), windowed_builtin("grid2_window", 2)]), [FGAbGroup(2)])]:
+        stab = X.coarse.stabilization()
+        assert stab == oracles.largest_eccentricity(X.points, [p for g in X.coarse.generators for p in g.pairs])
+        with monkeypatch.context() as m:
+            m.setattr(CoarseStructure, "_bfs", lambda self, *a: searched.append(a) or bfs(self, *a))
+            assert homology_engine._colimit_groups(X, 0) == want
+    assert searched  # the weaker bounds left points to search exactly
+
+
+def _colimit_cases(seed, count):
+    """Seeded explicit spaces (points, generator pairs) and small windows."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        pts = list(range(n))
+        cases.append((pts, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]))
+    for name, r in [("int_window", 6), ("half_line", 9), ("grid2_window", 2), ("grid2_window", 3)]:
+        X = windowed_builtin(name, r)
+        cases.append((list(X.points), [p for g in X.coarse.generators for p in g.pairs]))
+    return cases
+
+
+def test_colimit_certificate_matches_the_all_pairs_reference(monkeypatch):
+    # against BFS from every point: at the true scale the groups and no exact search (the
+    # stored bounds settle every point); planted one and two short, the least pair
+    answers = refusals = 0
+    for pts, pairs in _colimit_cases(29, 100):
+        X = make_explicit_space(pts, [pairs], [pts])
+        stab = X.coarse.stabilization()
+        bfs, searched = CoarseStructure._bfs, []
+        with monkeypatch.context() as m:
+            m.setattr(CoarseStructure, "_bfs", lambda self, *a: searched.append(a) or bfs(self, *a))
+            groups = homology_engine._colimit_groups(X, 2)
+        assert searched == []
+        assert [g.free_rank for g in groups] == oracles.colimit_reference(pts, pairs, stab, 2)
+        assert all(not g.torsion for g in groups)
+        answers += 1
+        for short in (1, 2):
+            if stab - short < 0:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(CoarseStructure, "stabilization", lambda self, s=stab - short: s)
+                want = oracles.colimit_reference(pts, pairs, stab - short, 2)
+                with pytest.raises(HomologyError) as e:
+                    homology_engine._colimit_groups(X, 2)
+            assert str(e.value) == (f"{want[0]!r} and {want[1]!r} share a component but are "
+                                    f"unrelated at the stabilization scale {stab - short}")
+            refusals += 1
+    assert answers == 104 and refusals == 147
+
+
+@pytest.mark.parametrize("name, r", [("int_window", 200), ("grid2_window", 8)])
+def test_colimit_needs_no_hop_table(name, r):
+    # the certificate reads the stabilization searches, so a fresh window answers fast
+    # and the hop table is not grown past depth 1
+    X = windowed_builtin(name, r)
+    start = time.perf_counter()
+    groups = homology_engine._colimit_groups(X, 1)
+    elapsed = time.perf_counter() - start
+    assert groups == [Z, ZERO] and X.coarse._depth <= 1
+    assert elapsed < 0.1, f"{name}({r}) colimit took {elapsed:.3f}s"
 
 
 def test_windowed_colimit_warns():
