@@ -19,10 +19,10 @@ _LAYERS = {
     ),
     "morphisms": (
         "Cylinder", "CylinderMismatch", "EquivalenceReport", "FlasqueCertificate",
-        "FlasqueRefusal", "GeneralizedFlasqueCertificate", "MorphismReport", "PNotBornological",
-        "PNotControlled", "SourceTargetMismatch", "SpaceMap", "are_close", "certify_flasque",
-        "certify_flasque_generalized", "check_equivalence", "check_homotopy", "check_morphism",
-        "constant_map", "cylinder", "identity_map", "inclusion_map", "translate_map",
+        "FlasqueRefusal", "GeneralizedFlasqueCertificate", "MorphismReport", "SourceTargetMismatch",
+        "SpaceMap", "are_close", "certify_flasque", "certify_flasque_generalized",
+        "check_equivalence", "check_homotopy", "check_morphism", "constant_map", "cylinder",
+        "identity_map", "inclusion_map", "translate_map",
     ),
     "covers": (
         "AntiCechPrefix", "AsdimReport", "CertificateFailed", "Cover", "CoverError", "NotACover",

@@ -134,10 +134,6 @@ class ChainComplexAtScale(Record):
     def dims(self):
         return [len(b) for b in self.bases]
 
-    def verify_dd(self):
-        return _is_complex(self.boundaries)
-
-
 
 class _SpaceStore:
     """The tuple complexes and presentations of one space, each built once.

@@ -2,8 +2,12 @@
 
 Documents are JSON text; rationals travel as "p/q" strings (or integers, or
 decimal literals, all converted exactly) so no float ever reaches a
-comparison.  Reports render as sorted-key JSON or as flat deterministic text;
-two runs over the same inputs produce identical bytes.
+comparison.  An explicit document names its points by strings: every
+entourage pair is two of them and every bornology member a list of them, and
+a document that breaks this is a ParseError naming the field.  A map file's
+lines go to SpaceMap in file order, so its own checks refuse a point mapped
+to two targets.  Reports render as sorted-key JSON or as flat deterministic
+text; two runs over the same inputs produce identical bytes.
 
 Parsing and emitting need only `core_spaces`; each subcommand imports the
 layer it calls inside its handler, so a cold process loads nothing more.
@@ -108,12 +112,18 @@ def _parse_explicit(doc) -> BornCoarseSpace:
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ParseError(f"entourage {gi} holds a non-pair {pair!r}", "entourages")
-            out.append((pair[0], pair[1]))
+            if not all(isinstance(p, str) for p in pair):
+                raise ParseError(f"entourage {gi} holds a pair {pair!r} whose entries are not both strings",
+                                 "entourages")
+            out.append(tuple(pair))
         gens.append(out)
     born = doc.get("bornology")
     if not isinstance(born, list):
         raise ParseError("bornology must be a list of subsets", "bornology")
-    return make_explicit_space(pts, gens, [list(b) for b in born])
+    for bi, member in enumerate(born):
+        if not (isinstance(member, list) and all(isinstance(p, str) for p in member)):
+            raise ParseError(f"bornology member {bi} is not a list of strings: {member!r}", "bornology")
+    return make_explicit_space(pts, gens, born)
 
 
 def _parse_metric(doc) -> BornCoarseSpace:
@@ -277,7 +287,11 @@ def _int_list(vals, field_name):
 
 
 def parse_map_file(path: str) -> Tuple["SpaceMap", Dict[str, str]]:
-    """Two space references, then one 'source -> target' line per point."""
+    """Two space references, then one 'source -> target' line per point.
+
+    The pairs go to SpaceMap in file order, so a point given two targets is
+    refused there (CoarseError, exit 1), naming the point.
+    """
     import os
 
     from .morphisms import SpaceMap
@@ -302,7 +316,7 @@ def parse_map_file(path: str) -> Tuple["SpaceMap", Dict[str, str]]:
     tgt, d_tgt = _resolve_space(ref(lines[1]))
     src_tokens = {str(p): p for p in src.points}
     tgt_tokens = {str(p): p for p in tgt.points}
-    table = {}
+    pairs = []
     for ln in lines[2:]:
         arrow = "->" if "->" in ln else ("→" if "→" in ln else None)
         if arrow is None:
@@ -312,9 +326,9 @@ def parse_map_file(path: str) -> Tuple["SpaceMap", Dict[str, str]]:
             raise ParseError(f"{a!r} names no source point")
         if b not in tgt_tokens:
             raise ParseError(f"{b!r} names no target point")
-        table[src_tokens[a]] = tgt_tokens[b]
+        pairs.append((src_tokens[a], tgt_tokens[b]))
     digests = {"map": _digest(blob), "map.source": d_src, "map.target": d_tgt}
-    return SpaceMap(src, tgt, table), digests
+    return SpaceMap(src, tgt, pairs), digests
 
 
 # ---------------------------------------------------------------- reports

@@ -356,8 +356,8 @@ class CoarseStructure:
     stabilized_at on each component is a clique, so closure_at (a view over
     the components) reads them there; ball, graph, related_at and the map
     routes read the view, so a map grows its target's table only to its scale
-    shift.  hop_rows() and distance() grow all of it; when it stops growing,
-    its depth is checked against stabilized_at, and a mismatch is refused.
+    shift.  hop_rows() grows all of it; when it stops growing, its depth is
+    checked against stabilized_at, and a mismatch is refused.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -570,16 +570,6 @@ class CoarseStructure:
         """
         self._grow(len(self.ground) + 1)
         return self._dist
-
-    def distance(self, x, y) -> Optional[int]:
-        """Hop distance between x and y in the generator graph; None across components."""
-        i, j = self.ground.index(x), self.ground.index(y)
-        self.hop_rows()
-        return self._dist[j].get(i)
-
-    def component(self, x) -> int:
-        """The index of the coarse component of x, components ordered by least member."""
-        return self._components()[0][self.ground.index(x)]
 
     def related_at(self, k: int, x, y) -> bool:
         i, j = self.ground.index(x), self.ground.index(y)

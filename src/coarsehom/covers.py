@@ -152,11 +152,10 @@ def check_cover(X: BornCoarseSpace, cover, k_bound: int, k_lebesgue: int) -> Cov
     """Re-verify both certificates on an explicit cover.
 
     Failed certificates come back as None with a witness note; a non-cover is
-    refused outright.
+    refused outright, and so is a member, of a Cover or of a list, that holds a
+    point outside the ground (UnknownPoint, from check_subset).
     """
-    members = cover.members if isinstance(cover, Cover) else tuple(
-        frozenset(X.ground.check_subset(m)) for m in cover
-    )
+    members = tuple(map(X.ground.check_subset, cover.members if isinstance(cover, Cover) else cover))
     if any(not m for m in members):
         raise NotACover("cover members must be nonempty")
     union = set()
@@ -309,7 +308,8 @@ def hybrid_entourage(X: BornCoarseSpace, family: BigFamilyPrefix,
 
     A pair survives when, for every family index i, both entries lie in Y_i or
     the pair is phi(i)-small; phi stands in for a cofinal decreasing function
-    into the metric filtration, so it must be non-increasing.  The scan runs in
+    into the metric filtration, so its entries must be scale indices
+    (check_scale) and non-increasing.  The scan runs in
     index space, on the members as index sets and on the neighbour sets of one
     scale graph per distinct phi scale.
     """
@@ -317,12 +317,11 @@ def hybrid_entourage(X: BornCoarseSpace, family: BigFamilyPrefix,
         raise CoarseError(
             f"phi has {len(phi)} entries for {len(family.members)} family members"
         )
-    phi = [int(v) for v in phi]
+    for v in phi:
+        check_scale(v)
     for i, (a, b) in enumerate(zip(phi, phi[1:])):
         if b > a:
             raise PhiNotDecreasing(f"phi({i}) = {a} < phi({i + 1}) = {b}")
-    if any(v < 0 for v in phi):
-        raise CoarseError("phi entries must be nonnegative scale indices")
     index, pts = X.ground._index, X.points
     rows = {v: X.coarse.graph(v).sets for v in dict.fromkeys(phi)}
     tests = [({index[p] for p in Y if p in index}, rows[v]) for Y, v in zip(family.members, phi)]

@@ -11,8 +11,6 @@ import json
 import random
 import time
 
-import pytest
-
 from coarsehom import (
     big_family_generated,
     make_explicit_space,

@@ -13,7 +13,6 @@ from coarsehom import core_spaces as cs
 from coarsehom import cli_io
 from coarsehom.cli_io import (
     ParseError,
-    Report,
     emit_space,
     emit_space_text,
     parse_map_file,
@@ -123,6 +122,14 @@ def test_udecomp_radii_must_be_a_list(capsys, radii):
     ({"kind": "metric", "points": ["a", "b", "c"], "distances": [[], [1], [1]], "scales": [1]},
      "row 2 must have exactly 2 entries (field distances)"),
     ({"kind": "builtin", "name": 3, "radius": 2}, "builtin name must be a string (field name)"),
+    ({"kind": "explicit", "points": ["0", "1"], "entourages": [[[["0"], "1"]]], "bornology": [["0", "1"]]},
+     "entourage 0 holds a pair [['0'], '1'] whose entries are not both strings (field entourages)"),
+    ({"kind": "explicit", "points": ["0", "1"], "entourages": [], "bornology": ["01"]},
+     "bornology member 0 is not a list of strings: '01' (field bornology)"),
+    ({"kind": "explicit", "points": ["0", "1"], "entourages": [], "bornology": [["0", "1"], 5]},
+     "bornology member 1 is not a list of strings: 5 (field bornology)"),
+    ({"kind": "explicit", "points": ["0", "1"], "entourages": [], "bornology": [[["0"]]]},
+     "bornology member 0 is not a list of strings: [['0']] (field bornology)"),
 ])
 def test_malformed_document_exits_two_naming_the_field(doc, message, tmp_path, capsys):
     rep, code = run(["components", "--space", str(write_space(tmp_path, "s.json", doc))])
@@ -132,7 +139,8 @@ def test_malformed_document_exits_two_naming_the_field(doc, message, tmp_path, c
 
 
 @pytest.mark.parametrize("case", ["subset not a list", "bad flag JSON", "unreadable map", "unknown source token",
-                                  "unreadable matrix", "matrix not a list", "hybrid without a family"])
+                                  "unreadable matrix", "matrix not a list", "hybrid without a family",
+                                  "no scale", "radius not a rational"])
 def test_malformed_flag_or_file_exits_two_naming_the_field(case, tmp_path, capsys):
     sp = str(write_space(tmp_path, "iw.json", {"kind": "builtin", "name": "int_window", "radius": 5}))
     mv = ["mv-check", "--space", sp, "--family-base", "[-5]", "--family-depth", "8"]
@@ -150,6 +158,9 @@ def test_malformed_flag_or_file_exits_two_naming_the_field(case, tmp_path, capsy
         "matrix not a list": (["snf", "--matrix", str(matrix)], "matrix must be a JSON list of rows (field matrix)"),
         "hybrid without a family": (["hybrid", "--space", sp, "--phi", "[0]", "--scale", "1"],
                                     "give exactly one of --family or --family-base (field family)"),
+        "no scale": (["anti-cech", "--space", sp, "--scales", ","], "at least one scale is required (field scales)"),
+        "radius not a rational": (["udecomp", "--space", sp, "--part-y", "[]", "--part-z", "[]", "--radii", "[[1, 2]]"],
+                                  "bad rational [1, 2] (field radii)"),
     }[case]
     rep, code = run(argv)
     captured = capsys.readouterr()
@@ -425,6 +436,17 @@ def test_check_morphism_close_equivalence(tmp_path, capsys):
     assert code == 0 and rep.results == {"close": True, "closeness": 1}
     rep, code, _ = run_quiet(["equivalence", "--map", str(mp), "--map", str(idp)], capsys)
     assert code == 0 and rep.results["equivalence"] is True
+
+
+def test_map_file_giving_a_point_two_targets_is_refused_naming_it(tmp_path, capsys):
+    # the pairs reach SpaceMap in file order, so the last line no longer silently wins
+    mp = tmp_path / "twice.map"
+    mp.write_text("hexagon\nhexagon\n0 -> 1\n0 -> 2\n" + "".join(f"{i} -> {i}\n" for i in range(1, 6)))
+    with pytest.raises(cs.CoarseError, match="point '0' assigned twice"):
+        parse_map_file(str(mp))
+    rep, code, _ = run_quiet(["check-morphism", "--map", str(mp)], capsys)
+    assert (code, rep.results) == (1, {})
+    assert rep.refusals == [{"error": "CoarseError", "detail": "point '0' assigned twice"}]
 
 
 def test_close_needs_two_maps(tmp_path, capsys):

@@ -19,6 +19,7 @@ from coarsehom import (
     BadScales,
     CoarseError,
     InvalidMetric,
+    UnknownPoint,
     from_metric,
     make_big_family,
     make_explicit_space,
@@ -247,6 +248,11 @@ def test_check_cover_refusals():
         check_cover(X, [[0, 1, 2]], 1, 0)
     with pytest.raises(NotACover):
         check_cover(X, [list(X.points), []], 1, 0)
+    # a Cover's members go through check_subset, as a list's members do
+    whole = frozenset(X.points) | {99}
+    for cover in (Cover((whole,), None, None), [sorted(whole)]):
+        with pytest.raises(UnknownPoint, match="point 99 is not in the ground set"):
+            check_cover(X, cover, 1, 0)
 
 
 def test_check_cover_reverifies_ball_cover():
@@ -304,6 +310,11 @@ def test_anti_cech_refuses_a_ball_cover_with_no_lebesgue_scale():
     assert e.value.pair_index == 0
     assert str(e.value) == ("anti-Cech certificate failed at pair 0: scale 2 is not a "
                             "Lebesgue scale of the cover at scale 2")
+
+
+def test_anti_cech_needs_a_scale():
+    with pytest.raises(CoverError, match="at least one scale is required"):
+        anti_cech(path_space(4), [])
 
 
 def test_anti_cech_single_scale():
@@ -655,6 +666,22 @@ def test_hybrid_refusals():
         hybrid_entourage(X, fam, [1, 2], 2)
     with pytest.raises(CoarseError):
         hybrid_entourage(X, fam, [1], 2)
+
+
+@pytest.mark.parametrize("value, text", [
+    (1.9, "scale-index must be an int, got 1.9"),
+    ("1", "scale-index must be an int, got '1'"),
+    (True, "scale-index must be an int, got True"),
+    ("a", "scale-index must be an int, got 'a'"),
+    (-1, "scale-index must be >= 0, got -1"),
+])
+def test_hybrid_checks_each_phi_entry_as_a_scale(value, text):
+    # int() read 1.9 as 1 and "1" as 1; each entry is now a scale index or a BadScales
+    X = windowed_builtin("half_line", 20)
+    fam = make_big_family(X, [range(0, 5), range(0, 9)], scale_cap=1)
+    with pytest.raises(BadScales) as e:
+        hybrid_entourage(X, fam, [3, value], 2)
+    assert str(e.value) == text
 
 
 # ----------------------------------------------------------------- udecomp

@@ -116,6 +116,16 @@ def test_metric_validation():
         from_metric([0, 1], [[0, -1], [-1, 0]], [1])
     with pytest.raises(BadScales):
         from_metric([0, 1], [[0, 1], [1, 0]], [2, 2])
+    for rows in ([[0, 1]], [[0, 1], [1]], [[0, 1, 2], [1, 0, 1]]):
+        with pytest.raises(InvalidMetric, match="distance matrix must be 2x2"):
+            from_metric([0, 1], rows, [1])
+
+
+def test_coarse_structure_refuses_a_generator_over_another_ground():
+    ground = GroundSet([0, 1])
+    other = Entourage(GroundSet([0, 1, 2]), [(0, 1)])
+    with pytest.raises(UnknownPoint, match="generator defined over a different ground set"):
+        CoarseStructure(ground, [other])
 
 
 def test_metric_rational_scales():
@@ -401,10 +411,11 @@ def test_closure_matches_bfs_oracle(data):
         assert sub.nbrs == [[i for i, x in enumerate(kept) if (x, y) in rel] for y in kept]
     stab = next(s for s in range(n + 1) if oracle[s] == oracle[s + 1])
     assert X.coarse.stabilization() == stab
+    rows, index = X.coarse.hop_rows(), X.ground.index
     for x in pts:
         for y in pts:
             hops = next((s for s in range(stab + 1) if (x, y) in oracle[s]), None)
-            assert X.coarse.distance(x, y) == hops
+            assert rows[index(y)].get(index(x)) == hops
 
 
 @st.composite
@@ -484,13 +495,12 @@ def test_stabilization_reuses_the_component_search(monkeypatch):
 def test_hop_table_refuses_a_planted_bound_fault(monkeypatch, off):
     diameter = CoarseStructure._diameter
     monkeypatch.setattr(CoarseStructure, "_diameter", lambda self, members: diameter(self, members) + off)
-    for call in (lambda X: X.coarse.hop_rows(), lambda X: X.coarse.distance(0, 5)):
-        X = path_space(5)
-        assert X.coarse.stabilization() == 5 + off
-        with pytest.raises(CoarseError) as e:
-            call(X)
-        assert str(e.value) == ("the hop table stabilizes at scale 5, but the eccentricity "
-                                f"bounds give {5 + off}")
+    X = path_space(5)
+    assert X.coarse.stabilization() == 5 + off
+    with pytest.raises(CoarseError) as e:
+        X.coarse.hop_rows()
+    assert str(e.value) == ("the hop table stabilizes at scale 5, but the eccentricity "
+                            f"bounds give {5 + off}")
 
 
 @settings(max_examples=40, deadline=None)
@@ -646,7 +656,7 @@ def test_components_match_union_find_oracle():
         # canonical order: each class in point order, classes by least member
         assert all(c == X.ground.sorted(c) for c in comps)
         assert [c[0] for c in comps] == X.ground.sorted(c[0] for c in comps)
-        assert [X.coarse.component(x) for x in X.points] == [
+        assert X.coarse._components()[0] == [
             next(n for n, c in enumerate(comps) if x in c) for x in X.points]
         assert X.coarse._depth == 0
 
@@ -780,6 +790,8 @@ def test_big_family_empty_and_zero_depth():
     assert all(m == frozenset() for m in fam.members)
     fam0 = big_family_generated(X, {1}, 0)
     assert fam0.members == (frozenset({1}),)
+    with pytest.raises(CoarseError, match="depth must be >= 0"):
+        big_family_generated(X, {1}, -1)
 
 
 def big_family_mismatch(X, A, depth):

@@ -4,6 +4,7 @@ flasqueness certificates, cylinders and homotopies."""
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,13 +25,10 @@ from coarsehom.chain_maps import _controlled_shift, _shift_at, induced_map, pris
 from coarsehom.core_spaces import (BornCoarseSpace, Bornology, ClosureView, CoarseStructure, GroundSet,
                                    UnknownPoint, WindowTag)
 from coarsehom.morphisms import (
-    Cylinder,
     CylinderMismatch,
     FlasqueCertificate,
     FlasqueRefusal,
     GeneralizedFlasqueCertificate,
-    PNotBornological,
-    PNotControlled,
     SourceTargetMismatch,
     SpaceMap,
     are_close,
@@ -599,12 +597,16 @@ def test_cylinder_over_point():
     assert len(coarse_components(cyl.space)) == 1
 
 
-def test_cylinder_jump_cap():
+@pytest.mark.parametrize("value, shown", [
+    (1.9, "1.9"), (Fraction(3, 2), "Fraction(3, 2)"), (True, "True"), ("1", "'1'"),
+])
+def test_cylinder_refuses_a_p_value_that_is_no_int(value, shown):
+    # int() would read 1.9 and 3/2 as 1; each value is checked once, naming its point
     X = path_space(3)
-    with pytest.raises(PNotControlled, match=r"\|p\(2\) - p\(3\)\|"):
-        cylinder(X, lambda x: 0, lambda x: 10 if x == 3 else 0, max_jump=2)
-    with pytest.raises(PNotBornological):
-        cylinder(X, lambda x: 0, lambda x: 10 if x == 3 else 0, max_value=5)
+    with pytest.raises(CoarseError, match=re.escape(f"p_plus(2) = {shown} must be an int")):
+        cylinder(X, lambda x: 0, lambda x: value if x == 2 else 0)
+    with pytest.raises(CoarseError, match=re.escape(f"p_minus(3) = {shown} must be an int")):
+        cylinder(X, {0: 0, 1: 0, 2: 0, 3: value}, lambda x: 0)
 
 
 def test_cylinder_sections_split_projection():
@@ -653,3 +655,32 @@ def test_homotopy_cylinder_mismatch():
     h = identity_map(X).compose(cyl_b.projection)
     with pytest.raises(CylinderMismatch):
         check_homotopy(identity_map(X), identity_map(X), h, cyl_a)
+    Y, h = path_space(4), identity_map(X).compose(cyl_a.projection)
+    with pytest.raises(CylinderMismatch, match="f0/f1 are not defined on the cylinder's base space"):
+        check_homotopy(identity_map(Y), identity_map(X), h, cyl_a)
+    into_y = inclusion_map(X, Y)
+    with pytest.raises(CylinderMismatch, match="f0/f1 and h must share a target"):
+        check_homotopy(into_y, into_y, h, cyl_a)
+
+
+def test_homotopy_is_false_for_an_h_that_is_no_morphism():
+    # h sends the two ends of the cylinder into two coarse components of Y, so no scale controls it
+    X = path_space(3)
+    pts = [0, 1, 2, 3, 10, 11, 12, 13]
+    Y = make_explicit_space(pts, [[(i, i + 1) for i in (0, 1, 2, 10, 11, 12)]], [pts])
+    cyl = cylinder(X, lambda x: 0, lambda x: 1)
+    f0, f1 = SpaceMap(X, Y, {x: x for x in X.points}), SpaceMap(X, Y, {x: x + 10 for x in X.points})
+    h = SpaceMap(cyl.space, Y, {(t, x): x + 10 * t for t, x in cyl.space.points})
+    assert not check_morphism(h).is_morphism
+    assert check_homotopy(f0, f1, h, cyl) is False
+
+
+def test_translate_map_and_flasque_refuse_what_they_cannot_read():
+    X = path_space(3)
+    with pytest.raises(CoarseError, match="translate_map expects a windowed builtin space"):
+        translate_map(X, 1)
+    tagged = BornCoarseSpace(X.ground, X.coarse, X.bornology, window_tag=WindowTag("torus", 3))
+    with pytest.raises(CoarseError, match="translate_map does not know builtin 'torus'"):
+        translate_map(tagged, 1)
+    with pytest.raises(SourceTargetMismatch, match="flasqueness needs a self-map of X"):
+        certify_flasque(X, inclusion_map(X, path_space(4)))
