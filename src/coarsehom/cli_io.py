@@ -101,6 +101,7 @@ def _string_points(doc):
 
 def _parse_explicit(doc) -> BornCoarseSpace:
     pts = _string_points(doc)
+    known = set(pts)
     ents = doc.get("entourages")
     if not isinstance(ents, list):
         raise ParseError("entourages must be a list of pair lists", "entourages")
@@ -115,6 +116,8 @@ def _parse_explicit(doc) -> BornCoarseSpace:
             if not all(isinstance(p, str) for p in pair):
                 raise ParseError(f"entourage {gi} holds a pair {pair!r} whose entries are not both strings",
                                  "entourages")
+            if not known.issuperset(pair):
+                raise ParseError(f"entourage {gi} holds a pair {pair!r} naming a point not in points", "entourages")
             out.append(tuple(pair))
         gens.append(out)
     born = doc.get("bornology")
@@ -123,6 +126,8 @@ def _parse_explicit(doc) -> BornCoarseSpace:
     for bi, member in enumerate(born):
         if not (isinstance(member, list) and all(isinstance(p, str) for p in member)):
             raise ParseError(f"bornology member {bi} is not a list of strings: {member!r}", "bornology")
+        if not known.issuperset(member):
+            raise ParseError(f"bornology member {bi} names a point not in points: {member!r}", "bornology")
     return make_explicit_space(pts, gens, born)
 
 

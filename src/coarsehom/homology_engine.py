@@ -18,59 +18,55 @@ equivalence of flag complexes (Barmak and Minian, Strong homotopy types,
 nerves and collapses, 2012).  Relative to Y, v goes only when it is outside
 Y or w is inside, so X and Y both keep their homotopy types and the relative
 groups stay.  A replay of the deletions on the whole graph refuses a false
-domination or a broken pair rule.  The cap still counts the whole complex:
-its (quotient's) tuples per degree, or for `coarsify_homology` its
-simplices.  When the degree bound m·c_m <= Σ_v C(deg v, m-1) on the
-m-cliques leaves no room for a refusal, only the core is enumerated;
-otherwise the whole complex is enumerated under the cap first.  Only
-`rips_complex` and `SimplicialComplex.homology`, the reference route the
-tests compare against, reduce a whole clique complex.  Clique, relative,
-Rips, nerve and telescope complexes take one route from a simplex list to
-groups, which checks d∘d = 0 exactly.  At stabilization each coarse
-component is a clique, hence a cone: the colimit is Z^(components) in
-degree 0 and 0 above, counted off the stored coarse components once each
-is certified a clique; nothing is built.  The certificate is the
-breadth-first searches of `stabilization()`: a search from v, checked to
-be one, bounds every w of its component by e(w) <= e(v) + d(v, w), the
-triangle inequality through v, and a component is a clique when each
-point's least bound is at most the stabilization scale.  Only a point
-whose bound is larger is searched exactly; no all-pairs table is grown.
+domination or a broken pair rule.  The collapse stays on the neighbour sets,
+since a bitmask over the whole graph is as wide as its point's index, which
+made it quadratic in a window.  The survivors' cliques are grown on
+vertex-relative bitmasks (San Segundo et al., bit-parallel cliques, 2011, in
+the lex order of Boissonnat and Maria's simplex tree, 2014): numbered
+outside Y first, bit t of later[v] stands for v+1+t, so a mask is as wide as
+a neighbourhood's span.  Each simplex records its facets as it grows, so the
+boundaries are read off the enumeration with no face lookup, a face wholly
+in Y being 0.  The cap still counts the whole complex: its (quotient's)
+tuples per degree, or for `coarsify_homology` its simplices.  When the
+degree bound m·c_m <= Σ_v C(deg v, m-1) on the m-cliques leaves no room for
+a refusal, only the core is enumerated; otherwise the whole complex is
+enumerated under the cap first.  Only `rips_complex` and
+`SimplicialComplex.homology`, the reference route the tests compare
+against, reduce a whole clique complex, with boundaries built from the
+simplex lists as for nerves and telescopes.  Every complex takes one
+reduction, which checks d∘d = 0 exactly on the matrices it reduces.  At
+stabilization each coarse component is a clique, hence a cone: the colimit
+is Z^(components) in degree 0 and 0 above, each component certified a
+clique from the searches of `stabilization()`; nothing is built.
 
 Boundaries are `IntMatrix` values: a shape and one dict {column: int} per
-row, with Python ints, so no entry can overflow.  Groups are read off one
-sparse elimination kernel in two phases.  The unit phase takes ±1 pivots
-from a heap of rows keyed on length, each in its sparsest column, and clears
-that column with exact row operations; only the rows that never offer a
-unit reach the residual phase, the Smith form that presentations use, run
-without transforms.  Each boundary of a complex is reduced once: its rank
-serves H_{n-1} and H_n, and its invariant factors give the torsion of
-H_{n-1}.  A built d_1 whose every column is -1, +1 or a single ±1 is an
-incidence matrix, so a union-find spanning forest gives its rank, with no
-torsion; any other d_1 goes to the kernel.  Each higher d_n drops the rows
-at the unit-pivot columns of d_{n-1} (the forest edges for n = 2) before it
-is reduced: the pivot block is unimodular and d_{n-1} d_n = 0, so those rows
-are integer combinations of the kept ones, and rank and torsion do not
-change (the compression of Bauer, Kerber and Reininghaus, Clear and
-Compress, 2014).  d∘d is checked on the full matrices, a row of the product
-at a time, never stored.
+row, with Python ints, so no entry can overflow.  Each boundary of a complex
+is reduced once, by one sparse elimination kernel: ±1 pivots first, from a
+heap of rows keyed on length, then the Smith form, without transforms, on
+the rows that never offer a unit.  Its rank serves H_{n-1} and H_n, and its
+invariant factors give the torsion of H_{n-1}.  A d_1 that is an incidence
+matrix is read by a union-find spanning forest instead, with no torsion.
+Each higher d_n drops the rows at the unit-pivot columns of d_{n-1} before
+it is reduced: the pivot block is unimodular and d_{n-1} d_n = 0, so rank
+and torsion do not change (the compression of Bauer, Kerber and
+Reininghaus, Clear and Compress, 2014).  d∘d is checked on the full
+matrices, a row of the product at a time, never stored.
 
 The `snf` command and the presentations of `chain_maps` share one Smith
 form with transforms, whose pivot is the least |nonzero| entry, ties
 row-major; generator chains follow from that order, so it is kept exactly.
 It runs on sparse rows with sparse transforms, and swaps only permute
 positions; `smith_normal_form` makes its result dense.  Excision needs no
-presentation: when Z and a family member Y_i0 cover X and
-closure_at(k)[Y_i0] lies in Y_m, every scale-k simplex not wholly in Y_m
-lies in Z, so the relative clique complexes of (X, Y_m) and (Z, Z∩Y_m) are
-equal and the inclusion is the identity; `mv_check` reads the groups once
-and checks that equality on the 1-skeleton, since a simplex not wholly in
-Y_m lies in the closed neighbourhood of each of its vertices outside Y_m.
+presentation: the two relative clique complexes `mv_check` compares are
+equal, so it reads the groups once and checks that equality on the
+1-skeleton.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import islice
+from collections import Counter
+from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -185,16 +181,29 @@ def _faces(t, n):
         yield t[:i] + t[i + 1:], 1 if i % 2 == 0 else -1
 
 
-def _boundary_from_lists(basis_n, basis_prev, n, inside=None):
-    """Matrix of the alternating face sum on normalized index tuples, from basis_n to basis_prev;
-    with a point mask inside, a face wholly in it is 0, and any other face must be in basis_prev."""
+def _boundary_from_lists(basis_n, basis_prev, n):
+    """Matrix of the alternating face sum on normalized index tuples, from basis_n to basis_prev."""
     index_prev = {t: i for i, t in enumerate(basis_prev)}
     rows: List[Dict[int, int]] = [{} for _ in basis_prev]
     for col, t in enumerate(basis_n):
         for face, sign in _faces(t, n):
-            if inside is None or not all(inside[i] for i in face):
-                rows[index_prev[face]][col] = sign
+            rows[index_prev[face]][col] = sign
     return IntMatrix((len(basis_prev), len(basis_n)), rows)
+
+
+def _facet_boundaries(facets):
+    """[None, d_1, d_2, ...] read off the recorded facets of _clique_chains: column s of d_n
+    holds (-1)^i at the i-th facet of n-simplex s, and nothing at a face wholly in the mask."""
+    out = [None]
+    for n in range(1, len(facets)):
+        rows: List[Dict[int, int]] = [{} for _ in facets[n - 1]]
+        signs = [(-1) ** i for i in range(n + 1)]
+        for col, fs in enumerate(facets[n]):
+            for f, sign in zip(fs, signs):
+                if f is not None:
+                    rows[f][col] = sign
+        out.append(IntMatrix((len(rows), len(facets[n])), rows))
+    return out
 
 
 def _is_complex(boundaries: Sequence[Optional[IntMatrix]]):
@@ -558,18 +567,13 @@ def _forest_columns(d: IntMatrix) -> Optional[List[int]]:
     return forest
 
 
-def _simplicial_groups(simplices: Sequence[List[tuple]], d_max, inside=None):
-    """Groups 0..d_max from simplices by dimension (increasing index tuples; relative chains,
-    less those wholly in the point mask inside, when given): the one route to groups.
-
-    Boundaries are built through d_max + 1, or as far as the complex reaches, 0 past
-    that, checked to compose to zero and each reduced once: d_1 by a spanning forest
-    when it is an incidence matrix, every other one by the kernel, less the rows at
-    the unit-pivot columns of the boundary below.
+def _chain_groups(boundaries: Sequence[Optional[IntMatrix]], dims, d_max):
+    """Groups 0..d_max of the complex with boundaries [None, d_1, ...] and chain ranks dims
+    (0 past either): the one reduction.  The boundaries are checked to compose to zero and
+    each is reduced once: d_1 by a spanning forest when it is an incidence matrix, every
+    other one by the kernel, less the rows at the unit-pivot columns of the boundary below.
     H_n = Z^(c_n - rank d_n - rank d_{n+1}) + the torsion of d_{n+1}.
     """
-    boundaries = [None] + [_boundary_from_lists(simplices[n], simplices[n - 1], n, inside)
-                           for n in range(1, min(d_max + 2, len(simplices)))]
     if not _is_complex(boundaries):
         raise HomologyError("boundary matrices fail the complex identity")
     ranks, torsion = [0] * (d_max + 2), [()] * (d_max + 2)
@@ -581,13 +585,12 @@ def _simplicial_groups(simplices: Sequence[List[tuple]], d_max, inside=None):
         ranks[n], facs, pivots = _sparse_invariants([row for i, row in enumerate(boundaries[n].rows)
                                                      if i not in drop])
         torsion[n] = tuple(f for f in facs if f >= 2)
-    dims = [len(level) for level in simplices[:d_max + 1]] + [0] * (d_max + 1 - len(simplices))
+    dims = list(dims[:d_max + 1]) + [0] * (d_max + 1 - len(dims))
     return [FGAbGroup(c - ranks[n] - ranks[n + 1], torsion[n + 1]) for n, c in enumerate(dims)]
 
 
 def _core(g: ScaleGraph, inside=None):
-    """The strong-collapse core of g: (induced graph on the survivors, inside restricted to
-    them, the deletions as (v, w) index pairs of g), or (g, inside, []) when nothing goes.
+    """The strong-collapse core of g: (survivor flags, the deletions as (v, w) index pairs).
 
     A vertex v goes when some neighbour w != v has N[v] ⊆ N[w] among the vertices left, and
     with a point mask only when v is outside it or w inside; the neighbours of each deleted
@@ -616,60 +619,54 @@ def _core(g: ScaleGraph, inside=None):
                 if not queued[u]:
                     queued[u] = True
                     todo.append(u)
-    if not deleted:
-        return g, inside, deleted
-    core = g.restrict({p for p, a in zip(g.points, alive) if a})
-    return core, None if inside is None else [x for x, a in zip(inside, alive) if a], deleted
+    return alive, deleted
 
 
-def _check_collapse(g: ScaleGraph, inside, deleted, core: ScaleGraph):
+def _check_collapse(g: ScaleGraph, inside, deleted, alive):
     """Replays the deletions on the sets of g: each v must be dominated by w among the points
-    left, under the pair rule with a mask, and the survivors must be the points of core."""
-    sets, alive = g.sets, [True] * len(g.sets)
+    left, under the pair rule with a mask, and the survivors must be those flagged alive."""
+    sets, left = g.sets, [True] * len(g.sets)
     for v, w in deleted:
         pv, pw = g.points[v], g.points[w]
-        if v == w or not (alive[v] and alive[w]) or any(map(alive.__getitem__, sets[v] - sets[w])):
+        if v == w or not (left[v] and left[w]) or any(map(left.__getitem__, sets[v] - sets[w])):
             raise HomologyError(f"the strong collapse deletes {pv!r} under {pw!r}, which does not dominate it")
         if inside is not None and inside[v] and not inside[w]:
             raise HomologyError(f"the strong collapse deletes {pv!r}, a point of Y, under {pw!r}, "
                                 "a point outside Y")
-        alive[v] = False
-    if core.points != tuple(p for p, a in zip(g.points, alive) if a):
+        left[v] = False
+    if left != alive:
         raise HomologyError("the strong-collapse core is not the points its deletions leave")
 
 
 def _cap_cannot_refuse(g: ScaleGraph, top, cap, tuples=True):
-    """Whether _cliques(g, top, cap, .., tuples) cannot refuse: an m-clique lies in the
-    neighbourhood of each of its m vertices, so m·c_m <= Σ_v C(deg v, m-1).  Tuples are
-    capped per degree and _tuple_count grows with the clique counts; simplices are capped
-    over degrees 0..top together."""
-    sizes = list(map(len, g.sets))
-    degrees = {d - 1: sizes.count(d) for d in set(sizes)}
-    bounds = [sum(c * comb(d, m - 1) for d, c in degrees.items()) // m for m in range(1, top + 2)]
-    if not tuples:
-        return sum(bounds) <= cap
-    return all(_tuple_count(bounds, n) <= cap for n in range(top + 1))
+    """Whether _clique_chains(g.sets, top, cap, .., tuples) cannot refuse: an m-clique lies in
+    the neighbourhood of each of its m vertices, so m·c_m <= Σ_v C(deg v, m-1).  Tuples are
+    capped per degree, c_1 in degree 0, and from degree 1 on _tuple_count grows with the
+    degree and the clique counts; simplices are capped over degrees 0..top together."""
+    sizes = Counter(map(len, g.sets))  # closed neighbourhoods: deg v + 1
+    bounds = [sum(c * comb(d - 1, m - 1) for d, c in sizes.items()) // m for m in range(1, top + 2)]
+    return bounds[0] <= cap and _tuple_count(bounds, top) <= cap if tuples else sum(bounds) <= cap
 
 
 def _clique_groups(X, k, d_max, basis_cap, Y=None, tuples=True):
     """Groups 0..d_max of the scale-k clique complex (relative to Y when given), built through
     d_max + 1 on its strong-collapse core: the one route from a scale graph to its groups.
 
-    basis_cap counts what _cliques counts on the whole complex: the (quotient's) tuples of
-    each degree, or with tuples false the simplices of degrees 0..d_max + 1 together.  When
-    the degree bound leaves room for a refusal, the whole complex is enumerated under the
-    cap first, and its simplices are reduced when nothing collapses.
+    basis_cap counts what _clique_chains counts on the whole complex: the (quotient's) tuples
+    of each degree, or with tuples false the simplices of degrees 0..d_max + 1 together.
+    When the degree bound leaves room for a refusal, the whole complex is enumerated under
+    the cap first, and its chains are reduced when nothing collapses.
     """
     g = X.coarse.graph(k)
     inside = None if Y is None else [p in Y for p in g.points]
-    simplices = None
+    facets = None
     if basis_cap is not None and not _cap_cannot_refuse(g, d_max + 1, basis_cap, tuples):
-        simplices = _cliques(g, d_max + 1, basis_cap, k, tuples, inside)
-    core, mask, deleted = _core(g, inside)
-    _check_collapse(g, inside, deleted, core)
-    if simplices is None or deleted:
-        simplices = _cliques(core, d_max + 1, None, k, False, mask)
-    return _simplicial_groups(simplices, d_max, mask)
+        facets = _clique_chains(g.sets, d_max + 1, basis_cap, k, tuples, inside)[1]
+    alive, deleted = _core(g, inside)
+    _check_collapse(g, inside, deleted, alive)
+    if facets is None or deleted:
+        facets = _clique_chains(g.sets, d_max + 1, inside=inside, alive=alive)[1]
+    return _chain_groups(_facet_boundaries(facets), [len(level) for level in facets], d_max)
 
 
 def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
@@ -832,12 +829,8 @@ class SimplicialComplex(Record):
         self.vertices = vertices
         self.simplices = simplices
 
-    @property
-    def dim_built(self):
-        return len(self.simplices) - 1
-
     def boundary(self, n):
-        if n < 1 or n > self.dim_built:
+        if not 1 <= n < len(self.simplices):
             raise ValueError("degree out of the built range")
         # increasing simplices never repeat an entry, so every face is kept
         return _boundary_from_lists(self.simplices[n], self.simplices[n - 1], n)
@@ -849,65 +842,88 @@ class SimplicialComplex(Record):
         complex is a truncation of something deeper (skeleton homology otherwise).
         """
         check_degree(d_max)
-        return _simplicial_groups(self.simplices, d_max)
+        built = range(1, min(d_max + 2, len(self.simplices)))
+        return _chain_groups([None] + [self.boundary(n) for n in built], list(map(len, self.simplices)), d_max)
 
     def betti(self, d_max):
         return [g.free_rank for g in self.homology(d_max)]
 
 
+@lru_cache(maxsize=1024)
+def _words(m, L):
+    """The words of length L over m letters, each used, without adjacent repeats, by
+    inclusion-exclusion over the letters left out."""
+    return sum((-1) ** j * comb(m, j) * (m - j) * (m - j - 1) ** (L - 1) for j in range(m + 1))
+
+
 def _tuple_count(clique_counts, n):
-    """Number of degree-n controlled tuples, from clique_counts[m - 1] = number of m-cliques.
-
-    The entries of a tuple span a clique, and the tuples of length L whose
-    entries are exactly a given m-clique number w(m, L): the words without
-    adjacent repeats over m letters, by inclusion-exclusion over the letters
-    left out.  w(m, m) = m! >= 1, so more than cap (n+1)-cliques already mean
-    more than cap tuples in degree n.
+    """Number of degree-n controlled tuples, from clique_counts[m - 1] = number of m-cliques:
+    the tuples of length L whose entries are exactly a given m-clique number _words(m, L).
+    _words(m, m) = m! >= 1, so more than cap (n+1)-cliques mean more than cap tuples in degree n.
     """
-    L = n + 1
-    return sum(c * sum((-1) ** j * comb(m, j) * (m - j) * (m - j - 1) ** (L - 1)
-                       for j in range(m + 1))
-               for m, c in enumerate(clique_counts[:L], 1))
+    return sum(c * _words(m, n + 1) for m, c in enumerate(clique_counts[:n + 1], 1) if c)
 
 
-def _cliques(g: ScaleGraph, d_max, cap, scale, tuples=False, inside=None):
-    """Strictly increasing index tuples spanning cliques, by dimension, each in lex order.
+def _clique_chains(sets, top, cap=None, scale=None, tuples=False, inside=None, alive=None):
+    """(simplices, facets): the cliques of dimension 0..top of the graph with neighbour sets
+    sets, each level in lex order, and the faces of each by their index in the level below.
 
-    Built one dimension at a time, each simplex extended by the later common
-    neighbours of its vertices; with a point mask inside, the points outside it
-    come first in that order, so only simplices not wholly inside are grown, each
-    from its first point outside, and each level is sorted back into increasing
-    tuples.  cap bounds the simplices kept so far; with tuples it bounds instead
-    the controlled tuples of each degree not wholly inside (_tuple_count of the
-    cliques), refused at the least degree past it before the next dimension is
-    built.  A level stops growing once it alone is past the cap.
+    The points alive (all by default) are renumbered 0..m-1, those outside the mask inside
+    first, and only simplices not wholly inside are grown.  Bit t of later[v] stands for
+    v+1+t; s carries its candidates c relative to its first vertex v0, s+(j) carries
+    c & (later[j] << (j - v0)), bits taken in increasing order.  Face i of s+(j) is the
+    extension by j of face i of s, None when wholly inside (only ever face 0), and its last
+    face is s.  cap bounds the simplices kept so far, and a level stops growing once past it;
+    with tuples, each level and the controlled tuples of each degree not wholly inside,
+    refused at the least degree past it.
     """
     # a negative cap refuses the first simplex, as a cap of 0 does
     limit = None if cap is None else max(cap, 0)
-    unit = "tuples" if tuples else "simplices"
-    sets, n = g.sets, len(g.sets)
-    if inside is None:
-        starts, later = range(n), [[j for j in nb if j > i] for i, nb in enumerate(g.nbrs)]
-    else:
-        key, starts = [i + n * x for i, x in enumerate(inside)], [i for i in range(n) if not inside[i]]
-        later = [[j for j in nb if key[j] > key[i]] for i, nb in enumerate(g.nbrs)]
-    out: List[List[tuple]] = []
-    built = 0
-    for dim in range(d_max + 1):
-        if dim == 0:
-            grown = ((i,) for i in starts)
-        else:
-            grown = (s + (j,) for s in level for j in later[s[-1]]
-                     if all(j in sets[i] for i in s[:-1]))
-        room = None if limit is None else limit - (0 if tuples else built)
-        level = list(grown if room is None else islice(grown, room + 1))
-        if room is not None and len(level) > room:
-            raise DegreeCapExceeded(dim, scale, cap, unit)
-        out.append(level if inside is None else sorted(tuple(sorted(s)) for s in level))
-        built += len(level)
-        if tuples and limit is not None and _tuple_count([len(lv) for lv in out], dim) > limit:
-            raise DegreeCapExceeded(dim, scale, cap, unit)
-    return out
+    order = [v for v in range(len(sets)) if alive is None or alive[v]]
+    if inside is not None:
+        order.sort(key=inside.__getitem__)  # stable: the points outside first, each in ground order
+    starts = len(order) - (0 if inside is None else sum(map(inside.__getitem__, order)))
+    pos = [-1] * len(sets)
+    for r, v in enumerate(order):
+        pos[v] = r
+    later = []
+    for r, v in enumerate(order):
+        c = 0
+        for q in map(pos.__getitem__, sets[v]):
+            if q > r:
+                c |= 1 << (q - r - 1)
+        later.append(c)
+    # level 0 extends the empty simplex, whose extensions are the starts
+    level, cands, facets = [(v,) for v in range(starts)], later[:starts], [(0,)] * starts
+    kids = [{v: v for v in range(starts)}]
+    simplices, faces = [], []
+    for dim in range(top + 1):
+        room = None if limit is None else limit - (0 if tuples else sum(map(len, simplices)))
+        if dim:
+            grown, grown_cands, grown_facets, grown_kids = [], [], [], []
+            for s, t in enumerate(level):
+                c, mine = cands[s], {}
+                grown_kids.append(mine)
+                if not c:
+                    continue
+                v0, fs = t[0], facets[s]
+                first = {} if fs[0] is None else kids[fs[0]]
+                rest = [kids[f] for f in fs[1:]]
+                while c:
+                    c ^= (low := c & -c)
+                    j = v0 + low.bit_length()
+                    mine[j] = len(grown)
+                    grown.append(t + (j,))
+                    grown_cands.append(cands[s] & (later[j] << (j - v0)))
+                    grown_facets.append((first.get(j), *[kid[j] for kid in rest], s))
+                if room is not None and len(grown) > room:
+                    break
+            level, cands, facets, kids = grown, grown_cands, grown_facets, grown_kids
+        simplices.append(level)
+        faces.append(facets)
+        if limit is not None and (len(level) > room or tuples and _tuple_count(list(map(len, simplices)), dim) > limit):
+            raise DegreeCapExceeded(dim, scale, cap, "tuples" if tuples else "simplices")
+    return simplices, faces
 
 
 def rips_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP, points=None):
@@ -919,4 +935,4 @@ def rips_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP, points=None):
     g = X.coarse.graph(k)
     if points is not None:
         g = g.restrict(X.ground.check_subset(points))
-    return SimplicialComplex(list(g.points), _cliques(g, d_max, basis_cap, k))
+    return SimplicialComplex(list(g.points), _clique_chains(g.sets, d_max, basis_cap, k)[0])

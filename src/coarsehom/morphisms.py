@@ -112,6 +112,10 @@ def translate_map(X: BornCoarseSpace, delta) -> SpaceMap:
     if not _check_window_points(X, "translate_map"):
         raise CoarseError(f"translate_map does not know builtin {tag.name!r}")
     grid = tag.name == "grid2_window"
+    if not (isinstance(delta, (tuple, list)) and len(delta) == 2 and all(type(d) is int for d in delta) if grid
+            else type(delta) is int):  # type(d) is int: a bool is an int to Python, but no shift
+        raise CoarseError(f"translate_map on {tag.name} shifts by {'a pair of ints' if grid else 'an int'}, "
+                          f"not {delta!r}")
     tbl, clamps = {}, 0
     for t in X.ground.points:
         s = (t[0] + delta[0], t[1] + delta[1]) if grid else t + delta

@@ -75,6 +75,49 @@ def clique_complex(points, edges, max_dim):
     return simplices
 
 
+def set_cliques(sets, d_max, inside=None):
+    """Strictly increasing index tuples spanning cliques of the graph with neighbour sets
+    sets (i in sets[i]), by dimension through d_max, each level in lex order.
+
+    Built one dimension at a time, each simplex extended by the later common
+    neighbours of its vertices, one set membership test each; with a point mask
+    inside, the points outside it come first in that order, so only simplices
+    not wholly inside are grown, each from its first point outside, and each
+    level is sorted back into increasing tuples.
+    """
+    n = len(sets)
+    nbrs = [sorted(s) for s in sets]
+    if inside is None:
+        starts, later = range(n), [[j for j in nb if j > i] for i, nb in enumerate(nbrs)]
+    else:
+        key, starts = [i + n * x for i, x in enumerate(inside)], [i for i in range(n) if not inside[i]]
+        later = [[j for j in nb if key[j] > key[i]] for i, nb in enumerate(nbrs)]
+    out, level = [], [(i,) for i in starts]
+    for dim in range(d_max + 1):
+        if dim:
+            level = [s + (j,) for s in level for j in later[s[-1]] if all(j in sets[i] for i in s[:-1])]
+        out.append(level if inside is None else sorted(tuple(sorted(s)) for s in level))
+    return out
+
+
+def relative_boundaries(simplices, d_max, inside=None):
+    """[None, d_1, ..., d_{d_max+1}] of a simplicial complex as lists of row dicts
+    {column: value}, from the alternating face sum; with a point mask inside, the
+    relative chains, so a face wholly in it is dropped.  Levels past the list are empty."""
+    levels = list(simplices) + [[]] * (d_max + 2 - len(simplices))
+    out = [None]
+    for n in range(1, d_max + 2):
+        index = {s: i for i, s in enumerate(levels[n - 1])}
+        rows = [{} for _ in levels[n - 1]]
+        for j, s in enumerate(levels[n]):
+            for i in range(n + 1):
+                face = s[:i] + s[i + 1:]
+                if inside is None or not all(inside[v] for v in face):
+                    rows[index[face]][j] = (-1) ** i
+        out.append(rows)
+    return out
+
+
 def maximal_cliques(points, edges):
     """Maximal cliques as a set of frozensets, by testing every subset of points.
 
@@ -310,22 +353,15 @@ def full_boundary_groups(simplices, d_max, kernel, inside=None):
     """Groups 0..d_max of a simplicial complex with every full boundary reduced by kernel.
 
     simplices: increasing index tuples by dimension; with a point mask inside,
-    the relative chains, so none lies wholly in it.  Each boundary is built
-    here from the alternating face sum, a face wholly in inside dropped, and
-    handed whole to kernel(rows) -> (rank, invariant factors, ...), rows a
+    the relative chains, so none lies wholly in it.  Each boundary comes from
+    relative_boundaries, a face wholly in inside dropped, and is handed whole
+    to kernel(rows) -> (rank, invariant factors, ...), rows a
     list of dicts {column: value}: no spanning forest and no row dropped.
     Returns [(free_rank, [torsion coefficients >= 2]), ...].
     """
     levels = list(simplices) + [[]] * (d_max + 2 - len(simplices))
     ranks, torsion = [0] * (d_max + 2), [[]] * (d_max + 2)
-    for n in range(1, d_max + 2):
-        index = {s: i for i, s in enumerate(levels[n - 1])}
-        rows = [{} for _ in levels[n - 1]]
-        for j, s in enumerate(levels[n]):
-            for i in range(n + 1):
-                face = s[:i] + s[i + 1:]
-                if inside is None or not all(inside[v] for v in face):
-                    rows[index[face]][j] = (-1) ** i
+    for n, rows in enumerate(relative_boundaries(simplices, d_max, inside)[1:], 1):
         ranks[n], facs = kernel(rows)[:2]
         torsion[n] = [f for f in facs if f >= 2]
     return [(len(levels[n]) - ranks[n] - ranks[n + 1], torsion[n + 1]) for n in range(d_max + 1)]

@@ -130,6 +130,10 @@ def test_udecomp_radii_must_be_a_list(capsys, radii):
      "bornology member 1 is not a list of strings: 5 (field bornology)"),
     ({"kind": "explicit", "points": ["0", "1"], "entourages": [], "bornology": [[["0"]]]},
      "bornology member 0 is not a list of strings: [['0']] (field bornology)"),
+    ({"kind": "explicit", "points": ["0", "1"], "entourages": [[["0", "1"]], [["0", "z"]]], "bornology": [["0"]]},
+     "entourage 1 holds a pair ['0', 'z'] naming a point not in points (field entourages)"),
+    ({"kind": "explicit", "points": ["0", "1"], "entourages": [], "bornology": [["0", "1"], ["0", "z"]]},
+     "bornology member 1 names a point not in points: ['0', 'z'] (field bornology)"),
 ])
 def test_malformed_document_exits_two_naming_the_field(doc, message, tmp_path, capsys):
     rep, code = run(["components", "--space", str(write_space(tmp_path, "s.json", doc))])

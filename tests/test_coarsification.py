@@ -400,9 +400,9 @@ def test_planted_boundary_sign_fault_is_refused(monkeypatch):
         assert K.simplices[2] and K.homology(1)
     build = homology_engine._boundary_from_lists
 
-    def flips_one_sign(basis_n, index_prev, n, inside=None):
+    def flips_one_sign(basis_n, index_prev, n):
         # the first edge lies on a triangle in each complex, so d_1 d_2 = 0 fails
-        d = build(basis_n, index_prev, n, inside)
+        d = build(basis_n, index_prev, n)
         if n == 1:
             d.rows[0][0] = -d.rows[0][0]
         return d
@@ -507,7 +507,7 @@ def test_coarsified_terminal_enumerates_nothing(name, radius, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the terminal value enumerated a complex")
 
-    monkeypatch.setattr(homology_engine, "_cliques", refuse)
+    monkeypatch.setattr(homology_engine, "_clique_chains", refuse)
     monkeypatch.setattr(chain_maps, "_iter_controlled", refuse)
     rep = coarsify_homology(X, [], 2)
     assert rep.terminal == [Z, ZERO, ZERO]

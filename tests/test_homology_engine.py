@@ -210,7 +210,7 @@ def test_tuple_order_matches_brute_force_oracle():
         pts = list(X.points)
         edges = [pair for E in X.coarse.generators for pair in E.pairs]
         Y = frozenset(pts[::2])
-        relative = homology_engine._cliques(X.coarse.graph(k), 3, None, k, inside=[p in Y for p in pts])
+        relative = ground_cliques(X.coarse.graph(k), 3, [p in Y for p in pts])
         for n in range(4):
             want = oracles.controlled_tuples_reference(pts, edges, k, n)
             assert controlled_tuples(X, k, n) == want, (pts, edges, k, n)
@@ -223,27 +223,96 @@ def test_tuple_order_matches_brute_force_oracle():
 
 
 def test_relative_cliques_grow_only_from_points_outside_y():
-    # relative to all points but a corner, only the simplices through the corner are built:
-    # the membership tests are a small share of the full clique build's, where they were all of it
+    # relative to all points but a corner, only the simplices through the corner are built;
+    # every simplex the enumerator grows is one it keeps, so its levels are its work, a small
+    # share of the full build's
     g = windowed_builtin("grid2_window", 4).coarse.graph(3)
     inside = [i != 0 for i in range(len(g.points))]
-
-    def build(mask):
-        calls = []
-
-        class CountingSet(set):
-            def __contains__(self, j):
-                calls.append(j)
-                return super().__contains__(j)
-
-        g.sets = [CountingSet(s) for s in g.sets]
-        return homology_engine._cliques(g, 3, None, 3, True, mask), len(calls)
-
-    full, full_calls = build(None)
-    relative, relative_calls = build(inside)
+    full = homology_engine._clique_chains(g.sets, 3, None, 3, True)[0]
+    relative = homology_engine._clique_chains(g.sets, 3, None, 3, True, inside)[0]
     assert [len(level) for level in relative] == [1, 9, 28, 42]
     assert relative == [[s for s in level if 0 in s] for level in full]
-    assert relative_calls * 20 < full_calls
+    assert sum(map(len, relative)) * 20 < sum(map(len, full))
+
+
+def chain_order(n, inside=None, alive=None):
+    """The points _clique_chains numbers 0..m-1, in order: those alive, the ones outside the
+    mask inside first."""
+    keep = [v for v in range(n) if alive is None or alive[v]]
+    return keep if inside is None else [v for v in keep if not inside[v]] + [v for v in keep if inside[v]]
+
+
+def ground_cliques(g, top, inside=None):
+    """The simplices of _clique_chains named by the indices of g, as increasing tuples in lex order."""
+    order = chain_order(len(g.sets), inside)
+    return [sorted(tuple(sorted(order[v] for v in s)) for s in level)
+            for level in homology_engine._clique_chains(g.sets, top, inside=inside)[0]]
+
+
+def renumbered(g, inside=None, alive=None):
+    """The neighbour sets of the graph g induces on the points alive and the mask inside, both in
+    the numbering of _clique_chains."""
+    order = chain_order(len(g.sets), inside, alive)
+    new = {v: r for r, v in enumerate(order)}
+    sets = [{new[u] for u in g.sets[v] if u in new} for v in order]
+    return sets, None if inside is None else [inside[v] for v in order]
+
+
+def enumerator_cases():
+    """(name, scale graph) pairs: the seeded battery, windows at k = 1..3 and the torsion fixtures."""
+    rng = random.Random(211)
+    for i in range(12):
+        X = random_explicit_space(rng, max_points=14, max_pairs=32)
+        yield f"random {i}", X.coarse.graph(rng.randint(1, 2))
+    for name, r in (("int_window", 6), ("grid2_window", 3)):
+        X = windowed_builtin(name, r)
+        for k in (1, 2, 3):
+            yield f"{name}({r}) k={k}", X.coarse.graph(k)
+    for name, make in TORSION_SPACES.items():
+        yield name, make().coarse.graph(1)
+
+
+def test_clique_chains_match_the_set_oracle():
+    # the same simplices in the same order as the set-membership enumeration, on the whole
+    # graph, under random masks and on random induced subgraphs
+    rng = random.Random(223)
+    masked = 0
+    for name, g in enumerator_cases():
+        n = len(g.sets)
+        top = 3 if n < 60 else 2
+        assert homology_engine._clique_chains(g.sets, top)[0] == oracles.set_cliques(g.sets, top), name
+        for _ in range(3):
+            inside = [rng.random() < 0.4 for _ in range(n)]
+            alive = [rng.random() < 0.8 for _ in range(n)]
+            for mask, keep in ((inside, None), (None, alive), (inside, alive)):
+                sets, relabelled = renumbered(g, mask, keep)
+                got = homology_engine._clique_chains(g.sets, top, inside=mask, alive=keep)[0]
+                assert got == oracles.set_cliques(sets, top, relabelled), (name, mask, keep)
+                masked += mask is not None and any(got[1:])
+    assert masked > 50
+
+
+def test_facet_boundaries_match_the_list_boundaries():
+    # read off the recorded facets, each boundary equals the one built from the simplex lists;
+    # relative to a mask, the one built with each face wholly in the mask dropped
+    rng = random.Random(227)
+    for name, g in enumerator_cases():
+        n = len(g.sets)
+        top = 3 if n < 60 else 2
+        simplices, facets = homology_engine._clique_chains(g.sets, top)
+        built = homology_engine._facet_boundaries(facets)
+        for d in range(1, top + 1):
+            want = homology_engine._boundary_from_lists(simplices[d], simplices[d - 1], d)
+            assert (built[d].shape, built[d].rows) == (want.shape, want.rows), (name, d)
+        inside = [rng.random() < 0.4 for _ in range(n)]
+        simplices, facets = homology_engine._clique_chains(g.sets, top, inside=inside)
+        built = homology_engine._facet_boundaries(facets)
+        mask = renumbered(g, inside)[1]
+        want = oracles.relative_boundaries(simplices, top - 1, mask)
+        assert [d.rows for d in built[1:]] == want[1:], name
+        got = homology_engine._chain_groups(built, [len(level) for level in facets], top - 1)
+        full = oracles.full_boundary_groups(simplices, top - 1, homology_engine._sparse_invariants, mask)
+        assert [(group.free_rank, list(group.torsion)) for group in got] == full, name
 
 
 def test_planted_sign_flip_fails_the_complex_identity(monkeypatch):
@@ -436,9 +505,15 @@ def test_homology_reduces_each_boundary_once(monkeypatch):
 
 
 def assert_groups_match_full_boundaries(simplices, d_max, inside=None):
+    """The reduction (forest, compression, kernel) against every full boundary reduced."""
     want = oracles.full_boundary_groups(simplices, d_max, homology_engine._sparse_invariants, inside)
-    got = homology_engine._simplicial_groups(simplices, d_max, inside)
+    levels = list(simplices) + [[]] * (d_max + 2 - len(simplices))
+    boundaries = [None] + [IntMatrix((len(levels[n - 1]), len(levels[n])), rows)
+                           for n, rows in enumerate(oracles.relative_boundaries(simplices, d_max, inside)[1:], 1)]
+    got = homology_engine._chain_groups(boundaries, [len(level) for level in levels], d_max)
     assert [(g.free_rank, list(g.torsion)) for g in got] == want
+    if inside is None:
+        assert homology_engine.SimplicialComplex([], simplices).homology(d_max) == got
 
 
 @st.composite
@@ -558,18 +633,26 @@ def test_suspended_moore_space_has_p_torsion_one_degree_up(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_planted_face_sign_flip_changes_a_moore_group(p, monkeypatch):
-    def flip_first_edge(build):
-        def flipped(basis_n, index_prev, n, *rest):
-            d = build(basis_n, index_prev, n, *rest)
-            if n == 1:  # one face of the first edge: its boundary becomes v + w
-                row = next(r for r in d.rows if 0 in r)
-                row[0] = -row[0]
-            return d
-        return flipped
+    def flip_first_edge(d):
+        # one face of the first edge: its boundary becomes v + w
+        row = next(r for r in d.rows if 0 in r)
+        row[0] = -row[0]
+        return d
+
+    build, read = chain_maps._boundary_from_lists, homology_engine._facet_boundaries
+
+    def flipped_lists(basis_n, index_prev, n):
+        d = build(basis_n, index_prev, n)
+        return flip_first_edge(d) if n == 1 else d
+
+    def flipped_facets(facets):
+        ds = read(facets)
+        flip_first_edge(ds[1])
+        return ds
 
     X = moore_space(p)
-    for module in (homology_engine, chain_maps):
-        monkeypatch.setattr(module, "_boundary_from_lists", flip_first_edge(module._boundary_from_lists))
+    monkeypatch.setattr(chain_maps, "_boundary_from_lists", flipped_lists)
+    monkeypatch.setattr(homology_engine, "_facet_boundaries", flipped_facets)
     # through degree 0 the complex ends at d_1, so no d∘d product sees the fault: H_0 = Z/2, not Z
     assert homology_at_scale(X, 1, 0) == [FGAbGroup(0, (2,))]
     assert homology_presentation(X, 1, 0).group == FGAbGroup(0, (2,))
@@ -591,8 +674,7 @@ def test_forest_and_compression_match_full_boundaries_with_torsion(name):
     for d_max in range(4):
         assert_groups_match_full_boundaries(rips_complex(X, 1, d_max + 1).simplices, d_max)
         inside = [rng.random() < 0.3 for _ in X.points]
-        cliques = homology_engine._cliques(g, d_max + 1, None, 1, False, inside)
-        assert_groups_match_full_boundaries(cliques, d_max, inside)
+        assert_groups_match_full_boundaries(ground_cliques(g, d_max + 1, inside), d_max, inside)
 
 
 # -------------------------------------------------------- homology_at_scale
@@ -1656,7 +1738,7 @@ def test_relative_cap_refusal_matches_quotient_count():
 
 
 def test_planted_relative_face_faults_are_caught(monkeypatch):
-    build = homology_engine._boundary_from_lists
+    chains = homology_engine._clique_chains
     X = path_space(4)
     assert relative_mismatches(X, 1, 1, frozenset({0}), big_family_generated(X, [0], 4), list(range(1, 5))) == []
     # the path collapses to the point of Y, so its relative complex is empty and no face fault
@@ -1664,25 +1746,41 @@ def test_planted_relative_face_faults_are_caught(monkeypatch):
     X = HEX
     fam = big_family_generated(X, [0], 6)
     Y, Z = frozenset({0}), list(range(1, 6))
-    assert homology_engine._core(X.coarse.graph(1), [p in Y for p in X.points])[2] == []
+    assert homology_engine._core(X.coarse.graph(1), [p in Y for p in X.points])[1] == []
     assert relative_mismatches(X, 1, 1, Y, fam, Z) == []
 
-    # a face wholly in Y kept: it is neither indexed nor masked, so the lookup refuses it
-    monkeypatch.setattr(homology_engine, "_boundary_from_lists",
-                        lambda basis_n, index_prev, n, inside=None: build(basis_n, index_prev, n))
-    with pytest.raises(KeyError):
-        relative_homology(X, make_big_family(X, [Y]), 1, 1)
-    with pytest.raises(KeyError):
-        mv_check(X, Z, fam, 1, 1)
+    def plant(fault):
+        def planted(sets, top, cap=None, scale=None, tuples=False, inside=None, alive=None):
+            simplices, facets = chains(sets, top, cap, scale, tuples, inside, alive)
+            order = chain_order(len(sets), inside, alive)
+            for n in range(1, len(facets)):
+                facets[n] = [fault(simplices[n - 1], s, fs, order, inside) for s, fs in zip(simplices[n], facets[n])]
+            return simplices, facets
+        monkeypatch.setattr(homology_engine, "_clique_chains", planted)
+
+    # a face wholly in Y kept, as the first simplex of its level: at scale 2 the hexagon is the
+    # octahedron, with no domination, and Y_m = {4, 5, 0, 1, 2}; each triangle on 3 has an edge
+    # wholly in Y_m, so its boundary no longer bounds and the d∘d check refuses it
+    def keeps_faces_in_y(below, s, fs, order, inside):
+        return tuple(0 if f is None else f for f in fs)
+
+    rep = mv_check(X, Z, fam, 2, 1)
+    Ym = fam.members[rep.prefix_index]
+    assert Ym == frozenset({4, 5, 0, 1, 2}) and homology_engine._core(X.coarse.graph(2))[1] == []
+    assert relative_mismatches(X, 2, 1, Ym, fam, Z) == []
+    plant(keeps_faces_in_y)
+    with pytest.raises(HomologyError, match="complex identity"):
+        relative_homology(X, make_big_family(X, [Ym]), 2, 1)
+    with pytest.raises(HomologyError, match="complex identity"):
+        mv_check(X, Z, fam, 2, 1)
 
     # a face outside Y dropped: the vertex at index 2, outside Y and Y_m = {5, 0, 1}, is
     # masked in boundaries only
-    def drops_vertex_2(basis_n, index_prev, n, inside=None):
-        if inside is not None:
-            inside = [True if i == 2 else x for i, x in enumerate(inside)]
-        return build(basis_n, index_prev, n, inside)
+    def drops_vertex_2(below, s, fs, order, inside):
+        masked = [inside is not None and (order[v] == 2 or inside[order[v]]) for v in s]
+        return tuple(None if all(masked[:i] + masked[i + 1:]) else f for i, f in enumerate(fs))
 
-    monkeypatch.setattr(homology_engine, "_boundary_from_lists", drops_vertex_2)
+    plant(drops_vertex_2)
     wrong = relative_mismatches(X, 1, 1, Y, fam, Z)
     assert "relative" in wrong and "mv groups" in wrong
 
@@ -1805,7 +1903,7 @@ def test_comparison_map_sign_flip_fails():
 @given(st.integers(0, 10 ** 6), st.integers(1, 3))
 def test_tuple_count_from_clique_counts(seed, k):
     X = random_explicit_space(random.Random(seed), max_points=10, max_pairs=18)
-    levels = homology_engine._cliques(X.coarse.graph(k), 3, None, k)
+    levels = homology_engine._clique_chains(X.coarse.graph(k).sets, 3)[0]
     counts = [len(level) for level in levels]
     for n in range(4):
         assert homology_engine._tuple_count(counts, n) == len(controlled_tuples(X, k, n, None))
@@ -1859,7 +1957,7 @@ def test_homology_at_scale_enumerates_no_tuple(monkeypatch):
 def full_clique_groups(g, d_max, inside=None):
     """Groups of the whole clique complex of g (relative to the mask inside), every full
     boundary reduced: no collapse, no spanning forest, no row dropped."""
-    cliques = homology_engine._cliques(g, d_max + 1, None, 1, False, inside)
+    cliques = ground_cliques(g, d_max + 1, inside)
     raw = oracles.full_boundary_groups(cliques, d_max, homology_engine._sparse_invariants, inside)
     return [FGAbGroup(f, tuple(t)) for f, t in raw]
 
@@ -1874,7 +1972,7 @@ def core_route_mismatches(X, k, d_max, Y):
         wrong.append("absolute")
     if relative_homology(X, make_big_family(X, [Y]), k, d_max).groups != full_clique_groups(g, d_max, inside):
         wrong.append("relative")
-    return wrong, len(homology_engine._core(g)[2]), len(homology_engine._core(g, inside)[2])
+    return wrong, len(homology_engine._core(g)[1]), len(homology_engine._core(g, inside)[1])
 
 
 def with_hairs(X, rng, hairs=8):
@@ -1942,7 +2040,7 @@ def coarsify_outcome(X, k, d_max, cap=DEFAULT_CAP):
 @pytest.mark.parametrize("name", ["rp2", "klein", "moore2", "moore3", "moore5"])
 def test_coarsified_table_matches_the_reference_with_torsion(name):
     hairy = with_hairs(TORSION_SPACES[name](), random.Random(name))
-    assert homology_engine._core(hairy.coarse.graph(1))[2]  # the core is not the whole complex
+    assert homology_engine._core(hairy.coarse.graph(1))[1]  # the core is not the whole complex
     table, reference = coarsify_outcome(hairy, 1, 2)
     assert table == reference and reference[1].torsion
     total = sum(map(len, rips_complex(hairy, 1, 3).simplices))
@@ -1984,7 +2082,7 @@ def test_pair_rule_keeps_the_relative_groups():
     for X, Y, want in star_and_cone():
         g = X.coarse.graph(1)
         inside = [p in Y for p in g.points]
-        assert homology_engine._core(g)[2] and homology_engine._core(g, inside)[2] == []
+        assert homology_engine._core(g)[1] and homology_engine._core(g, inside)[1] == []
         assert core_route_mismatches(X, 1, len(want) - 1, Y)[0] == []
         assert relative_homology(X, make_big_family(X, [Y]), 1, len(want) - 1).groups == want
 
@@ -1994,10 +2092,10 @@ def test_planted_false_domination_is_refused_by_the_replay(monkeypatch):
 
     def corrupt(fault):
         monkeypatch.setattr(homology_engine, "_core",
-                            lambda g, inside=None: (lambda c, m, d: (c, m, fault(d)))(*core(g, inside)))
+                            lambda g, inside=None: (lambda alive, d: (alive, fault(d)))(*core(g, inside)))
 
     X = path_space(4)
-    assert core(X.coarse.graph(1))[2] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert core(X.coarse.graph(1)) == ([False] * 4 + [True], [(0, 1), (1, 2), (2, 3), (3, 4)])
     # 0 under 2, which is not related to it
     corrupt(lambda d: [(0, 2)] + d[1:])
     with pytest.raises(HomologyError, match="deletes 0 under 2, which does not dominate it"):
@@ -2018,10 +2116,14 @@ def test_planted_false_domination_is_refused_by_the_replay(monkeypatch):
 
 
 def test_cap_past_the_degree_bound_checks_the_whole_complex(monkeypatch):
-    cliques = homology_engine._cliques
-    built = []
-    monkeypatch.setattr(homology_engine, "_cliques",
-                        lambda g, *rest: built.append((len(g.points), rest[1])) or cliques(g, *rest))
+    chains = homology_engine._clique_chains
+    built = []  # (vertices enumerated, cap) per enumeration
+
+    def recording(sets, top, cap=None, *rest, alive=None, **kw):
+        built.append((len(sets) if alive is None else sum(alive), cap))
+        return chains(sets, top, cap, *rest, alive=alive, **kw)
+
+    monkeypatch.setattr(homology_engine, "_clique_chains", recording)
     # the 12-cycle through degree 2: 24 tuples in degrees 1 and 2, but its degrees bound
     # 12 edges and 4 triangles, so 48 tuples in degree 2
     X = cycle_space(12)
@@ -2039,6 +2141,20 @@ def test_cap_past_the_degree_bound_checks_the_whole_complex(monkeypatch):
     built.clear()
     assert homology_at_scale(path_space(30), 1, 2) == [Z, ZERO, ZERO]
     assert built == [(1, None)]
+
+
+def test_a_level_stops_growing_once_past_the_cap():
+    # the complete graph on 400 points under a cap of 450 simplices: the vertices fit, and the
+    # edges stop just past the 50 left (the 399 of the first vertex), not all 79,800 built first
+    sets = [set(range(400))] * 400
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeCapExceeded, match="basis in degree 1 exceeds the cap of 450 simplices"):
+            homology_engine._clique_chains(sets, 2, 450)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------------ degrees

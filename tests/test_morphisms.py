@@ -389,6 +389,21 @@ def test_flasque_refuses_finite_space():
     assert out.condition == "NotWindowed"
 
 
+@pytest.mark.parametrize("name, delta", [
+    ("int_window", True), ("int_window", 1.5), ("int_window", "1"), ("int_window", (1, 0)),
+    ("half_line", -0.5), ("half_line", None),
+    ("grid2_window", 1), ("grid2_window", (1,)), ("grid2_window", (1, 0, 0)), ("grid2_window", (1, 0.5)),
+    ("grid2_window", (True, 0)), ("grid2_window", "10"),
+])
+def test_translate_map_refuses_a_shift_of_the_wrong_shape(name, delta):
+    X = windowed_builtin(name, 2)
+    want = "a pair of ints" if name == "grid2_window" else "an int"
+    with pytest.raises(CoarseError, match=re.escape(f"translate_map on {name} shifts by {want}, not {delta!r}")):
+        translate_map(X, delta)
+    if name == "grid2_window":  # a list pair shifts as the tuple does
+        assert translate_map(X, [1, -1]).table == translate_map(X, (1, -1)).table
+
+
 @pytest.mark.parametrize("name, radius", [("int_window", 6), ("half_line", 6), ("grid2_window", 2)])
 def test_cylinder_keeps_the_window_tag_but_not_its_points(name, radius):
     X = windowed_builtin(name, radius)
