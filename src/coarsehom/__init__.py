@@ -15,14 +15,12 @@ _LAYERS = {
         "InvalidMetric", "NegativeDistance", "NonSymmetricMatrix", "ScaleGraph", "UnknownPoint",
         "WindowTag", "big_family_generated", "closure_at", "coarse_components", "coproduct",
         "from_metric", "is_U_bounded", "make_big_family", "make_explicit_space", "product_p",
-        "semidirect", "subspace", "thicken", "windowed_builtin",
+        "subspace", "thicken", "windowed_builtin",
     ),
     "morphisms": (
-        "Cylinder", "CylinderMismatch", "EquivalenceReport", "FlasqueCertificate",
-        "FlasqueRefusal", "GeneralizedFlasqueCertificate", "MorphismReport", "SourceTargetMismatch",
-        "SpaceMap", "are_close", "certify_flasque", "certify_flasque_generalized",
-        "check_equivalence", "check_homotopy", "check_morphism", "constant_map", "cylinder",
-        "identity_map", "inclusion_map", "translate_map",
+        "EquivalenceReport", "FlasqueCertificate", "FlasqueRefusal", "MorphismReport",
+        "SourceTargetMismatch", "SpaceMap", "are_close", "certify_flasque", "check_equivalence",
+        "check_morphism", "constant_map", "identity_map", "inclusion_map", "translate_map",
     ),
     "covers": (
         "AntiCechPrefix", "AsdimReport", "CertificateFailed", "Cover", "CoverError", "NotACover",

@@ -57,7 +57,9 @@ def check_scale(k: int):
 
 
 def check_degree(n: int):
-    """Refuse a negative degree."""
+    """Refuse a degree that is not an int (a bool, a float, a string, None) or is negative."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"degree must be an int, got {n!r}")
     if n < 0:
         raise ValueError("degree must be >= 0")
 
@@ -640,7 +642,8 @@ class WindowTag(FrozenRecord):
     @property
     def points(self) -> tuple:
         """The points of the builtin window the tag names, in its order; () for no builtin.
-        A subspace or a cylinder keeps its window's tag, for its reports, but not these points."""
+        A subspace keeps its window's tag, for its reports, but not these points, and so may
+        any space built with the tag."""
         span = range(-self.radius, self.radius + 1)
         if self.name == "grid2_window":
             return tuple((a, b) for a in span for b in span)
@@ -797,8 +800,8 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
     point, the least n with p in B_n (p, |p| or |a| + |b|), so a window builds in
     time and memory linear in its points.  The balls themselves are made on the
     first read of bornology.generators, which only emission, product_p,
-    coproduct, subspace, cylinder, flasqueness margins and == between distinct
-    spaces ask for.  Each distance's Fraction is made on its first use.
+    coproduct, subspace, flasqueness margins and == between distinct spaces
+    ask for.  Each distance's Fraction is made on its first use.
     """
     if radius < 1:
         raise CoarseError("radius must be >= 1")
@@ -861,15 +864,6 @@ def product_p(X: BornCoarseSpace, Y: BornCoarseSpace) -> BornCoarseSpace:
     ]
     bornology = Bornology(ground, born_gens)
     return BornCoarseSpace(ground, coarse, bornology)
-
-
-def semidirect(X: BornCoarseSpace, Y: BornCoarseSpace) -> BornCoarseSpace:
-    """Product coarse structure with bornology generated by X x B'."""
-    prod = product_p(X, Y)
-    all_x = frozenset(X.ground.points)
-    born_gens = [frozenset((x, y) for x in all_x for y in Bp) for Bp in Y.bornology.generators]
-    bornology = Bornology(prod.ground, born_gens)
-    return BornCoarseSpace(prod.ground, prod.coarse, bornology)
 
 
 def coproduct(spaces: Sequence[BornCoarseSpace]) -> BornCoarseSpace:

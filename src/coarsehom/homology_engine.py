@@ -784,7 +784,9 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
     With Z ∪ Y_i0 = X and closure_at(k)[Y_i0] ⊆ Y_m, a scale-k simplex of X with a
     vertex v outside Y_m has v in Z, and a vertex w outside Z would lie in Y_i0 and
     put v in Y_m; so both relative clique complexes hold the same simplices and the
-    inclusion is the identity.  The groups are read once, on the strong-collapse core
+    inclusion is the identity.  Y_m is the family's witness for (i0, k) or, where its
+    table has none, the least member holding closure_at(k)[Y_i0]; with no such member
+    the prefix is too short.  The groups are read once, on the strong-collapse core
     as in relative_homology, and the equality is checked on the 1-skeleton: a simplex
     not wholly in Y_m lies in N[v] for a vertex v of it outside Y_m, so it lies in Z
     when every such v and every edge at one does.  A false witness is refused with the
@@ -800,7 +802,10 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
         raise NotComplementary(f"no family member completes Z to X; sample uncovered points {missing}")
     m = family.witness.get((i0, k))
     if m is None:
-        raise PrefixTooShort(i0, k)
+        grown = X.coarse.thicken(k, family.members[i0])
+        m = next((j for j, Y in enumerate(family.members) if grown <= Y), None)
+        if m is None:
+            raise PrefixTooShort(i0, k)
     Ym = family.members[m]
     groups = _clique_groups(X, k, d_max, basis_cap, Ym)
     pts, view = X.points, X.coarse.closure_at(k)

@@ -1,32 +1,18 @@
 """Maps between coarse spaces and their certificates.
 
-Controlled/proper validation, closeness indices, coarse equivalences,
-flasqueness certification (plain and generalized), integer-skeleton cylinders
-and homotopy checking.  Certificates on windowed spaces are always
+Controlled/proper validation, closeness indices, coarse equivalences and
+flasqueness certification.  Certificates on windowed spaces are always
 window-relative and say so.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .core_spaces import (
-    BornCoarseSpace,
-    Bornology,
-    CoarseError,
-    CoarseStructure,
-    Entourage,
-    GroundSet,
-    Record,
-    UnknownPoint,
-)
+from .core_spaces import BornCoarseSpace, CoarseError, Record, UnknownPoint
 
 
 class SourceTargetMismatch(CoarseError):
-    pass
-
-
-class CylinderMismatch(CoarseError):
     pass
 
 
@@ -313,13 +299,12 @@ def _check_window_points(X: BornCoarseSpace, use: str) -> frozenset:
     return window
 
 
-def _margin_generators(X: BornCoarseSpace, margin: Optional[int]):
-    """Bornology generators small enough to escape within the window; every generator under
-    a tag that names no builtin."""
-    tag = X.window_tag
-    if tag is None or margin is None or not _check_window_points(X, "a flasqueness margin"):
+def _margin_generators(X: BornCoarseSpace, margin: int):
+    """Bornology generators of a windowed X small enough to escape within the window; every
+    generator under a tag that names no builtin."""
+    if not _check_window_points(X, "a flasqueness margin"):
         return tuple(X.bornology.generators)
-    return tuple(B for B in X.bornology.generators if all(tag.rank(p) <= margin for p in B))
+    return tuple(B for B in X.bornology.generators if all(X.window_tag.rank(p) <= margin for p in B))
 
 
 def _orbit(img: list, view, steps: int) -> set:
@@ -427,154 +412,3 @@ def certify_flasque(
         f.clamp_count,
         tuple(warnings),
     )
-
-
-class GeneralizedFlasqueCertificate(Record):
-    def __init__(self, maps_checked, window, cond2_scale, cond3_table, cond4_table, scale_cap,
-                 tested_generators, warnings):
-        self.maps_checked = maps_checked
-        self.window = window
-        self.cond2_scale = cond2_scale  # uniform closeness of consecutive maps
-        self.cond3_table = cond3_table
-        self.cond4_table = cond4_table
-        self.scale_cap = scale_cap
-        self.tested_generators = tested_generators
-        self.warnings = warnings
-
-
-def certify_flasque_generalized(
-    X: BornCoarseSpace,
-    maps: Sequence[SpaceMap],
-    scale_cap: int = 4,
-    margin: Optional[int] = None,
-):
-    """Certificate or refusal for generalized flasqueness over a prefix (f_j).
-
-    Conditions: f_0 = id; consecutive maps uniformly close; the union of all
-    (f_j x f_j)(U) controlled for each tested U; every tested bounded
-    generator eventually avoided by all later maps in the prefix.
-
-    Condition 3 never refuses once f_0 = id and condition 2 hold: a chain of
-    close maps from the identity moves no point out of its coarse component,
-    so images of a related pair stay related.
-    """
-    maps = list(maps)
-    if not maps:
-        raise CoarseError("need at least one map (f_0 = id)")
-    for m in maps:
-        if m.source != X or m.target != X:
-            raise SourceTargetMismatch("generalized flasqueness needs self-maps of X")
-    if len(X) == 0:
-        return GeneralizedFlasqueCertificate(len(maps), None, 0, {}, {}, scale_cap, (), ("empty space",))
-    if maps[0] != identity_map(X):
-        return FlasqueRefusal("condition 1", "f_0 is not the identity")
-    if X.window_tag is None:
-        return FlasqueRefusal(
-            "NotWindowed",
-            "condition 4 impossible: a finite space with covering bornology is bounded",
-        )
-    if margin is None:
-        margin = X.window_tag.radius // 2
-    tested = _margin_generators(X, margin)
-    warnings = (
-        f"window-relative: checked a prefix of {len(maps)} maps on the "
-        f"{X.window_tag.name}({X.window_tag.radius}) window",
-    )
-
-    imgs = [_images(m) for m in maps]
-    k2 = _least_containing_scale(X, (p for a, b in zip(imgs, imgs[1:]) for p in zip(a, b)))
-    if k2 is None:
-        return FlasqueRefusal("condition 2", "consecutive maps are not uniformly close on the window")
-
-    cond3 = {}
-    for k in range(scale_cap + 1):
-        pairs = set()
-        for img in imgs:
-            pairs.update(_image_pairs(img, X.closure_at(k)))
-        cond3[k] = _least_containing_scale(X, pairs)
-
-    images, cond4 = [m.image() for m in maps], {}
-    for B in tested:  # the tail avoiding B starts past the last map that meets it
-        j = next((i + 1 for i in reversed(range(len(maps))) if images[i] & B), 0)
-        if j == len(maps):
-            return FlasqueRefusal("condition 4", "no tail of the prefix avoids the bounded generator", B)
-        cond4[B] = j
-
-    return GeneralizedFlasqueCertificate(
-        len(maps), X.window_tag.radius, k2, cond3, cond4, scale_cap, tested, warnings
-    )
-
-
-# ------------------------------------------------------------------ cylinders
-
-class Cylinder(Record):
-    def __init__(self, space, projection, i_minus, i_plus, p_minus, p_plus):
-        self.space = space
-        self.projection = projection
-        self.i_minus = i_minus
-        self.i_plus = i_plus
-        self.p_minus = p_minus
-        self.p_plus = p_plus
-
-
-def cylinder(X: BornCoarseSpace, p_minus, p_plus) -> Cylinder:
-    """Integer-skeleton coarse cylinder {(t, x) : p_-(x) <= t <= p_+(x)}.
-
-    p_- and p_+ are functions or mappings on X's points with int values, p_-
-    nonpositive and p_+ nonnegative; each value is checked once, and a bool,
-    float, Fraction or string is refused naming its point.  The coarse
-    generator relates (t, x) to (s, y) when |t - s| <= 1 and (x, y) lies in X's
-    scale-1 closure; the bornology consists of full strips over X's bounded
-    generators.  On a finite window every such p is controlled and
-    bornological, the two conditions the paper puts on p_- and p_+, so nothing
-    more is checked.
-    """
-    pm, pp = {}, {}
-    for x in X.ground.points:
-        for name, p, values in (("p_minus", p_minus, pm), ("p_plus", p_plus, pp)):
-            v = p(x) if callable(p) else p[x]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise CoarseError(f"{name}({x!r}) = {v!r} must be an int")
-            values[x] = v
-        if pm[x] > 0:
-            raise CoarseError(f"p_minus({x!r}) = {pm[x]} must be nonpositive")
-        if pp[x] < 0:
-            raise CoarseError(f"p_plus({x!r}) = {pp[x]} must be nonnegative")
-    pts = [(t, x) for x in X.ground.points for t in range(pm[x], pp[x] + 1)]
-    ground = GroundSet(pts)
-    ball1 = {x: X.coarse.ball(1, x) for x in X.ground.points}
-    pairs = []
-    for t, x in pts:
-        for y in ball1[x]:
-            for s in (t - 1, t, t + 1):
-                if pm[y] <= s <= pp[y]:
-                    pairs.append(((t, x), (s, y)))
-    coarse = CoarseStructure(ground, [Entourage(ground, pairs)])
-    born_gens = [frozenset((t, x) for t, x in pts if x in B) for B in X.bornology.generators]
-    born_gens = [B for B in born_gens if B]
-    space = BornCoarseSpace(ground, coarse, Bornology(ground, born_gens), window_tag=X.window_tag)
-
-    projection = SpaceMap(space, X, {(t, x): x for t, x in pts})
-    i_minus = SpaceMap(X, space, {x: (pm[x], x) for x in X.ground.points})
-    i_plus = SpaceMap(X, space, {x: (pp[x], x) for x in X.ground.points})
-    for m in (projection, i_minus, i_plus):
-        rep = check_morphism(m)
-        if not rep.is_morphism:
-            raise CoarseError("internal: cylinder structure map failed morphism check")
-    return Cylinder(space, projection, i_minus, i_plus, pm, pp)
-
-
-def check_homotopy(f0: SpaceMap, f1: SpaceMap, h: SpaceMap, cyl: Cylinder) -> bool:
-    """True iff h o i_- = f0 and h o i_+ = f1 pointwise."""
-    if h.source != cyl.space:
-        raise CylinderMismatch("h is not defined on the supplied cylinder")
-    if f0.source != cyl.projection.target or f1.source != cyl.projection.target:
-        raise CylinderMismatch("f0/f1 are not defined on the cylinder's base space")
-    if f0.target != h.target or f1.target != h.target:
-        raise CylinderMismatch("f0/f1 and h must share a target")
-    rep = check_morphism(h)
-    if not rep.is_morphism:
-        return False
-    left = h.compose(cyl.i_minus)
-    right = h.compose(cyl.i_plus)
-    return left.table == f0.table and right.table == f1.table

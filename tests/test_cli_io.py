@@ -229,9 +229,8 @@ def test_derived_window_spaces_emit_their_own_points():
     S = cs.subspace(X, [0, 1, 2])
     assert emit_space(S)["kind"] == "explicit"
     assert parse_space(emit_space_text(S)).points == ("0", "1", "2")
-    from coarsehom.morphisms import cylinder
-
-    C = cylinder(X, lambda x: 0, lambda x: 1).space
+    P = cs.product_p(X, cs.make_explicit_space([0, 1], [[(0, 1)]], [[0, 1]]))
+    C = cs.BornCoarseSpace(P.ground, P.coarse, P.bornology, window_tag=X.window_tag)  # tagged, off the window
     assert emit_space(C)["kind"] == "explicit"
     assert len(parse_space(emit_space_text(C)).points) == len(C.points) == 22
 

@@ -37,7 +37,6 @@ from coarsehom import (
     mv_check,
     product_p,
     rips_complex,
-    semidirect,
     subspace,
     thicken,
     windowed_builtin,
@@ -741,16 +740,6 @@ def test_coproduct_of_a_torsion_fixture_with_a_window():
     tagged += [frozenset((1, p) for p in B) for B in eager_window_balls("int_window", 6)]
     assert C.bornology.generators == tuple(tagged)
     assert coarse_components(C) == [[(0, p) for p in M.points], [(1, p) for p in W.points]]
-
-
-def test_semidirect_bornology():
-    X = path_space(2)
-    Y = windowed_builtin("half_line", 3)
-    sd = semidirect(X, Y)
-    # strips over bounded sets of the second factor are bounded
-    strip = {(x, 0) for x in X.points}
-    assert sd.bornology.bounded(strip)
-    assert sd.bornology.bounded(sd.points)  # the top generator covers everything here
 
 
 def test_subspace():

@@ -11,6 +11,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import time
 import tracemalloc
 import weakref
@@ -1547,6 +1548,14 @@ def test_mv_prefix_too_short():
     with pytest.raises(PrefixTooShort) as e:
         mv_check(X, list(range(6, 21)), fam, 1, 1)
     assert e.value.member_index == 0 and e.value.scale == 1
+    # past the table's scale_cap the members are searched: Y_1 = X absorbs every thickening
+    X = windowed_builtin("int_window", 10)
+    fam = make_big_family(X, [[p for p in X.points if p < -4], X.points])
+    Z = [p for p in X.points if p >= -4]
+    assert (0, 5) not in fam.witness
+    for k in (4, 5):
+        rep = mv_check(X, Z, fam, k, 1)
+        assert (rep.complement_index, rep.prefix_index) == (0, 1) and rep.all_iso and rep.basis_bijection
 
 
 def test_mv_refuses_a_false_witness_with_the_simplex_outside_Z():
@@ -2190,3 +2199,6 @@ def test_negative_degree_is_refused(entry):
     call(0)  # the same call answers in degree 0
     with pytest.raises(ValueError, match="degree must be >= 0"):
         call(-1)
+    for degree in (1.5, True, "2", None):  # a bool is an int to Python, but no degree
+        with pytest.raises(ValueError, match=re.escape(f"degree must be an int, got {degree!r}")):
+            call(degree)

@@ -1,10 +1,9 @@
-"""Morphism layer: controlled/proper reports, closeness, equivalence,
-flasqueness certificates, cylinders and homotopies."""
+"""Morphism layer: controlled/proper reports, closeness, equivalence and
+flasqueness certificates."""
 
 import random
 import re
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +17,7 @@ from coarsehom import (
     coarse_components,
     from_metric,
     make_explicit_space,
+    product_p,
     subspace,
     windowed_builtin,
 )
@@ -25,20 +25,15 @@ from coarsehom.chain_maps import _controlled_shift, _shift_at, induced_map, pris
 from coarsehom.core_spaces import (BornCoarseSpace, Bornology, ClosureView, CoarseStructure, GroundSet,
                                    UnknownPoint, WindowTag)
 from coarsehom.morphisms import (
-    CylinderMismatch,
     FlasqueCertificate,
     FlasqueRefusal,
-    GeneralizedFlasqueCertificate,
     SourceTargetMismatch,
     SpaceMap,
     are_close,
     certify_flasque,
-    certify_flasque_generalized,
     check_equivalence,
-    check_homotopy,
     check_morphism,
     constant_map,
-    cylinder,
     identity_map,
     inclusion_map,
     translate_map,
@@ -160,7 +155,7 @@ def assert_matches_closure_scan(f):
 
 
 def shift_table_sweep(rng):
-    """Self-maps, maps across components, inclusions, constant maps, cylinder maps."""
+    """Self-maps, maps across components, inclusions, constant maps, product projections and sections."""
     for _ in range(25):
         X = genspaces.random_explicit_space(rng, max_points=14, max_pairs=20)
         Y = genspaces.random_explicit_space(rng, max_points=14, max_pairs=20)
@@ -183,13 +178,13 @@ def shift_table_sweep(rng):
     G = windowed_builtin("grid2_window", 2)
     yield translate_map(G, (1, 0))
     yield SpaceMap(G, G, {(a, b): (b, a) for a, b in G.points})
-    for _ in range(6):
+    for _ in range(6):  # X x [0, n]: the projection to X and the sections at its two ends
         X = genspaces.random_explicit_space(rng, max_points=6, max_pairs=8)
-        cyl = cylinder(X, {x: -rng.randint(0, 2) for x in X.points},
-                       {x: rng.randint(0, 2) for x in X.points})
-        yield cyl.projection
-        yield cyl.i_minus
-        yield cyl.i_plus
+        n = rng.randint(0, 3)
+        P = product_p(X, path_space(n))
+        yield SpaceMap(P, X, {(x, t): x for x, t in P.points})
+        yield SpaceMap(X, P, {x: (x, 0) for x in X.points})
+        yield SpaceMap(X, P, {x: (x, n) for x in X.points})
     # source bornologies that do not cover keep properness falsifiable
     g = GroundSet(range(6))
     thin = BornCoarseSpace(g, CoarseStructure(g, []), Bornology(g, [[0, 1]]))
@@ -227,7 +222,7 @@ def test_one_pass_shift_table_matches_closure_scan_on_random_maps(data):
 
 
 def test_check_morphism_never_builds_a_closure(monkeypatch):
-    maps = list(shift_table_sweep(random.Random(5)))  # cylinders are built before the patch
+    maps = list(shift_table_sweep(random.Random(5)))  # products are built before the patch
 
     def refuse(self):
         raise AssertionError("a closure's pair set was built")
@@ -266,7 +261,6 @@ def test_no_map_route_reads_a_whole_target_table(monkeypatch):
     are_close(shift, identity_map(H))
     swindle_identity_check(H, shift, [0, 1], 6)
     certify_flasque(H, shift)
-    certify_flasque_generalized(H, [shift.power(j) for j in range(8)])
     assert read == []
 
 
@@ -406,18 +400,18 @@ def test_translate_map_refuses_a_shift_of_the_wrong_shape(name, delta):
 
 @pytest.mark.parametrize("name, radius", [("int_window", 6), ("half_line", 6), ("grid2_window", 2)])
 def test_cylinder_keeps_the_window_tag_but_not_its_points(name, radius):
+    # the cylinder X x [0, 1], built as a product and given X's tag: a public constructor
+    # accepts a tag whose window's points the space does not hold
     X = windowed_builtin(name, radius)
-    C = cylinder(X, lambda x: 0, lambda x: 1).space
-    assert C.window_tag == X.window_tag
+    P = product_p(X, path_space(1))
+    C = BornCoarseSpace(P.ground, P.coarse, P.bornology, window_tag=X.window_tag)
     corner = f"{C.points[0]!r} is not one: this space carries only the window's tag"
     with pytest.raises(CoarseError, match=re.escape(f"translate_map needs points of the {name}({radius}) "
                                                     f"window, and {corner}")):
         translate_map(C, 1 if name != "grid2_window" else (1, 0))
-    for certify in (certify_flasque, certify_flasque_generalized):
-        f = identity_map(C)
-        with pytest.raises(CoarseError, match=re.escape(f"a flasqueness margin needs points of the "
-                                                        f"{name}({radius}) window, and {corner}")):
-            certify(C, f) if certify is certify_flasque else certify(C, [f, f])
+    with pytest.raises(CoarseError, match=re.escape(f"a flasqueness margin needs points of the "
+                                                    f"{name}({radius}) window, and {corner}")):
+        certify_flasque(C, identity_map(C))
     # a subspace keeps window points, so its margins are read as before
     S = subspace(X, X.points[:len(X.points) // 2])
     assert isinstance(certify_flasque(S, identity_map(S)), FlasqueRefusal)
@@ -488,35 +482,6 @@ def test_flasque_orbit_walk_matches_union_over_all_powers():
     assert verdicts["certificate"] > 100 and verdicts["condition 3"] > 100
 
 
-def test_generalized_from_plain_witness():
-    X = windowed_builtin("half_line", 60)
-    f = translate_map(X, 1)
-    maps = [f.power(j) for j in range(40)]
-    cert = certify_flasque_generalized(X, maps)
-    assert isinstance(cert, GeneralizedFlasqueCertificate)
-    assert cert.cond2_scale == 1
-    # the union over the powers f^0..f^39 is the plain certificate's orbit of 39 steps
-    assert cert.cond3_table == certify_flasque(X, f, iter_cap=39).cond2_table
-
-
-def test_generalized_refuses_constant_family():
-    X = windowed_builtin("half_line", 20)
-    maps = [identity_map(X) for _ in range(10)]
-    out = certify_flasque_generalized(X, maps)
-    assert isinstance(out, FlasqueRefusal)
-    assert out.condition == "condition 4"
-
-
-def test_generalized_shift_family():
-    X = windowed_builtin("half_line", 100)
-    maps = [translate_map(X, k) for k in range(56)]
-    cert = certify_flasque_generalized(X, maps)
-    assert isinstance(cert, GeneralizedFlasqueCertificate)
-    # each tested [0, n] is avoided from iterate n+1 on
-    for B, j in cert.cond4_table.items():
-        assert j == max(B) + 1
-
-
 def two_window_ends():
     """int_window(10) kept at its two ends: window points in two coarse components."""
     return subspace(windowed_builtin("int_window", 10), [-10, -9, 9, 10])
@@ -541,27 +506,6 @@ def test_flasque_certifies_the_empty_space():
     assert isinstance(cert, FlasqueCertificate)
     assert (cert.window, cert.cond1_scale, cert.cond2_table, cert.cond3_table, cert.tested_generators,
             cert.warnings) == (None, 0, {}, {}, (), ("empty space",))
-    cert = certify_flasque_generalized(E, [identity_map(E)])
-    assert isinstance(cert, GeneralizedFlasqueCertificate)
-    assert (cert.maps_checked, cert.cond3_table, cert.warnings) == (1, {}, ("empty space",))
-
-
-def test_generalized_flasque_refusals():
-    X = windowed_builtin("half_line", 10)
-    f = translate_map(X, 1)
-    with pytest.raises(CoarseError, match=re.escape("need at least one map (f_0 = id)")):
-        certify_flasque_generalized(X, [])
-    with pytest.raises(SourceTargetMismatch, match="generalized flasqueness needs self-maps of X"):
-        certify_flasque_generalized(X, [identity_map(X), inclusion_map(X, windowed_builtin("half_line", 12))])
-    out = certify_flasque_generalized(X, [f, f])
-    assert (out.condition, out.explanation) == ("condition 1", "f_0 is not the identity")
-    P = path_space(3)
-    assert certify_flasque_generalized(P, [identity_map(P)]).condition == "NotWindowed"
-    S = two_window_ends()
-    out = certify_flasque_generalized(S, [identity_map(S), constant_map(S, S, 10)])
-    assert isinstance(out, FlasqueRefusal)
-    assert (out.condition, out.explanation) == (
-        "condition 2", "consecutive maps are not uniformly close on the window")
 
 
 # ------------------------------------------------------- map-layer refusals
@@ -586,108 +530,6 @@ def test_compose_power_and_equivalence_refuse_mismatched_ends():
         f.power(2)
     with pytest.raises(SourceTargetMismatch, match=re.escape("check_equivalence needs f: X -> X'")):
         check_equivalence(f, f)
-
-
-def test_cylinder_refuses_ends_on_the_wrong_side():
-    X = path_space(2)
-    with pytest.raises(CoarseError, match=re.escape("p_minus(1) = 1 must be nonpositive")):
-        cylinder(X, {0: 0, 1: 1, 2: 0}, lambda x: 0)
-    with pytest.raises(CoarseError, match=re.escape("p_plus(2) = -1 must be nonnegative")):
-        cylinder(X, lambda x: 0, {0: 0, 1: 0, 2: -1})
-
-
-# ---------------------------------------------------------------- cylinders
-
-def test_degenerate_cylinder_is_base():
-    X = path_space(3)
-    cyl = cylinder(X, lambda x: 0, lambda x: 0)
-    assert len(cyl.space) == len(X)
-    assert cyl.i_minus.table == cyl.i_plus.table
-    assert cyl.projection.compose(cyl.i_minus).table == identity_map(X).table
-
-
-def test_cylinder_over_point():
-    cyl = cylinder(POINT, lambda x: 0, lambda x: 5)
-    assert len(cyl.space) == 6
-    assert len(coarse_components(cyl.space)) == 1
-
-
-@pytest.mark.parametrize("value, shown", [
-    (1.9, "1.9"), (Fraction(3, 2), "Fraction(3, 2)"), (True, "True"), ("1", "'1'"),
-])
-def test_cylinder_refuses_a_p_value_that_is_no_int(value, shown):
-    # int() would read 1.9 and 3/2 as 1; each value is checked once, naming its point
-    X = path_space(3)
-    with pytest.raises(CoarseError, match=re.escape(f"p_plus(2) = {shown} must be an int")):
-        cylinder(X, lambda x: 0, lambda x: value if x == 2 else 0)
-    with pytest.raises(CoarseError, match=re.escape(f"p_minus(3) = {shown} must be an int")):
-        cylinder(X, {0: 0, 1: 0, 2: 0, 3: value}, lambda x: 0)
-
-
-def test_cylinder_sections_split_projection():
-    rng = random.Random(17)
-    X = path_space(8)
-    pp = {x: rng.randint(0, 3) for x in X.points}
-    pm = {x: -rng.randint(0, 2) for x in X.points}
-    cyl = cylinder(X, pm, pp)
-    ident = identity_map(X).table
-    assert cyl.projection.compose(cyl.i_minus).table == ident
-    assert cyl.projection.compose(cyl.i_plus).table == ident
-
-
-# ---------------------------------------------------------------- homotopy
-
-def test_trivial_homotopy():
-    X = path_space(4)
-    f = SpaceMap(X, X, {x: max(x - 1, 0) for x in X.points})
-    cyl = cylinder(X, lambda x: 0, lambda x: 0)
-    h = f.compose(cyl.projection)
-    assert check_homotopy(f, f, h, cyl)
-
-
-def test_straight_line_homotopy():
-    X = windowed_builtin("half_line", 10)
-    f0 = identity_map(X)
-    f1 = translate_map(X, 1)
-    cyl = cylinder(X, lambda x: 0, lambda x: 1)
-    h = SpaceMap(cyl.space, X, {(t, x): x if t == 0 else f1(x) for (t, x) in cyl.space.points})
-    assert check_homotopy(f0, f1, h, cyl)
-
-
-def test_homotopy_endpoint_mismatch():
-    X = path_space(4)
-    f = identity_map(X)
-    g = SpaceMap(X, X, {x: min(x + 1, 4) for x in X.points})
-    cyl = cylinder(X, lambda x: 0, lambda x: 0)
-    h = f.compose(cyl.projection)
-    assert not check_homotopy(f, g, h, cyl)
-
-
-def test_homotopy_cylinder_mismatch():
-    X = path_space(3)
-    cyl_a = cylinder(X, lambda x: 0, lambda x: 1)
-    cyl_b = cylinder(X, lambda x: 0, lambda x: 2)
-    h = identity_map(X).compose(cyl_b.projection)
-    with pytest.raises(CylinderMismatch):
-        check_homotopy(identity_map(X), identity_map(X), h, cyl_a)
-    Y, h = path_space(4), identity_map(X).compose(cyl_a.projection)
-    with pytest.raises(CylinderMismatch, match="f0/f1 are not defined on the cylinder's base space"):
-        check_homotopy(identity_map(Y), identity_map(X), h, cyl_a)
-    into_y = inclusion_map(X, Y)
-    with pytest.raises(CylinderMismatch, match="f0/f1 and h must share a target"):
-        check_homotopy(into_y, into_y, h, cyl_a)
-
-
-def test_homotopy_is_false_for_an_h_that_is_no_morphism():
-    # h sends the two ends of the cylinder into two coarse components of Y, so no scale controls it
-    X = path_space(3)
-    pts = [0, 1, 2, 3, 10, 11, 12, 13]
-    Y = make_explicit_space(pts, [[(i, i + 1) for i in (0, 1, 2, 10, 11, 12)]], [pts])
-    cyl = cylinder(X, lambda x: 0, lambda x: 1)
-    f0, f1 = SpaceMap(X, Y, {x: x for x in X.points}), SpaceMap(X, Y, {x: x + 10 for x in X.points})
-    h = SpaceMap(cyl.space, Y, {(t, x): x + 10 * t for t, x in cyl.space.points})
-    assert not check_morphism(h).is_morphism
-    assert check_homotopy(f0, f1, h, cyl) is False
 
 
 def test_translate_map_and_flasque_refuse_what_they_cannot_read():
