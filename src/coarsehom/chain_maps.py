@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .core_spaces import Record, ScaleGraph, check_degree
+from .core_spaces import Record, ScaleGraph, check_count, check_degree
 from .homology_engine import (DEFAULT_BASIS_CAP, DEFAULT_DEGREE_CAP, DegreeCapExceeded, FGAbGroup, HomologyError,
                               IntMatrix, _axpy, _boundary_from_lists, _is_complex, _smith)
 
@@ -477,6 +477,7 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
     from .morphisms import identity_map
 
     check_degree(n)
+    check_count(J, "J")
     Bset = X.ground.check_subset(B)
     ident = identity_map(X)
     powers = [ident]

@@ -676,7 +676,7 @@ def _cmd_hybrid(args, rep: Report, X):
         raise ParseError("give exactly one of --family or --family-base", "family")
     if args.family is not None:
         members = [_match_subset(X, m, "family") for m in _json_flag(args.family, "family")]
-        fam = make_big_family(X, members, scale_cap=0)
+        fam = make_big_family(X, members)
     else:
         base = _match_subset(X, _json_flag(args.family_base, "family-base"), "family-base")
         fam = big_family_generated(X, base, args.family_depth)

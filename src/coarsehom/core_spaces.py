@@ -48,20 +48,21 @@ class BadScales(CoarseError):
     pass
 
 
+def check_count(value, name: str, least: int = 0, error=CoarseError):
+    """Refuse a count (a radius, depth, cap, budget, iterate, scale or degree) that is not
+    an int (a bool, a float, a string, None) or is below least, as error naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
 def check_scale(k: int):
-    """Refuse a scale index that is not an int (a bool, a float, a string) or is negative."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise BadScales(f"scale-index must be an int, got {k!r}")
-    if k < 0:
-        raise BadScales(f"scale-index must be >= 0, got {k}")
+    check_count(k, "scale-index", 0, BadScales)
 
 
 def check_degree(n: int):
-    """Refuse a degree that is not an int (a bool, a float, a string, None) or is negative."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"degree must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    check_count(n, "degree", 0, ValueError)
 
 
 class Record:
@@ -803,8 +804,7 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
     coproduct, subspace, flasqueness margins and == between distinct spaces
     ask for.  Each distance's Fraction is made on its first use.
     """
-    if radius < 1:
-        raise CoarseError("radius must be >= 1")
+    check_count(radius, "radius", 1)
     tag = WindowTag(name, radius)
     pts = tag.points
     if not pts:
@@ -893,15 +893,14 @@ def subspace(X: BornCoarseSpace, A: Iterable) -> BornCoarseSpace:
 
 
 class BigFamilyPrefix(Record):
-    """Finite prefix Y_0 subset ... subset Y_m of a big family.
+    """Finite prefix Y_0 subset ... subset Y_m of a big family, held as its members.
 
-    witness[(i, k)] = least j <= m with closure_at(k)[Y_i] subset Y_j (in closed
-    form for a generated family); pairs with no such j are absent, never guessed.
+    The family is big when each closure_at(k)[Y_i] lies in some member; the least
+    such member is searched where it is needed (mv_check), never tabulated.
     """
 
-    def __init__(self, members, witness):
+    def __init__(self, members):
         self.members = members
-        self.witness = witness
 
     def __len__(self):
         return len(self.members)
@@ -911,33 +910,20 @@ def big_family_generated(X: BornCoarseSpace, A: Iterable, depth: int) -> BigFami
     """Members Y_i = closure_at(i)[A] for i = 0..depth, each one step thicker than the last.
 
     closure_at(k)[Y_i] = Y_{i+k}, and the members grow strictly up to the least s with
-    Y_s = Y_{s+1}, so the witness is min(i + k, s); with no s <= depth it is i + k,
-    kept where i + k <= depth.
+    Y_s = Y_{s+1}, so the least member holding it is min(i + k, s); with no s <= depth
+    there is one only where i + k <= depth.
     """
-    if depth < 0:
-        raise CoarseError("depth must be >= 0")
+    check_count(depth, "depth")
     Y = [X.ground.check_subset(A)]
-    while len(Y) < depth + 2 and (len(Y) < 2 or Y[-1] != Y[-2]):
+    while len(Y) <= depth and (len(Y) < 2 or Y[-1] != Y[-2]):
         Y.append(thicken(X, 1, Y[-1]))
-    s = len(Y) - 2 if Y[-1] == Y[-2] else None
-    Y += Y[-1:] * (depth + 1 - len(Y))
-    witness = {(i, k): min(i + k, depth if s is None else s)
-               for i in range(depth + 1) for k in range(depth + 1) if s is not None or i + k <= depth}
-    return BigFamilyPrefix(tuple(Y[:depth + 1]), witness)
+    return BigFamilyPrefix(tuple(Y + Y[-1:] * (depth + 1 - len(Y))))
 
 
-def make_big_family(X: BornCoarseSpace, members: Sequence[Iterable], scale_cap: int = 4) -> BigFamilyPrefix:
-    """Wrap explicit nested subsets as a big-family prefix, filling witnesses by search."""
+def make_big_family(X: BornCoarseSpace, members: Sequence[Iterable]) -> BigFamilyPrefix:
+    """Wrap explicit nested subsets as a big-family prefix."""
     ms = tuple(X.ground.check_subset(m) for m in members)
     for a, b in zip(ms, ms[1:]):
         if not a <= b:
             raise CoarseError("big family members must be nested")
-    witness = {}
-    for i in range(len(ms)):
-        for k in range(scale_cap + 1):
-            target = thicken(X, k, ms[i])
-            for j in range(len(ms)):
-                if target <= ms[j]:
-                    witness[(i, k)] = j
-                    break
-    return BigFamilyPrefix(ms, witness)
+    return BigFamilyPrefix(ms)

@@ -17,8 +17,8 @@ from itertools import chain
 from typing import Optional, Sequence
 
 from .core_spaces import (
-    BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage, FrozenRecord, Record, _as_fraction, check_scale,
-    is_U_bounded,
+    BigFamilyPrefix, BornCoarseSpace, CoarseError, Entourage, FrozenRecord, Record, _as_fraction, check_count,
+    check_scale, is_U_bounded,
 )
 
 
@@ -271,13 +271,12 @@ def asdim_upper_bound(X: BornCoarseSpace, scale_list: Sequence[int],
     The search rotates the greedy net's start point; the nerve dimension of a
     cover is one less than the largest number of members through a single
     point.  The value is a search result, not a certificate, and is relative
-    to the window.  An empty scale list and a budget below 1 are refused.
+    to the window.  An empty scale list and a budget below 1 or no int are refused.
     """
     scales = list(scale_list)
     if not scales:
         raise CoverError("at least one scale is required")
-    if search_budget < 1:
-        raise CoverError(f"search_budget must be >= 1, got {search_budget}")
+    check_count(search_budget, "search_budget", 1, CoverError)
     n = len(X.points)
     per_scale = {}
     for k in scales:

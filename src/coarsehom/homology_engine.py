@@ -778,20 +778,26 @@ class ExcisionReport(Record):
         return all(self.iso)
 
 
+def _least_member(X, family: BigFamilyPrefix, i, k):
+    """The least j with closure_at(k)[Y_i] inside Y_j, or None when no member holds it."""
+    grown = X.coarse.thicken(k, family.members[i])
+    return next((j for j, Y in enumerate(family.members) if grown <= Y), None)
+
+
 def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     """Excision shadow: compare H(Z, Z∩Y_m) with H(X, Y_m) through the inclusion.
 
     With Z ∪ Y_i0 = X and closure_at(k)[Y_i0] ⊆ Y_m, a scale-k simplex of X with a
     vertex v outside Y_m has v in Z, and a vertex w outside Z would lie in Y_i0 and
     put v in Y_m; so both relative clique complexes hold the same simplices and the
-    inclusion is the identity.  Y_m is the family's witness for (i0, k) or, where its
-    table has none, the least member holding closure_at(k)[Y_i0]; with no such member
-    the prefix is too short.  The groups are read once, on the strong-collapse core
-    as in relative_homology, and the equality is checked on the 1-skeleton: a simplex
-    not wholly in Y_m lies in N[v] for a vertex v of it outside Y_m, so it lies in Z
-    when every such v and every edge at one does.  A false witness is refused with the
-    first simplex of X's relative complex (by dimension, then in lex order) missing
-    from Z's, always a vertex or an edge.
+    inclusion is the identity.  Y_m is the least member holding closure_at(k)[Y_i0];
+    with no such member the prefix is too short.  The groups are read once, on the
+    strong-collapse core as in relative_homology, and the equality is checked on the
+    1-skeleton: a simplex not wholly in Y_m lies in N[v] for a vertex v of it outside
+    Y_m, so it lies in Z when every such v and every edge at one does.  A Y_m that
+    does not hold closure_at(k)[Y_i0] is refused with the first simplex of X's
+    relative complex (by dimension, then in lex order) missing from Z's, always a
+    vertex or an edge.
     """
     check_scale(k)
     check_degree(d_max)
@@ -800,12 +806,9 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
     if i0 is None:
         missing = sorted(frozenset(X.points) - Zset.union(*family.members[-1:]))[:3]
         raise NotComplementary(f"no family member completes Z to X; sample uncovered points {missing}")
-    m = family.witness.get((i0, k))
+    m = _least_member(X, family, i0, k)
     if m is None:
-        grown = X.coarse.thicken(k, family.members[i0])
-        m = next((j for j, Y in enumerate(family.members) if grown <= Y), None)
-        if m is None:
-            raise PrefixTooShort(i0, k)
+        raise PrefixTooShort(i0, k)
     Ym = family.members[m]
     groups = _clique_groups(X, k, d_max, basis_cap, Ym)
     pts, view = X.points, X.coarse.closure_at(k)
@@ -817,7 +820,7 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
     if first is not None:
         s = tuple(pts[i] for i in first)
         raise HomologyError(f"simplex {s} of the relative complex of X at scale {k} does not lie "
-                            f"in Z; the witness ({i0}, {k}) -> {m} is false")
+                            f"in Z, so Y_{m} does not hold closure_at({k})[Y_{i0}]")
     warnings = [f"complementary member index {i0}, quotient taken at prefix index {m}"]
     if X.window_tag is not None:
         warnings.append("window-relative values")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-from .core_spaces import BornCoarseSpace, CoarseError, Record, UnknownPoint
+from .core_spaces import BornCoarseSpace, CoarseError, Record, UnknownPoint, check_count
 
 
 class SourceTargetMismatch(CoarseError):
@@ -65,9 +65,10 @@ class SpaceMap:
         return SpaceMap(first.source, self.target, {x: self.table[y] for x, y in first.table.items()})
 
     def power(self, j: int) -> "SpaceMap":
-        """j-fold self-composition; source must equal target."""
+        """j-fold self-composition, j an int >= 0; source must equal target."""
         if self.source != self.target:
             raise SourceTargetMismatch("power: source and target differ")
+        check_count(j, "j")
         tbl = {x: x for x in self.source.ground.points}
         for _ in range(j):
             tbl = {x: self.table[y] for x, y in tbl.items()}
@@ -356,8 +357,10 @@ def certify_flasque(
     """
     if f.source != X or f.target != X:
         raise SourceTargetMismatch("flasqueness needs a self-map of X")
-    if scale_cap < 0 or iter_cap < 0:
-        raise CoarseError(f"scale_cap and iter_cap must be >= 0, got {scale_cap} and {iter_cap}")
+    check_count(scale_cap, "scale_cap")
+    check_count(iter_cap, "iter_cap")
+    if margin is not None:
+        check_count(margin, "margin")
     if len(X) == 0:
         return FlasqueCertificate(f, None, 0, {}, {}, iter_cap, scale_cap, (), 0, ("empty space",))
     if X.window_tag is None:

@@ -27,10 +27,6 @@ def random_explicit_space(rng: random.Random, max_points=40, max_pairs=120):
     return make_explicit_space(points, gens, [points])
 
 
-def random_edges(rng: random.Random, n, m):
-    return [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
-
-
 def random_capped_space(rng: random.Random, max_points=40, max_pairs=120, comp_cap=12):
     """Random space whose coarse components stay at or below comp_cap points.
 

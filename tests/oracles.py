@@ -589,23 +589,23 @@ def hop_distances(points, edges):
 
 
 def big_family_reference(points, edges, A, depth):
-    """Members Y_i = {x : d(x, A) <= i} for i = 0..depth, and witness[(i, k)] = least j with
+    """Members Y_i = {x : d(x, A) <= i} for i = 0..depth, and least[(i, k)] = least j with
     {x : d(x, Y_i) <= k} inside Y_j, absent when there is none, for i, k = 0..depth; every
-    thickening taken from the hop distances, every witness found by scanning j."""
+    thickening taken from the hop distances, every least member found by scanning j."""
     dist = hop_distances(points, edges)
 
     def thicken(B, k):
         return frozenset(x for x in points if any(dist[b].get(x, k + 1) <= k for b in B))
 
     members = [thicken(A, i) for i in range(depth + 1)]
-    witness = {}
+    least = {}
     for i in range(depth + 1):
         for k in range(depth + 1):
             target = thicken(members[i], k)
             j = next((j for j, Y in enumerate(members) if target <= Y), None)
             if j is not None:
-                witness[(i, k)] = j
-    return tuple(members), witness
+                least[(i, k)] = j
+    return tuple(members), least
 
 
 def colimit_reference(points, edges, scale, d_max):

@@ -596,21 +596,21 @@ def test_asdim_grid_reports_search_result():
 
 def test_hybrid_whole_space_member_gives_closure():
     X = windowed_builtin("half_line", 50)
-    fam = make_big_family(X, [list(X.points)], scale_cap=1)
+    fam = make_big_family(X, [list(X.points)])
     U = hybrid_entourage(X, fam, [3], 2)
     assert set(U.pairs) == set(X.closure_at(2).pairs)
 
 
 def test_hybrid_empty_member_zero_phi_gives_diagonal():
     X = windowed_builtin("half_line", 30)
-    fam = make_big_family(X, [[]], scale_cap=1)
+    fam = make_big_family(X, [[]])
     U = hybrid_entourage(X, fam, [0], 2)
     assert set(U.pairs) == {(p, p) for p in X.points}
 
 
 def test_hybrid_matches_definitional_scan():
     X = windowed_builtin("half_line", 50)
-    fam = make_big_family(X, [range(0, 10 * i + 1) for i in range(6)], scale_cap=1)
+    fam = make_big_family(X, [range(0, 10 * i + 1) for i in range(6)])
     phi = [5, 4, 3, 2, 1, 0]
     U = hybrid_entourage(X, fam, phi, 3)
     expect = {
@@ -627,7 +627,7 @@ def test_hybrid_matches_definitional_scan():
 
 def test_hybrid_monotone_and_contained():
     X = windowed_builtin("half_line", 40)
-    fam = make_big_family(X, [range(0, 11), range(0, 21)], scale_cap=1)
+    fam = make_big_family(X, [range(0, 11), range(0, 21)])
     lo = hybrid_entourage(X, fam, [2, 1], 3)
     hi = hybrid_entourage(X, fam, [3, 2], 3)
     assert set(lo.pairs) <= set(hi.pairs)
@@ -654,14 +654,14 @@ def test_hybrid_on_index_rows_matches_the_definitional_scan():
             members[0] |= {"outside"}
             phi = sorted((rng.randint(0, s + 2) for _ in members), reverse=True)
             base = rng.randint(0, s + 2)
-            U = hybrid_entourage(X, BigFamilyPrefix(tuple(members), {}), phi, base)
+            U = hybrid_entourage(X, BigFamilyPrefix(tuple(members)), phi, base)
             assert U.pairs == {(a, b) for (a, b), d in near.items() if d <= base
                                and all((a in Y and b in Y) or d <= v for Y, v in zip(members, phi))}
 
 
 def test_hybrid_refusals():
     X = windowed_builtin("half_line", 20)
-    fam = make_big_family(X, [range(0, 5), range(0, 9)], scale_cap=1)
+    fam = make_big_family(X, [range(0, 5), range(0, 9)])
     with pytest.raises(PhiNotDecreasing):
         hybrid_entourage(X, fam, [1, 2], 2)
     with pytest.raises(CoarseError):
@@ -678,7 +678,7 @@ def test_hybrid_refusals():
 def test_hybrid_checks_each_phi_entry_as_a_scale(value, text):
     # int() read 1.9 as 1 and "1" as 1; each entry is now a scale index or a BadScales
     X = windowed_builtin("half_line", 20)
-    fam = make_big_family(X, [range(0, 5), range(0, 9)], scale_cap=1)
+    fam = make_big_family(X, [range(0, 5), range(0, 9)])
     with pytest.raises(BadScales) as e:
         hybrid_entourage(X, fam, [3, value], 2)
     assert str(e.value) == text

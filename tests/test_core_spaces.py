@@ -21,6 +21,7 @@ from coarsehom import (
     IncompatibleStructures,
     InvalidMetric,
     NonSymmetricMatrix,
+    PrefixTooShort,
     UnknownPoint,
     anti_cech,
     asdim_upper_bound,
@@ -768,9 +769,9 @@ def test_big_family_generated_path():
     X = path_space(4)
     fam = big_family_generated(X, {0}, 2)
     assert fam.members == (frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2}))
-    assert fam.witness[(0, 1)] == 1
-    assert fam.witness[(1, 1)] == 2
-    assert (2, 1) not in fam.witness  # thickening leaves the prefix
+    assert least_member(X, fam, 0, 1) == 1
+    assert least_member(X, fam, 1, 1) == 2
+    assert least_member(X, fam, 2, 1) is None  # thickening leaves the prefix
 
 
 def test_big_family_empty_and_zero_depth():
@@ -783,21 +784,38 @@ def test_big_family_empty_and_zero_depth():
         big_family_generated(X, {1}, -1)
 
 
+def least_member(X, family, i, k):
+    """The member mv_check takes as Y_m for Z = X minus Y_i at scale k, or None where it
+    refuses PrefixTooShort; Y_i completes Z to X, and so does each equal member before it."""
+    Z = [p for p in X.points if p not in family.members[i]]
+    try:
+        rep = mv_check(X, Z, family, k, 0)
+    except PrefixTooShort as e:
+        assert family.members[e.member_index] == family.members[i] and e.scale == k
+        return None
+    assert family.members[rep.complement_index] == family.members[i]
+    return rep.prefix_index
+
+
 def big_family_mismatch(X, A, depth):
-    """big_family_generated against the brute-force oracle: None when they agree."""
+    """big_family_generated and mv_check's member search against the brute-force oracle:
+    None when they agree on the members and, for every i, k <= depth, on the least member
+    holding closure_at(k)[Y_i] or on there being none."""
     edges = [pair for E in X.coarse.generators for pair in E.pairs]
     fam = big_family_generated(X, A, depth)
-    want = oracles.big_family_reference(list(X.points), edges, frozenset(A), depth)
-    return None if (fam.members, fam.witness) == want else (fam.members, fam.witness, want)
+    members, least = oracles.big_family_reference(list(X.points), edges, frozenset(A), depth)
+    got = {(i, k): least_member(X, fam, i, k) for i in range(depth + 1) for k in range(depth + 1)}
+    want = {(i, k): least.get((i, k)) for i in range(depth + 1) for k in range(depth + 1)}
+    return None if (fam.members, got) == (members, want) else (fam.members, got, members, want)
 
 
-def test_big_family_witnesses_match_the_least_member_oracle():
+def test_mv_check_member_matches_the_least_member_oracle():
     # at depth 14 the thickenings of the column a = -3 cover grid2_window(3) from index 6,
     # so (0, 10) and (5, 12) both name the least member holding everything, 6
     G = windowed_builtin("grid2_window", 3)
     column = [p for p in G.points if p[0] == -3]
     fam = big_family_generated(G, column, 14)
-    assert fam.witness[(0, 10)] == fam.witness[(5, 12)] == 6
+    assert least_member(G, fam, 0, 10) == least_member(G, fam, 5, 12) == 6
     cases = [(G, column, 14), (path_space(4), set(), 3), (path_space(4), {2}, 0),
              (path_space(6), {0}, 3), (path_space(6), {0}, 6), (path_space(6), {0}, 9)]
     rng = random.Random(20)
@@ -825,8 +843,9 @@ def test_make_big_family_validates_nesting():
     X = path_space(3)
     with pytest.raises(CoarseError):
         make_big_family(X, [{0, 1}, {0}])
-    fam = make_big_family(X, [{0}, {0, 1, 2}], scale_cap=2)
-    assert fam.witness[(0, 1)] == 1
+    fam = make_big_family(X, [{0}, {0, 1, 2}])
+    assert fam.members == (frozenset({0}), frozenset({0, 1, 2}))
+    assert least_member(X, fam, 0, 1) == 1
 
 
 # ---------------------------------------------------------------- determinism

@@ -24,8 +24,12 @@ from hypothesis import strategies as st
 
 import oracles
 from coarsehom import (
+    CoarseError,
+    CoverError,
     anti_cech,
+    asdim_upper_bound,
     big_family_generated,
+    certify_flasque,
     coarsening_space,
     coarsify_homology,
     coproduct,
@@ -1544,26 +1548,28 @@ def test_mv_not_complementary():
 
 def test_mv_prefix_too_short():
     X = path_space(20)
-    fam = make_big_family(X, [list(range(9))], scale_cap=0)
+    fam = make_big_family(X, [list(range(9))])
     with pytest.raises(PrefixTooShort) as e:
         mv_check(X, list(range(6, 21)), fam, 1, 1)
     assert e.value.member_index == 0 and e.value.scale == 1
-    # past the table's scale_cap the members are searched: Y_1 = X absorbs every thickening
+    # Y_1 = X absorbs every thickening of Y_0, so it is the member taken at each scale
     X = windowed_builtin("int_window", 10)
     fam = make_big_family(X, [[p for p in X.points if p < -4], X.points])
     Z = [p for p in X.points if p >= -4]
-    assert (0, 5) not in fam.witness
-    for k in (4, 5):
+    for k in (1, 4, 5, 12):
         rep = mv_check(X, Z, fam, k, 1)
         assert (rep.complement_index, rep.prefix_index) == (0, 1) and rep.all_iso and rep.basis_bijection
 
 
-def test_mv_refuses_a_false_witness_with_the_simplex_outside_Z():
-    # closure_at(1)[Y_0] = -5..1 is not in Y_0, so the witness (0, 1) -> 0 is false
+def test_mv_refuses_a_false_witness_with_the_simplex_outside_Z(monkeypatch):
+    # the search answers Y_1 = -5..1; a planted search answering Y_0 is false, since
+    # closure_at(1)[Y_0] = -5..1 is not in Y_0
     X = windowed_builtin("int_window", 5)
-    members = (frozenset(range(-5, 1)), frozenset(range(-5, 2)))
-    fam = BigFamilyPrefix(members, {(0, 1): 0})
-    with pytest.raises(HomologyError, match=r"simplex \(0, 1\) of the relative complex"):
+    fam = make_big_family(X, [range(-5, 1), range(-5, 2)])
+    assert mv_check(X, range(1, 6), fam, 1, 1).prefix_index == 1
+    monkeypatch.setattr(homology_engine, "_least_member", lambda X, family, i, k: 0)
+    with pytest.raises(HomologyError, match=r"simplex \(0, 1\) of the relative complex .* "
+                                            r"so Y_0 does not hold closure_at\(1\)\[Y_0\]"):
         mv_check(X, range(1, 6), fam, 1, 1)
     # with 0 in Z the two relative complexes are still equal, so it answers
     rep = mv_check(X, range(0, 6), fam, 1, 1)
@@ -1594,10 +1600,11 @@ def test_empty_family_is_refused():
         relative_homology(X, fam, 1, 1)
 
 
-def test_mv_one_skeleton_check_matches_the_whole_complex_scan():
-    # hand-built two-member families: Y_0 completes Z to X and the witness (0, k) -> 1 is
-    # true when Y_1 holds closure_at(k)[Y_0], false otherwise; Y_1 need not hold Y_0, so a
-    # vertex outside Y_1 can miss Z too
+def test_mv_one_skeleton_check_matches_the_whole_complex_scan(monkeypatch):
+    # two-member families with the member search planted to answer Y_1: Y_0 completes Z
+    # to X, and Y_1 is a true answer when it holds closure_at(k)[Y_0], a false one
+    # otherwise; Y_1 need not hold Y_0, so a vertex outside Y_1 can miss Z too
+    monkeypatch.setattr(homology_engine, "_least_member", lambda X, family, i, k: 1)
     rng = random.Random(131)
     seen = {"vertex": 0, "edge": 0, "higher": 0, "answered": 0}
     for _ in range(60):
@@ -1609,7 +1616,7 @@ def test_mv_one_skeleton_check_matches_the_whole_complex_scan():
         Z = frozenset(p for p in pts if p not in Y0 or rng.random() < 0.3)
         grown = X.coarse.thicken(k, Y0) if rng.random() < 0.5 else Y0
         Y1 = frozenset(p for p in pts if (p in grown) != (rng.random() < 0.15))
-        fam = BigFamilyPrefix((Y0, Y1), {(0, k): 1})
+        fam = BigFamilyPrefix((Y0, Y1))
         want = oracles.first_simplex_outside(pts, edges, k, d_max, Y1, Z)
         if want is None:
             rep = mv_check(X, Z, fam, k, d_max)
@@ -1717,7 +1724,7 @@ def test_relative_cap_refusal_matches_quotient_count():
     X = lollipop(7, 8)
     fam = big_family_generated(X, range(7), 1)
     Z = list(range(6, 15))
-    assert fam.witness[(0, 1)] == 1
+    assert mv_check(X, Z, fam, 1, 0).prefix_index == 1
     # the quotient has 7, 14, 14, 14 tuples in degrees 0..3, X itself 15, 58, 268, 1528
     for cap, degree in ((5, 0), (10, 1), (14, None), (50, None), (1527, None)):
         want = quotient_refusal(X, 1, 3, cap, fam.members[1])
@@ -2202,3 +2209,33 @@ def test_negative_degree_is_refused(entry):
     for degree in (1.5, True, "2", None):  # a bool is an int to Python, but no degree
         with pytest.raises(ValueError, match=re.escape(f"degree must be an int, got {degree!r}")):
             call(degree)
+
+
+SHIFT30 = translate_map(HALF30, 1)
+
+# every count argument, as (a call with that count, its least value, its refusal)
+COUNT_ENTRIES = {
+    "radius": (lambda n: windowed_builtin("half_line", n), 1, CoarseError),
+    "depth": (lambda n: big_family_generated(PATH8, [0], n), 0, CoarseError),
+    "search_budget": (lambda n: asdim_upper_bound(PATH8, [1], search_budget=n), 1, CoverError),
+    "scale_cap": (lambda n: certify_flasque(HALF30, SHIFT30, scale_cap=n), 0, CoarseError),
+    "iter_cap": (lambda n: certify_flasque(HALF30, SHIFT30, iter_cap=n), 0, CoarseError),
+    "margin": (lambda n: certify_flasque(HALF30, SHIFT30, margin=n), 0, CoarseError),
+    "J": (lambda n: swindle_identity_check(HALF30, SHIFT30, [], J=n), 0, CoarseError),
+    "j": (lambda n: SHIFT30.power(n), 0, CoarseError),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_count_that_is_no_int_or_too_small_is_refused(entry):
+    # a bool is an int to Python but no count (radius True would build a window that no
+    # document can name), and -1 iterates must not be read as none
+    call, least, error = COUNT_ENTRIES[entry]
+    call(least)  # the same call answers at the least count
+    refusals = [(-1, f"{entry} must be >= {least}, got -1")]
+    for value in (1.5, True, "2", None)[:3 if entry == "margin" else 4]:  # margin=None is its default
+        refusals.append((value, f"{entry} must be an int, got {value!r}"))
+    for value, text in refusals:
+        with pytest.raises(error) as e:
+            call(value)
+        assert type(e.value) is error and str(e.value) == text

@@ -14,7 +14,7 @@ import coarsehom
 RECORDS = [
     ("WindowTag", "name radius", {}),
     ("UniformMetric", "dist description", {"description": ""}),
-    ("BigFamilyPrefix", "members witness", {}),
+    ("BigFamilyPrefix", "members", {}),
     ("Report", "command input_digest results warnings refusals",
      {"input_digest": {}, "results": {}, "warnings": [], "refusals": []}),
     ("MorphismReport", "controlled proper scale_shift controlled_witness proper_witness",
