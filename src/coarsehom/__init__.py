@@ -12,10 +12,9 @@ _LAYERS = {
     "core_spaces": (
         "BadScales", "BigFamilyPrefix", "BornCoarseSpace", "Bornology", "BornologyDoesNotCover",
         "CoarseError", "CoarseStructure", "Entourage", "GroundSet", "IncompatibleStructures",
-        "InvalidMetric", "NegativeDistance", "NonSymmetricMatrix", "ScaleGraph", "UnknownPoint",
-        "WindowTag", "big_family_generated", "closure_at", "coarse_components", "coproduct",
-        "from_metric", "is_U_bounded", "make_big_family", "make_explicit_space", "product_p",
-        "subspace", "thicken", "windowed_builtin",
+        "InvalidMetric", "NegativeDistance", "NonSymmetricMatrix", "UnknownPoint", "WindowTag",
+        "big_family_generated", "coarse_components", "coproduct", "from_metric", "is_U_bounded",
+        "make_big_family", "make_explicit_space", "product_p", "subspace", "thicken", "windowed_builtin",
     ),
     "morphisms": (
         "EquivalenceReport", "FlasqueCertificate", "FlasqueRefusal", "MorphismReport",

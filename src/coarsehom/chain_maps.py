@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .core_spaces import Record, ScaleGraph, check_count, check_degree
+from .core_spaces import Record, check_count
 from .homology_engine import (DEFAULT_BASIS_CAP, DEFAULT_DEGREE_CAP, DegreeCapExceeded, FGAbGroup, HomologyError,
-                              IntMatrix, _axpy, _boundary_from_lists, _is_complex, _smith)
+                              IntMatrix, _axpy, _boundary_from_lists, _check_degree_cap, _is_complex, _smith)
 
 if TYPE_CHECKING:  # annotations only: `morphisms` loads when a map is first used
     from .morphisms import SpaceMap
@@ -60,12 +60,12 @@ class WindowTooSmall(HomologyError):
 # --------------------------------------------------------------------- tuples
 
 
-def _iter_controlled(g: ScaleGraph, n):
+def _iter_controlled(sets, nbrs, n):
     """Yield index tuples of length n+1, pairwise related, no adjacent repeats, lex order.
 
-    Depth first: each entry is drawn, in order, from the points related to all before it.
+    sets[i] holds the indices related to i and nbrs[i] the same, sorted.  Depth first:
+    each entry is drawn, in order, from the points related to all before it.
     """
-    sets = g.sets
 
     def grow(prefix, cand):
         last = prefix[-1]
@@ -78,17 +78,17 @@ def _iter_controlled(g: ScaleGraph, n):
                     sj = sets[j]
                     yield from grow(t, [c for c in cand if c in sj])
 
-    for i, nb in enumerate(g.nbrs):
+    for i, nb in enumerate(nbrs):
         if n:
             yield from grow((i,), nb)
         else:
             yield (i,)
 
 
-def _controlled_basis(g, n, basis_cap, scale):
+def _controlled_basis(sets, nbrs, n, basis_cap, scale):
     """Degree-n index tuples in lex order."""
     basis = []
-    for t in _iter_controlled(g, n):
+    for t in _iter_controlled(sets, nbrs, n):
         if basis_cap is not None and len(basis) >= basis_cap:
             raise DegreeCapExceeded(n, scale, basis_cap)
         basis.append(t)
@@ -97,16 +97,17 @@ def _controlled_basis(g, n, basis_cap, scale):
 
 def controlled_tuples(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
     """All nondegenerate (n+1)-tuples pairwise related at scale k, lex order."""
-    check_degree(n)
-    pts = X.points
-    return [tuple(pts[i] for i in t) for t in _controlled_basis(X.coarse.graph(k), n, basis_cap, k)]
+    _check_degree_cap(n, basis_cap)
+    pts, sets = X.points, X.coarse.closure_at(k).row_sets()
+    return [tuple(pts[i] for i in t) for t in _controlled_basis(sets, list(map(sorted, sets)), n, basis_cap, k)]
 
 
-def _extend(g, bases, boundaries, d_max, basis_cap, scale):
-    """Grow index bases and boundaries (boundaries[n] = d_n, [0] None) in place through d_max:
-    the one builder of tuple complexes."""
+def _extend(sets, bases, boundaries, d_max, basis_cap, scale):
+    """Grow index bases and boundaries (boundaries[n] = d_n, [0] None) in place through d_max,
+    over the neighbour sets sets, sorted once: the one builder of tuple complexes."""
+    nbrs = list(map(sorted, sets))
     for n in range(len(bases), d_max + 1):
-        basis = _controlled_basis(g, n, basis_cap, scale)
+        basis = _controlled_basis(sets, nbrs, n, basis_cap, scale)
         if n:
             boundaries.append(_boundary_from_lists(basis, bases[n - 1], n))
         bases.append(basis)
@@ -114,10 +115,11 @@ def _extend(g, bases, boundaries, d_max, basis_cap, scale):
 
 def boundary_matrix(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
     """Matrix of the degree-n boundary at scale k (rows: degree n-1, cols: degree n)."""
+    _check_degree_cap(n, basis_cap)
     if n < 1:
         raise ValueError("boundary matrices start at degree 1")
     bases, boundaries = [], [None]
-    _extend(X.coarse.graph(k), bases, boundaries, n, basis_cap, k)
+    _extend(X.coarse.closure_at(k).row_sets(), bases, boundaries, n, basis_cap, k)
     return boundaries[n]
 
 
@@ -164,14 +166,14 @@ def chain_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     shared with every other caller, read-only.  Growth works on copies of the
     stored lists, and only the new d∘d products are checked.
     """
-    check_degree(d_max)
+    _check_degree_cap(d_max, basis_cap)
     complexes = _store(X).complexes
     key = (k, basis_cap)
     index_bases, bases, boundaries = complexes.get(key, ([], [], [None]))
     built = len(bases)
     if built <= d_max:
         index_bases, boundaries = list(index_bases), list(boundaries)
-        _extend(X.coarse.graph(k), index_bases, boundaries, d_max, basis_cap, k)
+        _extend(X.coarse.closure_at(k).row_sets(), index_bases, boundaries, d_max, basis_cap, k)
         if not _is_complex(boundaries[max(built - 2, 0):]):
             raise HomologyError("boundary matrices fail the complex identity")
         pts = X.points
@@ -185,11 +187,11 @@ def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None):
 
     The complex comes fresh from the builder every tuple complex shares; nothing is stored.
     """
-    check_degree(d_max)
+    _check_degree_cap(d_max, basis_cap)
     if d_max < 2:
         return True
     bases, boundaries = [], [None]
-    _extend(X.coarse.graph(k), bases, boundaries, d_max, basis_cap, k)
+    _extend(X.coarse.closure_at(k).row_sets(), bases, boundaries, d_max, basis_cap, k)
     return _is_complex(boundaries)
 
 
@@ -289,7 +291,7 @@ class HomologyPresentation(Record):
 
 def homology_presentation(X, k, n, basis_cap=DEFAULT_BASIS_CAP) -> HomologyPresentation:
     """H_n at scale k with class coordinates; built once per space, shared read-only."""
-    check_degree(n)
+    _check_degree_cap(n, basis_cap)
     presentations = _store(X).presentations
     key = (k, n, basis_cap)
     if key not in presentations:
@@ -402,7 +404,7 @@ def _on_homology(chain: IntMatrix, src: HomologyPresentation, tgt: HomologyPrese
 
 def induced_map(f: SpaceMap, k_source, n, target_scale=None, basis_cap=DEFAULT_BASIS_CAP):
     """Chain-level and homology-level matrices of a controlled map at a scale."""
-    check_degree(n)
+    _check_degree_cap(n, basis_cap)
     shift = _controlled_shift(f, k_source)
     kt = shift if target_scale is None else target_scale
     if kt < shift:
@@ -432,7 +434,7 @@ def prism(f: SpaceMap, g: SpaceMap, k, n, basis_cap=DEFAULT_BASIS_CAP):
     """Chain homotopy between C(f) and C(g) with the prism identity checked exactly."""
     from .morphisms import are_close
 
-    check_degree(n)
+    _check_degree_cap(n, basis_cap)
     if f.source != g.source or f.target != g.target:
         raise NotClose("prism needs a parallel pair of maps")
     c = are_close(f, g)
@@ -476,7 +478,7 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
     """
     from .morphisms import identity_map
 
-    check_degree(n)
+    _check_degree_cap(n, basis_cap)
     check_count(J, "J")
     Bset = X.ground.check_subset(B)
     ident = identity_map(X)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence
 
-from .core_spaces import BornCoarseSpace, Record, check_degree
-from .homology_engine import DEFAULT_BASIS_CAP, DegreeCapExceeded, SimplicialComplex, _clique_groups, _colimit_groups
+from .core_spaces import BornCoarseSpace, Record
+from .homology_engine import (DEFAULT_BASIS_CAP, DegreeCapExceeded, SimplicialComplex, _check_degree_cap,
+                              _clique_groups, _colimit_groups)
 
 if TYPE_CHECKING:  # annotations only: whoever holds a cover has loaded `covers`
     from .covers import AntiCechPrefix, Cover
@@ -24,7 +25,7 @@ if TYPE_CHECKING:  # annotations only: whoever holds a cover has loaded `covers`
 
 def nerve(cover: Cover, d_max: int, basis_cap: int = DEFAULT_BASIS_CAP) -> SimplicialComplex:
     """Nerve of a cover through d_max; vertices are member indices."""
-    check_degree(d_max)
+    _check_degree_cap(d_max, basis_cap)
     members = cover.members
     simplices: List[List[tuple]] = [[] for _ in range(d_max + 1)]
     total = 0
@@ -78,7 +79,7 @@ def coarsify_homology(X: BornCoarseSpace, scale_list: Sequence[int], d_max: int,
     terminal value comes from the scale graph as in homology_colimit, with no
     complex built, so it is never capped.
     """
-    check_degree(d_max)
+    _check_degree_cap(d_max, basis_cap)
     notes = ["bounded exhaustion collapses at the whole finite space; "
              "values are unreduced homology of the measure complex"]
     if X.window_tag is not None:
@@ -106,7 +107,7 @@ def coarsening_space(prefix: AntiCechPrefix, d_max: int,
     {(i, v_0..v_l), (i+1, kappa v_l .. kappa v_n)} for l = 0..n, with repeats
     collapsed; the block list is closed downward afterwards.
     """
-    check_degree(d_max)
+    _check_degree_cap(d_max, basis_cap)
     build_dim = d_max + 1
     nerves = [nerve(c, build_dim, basis_cap) for c in prefix.covers]
     vertices = [(i, j) for i, c in enumerate(prefix.covers) for j in range(len(c.members))]

@@ -167,12 +167,10 @@ class GroundSet:
 
 
 class Entourage:
-    """A finite set of ordered point pairs over a ground set.
+    """A finite set of ordered point pairs over a ground set, held as one frozenset.
 
-    The frozenset of pairs is the whole representation; compose builds the
-    left-neighbour index it needs for that one call.  A closure of a
-    CoarseStructure is a ClosureView, which answers len and membership
-    without the pair set and builds it on the first read of pairs.
+    A closure of a CoarseStructure is a ClosureView, which answers len and
+    membership without the pair set and builds it on the first read of pairs.
     """
 
     __slots__ = ("ground", "pairs")
@@ -199,41 +197,18 @@ class Entourage:
     def __hash__(self):
         return hash(self.pairs)
 
-    def __le__(self, other: "Entourage"):
-        return self.pairs <= other.pairs
-
-    def inverse(self) -> "Entourage":
-        return Entourage(self.ground, ((y, x) for x, y in self.pairs))
-
-    def union(self, other: "Entourage") -> "Entourage":
-        return Entourage(self.ground, self.pairs | other.pairs)
-
-    def compose(self, other: "Entourage") -> "Entourage":
-        """U o V = {(x, z) : (x, y) in U and (y, z) in V for some y}."""
-        left = {}
-        for x, y in self.pairs:
-            left.setdefault(y, []).append(x)
-        return Entourage(self.ground, [(x, z) for y, z in other.pairs for x in left.get(y, ())])
-
-    def is_symmetric(self) -> bool:
-        return all((y, x) in self.pairs for x, y in self.pairs)
-
-    def contains_diagonal(self) -> bool:
-        return all((p, p) in self.pairs for p in self.ground)
-
-    def restrict(self, A: frozenset) -> "Entourage":
-        return Entourage(self.ground, (p for p in self.pairs if p[0] in A and p[1] in A))
-
 
 class ClosureView(Entourage):
-    """A read-only closure_at(k) of a CoarseStructure: row(i), rows(), related(i, j) and len
-    are the one read of what the structure stores.
+    """The scale-k entourage closure_at(k) of a CoarseStructure, read-only: the one reading
+    of a scale.  row(i), rows(), row_sets(), related(i, j), square and len read what the
+    structure stores, in index space; the complexes, covers and map routes take row_sets()
+    or rows() beside the ground's points.
 
     Below the stabilization scale rows is the hop table (dist, ends) and k the scale: row i
     is the prefix of dist[i] within k hops.  From it on rows is the components (comp,
-    members) and k is None: row i is the component of i.  The pair frozenset is built from
-    the rows once, on the first read of pairs, and so also by ==, hash, <=, compose and
-    the rest.
+    members) and k is None: row i is the component of i, and the row sets of one component
+    are one set, which callers must not change.  The pair frozenset is built from the rows
+    once, on the first read of pairs, and so also by == and hash.
 
     The view holds the structure's lists but never the structure, so a structure and
     its cached closures make no reference cycle, and reference counting frees them.
@@ -267,8 +242,8 @@ class ClosureView(Entourage):
         return self._rows[0][j].get(i, self._k + 1) <= self._k
 
     def row_sets(self) -> list:
-        """Every row as a set of indices, in index order; the rows of one component share
-        one set, so from the stabilization scale on the list holds one set per component."""
+        """Every row as a set of indices, in index order; from the stabilization scale on the
+        rows of one component share one set, which callers must not change."""
         if self._k is None:
             comp, members = self._rows
             return list(map(list(map(set, members)).__getitem__, comp))
@@ -304,39 +279,6 @@ class ClosureView(Entourage):
         return i is not None and j is not None and self.related(i, j)
 
 
-def diagonal(ground: GroundSet) -> Entourage:
-    return Entourage(ground, ((p, p) for p in ground))
-
-
-class ScaleGraph:
-    """The scale-k relation as an index-space graph over a ground order.
-
-    sets[i] is the set of the points related to point i (i itself included),
-    nbrs[i] the same as a sorted list, sorted on the first read of nbrs.  The
-    points of one component may share one set, so callers must not change them.
-    """
-
-    __slots__ = ("points", "sets", "_nbrs")
-
-    def __init__(self, points: Sequence, sets: list):
-        self.points = tuple(points)
-        self.sets = sets
-        self._nbrs = None
-
-    @property
-    def nbrs(self) -> list:
-        if self._nbrs is None:
-            self._nbrs = list(map(sorted, self.sets))
-        return self._nbrs
-
-    def restrict(self, subset) -> "ScaleGraph":
-        """The induced graph on the points in subset, in ambient order."""
-        keep = [i for i, p in enumerate(self.points) if p in subset]
-        new = {old: i for i, old in enumerate(keep)}
-        return ScaleGraph([self.points[i] for i in keep],
-                          [{new[j] for j in self.sets[i] if j in new} for i in keep])
-
-
 class CoarseStructure:
     """Generated coarse structure, represented by its scale filtration.
 
@@ -357,10 +299,11 @@ class CoarseStructure:
     under eccentricity bounds, and only when asked; the searches leave an
     eccentricity bound per point (_fold), which _far_pair reads.  From a known
     stabilized_at on each component is a clique, so closure_at (a view over
-    the components) reads them there; ball, graph, related_at and the map
-    routes read the view, so a map grows its target's table only to its scale
-    shift.  hop_rows() grows all of it; when it stops growing, its depth is
-    checked against stabilized_at, and a mismatch is refused.
+    the components) reads them there.  The view is the one reading of a
+    scale: ball, the complexes, the covers and the map routes read it, so a
+    map grows its target's table only to its scale shift.  hop_rows() grows
+    all of it; when it stops growing, its depth is checked against
+    stabilized_at, and a mismatch is refused.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -479,10 +422,6 @@ class CoarseStructure:
         index, pts = self.ground.index, self.ground.points
         return frozenset([pts[i] for i in self._bfs({index(b) for b in B}, k)])
 
-    def graph(self, k: int) -> ScaleGraph:
-        """The scale-k relation as an index-space graph, built afresh from the rows of closure_at(k)."""
-        return ScaleGraph(self.ground.points, self.closure_at(k).row_sets())
-
     def stabilization(self) -> int:
         """Least s with closure_at(s) == closure_at(s+1): the largest eccentricity of a coarse component.
 
@@ -574,10 +513,6 @@ class CoarseStructure:
         self._grow(len(self.ground) + 1)
         return self._dist
 
-    def related_at(self, k: int, x, y) -> bool:
-        i, j = self.ground.index(x), self.ground.index(y)
-        return self.closure_at(k).related(i, j)
-
 
 class Bornology:
     """Bounded sets generated by a finite list of subsets.
@@ -634,10 +569,11 @@ class WindowTag(FrozenRecord):
     """Marks a space as a finite window into an infinite ambient space.
 
     Every statement about such a space is window-relative; reports must carry
-    this tag through to their warnings.
+    this tag through to their warnings.  The radius is an int >= 1.
     """
 
     def __init__(self, name, radius):
+        check_count(radius, "radius", 1)
         vars(self).update(name=name, radius=radius)
 
     @property
@@ -690,12 +626,8 @@ class BornCoarseSpace:
         self.window_tag = window_tag
         self.metric = metric
 
-    # -- convenience delegates -------------------------------------------
-    def closure_at(self, k: int) -> Entourage:
+    def closure_at(self, k: int) -> ClosureView:
         return self.coarse.closure_at(k)
-
-    def thicken(self, k: int, B: Iterable) -> frozenset:
-        return self.coarse.thicken(k, B)
 
     @property
     def points(self):
@@ -804,7 +736,6 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
     coproduct, subspace, flasqueness margins and == between distinct spaces
     ask for.  Each distance's Fraction is made on its first use.
     """
-    check_count(radius, "radius", 1)
     tag = WindowTag(name, radius)
     pts = tag.points
     if not pts:
@@ -826,10 +757,6 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
 def thicken(space: BornCoarseSpace, k: int, B: Iterable) -> frozenset:
     """closure_at(k)[B] = {x : (x, b) in closure_at(k) for some b in B}."""
     return space.coarse.thicken(k, B)
-
-
-def closure_at(space: BornCoarseSpace, k: int) -> Entourage:
-    return space.coarse.closure_at(k)
 
 
 def is_U_bounded(space: BornCoarseSpace, k: int, B: Iterable) -> bool:

@@ -65,7 +65,7 @@ class Cover(FrozenRecord):
 
 def greedy_net(X: BornCoarseSpace, k: int) -> list:
     """Separated covering subset, grown greedily in canonical point order."""
-    pts, sets = X.points, X.coarse.graph(k).sets
+    pts, sets = X.points, X.coarse.closure_at(k).row_sets()
     taken = _net_over_order(range(len(pts)), sets)
     # both halves of the net contract are cheap to re-check exactly; the net is in
     # increasing index order, so a later net point is a larger net index in the ball
@@ -112,7 +112,7 @@ def _verify_lebesgue(X, s, members) -> Optional[str]:
     Lebesgue scale exactly when _uncovered_clique finds none.
     """
     index = X.ground._index.__getitem__
-    sets = X.coarse.graph(s).sets
+    sets = X.coarse.closure_at(s).row_sets()
     owners = [[] for _ in sets]
     for m in members:
         held = set(map(index, m))
@@ -280,7 +280,7 @@ def asdim_upper_bound(X: BornCoarseSpace, scale_list: Sequence[int],
     n = len(X.points)
     per_scale = {}
     for k in scales:
-        sets = X.coarse.graph(k).sets
+        sets = X.coarse.closure_at(k).row_sets()
         best = None
         for r in range(max(1, min(search_budget, n))):
             depth = [0] * n
@@ -308,9 +308,9 @@ def hybrid_entourage(X: BornCoarseSpace, family: BigFamilyPrefix,
     A pair survives when, for every family index i, both entries lie in Y_i or
     the pair is phi(i)-small; phi stands in for a cofinal decreasing function
     into the metric filtration, so its entries must be scale indices
-    (check_scale) and non-increasing.  The scan runs in
-    index space, on the members as index sets and on the neighbour sets of one
-    scale graph per distinct phi scale.
+    (check_scale) and non-increasing.  The scan runs in index space, on the
+    members as index sets and on the row sets of one closure per distinct phi
+    scale.
     """
     if len(phi) != len(family.members):
         raise CoarseError(
@@ -322,7 +322,7 @@ def hybrid_entourage(X: BornCoarseSpace, family: BigFamilyPrefix,
         if b > a:
             raise PhiNotDecreasing(f"phi({i}) = {a} < phi({i + 1}) = {b}")
     index, pts = X.ground._index, X.points
-    rows = {v: X.coarse.graph(v).sets for v in dict.fromkeys(phi)}
+    rows = {v: X.coarse.closure_at(v).row_sets() for v in dict.fromkeys(phi)}
     tests = [({index[p] for p in Y if p in index}, rows[v]) for Y, v in zip(family.members, phi)]
     pairs = [
         (pts[j], pts[i]) for i, row in enumerate(X.closure_at(base_k).rows()) for j in row

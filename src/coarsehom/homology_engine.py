@@ -70,7 +70,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core_spaces import (BigFamilyPrefix, CoarseError, FrozenRecord, Record, ScaleGraph, check_degree, check_scale,
+from .core_spaces import (BigFamilyPrefix, CoarseError, FrozenRecord, Record, check_count, check_degree, check_scale,
                           coarse_components)
 
 DEFAULT_BASIS_CAP = 200_000
@@ -93,6 +93,13 @@ class DegreeCapExceeded(HomologyError):
             f"basis in degree {degree}{where} exceeds the cap of {cap} {unit}; "
             "raise basis_cap to proceed"
         )
+
+
+def _check_degree_cap(d, basis_cap):
+    """check_degree(d), then refuse a basis_cap that is no count; None is no cap."""
+    check_degree(d)
+    if basis_cap is not None:
+        check_count(basis_cap, "basis_cap", 0, HomologyError)
 
 
 class NotComplementary(HomologyError):
@@ -589,14 +596,15 @@ def _chain_groups(boundaries: Sequence[Optional[IntMatrix]], dims, d_max):
     return [FGAbGroup(c - ranks[n] - ranks[n + 1], torsion[n + 1]) for n, c in enumerate(dims)]
 
 
-def _core(g: ScaleGraph, inside=None):
-    """The strong-collapse core of g: (survivor flags, the deletions as (v, w) index pairs).
+def _core(sets, inside=None):
+    """The strong-collapse core of the graph with neighbour sets sets: (survivor flags, the
+    deletions as (v, w) index pairs).
 
     A vertex v goes when some neighbour w != v has N[v] ⊆ N[w] among the vertices left, and
     with a point mask only when v is outside it or w inside; the neighbours of each deleted
     vertex are tested again.  The sets are copied at the first deletion.
     """
-    sets, n = g.sets, len(g.sets)
+    n = len(sets)
     alive, queued = [True] * n, [True] * n
     todo, deleted = list(range(n - 1, -1, -1)), []
     while todo:
@@ -622,12 +630,13 @@ def _core(g: ScaleGraph, inside=None):
     return alive, deleted
 
 
-def _check_collapse(g: ScaleGraph, inside, deleted, alive):
-    """Replays the deletions on the sets of g: each v must be dominated by w among the points
-    left, under the pair rule with a mask, and the survivors must be those flagged alive."""
-    sets, left = g.sets, [True] * len(g.sets)
+def _check_collapse(points, sets, inside, deleted, alive):
+    """Replays the deletions on the neighbour sets of points: each v must be dominated by w
+    among the points left, under the pair rule with a mask, and the survivors must be those
+    flagged alive."""
+    left = [True] * len(sets)
     for v, w in deleted:
-        pv, pw = g.points[v], g.points[w]
+        pv, pw = points[v], points[w]
         if v == w or not (left[v] and left[w]) or any(map(left.__getitem__, sets[v] - sets[w])):
             raise HomologyError(f"the strong collapse deletes {pv!r} under {pw!r}, which does not dominate it")
         if inside is not None and inside[v] and not inside[w]:
@@ -638,12 +647,12 @@ def _check_collapse(g: ScaleGraph, inside, deleted, alive):
         raise HomologyError("the strong-collapse core is not the points its deletions leave")
 
 
-def _cap_cannot_refuse(g: ScaleGraph, top, cap, tuples=True):
-    """Whether _clique_chains(g.sets, top, cap, .., tuples) cannot refuse: an m-clique lies in
+def _cap_cannot_refuse(sets, top, cap, tuples=True):
+    """Whether _clique_chains(sets, top, cap, .., tuples) cannot refuse: an m-clique lies in
     the neighbourhood of each of its m vertices, so m·c_m <= Σ_v C(deg v, m-1).  Tuples are
     capped per degree, c_1 in degree 0, and from degree 1 on _tuple_count grows with the
     degree and the clique counts; simplices are capped over degrees 0..top together."""
-    sizes = Counter(map(len, g.sets))  # closed neighbourhoods: deg v + 1
+    sizes = Counter(map(len, sets))  # closed neighbourhoods: deg v + 1
     bounds = [sum(c * comb(d - 1, m - 1) for d, c in sizes.items()) // m for m in range(1, top + 2)]
     return bounds[0] <= cap and _tuple_count(bounds, top) <= cap if tuples else sum(bounds) <= cap
 
@@ -657,15 +666,15 @@ def _clique_groups(X, k, d_max, basis_cap, Y=None, tuples=True):
     When the degree bound leaves room for a refusal, the whole complex is enumerated under
     the cap first, and its chains are reduced when nothing collapses.
     """
-    g = X.coarse.graph(k)
-    inside = None if Y is None else [p in Y for p in g.points]
+    pts, sets = X.points, X.coarse.closure_at(k).row_sets()
+    inside = None if Y is None else [p in Y for p in pts]
     facets = None
-    if basis_cap is not None and not _cap_cannot_refuse(g, d_max + 1, basis_cap, tuples):
-        facets = _clique_chains(g.sets, d_max + 1, basis_cap, k, tuples, inside)[1]
-    alive, deleted = _core(g, inside)
-    _check_collapse(g, inside, deleted, alive)
+    if basis_cap is not None and not _cap_cannot_refuse(sets, d_max + 1, basis_cap, tuples):
+        facets = _clique_chains(sets, d_max + 1, basis_cap, k, tuples, inside)[1]
+    alive, deleted = _core(sets, inside)
+    _check_collapse(pts, sets, inside, deleted, alive)
     if facets is None or deleted:
-        facets = _clique_chains(g.sets, d_max + 1, inside=inside, alive=alive)[1]
+        facets = _clique_chains(sets, d_max + 1, inside=inside, alive=alive)[1]
     return _chain_groups(_facet_boundaries(facets), [len(level) for level in facets], d_max)
 
 
@@ -678,7 +687,7 @@ def homology_at_scale(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
     the whole complex, as in chain_complex, and is refused at the same degree
     with the same message.
     """
-    check_degree(d_max)
+    _check_degree_cap(d_max, basis_cap)
     return _clique_groups(X, k, d_max, basis_cap)
 
 
@@ -715,7 +724,7 @@ def homology_colimit(X, d_max, basis_cap=DEFAULT_BASIS_CAP):
 
     The stabilized value is read off the scale graph and builds no complex.
     """
-    check_degree(d_max)
+    _check_degree_cap(d_max, basis_cap)
     groups = _colimit_groups(X, d_max)
     stab = X.coarse.stabilization()
     warnings = []
@@ -745,7 +754,7 @@ def relative_homology(X, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BA
     """Homology of C(X)/C(Y_m) for the last family member Y_m (finite-prefix stand-in), on
     relative clique chains of the pair's strong-collapse core; basis_cap bounds the
     quotient's tuples in each degree."""
-    check_degree(d_max)
+    _check_degree_cap(d_max, basis_cap)
     if not family.members:
         raise HomologyError("the big family has no member to take homology relative to")
     m = len(family.members) - 1
@@ -800,7 +809,7 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
     vertex or an edge.
     """
     check_scale(k)
-    check_degree(d_max)
+    _check_degree_cap(d_max, basis_cap)
     Zset = X.ground.check_subset(Z)
     i0 = next((i for i, Y in enumerate(family.members) if Zset | Y == frozenset(X.points)), None)
     if i0 is None:
@@ -885,8 +894,6 @@ def _clique_chains(sets, top, cap=None, scale=None, tuples=False, inside=None, a
     with tuples, each level and the controlled tuples of each degree not wholly inside,
     refused at the least degree past it.
     """
-    # a negative cap refuses the first simplex, as a cap of 0 does
-    limit = None if cap is None else max(cap, 0)
     order = [v for v in range(len(sets)) if alive is None or alive[v]]
     if inside is not None:
         order.sort(key=inside.__getitem__)  # stable: the points outside first, each in ground order
@@ -906,7 +913,7 @@ def _clique_chains(sets, top, cap=None, scale=None, tuples=False, inside=None, a
     kids = [{v: v for v in range(starts)}]
     simplices, faces = [], []
     for dim in range(top + 1):
-        room = None if limit is None else limit - (0 if tuples else sum(map(len, simplices)))
+        room = None if cap is None else cap - (0 if tuples else sum(map(len, simplices)))
         if dim:
             grown, grown_cands, grown_facets, grown_kids = [], [], [], []
             for s, t in enumerate(level):
@@ -929,7 +936,7 @@ def _clique_chains(sets, top, cap=None, scale=None, tuples=False, inside=None, a
             level, cands, facets, kids = grown, grown_cands, grown_facets, grown_kids
         simplices.append(level)
         faces.append(facets)
-        if limit is not None and (len(level) > room or tuples and _tuple_count(list(map(len, simplices)), dim) > limit):
+        if cap is not None and (len(level) > room or tuples and _tuple_count(list(map(len, simplices)), dim) > cap):
             raise DegreeCapExceeded(dim, scale, cap, "tuples" if tuples else "simplices")
     return simplices, faces
 
@@ -939,8 +946,11 @@ def rips_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP, points=None):
 
     With points given, uses the relation induced on that subset (in ambient order).
     """
-    check_degree(d_max)
-    g = X.coarse.graph(k)
+    _check_degree_cap(d_max, basis_cap)
+    pts, sets = X.points, X.coarse.closure_at(k).row_sets()
     if points is not None:
-        g = g.restrict(X.ground.check_subset(points))
-    return SimplicialComplex(list(g.points), _clique_chains(g.sets, d_max, basis_cap, k)[0])
+        S = X.ground.check_subset(points)
+        keep = [i for i, p in enumerate(pts) if p in S]
+        new = {old: i for i, old in enumerate(keep)}
+        pts, sets = [pts[i] for i in keep], [{new[j] for j in sets[i] if j in new} for i in keep]
+    return SimplicialComplex(list(pts), _clique_chains(sets, d_max, basis_cap, k)[0])

@@ -165,11 +165,11 @@ def _uncontrolled_pair(f: SpaceMap, k) -> Optional[tuple]:
     """The least pair of the source's closure_at(k) whose image is related at no scale.
 
     Pairs are scanned in ground-index order of the first point, then of the
-    second, so the witness does not depend on how sets happen to iterate.
+    second, so the witness does not depend on how rows happen to iterate.
     """
     img, comp, pts = _images(f), f.target.coarse._components()[0], f.source.points
-    return next(((pts[i], pts[j]) for i, nb in enumerate(f.source.coarse.graph(k).nbrs)
-                 for j in nb if comp[img[i]] != comp[img[j]]), None)
+    return next(((pts[i], pts[j]) for i, row in enumerate(f.source.coarse.closure_at(k).rows())
+                 for j in sorted(row) if comp[img[i]] != comp[img[j]]), None)
 
 
 def _shift_table(f: SpaceMap):

@@ -626,14 +626,15 @@ def largest_eccentricity(points, edges):
     return max((d for row in hop_distances(points, edges).values() for d in row.values()), default=0)
 
 
-def net_over_order_scan(order, g):
+def net_over_order_scan(order, points, sets):
     """A greedy net by scanning the net taken so far: x joins unless some earlier
-    net point d has x in g.sets[d].  g is any object with .points and .sets."""
-    index = {p: i for i, p in enumerate(g.points)}
+    net point d has the index of x in the neighbour set of d.  sets[i] holds the
+    indices related to points[i]."""
+    index = {p: i for i, p in enumerate(points)}
     net = []
     for x in order:
         i = index[x]
-        if all(i not in g.sets[index[d]] for d in net):
+        if all(i not in sets[index[d]] for d in net):
             net.append(x)
     return net
 

@@ -337,6 +337,17 @@ def test_homology_needs_exactly_one_mode(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name, radius, scale", [("grid2_window", 2, 3), ("half_line", 30, 7)])
+def test_homology_colimit_refuses_a_large_window_at_the_basis_cap(name, radius, scale, tmp_path, capsys):
+    # the colimit's table builds each scale below stabilization through degree --max-dim + 1,
+    # 4 by default, under the default --basis-cap, and refuses at the first scale past it
+    sp = write_space(tmp_path, "w.json", {"kind": "builtin", "name": name, "radius": radius})
+    _, code, out = run_quiet(["homology", "--space", str(sp), "--colimit"], capsys)
+    assert code == 1
+    assert (f"refusal [DegreeCapExceeded]: basis in degree 4 at scale {scale} exceeds the cap of 200000 "
+            "tuples; raise basis_cap to proceed") in out.splitlines()
+
+
 def test_qhomology_hexagon(capsys):
     rep, code, _ = run_quiet(
         ["qhomology", "--space", "hexagon", "--scales", "1", "--max-dim", "1"], capsys)

@@ -6,6 +6,7 @@ Cross-checks: brute-force intersection nerves, union-find components, the
 sympy simplicial oracle, and a definitional-scan oracle for hybrid relations.
 """
 
+import builtins
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +28,7 @@ from coarsehom import (
 )
 from coarsehom import chain_maps, covers, homology_engine
 from coarsehom.coarsification import coarsening_space, coarsify_homology, nerve
-from coarsehom.core_spaces import BigFamilyPrefix, ScaleGraph
+from coarsehom.core_spaces import BigFamilyPrefix, ClosureView
 from coarsehom.covers import (
     AntiCechPrefix,
     CertificateFailed,
@@ -65,7 +66,7 @@ POINT = make_explicit_space(["*"], [], [["*"]])
 HEX = cycle_space(6)
 
 
-def related_at(X, k):
+def related_to(X, k):
     rel = {p: {p} for p in X.points}
     for a, b in X.closure_at(k).pairs:
         rel[a].add(b)
@@ -90,7 +91,7 @@ def test_net_separated_and_covering_random():
     for _ in range(8):
         X = random_explicit_space(rng, max_points=20, max_pairs=40)
         k = rng.randint(1, 3)
-        rel = related_at(X, k)
+        rel = related_to(X, k)
         net = greedy_net(X, k)
         for a, b in combinations(net, 2):
             assert b not in rel[a]
@@ -102,20 +103,33 @@ def test_net_separated_and_covering_random():
 
 def test_net_separation_refusal_names_the_first_related_pair(monkeypatch):
     # a planted net that is not separated: (3, 4) is the first related pair, (4, 5) the second
-    monkeypatch.setattr(covers, "_net_over_order", lambda order, g: [0, 3, 4, 5])
+    monkeypatch.setattr(covers, "_net_over_order", lambda order, sets: [0, 3, 4, 5])
     with pytest.raises(CoverError) as e:
         greedy_net(path_space(6), 1)
     assert str(e.value) == "net separation violated by 3, 4"
 
 
 def test_covers_never_sort_neighbour_lists(monkeypatch):
-    # covers read the scale graph's sets only, so no neighbour list is sorted for them
-    monkeypatch.setattr(ScaleGraph, "nbrs", property(lambda g: pytest.fail("nbrs read")))
+    # covers read a closure's row sets as sets, so none of them is ever sorted
+    row_sets, real_sorted, handed = ClosureView.row_sets, builtins.sorted, []
+
+    def recording(view):
+        handed.extend(sets := row_sets(view))
+        return sets
+
+    def refusing(values, *args, **kwargs):
+        if any(values is s for s in handed):
+            pytest.fail("a row set was sorted")
+        return real_sorted(values, *args, **kwargs)
+
+    monkeypatch.setattr(ClosureView, "row_sets", recording)
+    monkeypatch.setattr(builtins, "sorted", refusing)
     X = windowed_builtin("int_window", 30)
     assert greedy_net(X, 2) == list(range(-30, 31, 3))
     cover_from_net(X, 2)
     anti_cech(X, [1, 2, 4])
     asdim_upper_bound(X, [1, 2])
+    assert handed
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,11 +138,11 @@ def test_covered_set_net_matches_the_scan(data):
     n = data.draw(st.integers(1, 14))
     edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
     X = make_explicit_space(list(range(n)), [edges], [list(range(n))])
-    g = X.coarse.graph(data.draw(st.integers(0, 4)))
+    pts, sets = X.points, X.closure_at(data.draw(st.integers(0, 4))).row_sets()
     r = data.draw(st.integers(0, n - 1))
     order = list(range(r, n)) + list(range(r))
-    got = [g.points[i] for i in covers._net_over_order(order, g.sets)]
-    assert got == oracles.net_over_order_scan([g.points[i] for i in order], g)
+    got = [pts[i] for i in covers._net_over_order(order, sets)]
+    assert got == oracles.net_over_order_scan([pts[i] for i in order], pts, sets)
 
 
 # --------------------------------------------------------- cover_from_net
@@ -149,7 +163,7 @@ def test_path_ball_cover_certificates():
 
 def test_cover_members_are_balls_in_net_order():
     X = path_space(8)
-    rel = related_at(X, 2)
+    rel = related_to(X, 2)
     net = greedy_net(X, 2)
     cov = cover_from_net(X, 2)
     assert cov.members == tuple(frozenset(rel[d]) for d in net)

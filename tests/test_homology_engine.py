@@ -215,7 +215,7 @@ def test_tuple_order_matches_brute_force_oracle():
         pts = list(X.points)
         edges = [pair for E in X.coarse.generators for pair in E.pairs]
         Y = frozenset(pts[::2])
-        relative = ground_cliques(X.coarse.graph(k), 3, [p in Y for p in pts])
+        relative = ground_cliques(X.closure_at(k).row_sets(), 3, [p in Y for p in pts])
         for n in range(4):
             want = oracles.controlled_tuples_reference(pts, edges, k, n)
             assert controlled_tuples(X, k, n) == want, (pts, edges, k, n)
@@ -231,10 +231,10 @@ def test_relative_cliques_grow_only_from_points_outside_y():
     # relative to all points but a corner, only the simplices through the corner are built;
     # every simplex the enumerator grows is one it keeps, so its levels are its work, a small
     # share of the full build's
-    g = windowed_builtin("grid2_window", 4).coarse.graph(3)
-    inside = [i != 0 for i in range(len(g.points))]
-    full = homology_engine._clique_chains(g.sets, 3, None, 3, True)[0]
-    relative = homology_engine._clique_chains(g.sets, 3, None, 3, True, inside)[0]
+    sets = windowed_builtin("grid2_window", 4).closure_at(3).row_sets()
+    inside = [i != 0 for i in range(len(sets))]
+    full = homology_engine._clique_chains(sets, 3, None, 3, True)[0]
+    relative = homology_engine._clique_chains(sets, 3, None, 3, True, inside)[0]
     assert [len(level) for level in relative] == [1, 9, 28, 42]
     assert relative == [[s for s in level if 0 in s] for level in full]
     assert sum(map(len, relative)) * 20 < sum(map(len, full))
@@ -247,34 +247,36 @@ def chain_order(n, inside=None, alive=None):
     return keep if inside is None else [v for v in keep if not inside[v]] + [v for v in keep if inside[v]]
 
 
-def ground_cliques(g, top, inside=None):
-    """The simplices of _clique_chains named by the indices of g, as increasing tuples in lex order."""
-    order = chain_order(len(g.sets), inside)
+def ground_cliques(sets, top, inside=None):
+    """The simplices of _clique_chains named by the indices of the neighbour sets sets, as
+    increasing tuples in lex order."""
+    order = chain_order(len(sets), inside)
     return [sorted(tuple(sorted(order[v] for v in s)) for s in level)
-            for level in homology_engine._clique_chains(g.sets, top, inside=inside)[0]]
+            for level in homology_engine._clique_chains(sets, top, inside=inside)[0]]
 
 
-def renumbered(g, inside=None, alive=None):
-    """The neighbour sets of the graph g induces on the points alive and the mask inside, both in
-    the numbering of _clique_chains."""
-    order = chain_order(len(g.sets), inside, alive)
+def renumbered(sets, inside=None, alive=None):
+    """The neighbour sets that the graph with neighbour sets sets induces on the points alive and
+    the mask inside, both in the numbering of _clique_chains."""
+    order = chain_order(len(sets), inside, alive)
     new = {v: r for r, v in enumerate(order)}
-    sets = [{new[u] for u in g.sets[v] if u in new} for v in order]
-    return sets, None if inside is None else [inside[v] for v in order]
+    induced = [{new[u] for u in sets[v] if u in new} for v in order]
+    return induced, None if inside is None else [inside[v] for v in order]
 
 
 def enumerator_cases():
-    """(name, scale graph) pairs: the seeded battery, windows at k = 1..3 and the torsion fixtures."""
+    """(name, row sets of a closure) pairs: the seeded battery, windows at k = 1..3 and the
+    torsion fixtures."""
     rng = random.Random(211)
     for i in range(12):
         X = random_explicit_space(rng, max_points=14, max_pairs=32)
-        yield f"random {i}", X.coarse.graph(rng.randint(1, 2))
+        yield f"random {i}", X.closure_at(rng.randint(1, 2)).row_sets()
     for name, r in (("int_window", 6), ("grid2_window", 3)):
         X = windowed_builtin(name, r)
         for k in (1, 2, 3):
-            yield f"{name}({r}) k={k}", X.coarse.graph(k)
+            yield f"{name}({r}) k={k}", X.closure_at(k).row_sets()
     for name, make in TORSION_SPACES.items():
-        yield name, make().coarse.graph(1)
+        yield name, make().closure_at(1).row_sets()
 
 
 def test_clique_chains_match_the_set_oracle():
@@ -283,15 +285,15 @@ def test_clique_chains_match_the_set_oracle():
     rng = random.Random(223)
     masked = 0
     for name, g in enumerator_cases():
-        n = len(g.sets)
+        n = len(g)
         top = 3 if n < 60 else 2
-        assert homology_engine._clique_chains(g.sets, top)[0] == oracles.set_cliques(g.sets, top), name
+        assert homology_engine._clique_chains(g, top)[0] == oracles.set_cliques(g, top), name
         for _ in range(3):
             inside = [rng.random() < 0.4 for _ in range(n)]
             alive = [rng.random() < 0.8 for _ in range(n)]
             for mask, keep in ((inside, None), (None, alive), (inside, alive)):
                 sets, relabelled = renumbered(g, mask, keep)
-                got = homology_engine._clique_chains(g.sets, top, inside=mask, alive=keep)[0]
+                got = homology_engine._clique_chains(g, top, inside=mask, alive=keep)[0]
                 assert got == oracles.set_cliques(sets, top, relabelled), (name, mask, keep)
                 masked += mask is not None and any(got[1:])
     assert masked > 50
@@ -302,15 +304,15 @@ def test_facet_boundaries_match_the_list_boundaries():
     # relative to a mask, the one built with each face wholly in the mask dropped
     rng = random.Random(227)
     for name, g in enumerator_cases():
-        n = len(g.sets)
+        n = len(g)
         top = 3 if n < 60 else 2
-        simplices, facets = homology_engine._clique_chains(g.sets, top)
+        simplices, facets = homology_engine._clique_chains(g, top)
         built = homology_engine._facet_boundaries(facets)
         for d in range(1, top + 1):
             want = homology_engine._boundary_from_lists(simplices[d], simplices[d - 1], d)
             assert (built[d].shape, built[d].rows) == (want.shape, want.rows), (name, d)
         inside = [rng.random() < 0.4 for _ in range(n)]
-        simplices, facets = homology_engine._clique_chains(g.sets, top, inside=inside)
+        simplices, facets = homology_engine._clique_chains(g, top, inside=inside)
         built = homology_engine._facet_boundaries(facets)
         mask = renumbered(g, inside)[1]
         want = oracles.relative_boundaries(simplices, top - 1, mask)
@@ -570,6 +572,12 @@ def test_matrix_shapes_are_checked():
 def test_boundaries_refuse_a_degree_out_of_range():
     with pytest.raises(ValueError, match="boundary matrices start at degree 1"):
         boundary_matrix(path_space(3), 1, 0)
+    # the degree is checked first: True once answered as degree 1, "2" and None raised a bare TypeError
+    for degree in (1.5, True, "2", None):
+        with pytest.raises(ValueError, match=re.escape(f"degree must be an int, got {degree!r}")):
+            boundary_matrix(path_space(3), 1, degree)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        boundary_matrix(path_space(3), 1, -1)
     K = rips_complex(path_space(3), 1, 1)
     for n in (0, 2):
         with pytest.raises(ValueError, match="degree out of the built range"):
@@ -674,7 +682,7 @@ TORSION_SPACES = {"rp2": rp2_subdivision, "klein": klein_bottle,
 @pytest.mark.parametrize("name", TORSION_SPACES)
 def test_forest_and_compression_match_full_boundaries_with_torsion(name):
     X = TORSION_SPACES[name]()
-    g = X.coarse.graph(1)
+    g = X.closure_at(1).row_sets()
     rng = random.Random(name)
     for d_max in range(4):
         assert_groups_match_full_boundaries(rips_complex(X, 1, d_max + 1).simplices, d_max)
@@ -1762,7 +1770,7 @@ def test_planted_relative_face_faults_are_caught(monkeypatch):
     X = HEX
     fam = big_family_generated(X, [0], 6)
     Y, Z = frozenset({0}), list(range(1, 6))
-    assert homology_engine._core(X.coarse.graph(1), [p in Y for p in X.points])[1] == []
+    assert homology_engine._core(X.closure_at(1).row_sets(), [p in Y for p in X.points])[1] == []
     assert relative_mismatches(X, 1, 1, Y, fam, Z) == []
 
     def plant(fault):
@@ -1782,7 +1790,7 @@ def test_planted_relative_face_faults_are_caught(monkeypatch):
 
     rep = mv_check(X, Z, fam, 2, 1)
     Ym = fam.members[rep.prefix_index]
-    assert Ym == frozenset({4, 5, 0, 1, 2}) and homology_engine._core(X.coarse.graph(2))[1] == []
+    assert Ym == frozenset({4, 5, 0, 1, 2}) and homology_engine._core(X.closure_at(2).row_sets())[1] == []
     assert relative_mismatches(X, 2, 1, Ym, fam, Z) == []
     plant(keeps_faces_in_y)
     with pytest.raises(HomologyError, match="complex identity"):
@@ -1919,7 +1927,7 @@ def test_comparison_map_sign_flip_fails():
 @given(st.integers(0, 10 ** 6), st.integers(1, 3))
 def test_tuple_count_from_clique_counts(seed, k):
     X = random_explicit_space(random.Random(seed), max_points=10, max_pairs=18)
-    levels = homology_engine._clique_chains(X.coarse.graph(k).sets, 3)[0]
+    levels = homology_engine._clique_chains(X.closure_at(k).row_sets(), 3)[0]
     counts = [len(level) for level in levels]
     for n in range(4):
         assert homology_engine._tuple_count(counts, n) == len(controlled_tuples(X, k, n, None))
@@ -1971,8 +1979,8 @@ def test_homology_at_scale_enumerates_no_tuple(monkeypatch):
 # ------------------------------------------------------- strong-collapse core
 
 def full_clique_groups(g, d_max, inside=None):
-    """Groups of the whole clique complex of g (relative to the mask inside), every full
-    boundary reduced: no collapse, no spanning forest, no row dropped."""
+    """Groups of the whole clique complex of the neighbour sets g (relative to the mask
+    inside), every full boundary reduced: no collapse, no spanning forest, no row dropped."""
     cliques = ground_cliques(g, d_max + 1, inside)
     raw = oracles.full_boundary_groups(cliques, d_max, homology_engine._sparse_invariants, inside)
     return [FGAbGroup(f, tuple(t)) for f, t in raw]
@@ -1981,8 +1989,8 @@ def full_clique_groups(g, d_max, inside=None):
 def core_route_mismatches(X, k, d_max, Y):
     """What homology_at_scale and relative_homology to Y get wrong against the whole complex,
     and the deletions of the absolute and the relative collapse."""
-    g = X.coarse.graph(k)
-    inside = [p in Y for p in g.points]
+    g = X.closure_at(k).row_sets()
+    inside = [p in Y for p in X.points]
     wrong = []
     if homology_at_scale(X, k, d_max) != full_clique_groups(g, d_max):
         wrong.append("absolute")
@@ -2056,7 +2064,7 @@ def coarsify_outcome(X, k, d_max, cap=DEFAULT_CAP):
 @pytest.mark.parametrize("name", ["rp2", "klein", "moore2", "moore3", "moore5"])
 def test_coarsified_table_matches_the_reference_with_torsion(name):
     hairy = with_hairs(TORSION_SPACES[name](), random.Random(name))
-    assert homology_engine._core(hairy.coarse.graph(1))[1]  # the core is not the whole complex
+    assert homology_engine._core(hairy.closure_at(1).row_sets())[1]  # the core is not the whole complex
     table, reference = coarsify_outcome(hairy, 1, 2)
     assert table == reference and reference[1].torsion
     total = sum(map(len, rips_complex(hairy, 1, 3).simplices))
@@ -2072,7 +2080,7 @@ def test_coarsified_table_matches_the_reference_under_a_cap_sweep():
     for _ in range(40):
         X = random_explicit_space(rng, max_points=11, max_pairs=24)
         k, d_max = rng.randint(1, 2), rng.randint(0, 2)
-        g = X.coarse.graph(k)
+        g = X.closure_at(k).row_sets()
         total = sum(map(len, rips_complex(X, k, d_max + 1, None).simplices))
         for cap in (None, 0, total // 2, total - 1, total, total + 3, DEFAULT_CAP):
             table, reference = coarsify_outcome(X, k, d_max, cap)
@@ -2096,8 +2104,8 @@ def star_and_cone():
 
 def test_pair_rule_keeps_the_relative_groups():
     for X, Y, want in star_and_cone():
-        g = X.coarse.graph(1)
-        inside = [p in Y for p in g.points]
+        g = X.closure_at(1).row_sets()
+        inside = [p in Y for p in X.points]
         assert homology_engine._core(g)[1] and homology_engine._core(g, inside)[1] == []
         assert core_route_mismatches(X, 1, len(want) - 1, Y)[0] == []
         assert relative_homology(X, make_big_family(X, [Y]), 1, len(want) - 1).groups == want
@@ -2108,10 +2116,10 @@ def test_planted_false_domination_is_refused_by_the_replay(monkeypatch):
 
     def corrupt(fault):
         monkeypatch.setattr(homology_engine, "_core",
-                            lambda g, inside=None: (lambda alive, d: (alive, fault(d)))(*core(g, inside)))
+                            lambda sets, inside=None: (lambda alive, d: (alive, fault(d)))(*core(sets, inside)))
 
     X = path_space(4)
-    assert core(X.coarse.graph(1)) == ([False] * 4 + [True], [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert core(X.closure_at(1).row_sets()) == ([False] * 4 + [True], [(0, 1), (1, 2), (2, 3), (3, 4)])
     # 0 under 2, which is not related to it
     corrupt(lambda d: [(0, 2)] + d[1:])
     with pytest.raises(HomologyError, match="deletes 0 under 2, which does not dominate it"):
@@ -2125,7 +2133,7 @@ def test_planted_false_domination_is_refused_by_the_replay(monkeypatch):
     with pytest.raises(HomologyError, match="not the points its deletions leave"):
         homology_at_scale(X, 1, 1)
     # the absolute rule on a pair: a leaf of Y deleted under the centre, outside Y
-    monkeypatch.setattr(homology_engine, "_core", lambda g, inside=None: core(g))
+    monkeypatch.setattr(homology_engine, "_core", lambda sets, inside=None: core(sets))
     X, Y, _ = star_and_cone()[0]
     with pytest.raises(HomologyError, match="deletes 1, a point of Y, under 0, a point outside Y"):
         relative_homology(X, make_big_family(X, [Y]), 1, 1)
@@ -2143,7 +2151,7 @@ def test_cap_past_the_degree_bound_checks_the_whole_complex(monkeypatch):
     # the 12-cycle through degree 2: 24 tuples in degrees 1 and 2, but its degrees bound
     # 12 edges and 4 triangles, so 48 tuples in degree 2
     X = cycle_space(12)
-    g = X.coarse.graph(1)
+    g = X.closure_at(1).row_sets()
     assert [homology_engine._tuple_count([12, 12, 0], n) for n in range(3)] == [12, 24, 24]
     assert [homology_engine._tuple_count([12, 12, 4], n) for n in range(3)] == [12, 24, 48]
     assert not homology_engine._cap_cannot_refuse(g, 2, 30) and homology_engine._cap_cannot_refuse(g, 2, 48)
@@ -2239,3 +2247,37 @@ def test_count_that_is_no_int_or_too_small_is_refused(entry):
         with pytest.raises(error) as e:
             call(value)
         assert type(e.value) is error and str(e.value) == text
+
+
+# every entry that takes a basis_cap, as a call with that cap
+CAP_ENTRIES = {
+    "controlled_tuples": lambda cap: controlled_tuples(PATH8, 1, 1, cap),
+    "boundary_matrix": lambda cap: boundary_matrix(PATH8, 1, 1, cap),
+    "chain_complex": lambda cap: chain_complex(PATH8, 1, 1, cap),
+    "verify_complex_identity": lambda cap: verify_complex_identity(PATH8, 1, 2, cap),
+    "homology_presentation": lambda cap: homology_presentation(PATH8, 1, 1, cap),
+    "induced_map": lambda cap: induced_map(identity_map(HEX), 1, 1, basis_cap=cap),
+    "prism": lambda cap: prism(identity_map(HEX), identity_map(HEX), 1, 1, cap),
+    "swindle_identity_check": lambda cap: swindle_identity_check(HALF30, SHIFT30, [], J=3, basis_cap=cap),
+    "homology_at_scale": lambda cap: homology_at_scale(PATH8, 1, 1, cap),
+    "homology_colimit": lambda cap: homology_colimit(PATH8, 1, cap),
+    "relative_homology": lambda cap: relative_homology(PATH8, PATH8_FAMILY, 1, 1, cap),
+    "mv_check": lambda cap: mv_check(PATH8, range(4, 9), PATH8_FAMILY, 1, 1, cap),
+    "rips_complex": lambda cap: rips_complex(PATH8, 1, 1, cap),
+    "nerve": lambda cap: nerve(cover_from_net(PATH8, 1), 1, cap),
+    "coarsify_homology": lambda cap: coarsify_homology(PATH8, [1], 1, cap),
+    "coarsening_space": lambda cap: coarsening_space(anti_cech(PATH8, [1, 2]), 1, cap),
+}
+
+
+@pytest.mark.parametrize("cap", [True, 1.5, "3", -1])
+@pytest.mark.parametrize("entry", CAP_ENTRIES)
+def test_basis_cap_that_is_no_count_is_refused(entry, cap):
+    # a bool, a float or a negative value is no cap: each was once read as one, and refused
+    # as "exceeds the cap of True tuples"; a string raised a bare TypeError
+    call = CAP_ENTRIES[entry]
+    call(None)  # the same call answers with no cap
+    with pytest.raises(HomologyError) as e:
+        call(cap)
+    text = "basis_cap must be >= 0, got -1" if cap == -1 else f"basis_cap must be an int, got {cap!r}"
+    assert type(e.value) is HomologyError and str(e.value) == text

@@ -56,6 +56,8 @@ def sample(name, fields):
     """Distinct field values, and the same values with the last one changed."""
     if name == "FGAbGroup":
         return [3, (2, 4)], [3, (2,)]
+    if name == "WindowTag":  # a radius is an int >= 1
+        return ["name-value", 2], ["name-value", 3]
     values = [f"{f}-value" for f in fields]
     return values, values[:-1] + ["other"]
 
