@@ -19,12 +19,12 @@ _LAYERS = {
     "morphisms": (
         "EquivalenceReport", "FlasqueCertificate", "FlasqueRefusal", "MorphismReport",
         "SourceTargetMismatch", "SpaceMap", "are_close", "certify_flasque", "check_equivalence",
-        "check_morphism", "constant_map", "identity_map", "inclusion_map", "translate_map",
+        "check_morphism", "identity_map", "inclusion_map",
     ),
     "covers": (
-        "AntiCechPrefix", "AsdimReport", "CertificateFailed", "Cover", "CoverError", "NotACover",
+        "AntiCechPrefix", "AsdimReport", "CertificateFailed", "Cover", "CoverError",
         "NotADecomposition", "PhiNotDecreasing", "UniformDecompositionReport", "anti_cech",
-        "asdim_upper_bound", "check_cover", "cover_from_net", "greedy_net", "hybrid_entourage",
+        "asdim_upper_bound", "cover_from_net", "greedy_net", "hybrid_entourage",
         "uniform_decomposition_check",
     ),
     "homology_engine": (
@@ -37,7 +37,7 @@ _LAYERS = {
         "ChainComplexAtScale", "HomologyPresentation", "InducedMap", "NotClose",
         "NotControlledAtScale", "PrismResult", "WindowTooSmall", "boundary_matrix", "chain_complex",
         "controlled_tuples", "homology_presentation", "induced_map", "prism",
-        "swindle_identity_check", "verify_complex_identity",
+        "swindle_identity_check",
     ),
     "coarsification": (
         "CoarsificationReport", "coarsening_space", "coarsify_homology", "nerve",

@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .core_spaces import Record, check_count
-from .homology_engine import (DEFAULT_BASIS_CAP, DEFAULT_DEGREE_CAP, DegreeCapExceeded, FGAbGroup, HomologyError,
-                              IntMatrix, _axpy, _boundary_from_lists, _check_degree_cap, _is_complex, _smith)
+from .homology_engine import (DEFAULT_BASIS_CAP, DegreeCapExceeded, FGAbGroup, HomologyError, IntMatrix, _axpy,
+                              _boundary_from_lists, _check_degree_cap, _is_complex, _smith)
 
 if TYPE_CHECKING:  # annotations only: `morphisms` loads when a map is first used
     from .morphisms import SpaceMap
@@ -180,19 +180,6 @@ def chain_complex(X, k, d_max, basis_cap=DEFAULT_BASIS_CAP):
         bases = bases + [[tuple(pts[i] for i in t) for t in b] for b in index_bases[built:]]
         complexes[key] = (index_bases, bases, boundaries)
     return ChainComplexAtScale(X, k, d_max, bases[:d_max + 1], boundaries[:d_max + 1])
-
-
-def verify_complex_identity(X, k, d_max=DEFAULT_DEGREE_CAP, basis_cap=None):
-    """Exact check that consecutive boundaries compose to zero through degree d_max.
-
-    The complex comes fresh from the builder every tuple complex shares; nothing is stored.
-    """
-    _check_degree_cap(d_max, basis_cap)
-    if d_max < 2:
-        return True
-    bases, boundaries = [], [None]
-    _extend(X.coarse.closure_at(k).row_sets(), bases, boundaries, d_max, basis_cap, k)
-    return _is_complex(boundaries)
 
 
 # ------------------------------------------------------- presentations

@@ -591,13 +591,6 @@ class WindowTag(FrozenRecord):
         |p| on a line (a half line's points are >= 0, so |p| = p)."""
         return abs(p[0]) + abs(p[1]) if self.name == "grid2_window" else abs(p)
 
-    def clamp(self, p):
-        """The point of the window nearest p in each coordinate."""
-        r = self.radius
-        if self.name == "grid2_window":
-            return (min(max(p[0], -r), r), min(max(p[1], -r), r))
-        return min(max(p, 0 if self.name == "half_line" else -r), r)
-
 
 class UniformMetric(FrozenRecord):
     """Rational point metric backing the uniform (small-scale) structure."""

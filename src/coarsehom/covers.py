@@ -26,10 +26,6 @@ class CoverError(CoarseError):
     pass
 
 
-class NotACover(CoverError):
-    pass
-
-
 class CertificateFailed(CoverError):
     def __init__(self, pair_index, detail=""):
         self.pair_index = pair_index
@@ -145,38 +141,6 @@ def cover_from_net(X: BornCoarseSpace, k: int) -> Cover:
         lebesgue, last_note = s, note
     if lebesgue is not None:
         notes.append(last_note)
-    return Cover(members, bound, lebesgue, tuple(notes))
-
-
-def check_cover(X: BornCoarseSpace, cover, k_bound: int, k_lebesgue: int) -> Cover:
-    """Re-verify both certificates on an explicit cover.
-
-    Failed certificates come back as None with a witness note; a non-cover is
-    refused outright, and so is a member, of a Cover or of a list, that holds a
-    point outside the ground (UnknownPoint, from check_subset).
-    """
-    members = tuple(map(X.ground.check_subset, cover.members if isinstance(cover, Cover) else cover))
-    if any(not m for m in members):
-        raise NotACover("cover members must be nonempty")
-    union = set()
-    for m in members:
-        union |= m
-    if union != set(X.points):
-        missing = X.ground.sorted(set(X.points) - union)[0]
-        raise NotACover(f"point {missing!r} is not covered")
-    notes = []
-    bound: Optional[int] = k_bound
-    for i, m in enumerate(members):
-        if not is_U_bounded(X, k_bound, m):
-            bound = None
-            notes.append(f"member {i} is not bounded at scale {k_bound}")
-            break
-    note = _verify_lebesgue(X, k_lebesgue, members)
-    lebesgue: Optional[int] = k_lebesgue if note else None
-    if note:
-        notes.append(note)
-    else:
-        notes.append(f"some scale-{k_lebesgue} bounded set fits in no member")
     return Cover(members, bound, lebesgue, tuple(notes))
 
 
@@ -373,6 +337,8 @@ def uniform_decomposition_check(X: BornCoarseSpace, Y, Z,
     if Y | Z != frozenset(X.points):
         raise NotADecomposition("the two parts must cover the space")
     rs = [_as_fraction(r) for r in radii]
+    if not rs:
+        raise CoarseError("at least one radius is required")
     if any(r <= 0 for r in rs) or any(b >= a for a, b in zip(rs, rs[1:])):
         raise CoarseError("radii must be positive and strictly decreasing")
     meet = Y & Z

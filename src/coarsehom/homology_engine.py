@@ -425,7 +425,11 @@ def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
     if isinstance(A, IntMatrix):
         rows = [dict(row) for row in A.rows]
     else:
-        rows = [{j: x for j, x in enumerate(map(int, row)) if x} for row in A]
+        for i, row in enumerate(A):
+            for j, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValueError(f"matrix entry ({i}, {j}) must be an int, got {x!r}")
+        rows = [{j: x for j, x in enumerate(row) if x} for row in A]
     diag, Ui, Uc, Vr, Vic = _smith(rows, n, track_U, track_V)
     S = [[0] * n for _ in range(m)]
     for d, x in enumerate(diag):
@@ -513,20 +517,15 @@ class FGAbGroup(FrozenRecord):
     """Finitely generated abelian group Z^free_rank + sum of Z/d with d_1 | d_2 | ..."""
 
     def __init__(self, free_rank, torsion=()):
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        check_count(free_rank, "free rank", 0, ValueError)
+        torsion = tuple(torsion)
         prev = None
         for d in torsion:
-            if d < 2:
-                raise ValueError("torsion orders must be >= 2")
+            check_count(d, "torsion order", 2, ValueError)
             if prev is not None and d % prev:
                 raise ValueError("torsion orders must form a divisibility chain")
             prev = d
         vars(self).update(free_rank=free_rank, torsion=torsion)
-
-    @property
-    def trivial(self):
-        return self.free_rank == 0 and not self.torsion
 
     def __str__(self):
         parts = []
@@ -861,9 +860,6 @@ class SimplicialComplex(Record):
         check_degree(d_max)
         built = range(1, min(d_max + 2, len(self.simplices)))
         return _chain_groups([None] + [self.boundary(n) for n in built], list(map(len, self.simplices)), d_max)
-
-    def betti(self, d_max):
-        return [g.free_rank for g in self.homology(d_max)]
 
 
 @lru_cache(maxsize=1024)

@@ -19,7 +19,7 @@ class SourceTargetMismatch(CoarseError):
 class SpaceMap:
     """A total function between ground sets, given by an assignment table."""
 
-    __slots__ = ("source", "target", "table", "clamp_count")
+    __slots__ = ("source", "target", "table")
 
     def __init__(self, source: BornCoarseSpace, target: BornCoarseSpace, table):
         if isinstance(table, Mapping):
@@ -41,7 +41,6 @@ class SpaceMap:
         self.source = source
         self.target = target
         self.table = tbl
-        self.clamp_count = 0
 
     def __call__(self, x):
         return self.table[x]
@@ -64,53 +63,13 @@ class SpaceMap:
             raise SourceTargetMismatch("compose: inner target differs from outer source")
         return SpaceMap(first.source, self.target, {x: self.table[y] for x, y in first.table.items()})
 
-    def power(self, j: int) -> "SpaceMap":
-        """j-fold self-composition, j an int >= 0; source must equal target."""
-        if self.source != self.target:
-            raise SourceTargetMismatch("power: source and target differ")
-        check_count(j, "j")
-        tbl = {x: x for x in self.source.ground.points}
-        for _ in range(j):
-            tbl = {x: self.table[y] for x, y in tbl.items()}
-        return SpaceMap(self.source, self.target, tbl)
-
 
 def identity_map(X: BornCoarseSpace) -> SpaceMap:
     return SpaceMap(X, X, {p: p for p in X.ground.points})
 
 
-def constant_map(X: BornCoarseSpace, Y: BornCoarseSpace, y0) -> SpaceMap:
-    return SpaceMap(X, Y, {p: y0 for p in X.ground.points})
-
-
 def inclusion_map(A: BornCoarseSpace, X: BornCoarseSpace) -> SpaceMap:
     return SpaceMap(A, X, {p: p for p in A.ground.points})
-
-
-def translate_map(X: BornCoarseSpace, delta) -> SpaceMap:
-    """Shift a windowed builtin by delta, clamping at the window edge.
-
-    Clamps are counted on the map so certificates can report boundary
-    pollution.
-    """
-    tag = X.window_tag
-    if tag is None:
-        raise CoarseError("translate_map expects a windowed builtin space")
-    if not _check_window_points(X, "translate_map"):
-        raise CoarseError(f"translate_map does not know builtin {tag.name!r}")
-    grid = tag.name == "grid2_window"
-    if not (isinstance(delta, (tuple, list)) and len(delta) == 2 and all(type(d) is int for d in delta) if grid
-            else type(delta) is int):  # type(d) is int: a bool is an int to Python, but no shift
-        raise CoarseError(f"translate_map on {tag.name} shifts by {'a pair of ints' if grid else 'an int'}, "
-                          f"not {delta!r}")
-    tbl, clamps = {}, 0
-    for t in X.ground.points:
-        s = (t[0] + delta[0], t[1] + delta[1]) if grid else t + delta
-        tbl[t] = c = tag.clamp(s)
-        clamps += c != s
-    f = SpaceMap(X, X, tbl)
-    f.clamp_count = clamps
-    return f
 
 
 # ------------------------------------------------------------------ reports
@@ -266,7 +225,7 @@ class FlasqueCertificate(Record):
     """
 
     def __init__(self, map, window, cond1_scale, cond2_table, cond3_table, iter_cap, scale_cap,
-                 tested_generators, clamp_count, warnings):
+                 tested_generators, warnings):
         self.map = map
         self.window = window
         self.cond1_scale = cond1_scale
@@ -275,7 +234,6 @@ class FlasqueCertificate(Record):
         self.iter_cap = iter_cap
         self.scale_cap = scale_cap
         self.tested_generators = tested_generators
-        self.clamp_count = clamp_count
         self.warnings = warnings
 
 
@@ -289,23 +247,19 @@ class FlasqueRefusal(Record):
         return False
 
 
-def _check_window_points(X: BornCoarseSpace, use: str) -> frozenset:
-    """Refuse X unless its points are points of the builtin window its tag names; the
-    window's points, empty for a tag that names no builtin."""
-    window = frozenset(X.window_tag.points)
-    bad = next((p for p in X.ground.points if window and p not in window), None)
-    if bad is not None:
-        raise CoarseError(f"{use} needs points of the {X.window_tag.name}({X.window_tag.radius}) "
-                          f"window, and {bad!r} is not one: this space carries only the window's tag")
-    return window
-
-
 def _margin_generators(X: BornCoarseSpace, margin: int):
     """Bornology generators of a windowed X small enough to escape within the window; every
-    generator under a tag that names no builtin."""
-    if not _check_window_points(X, "a flasqueness margin"):
+    generator under a tag that names no builtin.  X's points must be points of the builtin
+    window its tag names."""
+    tag = X.window_tag
+    window = frozenset(tag.points)
+    if not window:
         return tuple(X.bornology.generators)
-    return tuple(B for B in X.bornology.generators if all(X.window_tag.rank(p) <= margin for p in B))
+    bad = next((p for p in X.ground.points if p not in window), None)
+    if bad is not None:
+        raise CoarseError(f"a flasqueness margin needs points of the {tag.name}({tag.radius}) "
+                          f"window, and {bad!r} is not one: this space carries only the window's tag")
+    return tuple(B for B in X.bornology.generators if all(tag.rank(p) <= margin for p in B))
 
 
 def _orbit(img: list, view, steps: int) -> set:
@@ -362,7 +316,7 @@ def certify_flasque(
     if margin is not None:
         check_count(margin, "margin")
     if len(X) == 0:
-        return FlasqueCertificate(f, None, 0, {}, {}, iter_cap, scale_cap, (), 0, ("empty space",))
+        return FlasqueCertificate(f, None, 0, {}, {}, iter_cap, scale_cap, (), ("empty space",))
     if X.window_tag is None:
         return FlasqueRefusal(
             "NotWindowed",
@@ -372,12 +326,6 @@ def certify_flasque(
     if margin is None:
         margin = X.window_tag.radius // 2
     tested = _margin_generators(X, margin)
-
-    warnings = [
-        f"window-relative: all statements hold on the {X.window_tag.name}({X.window_tag.radius}) window only"
-    ]
-    if f.clamp_count:
-        warnings.append(f"{f.clamp_count} points clamp at the window edge under f")
 
     k1 = are_close(f, identity_map(X))
     if k1 is None:
@@ -412,6 +360,5 @@ def certify_flasque(
         iter_cap,
         scale_cap,
         tested,
-        f.clamp_count,
-        tuple(warnings),
+        (f"window-relative: all statements hold on the {X.window_tag.name}({X.window_tag.radius}) window only",),
     )

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from coarsehom import make_explicit_space
+from coarsehom import SpaceMap, make_explicit_space
 
 
 def random_explicit_space(rng: random.Random, max_points=40, max_pairs=120):
@@ -25,6 +25,13 @@ def random_explicit_space(rng: random.Random, max_points=40, max_pairs=120):
     for i, pair in enumerate(pairs):
         gens[i % n_gens].append(pair)
     return make_explicit_space(points, gens, [points])
+
+
+
+def shift(X, delta=1):
+    """The shift p -> p + delta of a window on a line, clamped at its ends, built as a table."""
+    lo, hi = min(X.points), max(X.points)
+    return SpaceMap(X, X, {p: min(max(p + delta, lo), hi) for p in X.points})
 
 
 def random_capped_space(rng: random.Random, max_points=40, max_pairs=120, comp_cap=12):

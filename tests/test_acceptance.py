@@ -22,7 +22,6 @@ from coarsehom.chain_maps import (
     induced_map,
     prism,
     swindle_identity_check,
-    verify_complex_identity,
 )
 from coarsehom.coarsification import nerve
 from coarsehom.covers import (
@@ -87,7 +86,8 @@ def test_criterion_03_complex_identity():
     for X, _ in battery():
         stab = X.coarse.stabilization()
         for k in sorted({1, 2, stab}):
-            assert verify_complex_identity(X, k, 3)
+            bd = chain_complex(X, k, 3).boundaries  # each build also checks the identity itself
+            assert all(not (bd[n - 1] @ bd[n]).nnz for n in (2, 3))
             checked += 1
     report_pass(3, f"boundary squared vanished at {checked} space/scale combinations")
 
@@ -279,11 +279,11 @@ def test_criterion_10_coarsening_space_shadow():
                               [list(range(12))])
     net = greedy_net(X12, 1)
     assert net == [0, 2, 4, 6, 8, 10]
-    net_betti = rips_complex(X12, 2, 3, points=net).betti(2)
-    circle_betti = rips_complex(X12, 1, 3).betti(2)
+    net_betti = [g.free_rank for g in rips_complex(X12, 2, 3, points=net).homology(2)]
+    circle_betti = [g.free_rank for g in rips_complex(X12, 1, 3).homology(2)]
     assert net_betti == circle_betti == [1, 1, 0]
     # nerve route through the ball cover of the same net
-    assert nerve(cover_from_net(X12, 1), 3).betti(2) == circle_betti
+    assert [g.free_rank for g in nerve(cover_from_net(X12, 1), 3).homology(2)] == circle_betti
     report_pass(10, "hexagon net in the 12-gon matches the circle complex in degrees <= 2")
 
 

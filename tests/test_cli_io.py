@@ -592,6 +592,16 @@ def test_udecomp_command(tmp_path, capsys):
     assert rep.results["assignments"][0] == {"r": "3", "s": "3"}
 
 
+def test_udecomp_refuses_an_empty_radius_list(tmp_path, capsys):
+    # no listed radius certifies nothing, so it is refused, not reported as ok
+    sp = write_space(tmp_path, "iw.json", {"kind": "builtin", "name": "int_window", "radius": 5})
+    rep, code, _ = run_quiet(["udecomp", "--space", str(sp), "--part-y", json.dumps(list(range(-5, 1))),
+                              "--part-z", json.dumps(list(range(0, 6))), "--radii", "[]"], capsys)
+    assert code == 1
+    assert rep.results == {}
+    assert rep.refusals == [{"error": "CoarseError", "detail": "at least one radius is required"}]
+
+
 def test_snf_command(tmp_path, capsys):
     mat = tmp_path / "m.json"
     mat.write_text("[[2, 4, 4], [-6, 6, 12], [10, 4, 16]]")

@@ -20,8 +20,8 @@ from coarsehom import (
     BadScales,
     CoarseError,
     InvalidMetric,
-    UnknownPoint,
     from_metric,
+    is_U_bounded,
     make_big_family,
     make_explicit_space,
     windowed_builtin,
@@ -34,12 +34,10 @@ from coarsehom.covers import (
     CertificateFailed,
     Cover,
     CoverError,
-    NotACover,
     NotADecomposition,
     PhiNotDecreasing,
     anti_cech,
     asdim_upper_bound,
-    check_cover,
     cover_from_net,
     greedy_net,
     hybrid_entourage,
@@ -233,54 +231,22 @@ def test_lebesgue_matches_the_bounded_set_scan():
             if len(m) > 1 and rng.random() < 0.15:
                 m.discard(rng.choice(sorted(m)))
         family += [{p} for p in pts if not any(p in m for m in family)]
-        cov = check_cover(X, family, 0, k)
         want = all(any(c <= m for m in family) for c in oracles.clique_complex(pts, edges, len(pts)))
-        assert (cov.lebesgue_scale == k) == want
+        assert (covers._verify_lebesgue(X, k, family) is not None) == want
 
 
 def test_exact_route_certifies_what_balls_cannot():
     # inner scale-1 balls of the path 0-1-2-3-4 have three points, each edge member two
-    cov = check_cover(path_space(4), [[0, 1], [1, 2], [2, 3], [3, 4]], 1, 1)
-    assert cov.lebesgue_scale == 1
-    assert cov.notes == ("lebesgue verified via maximal bounded-set enumeration",)
-    cov = check_cover(path_space(4), [[0, 1], [1, 2], [2, 3], [3, 4]], 1, 2)
-    assert cov.lebesgue_scale is None
-    assert cov.notes[-1] == "some scale-2 bounded set fits in no member"
+    X, edges = path_space(4), [[0, 1], [1, 2], [2, 3], [3, 4]]
+    assert covers._verify_lebesgue(X, 1, edges) == "lebesgue verified via maximal bounded-set enumeration"
+    assert covers._verify_lebesgue(X, 2, edges) is None
 
-
-# ------------------------------------------------------------ check_cover
 
 def test_singleton_cover_certificates():
     X = path_space(10)
-    cov = check_cover(X, [[x] for x in X.points], 0, 0)
-    assert cov.bound_scale == 0 and cov.lebesgue_scale == 0
-
-
-def test_check_cover_refusals():
-    X = path_space(4)
-    with pytest.raises(NotACover):
-        check_cover(X, [[0, 1, 2]], 1, 0)
-    with pytest.raises(NotACover):
-        check_cover(X, [list(X.points), []], 1, 0)
-    # a Cover's members go through check_subset, as a list's members do
-    whole = frozenset(X.points) | {99}
-    for cover in (Cover((whole,), None, None), [sorted(whole)]):
-        with pytest.raises(UnknownPoint, match="point 99 is not in the ground set"):
-            check_cover(X, cover, 1, 0)
-
-
-def test_check_cover_reverifies_ball_cover():
-    X = path_space(10)
-    cov = check_cover(X, cover_from_net(X, 1), 2, 1)
-    assert cov.bound_scale == 2 and cov.lebesgue_scale == 1
-
-
-def test_failed_certificates_become_none_with_notes():
-    X = path_space(10)
-    cov = check_cover(X, [list(X.points)], 1, 0)
-    assert cov.bound_scale is None
-    assert cov.lebesgue_scale == 0
-    assert any("not bounded" in n for n in cov.notes)
+    singletons = [[x] for x in X.points]
+    assert all(is_U_bounded(X, 0, m) for m in singletons)
+    assert covers._verify_lebesgue(X, 0, singletons) is not None
 
 
 # -------------------------------------------------------------- anti_cech
@@ -372,7 +338,7 @@ def test_nerve_of_two_overlapping_members():
 def test_hexagon_nerve_is_a_circle():
     nv = nerve(cover_from_net(HEX, 1), 2)
     assert [len(s) for s in nv.simplices] == [3, 3, 0]
-    assert nv.betti(1) == [1, 1]
+    assert [g.free_rank for g in nv.homology(1)] == [1, 1]
 
 
 def test_nerve_matches_brute_force_and_is_closed():
@@ -459,14 +425,14 @@ def measure_complex(X, k, d_max):
 def test_measure_complex_point():
     mc = measure_complex(POINT, 1, 2)
     assert mc.simplices == [[(0,)], [], []]
-    assert mc.betti(2) == [1, 0, 0]
+    assert [g.free_rank for g in mc.homology(2)] == [1, 0, 0]
 
 
 def test_measure_complex_full_relation():
     X = make_explicit_space([0, 1, 2, 3], [[(a, b) for a in range(4) for b in range(4) if a < b]], [[0, 1, 2, 3]])
     mc = measure_complex(X, 1, 3)
     assert [len(s) for s in mc.simplices] == [4, 6, 4, 1]
-    assert mc.betti(2) == [1, 0, 0]
+    assert [g.free_rank for g in mc.homology(2)] == [1, 0, 0]
 
 
 def test_measure_complex_equals_clique_backend():
@@ -506,7 +472,7 @@ def test_coarsified_terminal_counts_components():
         want = len(oracles.union_find_components(X.points, pairs))
         rep = coarsify_homology(X, [], 1)
         assert rep.terminal[0] == FGAbGroup(want)
-        assert rep.terminal[1].trivial
+        assert rep.terminal[1] == ZERO
 
 
 @pytest.mark.parametrize("name, radius", [
@@ -743,6 +709,9 @@ def test_udecomp_refusals():
     Y = make_explicit_space([0, 1], [[(0, 1)]], [[0, 1]])
     with pytest.raises(CoarseError):
         uniform_decomposition_check(Y, [0], [1], [1])
+    with pytest.raises(CoarseError) as e:  # no radius certifies nothing
+        uniform_decomposition_check(X, range(0, 11), range(10, 21), [])
+    assert type(e.value) is CoarseError and str(e.value) == "at least one radius is required"
 
 
 def test_udecomp_refuses_float_radii():

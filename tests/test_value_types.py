@@ -22,7 +22,7 @@ RECORDS = [
     ("EquivalenceReport", "equivalence k_source k_target f_report g_report",
      {"f_report": None, "g_report": None}),
     ("FlasqueCertificate", "map window cond1_scale cond2_table cond3_table iter_cap scale_cap "
-                           "tested_generators clamp_count warnings", {}),
+                           "tested_generators warnings", {}),
     ("FlasqueRefusal", "condition explanation witness", {"witness": None}),
     ("ChainComplexAtScale", "space scale d_max bases boundaries", {}),
     ("SNFResult", "U S V U_inv V_inv shape", {}),
@@ -148,11 +148,17 @@ def test_value_types_hash_and_refuse_assignment(name, fields, defaults):
 
 
 @pytest.mark.parametrize("args, message", [
-    ((-1,), "free rank must be nonnegative"),
-    ((0, (1,)), "torsion orders must be >= 2"),
-    ((0, (0,)), "torsion orders must be >= 2"),
+    ((-1,), "free rank must be >= 0, got -1"),
+    ((0, (1,)), "torsion order must be >= 2, got 1"),
+    ((0, (0,)), "torsion order must be >= 2, got 0"),
     ((1, (2, 3)), "torsion orders must form a divisibility chain"),
     ((1, (4, 2)), "torsion orders must form a divisibility chain"),
+    # a bool is an int to Python, but no rank or order
+    ((1.5,), "free rank must be an int, got 1.5"),
+    ((True,), "free rank must be an int, got True"),
+    (("a",), "free rank must be an int, got 'a'"),
+    ((0, (2.5,)), "torsion order must be an int, got 2.5"),
+    ((0, (2, True)), "torsion order must be an int, got True"),
 ])
 def test_fgab_group_validates_its_fields(args, message):
     with pytest.raises(ValueError) as e:
@@ -165,3 +171,9 @@ def test_fgab_group_accepts_a_divisibility_chain():
     assert (g.free_rank, g.torsion, str(g)) == (2, (2, 4, 12), "Z^2 + Z/2 + Z/4 + Z/12")
     assert g == coarsehom.FGAbGroup(free_rank=2, torsion=(2, 4, 12))
     assert {g: 1}[coarsehom.FGAbGroup(2, (2, 4, 12))] == 1
+
+
+def test_fgab_group_stores_its_torsion_as_a_tuple():
+    g = coarsehom.FGAbGroup(0, [2])
+    assert g.torsion == (2,) and str(g) == "Z/2"
+    assert g == coarsehom.FGAbGroup(0, (2,)) and hash(g) == hash(coarsehom.FGAbGroup(0, (2,)))
