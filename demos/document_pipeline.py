@@ -6,6 +6,7 @@ reports are byte-identical.
 """
 
 import json
+import os
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
@@ -41,21 +42,26 @@ def main():
     print("round-trip document:")
     print(emit_space_text(X), end="")
 
+    # the commands run inside the temporary directory and name the document relative to it,
+    # so the reports, which echo the command line, print the same bytes on every run
+    here = os.getcwd()
     with tempfile.TemporaryDirectory() as td:
-        doc_path = Path(td) / "clusters.json"
-        doc_path.write_text(json.dumps(DOC))
-
-        for argv in (
-            ["components", "--space", str(doc_path)],
-            ["homology", "--space", str(doc_path), "--scale", "1", "--max-dim", "1"],
-            ["homology", "--space", str(doc_path), "--colimit", "--max-dim", "1"],
-            ["qhomology", "--space", str(doc_path), "--scales", "1,2", "--max-dim", "1"],
-        ):
-            _, code, out1 = capture(argv)
-            _, _, out2 = capture(argv)
-            print(f"\n$ coarsehom {' '.join(argv)}   (exit {code},"
-                  f" double run identical: {out1 == out2})")
-            print(out1, end="")
+        Path(td, "clusters.json").write_text(json.dumps(DOC))
+        os.chdir(td)
+        try:
+            for argv in (
+                ["components", "--space", "clusters.json"],
+                ["homology", "--space", "clusters.json", "--scale", "1", "--max-dim", "1"],
+                ["homology", "--space", "clusters.json", "--colimit", "--max-dim", "1"],
+                ["qhomology", "--space", "clusters.json", "--scales", "1,2", "--max-dim", "1"],
+            ):
+                _, code, out1 = capture(argv)
+                _, _, out2 = capture(argv)
+                print(f"\n$ coarsehom {' '.join(argv)}   (exit {code},"
+                      f" double run identical: {out1 == out2})")
+                print(out1, end="")
+        finally:
+            os.chdir(here)
 
 
 if __name__ == "__main__":

@@ -124,11 +124,13 @@ class GroundSet:
 
     def __init__(self, points: Iterable):
         pts = tuple(points)
-        index = {}
-        for i, p in enumerate(pts):
-            if p in index:
-                raise UnknownPoint(f"duplicate point identifier {p!r}")
-            index[p] = i
+        index = dict(zip(pts, range(len(pts))))
+        if len(index) != len(pts):
+            seen = set()
+            for p in pts:  # the first point that repeats an earlier one
+                if p in seen:
+                    raise UnknownPoint(f"duplicate point identifier {p!r}")
+                seen.add(p)
         self.points = pts
         self._index = index
 
@@ -155,8 +157,8 @@ class GroundSet:
 
     def check_subset(self, B: Iterable) -> frozenset:
         B = frozenset(B)
-        unknown = [p for p in B if p not in self._index]
-        if unknown:
+        if not self._index.keys() >= B:
+            unknown = [p for p in B if p not in self._index]
             # the least by repr, so the message does not follow set iteration order
             raise UnknownPoint(f"point {min(unknown, key=repr)!r} is not in the ground set")
         return B
@@ -304,6 +306,9 @@ class CoarseStructure:
     map grows its target's table only to its scale shift.  hop_rows() grows
     all of it; when it stops growing, its depth is checked against
     stabilized_at, and a mismatch is refused.
+
+    Each generator has checked its pairs against the ground, so the scale-1
+    adjacency reads their endpoints straight from the ground's index.
     """
 
     def __init__(self, ground: GroundSet, generators: Sequence[Entourage]):
@@ -314,10 +319,11 @@ class CoarseStructure:
                 raise UnknownPoint("generator defined over a different ground set")
         self.cached_closures: dict[int, ClosureView] = {}
         self.stabilized_at: Optional[int] = None
+        index = ground._index
         adj = [set() for _ in ground]
         for g in self.generators:
             for x, y in g.pairs:
-                i, j = ground.index(x), ground.index(y)
+                i, j = index[x], index[y]
                 if i != j:
                     adj[i].add(j)
                     adj[j].add(i)
@@ -645,7 +651,10 @@ class BornCoarseSpace:
 
 
 def _check_compatibility(ground: GroundSet, coarse: CoarseStructure, bornology: Bornology):
-    """Scale-1 compatibility: controlled thickenings of bounded sets stay bounded."""
+    """Scale-1 compatibility: controlled thickenings of bounded sets stay bounded.  A bornology
+    that covers the ground bounds every subset of it, so then no thickening is searched."""
+    if bornology.covers():
+        return
     for B in bornology.generators:
         thick = coarse.thicken(1, B)
         if not bornology.bounded(thick):

@@ -601,11 +601,14 @@ def _core(sets, inside=None):
 
     A vertex v goes when some neighbour w != v has N[v] ⊆ N[w] among the vertices left, and
     with a point mask only when v is outside it or w inside; the neighbours of each deleted
-    vertex are tested again.  The sets are copied at the first deletion.
+    vertex are tested again.  The caller's list and sets never change: the list is copied at
+    the first deletion and a set when a deletion first removes a vertex from it (own); the
+    others, among them the one set the rows of a component share from the stabilization
+    scale on, are read in place.
     """
     n = len(sets)
     alive, queued = [True] * n, [True] * n
-    todo, deleted = list(range(n - 1, -1, -1)), []
+    todo, deleted, own = list(range(n - 1, -1, -1)), [], None
     while todo:
         v = todo.pop()
         queued[v] = False
@@ -615,13 +618,14 @@ def _core(sets, inside=None):
                 break
         else:
             continue
-        if not deleted:
-            sets = [set(s) for s in sets]
-            near = sets[v]
+        if own is None:
+            sets, own = list(sets), [False] * n
         alive[v] = False
         deleted.append((v, w))
         for u in near:
             if u != v:
+                if not own[u]:
+                    sets[u], own[u] = set(sets[u]), True
                 sets[u].discard(v)
                 if not queued[u]:
                     queued[u] = True

@@ -639,6 +639,37 @@ def net_over_order_scan(order, points, sets):
     return net
 
 
+def core_copying_every_set(sets, inside=None):
+    """The strong collapse that copies every neighbour set at its first deletion: the
+    reference (survivor flags, deletions) record for a collapse that copies less.  A vertex
+    v goes under the first neighbour w != v, in the iteration order of its set, with
+    N[v] <= N[w] among the vertices left (with a mask, only if v is outside it or w inside);
+    the neighbours of a deleted vertex are tested again, in a stack."""
+    n = len(sets)
+    alive, queued = [True] * n, [True] * n
+    todo, deleted = list(range(n - 1, -1, -1)), []
+    while todo:
+        v = todo.pop()
+        queued[v] = False
+        near = sets[v]
+        w = next((w for w in near if w != v and near <= sets[w]
+                  and (inside is None or inside[w] or not inside[v])), None)
+        if w is None:
+            continue
+        if not deleted:
+            sets = [set(s) for s in sets]
+            near = sets[v]
+        alive[v] = False
+        deleted.append((v, w))
+        for u in near:
+            if u != v:
+                sets[u].discard(v)
+                if not queued[u]:
+                    queued[u] = True
+                    todo.append(u)
+    return alive, deleted
+
+
 def controlled_tuples_reference(points, edges, k, n):
     """Degree-n controlled tuples at scale k by brute force, in lex order of ground indices.
 

@@ -88,6 +88,47 @@ def test_duplicate_points_rejected():
         make_explicit_space([0, 0], [], [[0]])
 
 
+def test_construction_names_the_first_fault_in_a_fixed_order():
+    # each check names a witness that does not follow hash or set order: the first point
+    # that repeats an earlier one, the first pair off the ground in input order, the least
+    # unknown point by repr; make_explicit_space refuses unknown points, then incompatible
+    # structures, then a bornology that does not cover
+    def refusal(make):
+        with pytest.raises(CoarseError) as e:
+            make()
+        return type(e.value), str(e.value)
+
+    assert refusal(lambda: GroundSet(["a", "b", "c", "b", "a"])) == (UnknownPoint, "duplicate point identifier 'b'")
+    assert refusal(lambda: GroundSet([2, 1, True])) == (UnknownPoint, "duplicate point identifier True")
+    ground = GroundSet([0, 1, 2])
+    assert refusal(lambda: Entourage(ground, [(0, 1), (5, 0), (0, 9), (7, 7)])) == (
+        UnknownPoint, "pair (5, 0) leaves the ground set")
+    assert refusal(lambda: Entourage(ground, iter([[0, 1], [1, 3]]))) == (
+        UnknownPoint, "pair (1, 3) leaves the ground set")
+    assert Entourage(ground, [[0, 1], [1, 2], (0, 1)]).pairs == frozenset({(0, 1), (1, 2)})
+    # a pair that does not unpack is refused where it stands in the input
+    assert refusal(lambda: Entourage(ground, [(0, 5), (1,)]))[0] is UnknownPoint
+    with pytest.raises(ValueError):
+        Entourage(ground, [(1,), (0, 5)])
+    assert refusal(lambda: Bornology(ground, [[0, 1], [2, "zz", 9, "aa"]])) == (
+        UnknownPoint, "point 'aa' is not in the ground set")
+    assert Bornology(ground, [[0, 1], (2,)]).covers()
+    faults = {
+        "unknown": ([[(0, 1)], [(2, 9)]], [[0]]),
+        "unknown bounded": ([[(0, 1)]], [[0, 7]]),
+        "incompatible": ([[(0, 1)]], [[0]]),
+        "uncovered": ([[(0, 1)]], [[0, 1]]),
+    }
+    got = {name: refusal(lambda: make_explicit_space([0, 1, 2], gens, born)) for name, (gens, born) in faults.items()}
+    assert got == {
+        "unknown": (UnknownPoint, "pair (2, 9) leaves the ground set"),
+        "unknown bounded": (UnknownPoint, "point 7 is not in the ground set"),
+        "incompatible": (IncompatibleStructures,
+                         "thickening of bounded generator [0] at scale 1 gives [0, 1], which is not bounded"),
+        "uncovered": (BornologyDoesNotCover, "bornology generators do not cover points [2]"),
+    }
+
+
 # ---------------------------------------------------------------- from_metric
 
 def test_metric_two_points_one_component():

@@ -10,6 +10,7 @@ factors, and hand-computed small cases frozen below.
 import gc
 import hashlib
 import json
+import operator
 import random
 import re
 import time
@@ -69,7 +70,8 @@ from coarsehom.homology_engine import (
 from coarsehom.core_spaces import BigFamilyPrefix, CoarseStructure
 from coarsehom.morphisms import SpaceMap, are_close, identity_map
 from genspaces import (
-    klein_bottle, klein_bottle_triangles, moore_space, random_explicit_space, shift, subdivision, suspension,
+    klein_bottle, klein_bottle_triangles, moore_space, random_capped_space, random_explicit_space, shift,
+    subdivision, suspension,
 )
 
 Z = FGAbGroup(1)
@@ -2119,6 +2121,38 @@ def test_pair_rule_keeps_the_relative_groups():
         assert homology_engine._core(g)[1] and homology_engine._core(g, inside)[1] == []
         assert core_route_mismatches(X, 1, len(want) - 1, Y)[0] == []
         assert relative_homology(X, make_big_family(X, [Y]), 1, len(want) - 1).groups == want
+
+
+def core_cases():
+    """(name, row sets) of closures with deletions to make: the seeded battery, windows and
+    torsion fixtures of enumerator_cases, capped battery spaces of 48 points, the torsion
+    fixtures with hairs, and each of these at its stabilization scale, where the rows of a
+    component share one set."""
+    rng = random.Random(239)
+    spaces = [random_capped_space(rng, max_points=48, max_pairs=48, comp_cap=4)[0] for _ in range(20)]
+    spaces += [with_hairs(make(), random.Random(name)) for name, make in TORSION_SPACES.items()]
+    yield from enumerator_cases()
+    for i, X in enumerate(spaces):
+        yield f"space {i} k=1", X.closure_at(1).row_sets()
+    for i, X in enumerate(spaces + [windowed_builtin("int_window", 6), windowed_builtin("grid2_window", 3)]):
+        yield f"space {i} stabilized", X.closure_at(X.coarse.stabilization()).row_sets()
+
+
+def test_core_leaves_its_input_unchanged_and_keeps_its_record():
+    # a set is copied when a deletion first removes a vertex from it, so the caller's list
+    # and sets, the one set a component's rows share among them, never change; the survivors
+    # and deletions are those of the collapse that copied every set at the first deletion
+    rng = random.Random(241)
+    shared = deleted = 0
+    for name, sets in core_cases():
+        for inside in (None, [rng.random() < 0.4 for _ in sets]):
+            listed, held = list(sets), [set(s) for s in sets]
+            got = homology_engine._core(sets, inside)
+            assert all(map(operator.is_, sets, listed)) and sets == held, name
+            assert got == oracles.core_copying_every_set(sets, inside), (name, inside is None)
+            deleted += len(got[1])
+        shared += len(set(map(id, sets))) < len(sets)
+    assert shared > 20 and deleted > 1000, (shared, deleted)
 
 
 def test_planted_false_domination_is_refused_by_the_replay(monkeypatch):
