@@ -35,9 +35,8 @@ _LAYERS = {
     ),
     "chain_maps": (
         "ChainComplexAtScale", "HomologyPresentation", "InducedMap", "NotClose",
-        "NotControlledAtScale", "PrismResult", "WindowTooSmall", "boundary_matrix", "chain_complex",
-        "controlled_tuples", "homology_presentation", "induced_map", "prism",
-        "swindle_identity_check",
+        "NotControlledAtScale", "PrismResult", "WindowTooSmall", "chain_complex",
+        "homology_presentation", "induced_map", "prism", "swindle_identity_check",
     ),
     "coarsification": (
         "CoarsificationReport", "coarsening_space", "coarsify_homology", "nerve",

@@ -5,13 +5,13 @@ entries are pairwise related at a chosen scale; tuples with two equal adjacent
 entries are normalized away.  This controlled-tuple complex is the definition,
 and every certificate that needs a basis works on it: presentations with class
 coordinates, induced maps, prisms between close maps and the truncated
-swindle.  One builder makes it: one depth-first enumerator gives each basis in
-lex order, and one loop grows bases and boundaries a degree at a time.  Chain
-maps and prism blocks are `IntMatrix` values, and every identity claimed here
-(complex identity, prism identity, swindle identity) is verified as an exact
-matrix equation, never numerically.  A space keeps the tuple complexes and
-presentations built on it, so each is built once per scale (and degree) and
-shared read-only by later callers.
+swindle.  One builder, `chain_complex`, makes it: one depth-first enumerator
+gives each basis in lex order, and one loop grows bases and boundaries a
+degree at a time.  Chain maps and prism blocks are `IntMatrix` values, and
+every identity claimed here (complex identity, prism identity, swindle
+identity) is verified as an exact matrix equation, never numerically.  A
+space keeps the tuple complexes and presentations built on it, so each is
+built once per scale (and degree) and shared read-only by later callers.
 
 Presentations read the Smith form with transforms of `homology_engine`, whose
 pivot is the least |nonzero| entry, ties row-major; generator chains follow
@@ -85,42 +85,20 @@ def _iter_controlled(sets, nbrs, n):
             yield (i,)
 
 
-def _controlled_basis(sets, nbrs, n, basis_cap, scale):
-    """Degree-n index tuples in lex order."""
-    basis = []
-    for t in _iter_controlled(sets, nbrs, n):
-        if basis_cap is not None and len(basis) >= basis_cap:
-            raise DegreeCapExceeded(n, scale, basis_cap)
-        basis.append(t)
-    return basis
-
-
-def controlled_tuples(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
-    """All nondegenerate (n+1)-tuples pairwise related at scale k, lex order."""
-    _check_degree_cap(n, basis_cap)
-    pts, sets = X.points, X.coarse.closure_at(k).row_sets()
-    return [tuple(pts[i] for i in t) for t in _controlled_basis(sets, list(map(sorted, sets)), n, basis_cap, k)]
-
-
 def _extend(sets, bases, boundaries, d_max, basis_cap, scale):
-    """Grow index bases and boundaries (boundaries[n] = d_n, [0] None) in place through d_max,
-    over the neighbour sets sets, sorted once: the one builder of tuple complexes."""
+    """Grow index bases, each in lex order, and boundaries (boundaries[n] = d_n, [0] None) in
+    place through d_max, over the neighbour sets sets, sorted once: the one builder of tuple
+    complexes, refusing a basis past basis_cap."""
     nbrs = list(map(sorted, sets))
     for n in range(len(bases), d_max + 1):
-        basis = _controlled_basis(sets, nbrs, n, basis_cap, scale)
+        basis = []
+        for t in _iter_controlled(sets, nbrs, n):
+            if basis_cap is not None and len(basis) >= basis_cap:
+                raise DegreeCapExceeded(n, scale, basis_cap)
+            basis.append(t)
         if n:
             boundaries.append(_boundary_from_lists(basis, bases[n - 1], n))
         bases.append(basis)
-
-
-def boundary_matrix(X, k, n, basis_cap=DEFAULT_BASIS_CAP):
-    """Matrix of the degree-n boundary at scale k (rows: degree n-1, cols: degree n)."""
-    _check_degree_cap(n, basis_cap)
-    if n < 1:
-        raise ValueError("boundary matrices start at degree 1")
-    bases, boundaries = [], [None]
-    _extend(X.coarse.closure_at(k).row_sets(), bases, boundaries, n, basis_cap, k)
-    return boundaries[n]
 
 
 class ChainComplexAtScale(Record):
@@ -132,9 +110,6 @@ class ChainComplexAtScale(Record):
         self.d_max = d_max
         self.bases = bases
         self.boundaries = boundaries
-
-    def dims(self):
-        return [len(b) for b in self.bases]
 
 
 class _SpaceStore:
@@ -476,7 +451,7 @@ def swindle_identity_check(X, f: SpaceMap, B, J, k=1, n=1, basis_cap=DEFAULT_BAS
         img = {powers[J](p) for p in X.points}
         hit = img & Bset
         if hit:
-            raise WindowTooSmall(J, sorted(hit)[0])
+            raise WindowTooSmall(J, X.ground.sorted(hit)[0])
     K0 = max([k] + [_controlled_shift(p, k) for p in powers])
     K1 = max(K0, _controlled_shift(f, K0))
     for deg in range(n + 1):

@@ -252,12 +252,19 @@ def _resolve_space(ref: str) -> Tuple[BornCoarseSpace, str]:
     return parse_space(blob.decode("utf-8")), _digest(blob)
 
 
+def _holds_bool(raw):
+    return isinstance(raw, bool) or isinstance(raw, list) and any(map(_holds_bool, raw))
+
+
 def _match_subset(X, raw_list, field_name):
-    """The points raw_list names, each by itself or by its token; the token map is built on the first miss."""
+    """The points raw_list names, each by itself or by its token; the token map is built on the first miss.
+    A boolean names no point, though Python reads true as 1, so a point that is or holds one is refused."""
     if not isinstance(raw_list, list):
         raise ParseError(f"{field_name} must be a JSON list", field_name)
     out, by_token = [], None
     for raw in raw_list:
+        if _holds_bool(raw):
+            raise ParseError(f"{json.dumps(raw)} is or holds a boolean, which names no point", field_name)
         cand = tuple(raw) if isinstance(raw, list) else raw  # JSON spells a grid point as a list
         try:
             if cand in X.ground:

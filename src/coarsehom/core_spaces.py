@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, repeat
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class CoarseError(Exception):
@@ -598,18 +598,9 @@ class WindowTag(FrozenRecord):
         return abs(p[0]) + abs(p[1]) if self.name == "grid2_window" else abs(p)
 
 
-class UniformMetric(FrozenRecord):
-    """Rational point metric backing the uniform (small-scale) structure."""
-
-    def __init__(self, dist, description=""):
-        vars(self).update(dist=dist, description=description)
-
-    def __call__(self, x, y) -> Fraction:
-        return self.dist(x, y)
-
-
 class BornCoarseSpace:
-    """Ground set + coarse structure + bornology (+ optional window/metric)."""
+    """Ground set + coarse structure + bornology (+ optional window tag and metric, the
+    rational distance function (x, y) -> Fraction backing the uniform structure)."""
 
     def __init__(
         self,
@@ -617,7 +608,7 @@ class BornCoarseSpace:
         coarse: CoarseStructure,
         bornology: Bornology,
         window_tag: Optional[WindowTag] = None,
-        metric: Optional[UniformMetric] = None,
+        metric: Optional[Callable[[object, object], Fraction]] = None,
     ):
         self.ground = ground
         self.coarse = coarse
@@ -721,8 +712,7 @@ def from_metric(points, dist, scales) -> BornCoarseSpace:
     coarse = CoarseStructure(ground, gens)
     bornology = Bornology(ground, [frozenset(pts)] if n else [])
     lookup = {(pts[i], pts[j]): rows[i][j] for i in range(n) for j in range(n)}
-    metric = UniformMetric(lambda x, y: lookup[(x, y)], "explicit rational matrix")
-    return BornCoarseSpace(ground, coarse, bornology, metric=metric)
+    return BornCoarseSpace(ground, coarse, bornology, metric=lambda x, y: lookup[(x, y)])
 
 
 def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
@@ -746,11 +736,10 @@ def windowed_builtin(name: str, radius: int) -> BornCoarseSpace:
     if name == "grid2_window":
         adj = [((a, b), (a + 1, b)) for a, b in pts if a < radius]
         adj += [((a, b), (a, b + 1)) for a, b in pts if b < radius]
-        metric = UniformMetric(lambda x, y: frac(abs(x[0] - y[0]) + abs(x[1] - y[1])), "l1 metric on the plane grid")
+        metric = lambda x, y: frac(abs(x[0] - y[0]) + abs(x[1] - y[1]))  # the l1 metric
     else:
         adj = list(zip(pts, pts[1:]))
-        line = "the half line" if name == "half_line" else "the integers"
-        metric = UniformMetric(lambda x, y: frac(abs(x - y)), f"unit metric on {line}")
+        metric = lambda x, y: frac(abs(x - y))
     ground = GroundSet(pts)
     coarse = CoarseStructure(ground, [Entourage(ground, adj)])
     return BornCoarseSpace(ground, coarse, Bornology(ground, rank=tag.rank), window_tag=tag, metric=metric)

@@ -169,9 +169,6 @@ class IntMatrix:
     def __sub__(self, other):
         return self._plus(other, -1)
 
-    def tolist(self) -> List[List[int]]:
-        return [[row.get(j, 0) for j in range(self.shape[1])] for row in self.rows]
-
 
 # ----------------------------------------------------------------- boundaries
 
@@ -234,15 +231,6 @@ def _is_complex(boundaries: Sequence[Optional[IntMatrix]]):
 
 
 # ------------------------------------------------------------ exact SNF
-
-
-def _shape_of(A):
-    if isinstance(A, IntMatrix):
-        return A.shape
-    n = len(A[0]) if len(A) else 0
-    if any(len(row) != n for row in A):
-        raise ValueError("matrix rows have unequal lengths")
-    return (len(A), n)
 
 
 def _axpy(dst: Dict[int, int], src: Dict[int, int], q: int):
@@ -413,30 +401,28 @@ class SNFResult(Record):
         return len(self.invariant_factors)
 
 
-def smith_normal_form(A, track_U=True, track_V=True) -> SNFResult:
-    """Exact Smith normal form; pivot is the least |nonzero| entry, ties row-major.
+def smith_normal_form(A) -> SNFResult:
+    """Exact Smith normal form of the int-list rows A; pivot is the least |nonzero| entry,
+    ties row-major.
 
     The pivot order and every row and column operation are fixed by that
     rule (frozen generator chains depend on them).  The elimination runs on
     sparse rows with sparse transforms; only the result is made dense: S, U,
     V, U⁻¹ and V⁻¹ as lists of rows.
     """
-    m, n = _shape_of(A)
-    if isinstance(A, IntMatrix):
-        rows = [dict(row) for row in A.rows]
-    else:
-        for i, row in enumerate(A):
-            for j, x in enumerate(row):
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise ValueError(f"matrix entry ({i}, {j}) must be an int, got {x!r}")
-        rows = [{j: x for j, x in enumerate(row) if x} for row in A]
-    diag, Ui, Uc, Vr, Vic = _smith(rows, n, track_U, track_V)
+    m, n = len(A), len(A[0]) if A else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("matrix rows have unequal lengths")
+    for i, row in enumerate(A):
+        for j, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"matrix entry ({i}, {j}) must be an int, got {x!r}")
+    diag, Ui, Uc, Vr, Vic = _smith([{j: x for j, x in enumerate(row) if x} for row in A], n)
     S = [[0] * n for _ in range(m)]
     for d, x in enumerate(diag):
         S[d][d] = x
-    U, U_inv = (_dense(Uc, m, columns=True), _dense(Ui, m)) if track_U else (None, None)
-    V, V_inv = (_dense(Vr, n), _dense(Vic, n, columns=True)) if track_V else (None, None)
-    return SNFResult(U, S, V, U_inv, V_inv, (m, n))
+    return SNFResult(_dense(Uc, m, columns=True), S, _dense(Vr, n), _dense(Ui, m), _dense(Vic, n, columns=True),
+                     (m, n))
 
 
 def _sparse_invariants(rows: List[Dict[int, int]]):
@@ -816,7 +802,7 @@ def mv_check(X, Z, family: BigFamilyPrefix, k, d_max, basis_cap=DEFAULT_BASIS_CA
     Zset = X.ground.check_subset(Z)
     i0 = next((i for i, Y in enumerate(family.members) if Zset | Y == frozenset(X.points)), None)
     if i0 is None:
-        missing = sorted(frozenset(X.points) - Zset.union(*family.members[-1:]))[:3]
+        missing = X.ground.sorted(frozenset(X.points) - Zset.union(*family.members[-1:]))[:3]
         raise NotComplementary(f"no family member completes Z to X; sample uncovered points {missing}")
     m = _least_member(X, family, i0, k)
     if m is None:

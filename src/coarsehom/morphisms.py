@@ -247,10 +247,10 @@ class FlasqueRefusal(Record):
         return False
 
 
-def _margin_generators(X: BornCoarseSpace, margin: int):
-    """Bornology generators of a windowed X small enough to escape within the window; every
-    generator under a tag that names no builtin.  X's points must be points of the builtin
-    window its tag names."""
+def _margin_generators(X: BornCoarseSpace):
+    """Bornology generators of a windowed X within half the window radius of the origin, so
+    small enough to escape within the window; every generator under a tag that names no
+    builtin.  X's points must be points of the builtin window its tag names."""
     tag = X.window_tag
     window = frozenset(tag.points)
     if not window:
@@ -259,6 +259,7 @@ def _margin_generators(X: BornCoarseSpace, margin: int):
     if bad is not None:
         raise CoarseError(f"a flasqueness margin needs points of the {tag.name}({tag.radius}) "
                           f"window, and {bad!r} is not one: this space carries only the window's tag")
+    margin = tag.radius // 2
     return tuple(B for B in X.bornology.generators if all(tag.rank(p) <= margin for p in B))
 
 
@@ -284,7 +285,6 @@ def certify_flasque(
     f: SpaceMap,
     scale_cap: int = 4,
     iter_cap: int = 64,
-    margin: Optional[int] = None,
 ):
     """Certificate or refusal for the three flasqueness conditions.
 
@@ -306,15 +306,13 @@ def certify_flasque(
 
     Finite spaces without a window are refused: their ground set is bounded,
     so condition 3 cannot hold.  On windowed spaces only generators within
-    `margin` of the origin are tested (default: half the window radius) and
-    the result is explicitly window-relative.
+    half the window radius of the origin are tested, and the result is
+    explicitly window-relative.
     """
     if f.source != X or f.target != X:
         raise SourceTargetMismatch("flasqueness needs a self-map of X")
     check_count(scale_cap, "scale_cap")
     check_count(iter_cap, "iter_cap")
-    if margin is not None:
-        check_count(margin, "margin")
     if len(X) == 0:
         return FlasqueCertificate(f, None, 0, {}, {}, iter_cap, scale_cap, (), ("empty space",))
     if X.window_tag is None:
@@ -323,9 +321,7 @@ def certify_flasque(
             "condition 3 impossible: a finite space with covering bornology is bounded, "
             "so no iterate can leave it; flasqueness only makes sense window-relatively",
         )
-    if margin is None:
-        margin = X.window_tag.radius // 2
-    tested = _margin_generators(X, margin)
+    tested = _margin_generators(X)
 
     k1 = are_close(f, identity_map(X))
     if k1 is None:

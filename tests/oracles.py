@@ -375,6 +375,11 @@ def smith_invariant_factors(rows):
     return sorted(abs(int(snf[i, i])) for i in range(min(snf.rows, snf.cols)) if snf[i, i] != 0)
 
 
+def dense(M):
+    """The int-list rows of an IntMatrix: a shape and one dict {column: value} per row."""
+    return [[row.get(j, 0) for j in range(M.shape[1])] for row in M.rows]
+
+
 def reference_smith_normal_form(A, track_U=True, track_V=True):
     """The dense Smith normal form as first written: (U, S, V, U_inv, V_inv).
 

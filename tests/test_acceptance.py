@@ -233,7 +233,7 @@ def test_criterion_07_backend_agreement():
         X, _ = random_capped_space(rng, max_points=25, max_pairs=60, comp_cap=9)
         cc = chain_complex(X, 1, 3, None)
         tuple_route = [FGAbGroup(f, tuple(t)) for f, t in oracles.sparse_chain_homology(
-            cc.dims(), [None] + [b.rows for b in cc.boundaries[1:]], 2)]
+            [len(b) for b in cc.bases], [None] + [b.rows for b in cc.boundaries[1:]], 2)]
         clique_route = rips_complex(X, 1, 3).homology(2)
         assert tuple_route == clique_route
         assert homology_at_scale(X, 1, 2) == tuple_route

@@ -109,6 +109,26 @@ def test_udecomp_radii_must_be_a_list(capsys, radii):
     assert code == 2 and "parse error: radii must be a JSON list (field radii)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, radius, flag, argv", [
+    ("int_window", 3, "subset", ["mv-check", "--subset", "[true, 2, 3]", "--family-base", "[-3]",
+                                 "--family-depth", "6", "--scale", "1"]),
+    ("int_window", 3, "part-y", ["udecomp", "--part-y", "[-3, -2, -1, false]", "--part-z", "[0, 1, 2, 3]",
+                                 "--radii", "[1]"]),
+    ("grid2_window", 1, "family", ["hybrid", "--family", "[[[true, 0], [0, 0]]]", "--phi", "[0]", "--scale", "1"]),
+])
+def test_a_boolean_names_no_point(tmp_path, capsys, name, radius, flag, argv):
+    # Python reads true as 1 and false as 0, so each boolean, alone or inside a grid point,
+    # was once taken as that point; the same call with the number answers
+    sp = str(write_space(tmp_path, "s.json", {"kind": "builtin", "name": name, "radius": radius}))
+    rep, code = run(argv[:1] + ["--space", sp] + argv[1:])
+    err = capsys.readouterr().err
+    assert (code, rep.results) == (2, {})
+    assert err.startswith("parse error: ") and err.endswith(f"is or holds a boolean, which names no point "
+                                                            f"(field {flag})\n")
+    numbers = [a.replace("true", "1").replace("false", "0") for a in argv]
+    assert run(numbers[:1] + ["--space", sp] + numbers[1:])[1] == 0
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"kind": "metric", "points": ["a", "b"], "distances": [[], [True]], "scales": [1]},
      "booleans are not rationals (field distances)"),

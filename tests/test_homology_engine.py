@@ -45,9 +45,7 @@ from coarsehom import chain_maps, homology_engine
 from coarsehom.chain_maps import (
     NotClose,
     WindowTooSmall,
-    boundary_matrix,
     chain_complex,
-    controlled_tuples,
     homology_presentation,
     induced_map,
     prism,
@@ -110,11 +108,23 @@ def groups_via_oracle(X, k, d_max):
 def tuple_groups_via_oracle(X, k, d_max):
     """Groups of the controlled-tuple complex itself: its boundaries, reduced by the oracle."""
     cc = chain_complex(X, k, d_max + 1, None)
-    raw = oracles.sparse_chain_homology(cc.dims(), [None] + [b.rows for b in cc.boundaries[1:]], d_max)
+    raw = oracles.sparse_chain_homology([len(b) for b in cc.bases], [None] + [b.rows for b in cc.boundaries[1:]],
+                                        d_max)
     return [FGAbGroup(f, tuple(t)) for f, t in raw]
 
 
-# ---------------------------------------------------------- controlled_tuples
+def controlled_tuples(X, k, n, basis_cap=DEFAULT_CAP):
+    """The degree-n basis of the tuple complex at scale k: the nondegenerate (n+1)-tuples
+    pairwise related at k, in lex order."""
+    return chain_complex(X, k, n, basis_cap).bases[n]
+
+
+def boundary_matrix(X, k, n, basis_cap=DEFAULT_CAP):
+    """d_n of the tuple complex at scale k (rows: degree n-1, columns: degree n)."""
+    return chain_complex(X, k, n, basis_cap).boundaries[n]
+
+
+# ---------------------------------------------------------- controlled tuples
 
 def test_point_tuple_bases():
     assert controlled_tuples(POINT, 1, 0) == [("*",)]
@@ -143,9 +153,11 @@ def test_adjacent_repeats_dropped_others_kept():
 
 
 def test_basis_cap_refusal():
+    # the complex is built a degree at a time, so the refusal names the first degree past
+    # the cap: 6 vertices, then 30 pairs
     with pytest.raises(DegreeCapExceeded) as e:
         controlled_tuples(clique_space(6), 1, 3, basis_cap=10)
-    assert e.value.degree == 3 and e.value.scale == 1 and e.value.cap == 10
+    assert e.value.degree == 1 and e.value.scale == 1 and e.value.cap == 10
 
 
 def test_cap_refusal_counts_tuples_on_tuple_routes():
@@ -173,13 +185,13 @@ def test_edge_boundary_is_difference():
     E = make_explicit_space([0, 1], [[(0, 1)]], [[0, 1]])
     D = boundary_matrix(E, 1, 1)
     # basis order: vertices [(0,), (1,)], pairs [(0, 1), (1, 0)]
-    assert D.tolist() == [[-1, 1], [1, -1]]
+    assert oracles.dense(D) == [[-1, 1], [1, -1]]
     assert D.nnz == 4
 
 
 def test_degenerate_faces_contribute_zero():
     E = make_explicit_space([0, 1], [[(0, 1)]], [[0, 1]])
-    D = boundary_matrix(E, 1, 2).tolist()
+    D = oracles.dense(boundary_matrix(E, 1, 2))
     # d(0,1,0) = (1,0) - (0,0) + (0,1) and the middle face is dropped
     assert [row[0] for row in D] == [1, 1]
     assert [row[1] for row in D] == [1, 1]
@@ -188,7 +200,7 @@ def test_degenerate_faces_contribute_zero():
 def test_triangle_vertex_boundary_rank():
     D = boundary_matrix(clique_space(3), 1, 1)
     import sympy
-    assert sympy.Matrix(D.tolist()).rank() == 2
+    assert sympy.Matrix(oracles.dense(D)).rank() == 2
 
 
 def assert_dd_zero(X, k, d_max):
@@ -361,7 +373,7 @@ def eye(n):
 
 def assert_snf_contract(A):
     res = smith_normal_form(A)
-    A = A.tolist() if isinstance(A, IntMatrix) else [list(row) for row in A]
+    A = [list(row) for row in A]
     m, n = res.shape
     U, S, V = res.U, res.S, res.V
     assert matmul(matmul(U, S), V) == A
@@ -396,18 +408,20 @@ def test_snf_two_by_two_divisor_chain():
 
 
 def test_snf_degenerate_shapes():
-    # lists cannot carry (0, 3) or (3, 0); the matrix type has a shape
-    for shape in [(0, 0), (0, 3), (3, 0)]:
-        res = smith_normal_form(IntMatrix(shape, [{} for _ in range(shape[0])]))
+    for A, shape in [([], (0, 0)), ([[], [], []], (3, 0))]:
+        res = smith_normal_form(A)
         assert res.shape == shape
         assert len(res.S) == shape[0]
         assert all(len(row) == shape[1] for row in res.S)
         assert res.rank == 0 and res.invariant_factors == []
+    # int-list rows cannot carry (0, 3), which degree-0 presentations reduce: no pivot, V = 1
+    diag, Ui, Uc, Vr, Vic = homology_engine._smith([], 3)
+    assert (diag, Ui, Uc) == ([], [], []) and Vr == Vic == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_snf_sparse_input():
-    A = IntMatrix((3, 2), [{1: 2}, {0: 3}, {}])
-    res = assert_snf_contract(A)
+    # a zero row and pivots off the diagonal: the form reads only the nonzeros of each row
+    res = assert_snf_contract([[0, 2], [3, 0], [0, 0]])
     assert res.rank == 2
     assert res.invariant_factors == [1, 6]
 
@@ -498,13 +512,19 @@ def test_sparse_kernel_matches_sympy_on_planted_torsion(A):
 @given(sparse_int_matrices(max_side=12))
 @example([[2, 0], [0, 3]])  # 3 is not a multiple of the pivot 2: the divisibility repair runs
 def test_snf_bit_identical_to_reference(A):
-    # not just a valid Smith form: frozen generator chains follow from these exact U and V
-    for track_U, track_V in [(True, True), (False, True), (True, False)]:
-        want = oracles.reference_smith_normal_form(A, track_U, track_V)
-        sparse = IntMatrix((len(A), len(A[0])), [{j: v for j, v in enumerate(row) if v} for row in A])
-        for M in (A, sparse):
-            res = smith_normal_form(M, track_U, track_V)
-            assert (res.U, res.S, res.V, res.U_inv, res.V_inv) == want
+    # not just a valid Smith form: frozen generator chains follow from these exact U and V,
+    # whichever transforms the sparse form tracks (a presentation tracks one side)
+    m, n = len(A), len(A[0])
+    dense = homology_engine._dense
+    for track_U, track_V in [(True, True), (False, True), (True, False), (False, False)]:
+        diag, Ui, Uc, Vr, Vic = homology_engine._smith([{j: v for j, v in enumerate(row) if v} for row in A], n,
+                                                       track_U, track_V)
+        S = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)] for i in range(m)]
+        U, U_inv = (dense(Uc, m, columns=True), dense(Ui, m)) if track_U else (None, None)
+        V, V_inv = (dense(Vr, n), dense(Vic, n, columns=True)) if track_V else (None, None)
+        assert (U, S, V, U_inv, V_inv) == oracles.reference_smith_normal_form(A, track_U, track_V)
+    res = smith_normal_form(A)
+    assert (res.U, res.S, res.V, res.U_inv, res.V_inv) == oracles.reference_smith_normal_form(A)
 
 
 def test_homology_reduces_each_boundary_once(monkeypatch):
@@ -582,14 +602,6 @@ def test_matrix_shapes_are_checked():
 
 
 def test_boundaries_refuse_a_degree_out_of_range():
-    with pytest.raises(ValueError, match="boundary matrices start at degree 1"):
-        boundary_matrix(path_space(3), 1, 0)
-    # the degree is checked first: True once answered as degree 1, "2" and None raised a bare TypeError
-    for degree in (1.5, True, "2", None):
-        with pytest.raises(ValueError, match=re.escape(f"degree must be an int, got {degree!r}")):
-            boundary_matrix(path_space(3), 1, degree)
-    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
-        boundary_matrix(path_space(3), 1, -1)
     K = rips_complex(path_space(3), 1, 1)
     for n in (0, 2):
         with pytest.raises(ValueError, match="degree out of the built range"):
@@ -1071,8 +1083,8 @@ def assert_presentation_matches_reference(X, k, n, rng, monkeypatch):
     cc = chain_complex(X, k, n + 1)
     d_n, d_next = cc.boundaries[n] if n else None, cc.boundaries[n + 1]
     free, torsion, factors, rank_dn, chains, coordinates, image_columns = (
-        oracles.reference_presentation(len(cc.bases[n]), d_n.tolist() if n else None,
-                                       d_next.tolist()))
+        oracles.reference_presentation(len(cc.bases[n]), oracles.dense(d_n) if n else None,
+                                       oracles.dense(d_next)))
     widths = []
     smith = chain_maps._smith
     monkeypatch.setattr(chain_maps, "_smith",
@@ -1087,7 +1099,7 @@ def assert_presentation_matches_reference(X, k, n, rng, monkeypatch):
     for gen in chains:
         assert P.class_coordinates(gen) == coordinates(gen)
     # seeded integer combinations of generators plus boundaries
-    boundaries = [list(col) for col in zip(*d_next.tolist())]
+    boundaries = [list(col) for col in zip(*oracles.dense(d_next))]
     for _ in range(4):
         chain = [0] * len(P.basis)
         for vec in chains + rng.sample(boundaries, min(3, len(boundaries))):
@@ -1132,7 +1144,7 @@ def test_identity_induces_identity():
     im = induced_map(identity_map(HEX), 1, 1)
     assert im.matrix == [[1]] or im.matrix == [[-1]]
     n_chains = len(controlled_tuples(HEX, 1, 1))
-    assert im.chain_matrix.tolist() == eye(n_chains)
+    assert oracles.dense(im.chain_matrix) == eye(n_chains)
 
 
 def test_self_map_at_its_own_scale_builds_one_presentation(monkeypatch):
@@ -1174,7 +1186,7 @@ def test_functoriality_chain_and_homology():
     imf = induced_map(f, 1, 0)
     img = induced_map(g, imf.target_scale, 0)
     comp = induced_map(g.compose(f), 1, 0, target_scale=img.target_scale)
-    assert comp.chain_matrix.tolist() == (img.chain_matrix @ imf.chain_matrix).tolist()
+    assert oracles.dense(comp.chain_matrix) == oracles.dense(img.chain_matrix @ imf.chain_matrix)
     assert comp.matrix == matmul(img.matrix, imf.matrix)
 
 
@@ -1313,14 +1325,14 @@ def test_refused_call_refuses_again():
     with pytest.raises(DegreeCapExceeded):
         chain_complex(X, 1, 2, basis_cap=40)
     assert chain_maps._store(X).complexes == {}
-    assert chain_complex(X, 1, 1, basis_cap=40).dims() == [6, 30]
+    assert [len(b) for b in chain_complex(X, 1, 1, basis_cap=40).bases] == [6, 30]
     with pytest.raises(DegreeCapExceeded):
         chain_complex(X, 1, 2, basis_cap=40)
 
 
 def same_complex(a, b):
     return (a.d_max == b.d_max and a.bases == b.bases
-            and [m and m.tolist() for m in a.boundaries] == [m and m.tolist() for m in b.boundaries])
+            and [m and oracles.dense(m) for m in a.boundaries] == [m and oracles.dense(m) for m in b.boundaries])
 
 
 def test_prefix_of_a_stored_complex_equals_a_fresh_build():
@@ -1378,6 +1390,16 @@ def test_swindle_window_too_small():
     with pytest.raises(WindowTooSmall) as e:
         swindle_identity_check(X, shift(X), range(11), J=5)
     assert e.value.iterate == 5
+
+
+@pytest.mark.parametrize("points, witness", [([0, "a", "b"], 0), (["b", "a", "c"], "b")])
+def test_swindle_witness_is_the_first_hit_point_in_ground_order(points, witness):
+    # mixed points have no Python order (sorted raised a bare TypeError), and strings must
+    # not be named alphabetically
+    X = make_explicit_space(points, [], [points])
+    with pytest.raises(WindowTooSmall) as e:
+        swindle_identity_check(X, identity_map(X), points[::-1], J=2)
+    assert (e.value.iterate, e.value.witness) == (2, witness)
 
 
 def test_swindle_empty_bounded_set_vacuous():
@@ -1564,6 +1586,19 @@ def test_mv_not_complementary():
     fam = big_family_generated(X, [0], 8)
     with pytest.raises(NotComplementary):
         mv_check(X, list(range(6)), fam, 1, 1)
+
+
+@pytest.mark.parametrize("points, Z, sample", [
+    ([0, "a", "b"], ["a"], [0, "b"]),
+    (["d", "c", "b", "a", "e"], ["e"], ["d", "c", "b"]),
+])
+def test_mv_not_complementary_names_points_in_ground_order(points, Z, sample):
+    # mixed points have no Python order (sorted raised a bare TypeError), and strings must
+    # not be named alphabetically
+    X = make_explicit_space(points, [[(points[0], points[1])]], [points])
+    with pytest.raises(NotComplementary) as e:
+        mv_check(X, Z, make_big_family(X, [Z]), 1, 1)
+    assert str(e.value) == f"no family member completes Z to X; sample uncovered points {sample!r}"
 
 
 def test_mv_prefix_too_short():
@@ -2270,7 +2305,6 @@ COUNT_ENTRIES = {
     "search_budget": (lambda n: asdim_upper_bound(PATH8, [1], search_budget=n), 1, CoverError),
     "scale_cap": (lambda n: certify_flasque(HALF30, SHIFT30, scale_cap=n), 0, CoarseError),
     "iter_cap": (lambda n: certify_flasque(HALF30, SHIFT30, iter_cap=n), 0, CoarseError),
-    "margin": (lambda n: certify_flasque(HALF30, SHIFT30, margin=n), 0, CoarseError),
     "J": (lambda n: swindle_identity_check(HALF30, SHIFT30, [], J=n), 0, CoarseError),
 }
 
@@ -2282,7 +2316,7 @@ def test_count_that_is_no_int_or_too_small_is_refused(entry):
     call, least, error = COUNT_ENTRIES[entry]
     call(least)  # the same call answers at the least count
     refusals = [(-1, f"{entry} must be >= {least}, got -1")]
-    for value in (1.5, True, "2", None)[:3 if entry == "margin" else 4]:  # margin=None is its default
+    for value in (1.5, True, "2", None):
         refusals.append((value, f"{entry} must be an int, got {value!r}"))
     for value, text in refusals:
         with pytest.raises(error) as e:
@@ -2290,7 +2324,8 @@ def test_count_that_is_no_int_or_too_small_is_refused(entry):
         assert type(e.value) is error and str(e.value) == text
 
 
-# every entry that takes a basis_cap, as a call with that cap
+# every entry that takes a basis_cap, as a call with that cap; the tuple basis and a
+# boundary are read off chain_complex, so their entries check it again through those reads
 CAP_ENTRIES = {
     "controlled_tuples": lambda cap: controlled_tuples(PATH8, 1, 1, cap),
     "boundary_matrix": lambda cap: boundary_matrix(PATH8, 1, 1, cap),

@@ -2,7 +2,7 @@
 
 Each class is built from its fields in positional order, compares equal to
 another instance of the same class with equal fields, and shows its fields
-in a `Name(field=...)` repr.  The five value types hash by value and refuse
+in a `Name(field=...)` repr.  The four value types hash by value and refuse
 assignment; every other class is unhashable.
 """
 
@@ -13,7 +13,6 @@ import coarsehom
 # class name, its fields in positional order, the defaults of the trailing ones
 RECORDS = [
     ("WindowTag", "name radius", {}),
-    ("UniformMetric", "dist description", {"description": ""}),
     ("BigFamilyPrefix", "members", {}),
     ("Report", "command input_digest results warnings refusals",
      {"input_digest": {}, "results": {}, "warnings": [], "refusals": []}),
@@ -43,13 +42,8 @@ RECORDS = [
     ("AsdimReport", "per_scale upper_bound budget notes", {"notes": ()}),
     ("UniformDecompositionReport", "radii assignments ok notes", {"notes": ()}),
 ]
-VALUE_TYPES = {"WindowTag", "UniformMetric", "FGAbGroup", "Cover", "AntiCechPrefix"}
+VALUE_TYPES = {"WindowTag", "FGAbGroup", "Cover", "AntiCechPrefix"}
 HIDDEN = {"EquivalenceReport": {"f_report", "g_report"}}
-
-
-def cls_of(name):
-    # UniformMetric is the one class here that coarsehom does not export
-    return coarsehom.core_spaces.UniformMetric if name == "UniformMetric" else getattr(coarsehom, name)
 
 
 def sample(name, fields):
@@ -67,13 +61,13 @@ CASES = [pytest.param(name, fields.split(), defaults, id=name)
 
 
 def test_every_class_is_listed_once():
-    assert len({name for name, _, _ in RECORDS}) == len(RECORDS) == 23
+    assert len({name for name, _, _ in RECORDS}) == len(RECORDS) == 22
     assert VALUE_TYPES <= {name for name, _, _ in RECORDS}
 
 
 @pytest.mark.parametrize("name, fields, defaults", CASES)
 def test_constructor_order_and_defaults(name, fields, defaults):
-    cls = cls_of(name)
+    cls = getattr(coarsehom, name)
     values, _ = sample(name, fields)
     obj = cls(*values)
     assert [getattr(obj, f) for f in fields] == values
@@ -93,7 +87,7 @@ def test_constructor_order_and_defaults(name, fields, defaults):
 
 @pytest.mark.parametrize("name, fields, defaults", CASES)
 def test_equality_is_by_class_and_fields(name, fields, defaults):
-    cls = cls_of(name)
+    cls = getattr(coarsehom, name)
     values, changed = sample(name, fields)
     obj = cls(*values)
     assert obj == cls(*values) and not obj != cls(*values)
@@ -115,7 +109,7 @@ def test_repr_names_the_class_and_its_fields(name, fields, defaults):
     values, _ = sample(name, fields)
     shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)
                       if f not in HIDDEN.get(name, ()))
-    assert repr(cls_of(name)(*values)) == f"{name}({shown})"
+    assert repr(getattr(coarsehom, name)(*values)) == f"{name}({shown})"
 
 
 def test_equivalence_report_hides_the_morphism_reports():
@@ -126,7 +120,7 @@ def test_equivalence_report_hides_the_morphism_reports():
 
 @pytest.mark.parametrize("name, fields, defaults", CASES)
 def test_value_types_hash_and_refuse_assignment(name, fields, defaults):
-    cls = cls_of(name)
+    cls = getattr(coarsehom, name)
     values, changed = sample(name, fields)
     obj = cls(*values)
     if name not in VALUE_TYPES:
